@@ -16,11 +16,9 @@ from .convnet import (
 )
 from .filters import (
     Filter,
-    FilterConstants,
     apply_chebyshev,
     apply_exact,
     apply_rational,
-    filter_constants,
     make_filter,
     max_difference_quotient,
     sup_norm_on_spectrum,
@@ -69,10 +67,10 @@ from .spaces import (
     CircleSpace,
     GraphSpace,
     KernelSpace,
-    PaleyWiener,
     bandlimited_kernel,
 )
 from .transfer import (
+    FilterConstants,
     TransferReport,
     TransferSetting,
     bound_fourier_mode,
@@ -80,6 +78,7 @@ from .transfer import (
     bound_worstcase,
     coarsening_setting,
     evaluate_transfer,
+    filter_constants,
     perturbation_setting,
     sampling_setting,
     transfer_errors,

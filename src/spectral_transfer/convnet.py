@@ -314,11 +314,6 @@ class _SpaceOps:
         out[0] = value  # the constant is the first circle basis function
         return out
 
-    def pad(self, coeffs: np.ndarray, from_band: float, to_band: float) -> np.ndarray:
-        out = np.zeros(self.dim(to_band), dtype=float)
-        out[: coeffs.shape[0]] = coeffs
-        return out
-
 
 def forward_continuous(spec: ConvNetSpec, space, inputs):
     """Run the network on the underlying space; returns per-layer

@@ -351,14 +351,16 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         ok &= setting_ok
 
         # Frobenius stability: restrict the fine operator first, then
-        # compare the two functional-calculus applications.
+        # compare the two functional-calculus applications.  Both must be
+        # normal in the dot product.  Spectral projections do not depend on
+        # the inner product, so the decompositions already made serve.
         if restriction is None:
             fine_mat = space.operator.matrix
         else:
             fine_mat = restriction @ space.operator.matrix @ restriction.T
         fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
-        fine_eig = eigendecompose(fine_op)
-        delta_eig = eigendecompose(delta_op)
+        fine_eig = space.eig if restriction is None else eigendecompose(fine_op)
+        delta_eig = setting.target_eig
         lap_abs = float(np.linalg.norm(fine_mat - delta_op.matrix, "fro"))
         lap_rel = lap_abs / max(float(np.linalg.norm(fine_mat, "fro")), 1e-30)
         for filt_desc in config.filters:

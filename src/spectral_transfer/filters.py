@@ -1,7 +1,9 @@
 """Scalar spectral filters and their application to normal operators.
 
 A filter is a scalar function g applied to an operator through its
-eigendecomposition, ``g(T) s = sum_j g(lambda_j) P_j s``.  Rational filters
+eigendecomposition, ``g(T) s = V g(Lambda) V^H B s`` with the B-orthonormal
+eigenbasis V (equivalently ``sum_j g(lambda_j) P_j s`` over the
+eigenprojections, which are never formed).  Rational filters
 admit a second, algebraically equivalent route through compositions, linear
 combinations, and one linear solve; general continuous filters admit a
 Chebyshev polynomial route driven purely by matrix-vector products.  The
@@ -213,32 +215,6 @@ class Filter:
             raise FilterEvaluationError("cannot normalize a filter that vanishes on the spectrum")
         return self.scaled(1.0 / sup), sup
 
-    def check_lipschitz_on(self, spectrum, rtol: float = 1e-9) -> None:
-        """Verify the declared constant bounds all difference quotients."""
-        if self.lipschitz_constant is None:
-            return
-        spectrum = np.asarray(spectrum)
-        vals = self.evaluate(spectrum)
-        for i in range(len(spectrum)):
-            d = np.abs(spectrum - spectrum[i])
-            keep = d > DEFAULT_EXCLUSION_TOL
-            if not keep.any():
-                continue
-            q = np.abs(vals[keep] - vals[i]) / d[keep]
-            if q.max() > self.lipschitz_constant * (1.0 + rtol) + 1e-12:
-                raise FilterEvaluationError(
-                    f"declared Lipschitz constant {self.lipschitz_constant:g} "
-                    f"violated on the evaluated spectrum (quotient {q.max():g})"
-                )
-
-
-@dataclass(frozen=True)
-class FilterConstants:
-    """Per-eigenvalue quotient bounds and the sup norm over a spectrum."""
-
-    vg_per_eig: np.ndarray
-    sup_norm: float
-
 
 def make_filter(descriptor: str) -> Filter:
     """Parse ``identity``, ``heat(t)``, ``lowpass(c)``, ``highpass(c)``,
@@ -271,18 +247,18 @@ def make_filter(descriptor: str) -> Filter:
 
 
 def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> np.ndarray:
-    """Spectral synthesis ``sum_j g(lambda_j) P_j signal``."""
+    """Spectral synthesis ``V g(Lambda) V^H B signal``.
+
+    ``signal`` is one vector or a matrix whose columns are signals.  Two
+    products with the eigenbasis do the work; no n x n filter matrix is
+    formed, so a mat-vec costs O(n^2).
+    """
     signal = np.asarray(signal)
     if signal.shape[0] != eig.dim:
         raise FilterEvaluationError(
             f"signal dimension {signal.shape[0]} != operator dimension {eig.dim}"
         )
-    values = filter.evaluate(eig.eigenvalues())
-    out = np.zeros(signal.shape, dtype=np.result_type(signal.dtype, values.dtype,
-                                                      eig.basis.dtype))
-    for g, val in zip(eig.groups, values):
-        out = out + val * (g.projection @ signal)
-    return out
+    return eig.apply_function_to(filter.evaluate(eig.eigenvalues()), signal)
 
 
 def filter_matrix(filter: Filter, eig: EigenDecomposition) -> np.ndarray:
@@ -358,10 +334,15 @@ def apply_chebyshev(
     """
     if degree < 0:
         raise SpectralIntervalError("degree must be nonnegative")
+    spectrum = _real_spectrum(op)
     if interval is None:
-        interval = default_spectral_interval(op)
+        interval = _containing_interval(spectrum)
     a, b = float(interval[0]), float(interval[1])
-    _check_spectrum_in_interval(op, a, b)
+    lo, hi = spectrum.min(), spectrum.max()
+    if lo < a - 1e-9 or hi > b + 1e-9:
+        raise SpectralIntervalError(
+            f"spectrum [{lo:g}, {hi:g}] escapes interval [{a:g}, {b:g}]"
+        )
     coeffs = chebyshev_coefficients(filter, degree, (a, b))
     t = op.matrix
     signal = np.asarray(signal, dtype=np.result_type(t.dtype, float))
@@ -385,23 +366,20 @@ def apply_chebyshev(
 
 def default_spectral_interval(op: OperatorWithInnerProduct) -> tuple:
     """Smallest zero-anchored interval safely containing the real spectrum."""
+    return _containing_interval(_real_spectrum(op))
+
+
+def _real_spectrum(op: OperatorWithInnerProduct) -> np.ndarray:
     vals = eigendecompose(op).eigenvalues_with_multiplicity()
     if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):
         raise SpectralIntervalError("spectrum is not real; no containing interval")
-    lo = min(0.0, float(vals.real.min()))
-    hi = max(0.0, float(vals.real.max()))
+    return vals.real
+
+
+def _containing_interval(spectrum: np.ndarray) -> tuple:
+    lo = min(0.0, float(spectrum.min()))
+    hi = max(0.0, float(spectrum.max()))
     return (lo - abs(lo) * 1e-6 - 1e-12, hi + abs(hi) * 1e-6 + 1e-12)
-
-
-def _check_spectrum_in_interval(op: OperatorWithInnerProduct, a: float, b: float):
-    vals = eigendecompose(op).eigenvalues_with_multiplicity()
-    if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):
-        raise SpectralIntervalError("spectrum is not real; no containing interval")
-    lo, hi = vals.real.min(), vals.real.max()
-    if lo < a - 1e-9 or hi > b + 1e-9:
-        raise SpectralIntervalError(
-            f"spectrum [{lo:g}, {hi:g}] escapes interval [{a:g}, {b:g}]"
-        )
 
 
 def chebyshev_sup_error(filter: Filter, degree: int, interval, n_grid: int = 4097) -> float:
@@ -417,48 +395,33 @@ def chebyshev_sup_error(filter: Filter, degree: int, interval, n_grid: int = 409
 
 def max_difference_quotient(
     filter: Filter,
-    lambda_m: float,
+    lambda_m,
     target_spectrum,
     exclusion_tol: float = DEFAULT_EXCLUSION_TOL,
-) -> float:
+):
     """Largest |g(kappa) - g(lambda_m)| / |kappa - lambda_m| over the target
     spectrum, excluding points within ``exclusion_tol`` of lambda_m.
 
     This is the per-mode constant multiplying the Laplacian transfer error
     in the mode-wise bound; it never exceeds the filter's Lipschitz
-    constant.  Returns 0 when every target eigenvalue is excluded.
+    constant.  It is 0 when every target eigenvalue is excluded.  A scalar
+    ``lambda_m`` gives a float; an array of source eigenvalues gives the
+    array of their quotients, computed from one source-by-target matrix.
     """
     target = np.asarray(target_spectrum)
     if target.size == 0:
         raise FilterEvaluationError("target spectrum is empty")
-    dist = np.abs(target - lambda_m)
+    source = np.asarray(lambda_m)
+    lams = source.reshape(-1)
+    dist = np.abs(target[None, :] - lams[:, None])
     keep = dist > exclusion_tol
-    if not keep.any():
-        return 0.0
-    g_target = filter.evaluate(target[keep])
-    g_source = filter.evaluate(lambda_m)
-    return float((np.abs(g_target - g_source) / dist[keep]).max())
+    jump = np.abs(filter.evaluate(target)[None, :] - filter.evaluate(lams)[:, None])
+    quotients = np.divide(jump, dist, out=np.zeros(dist.shape), where=keep)
+    worst = quotients.max(axis=1)
+    return float(worst[0]) if source.ndim == 0 else worst
 
 
 def sup_norm_on_spectrum(filter: Filter, eigenvalues) -> float:
     """``max_m |g(lambda_m)|`` over the evaluated eigenvalues."""
     vals = filter.evaluate(np.asarray(eigenvalues))
     return float(np.abs(vals).max()) if vals.size else 0.0
-
-
-def filter_constants(
-    filter: Filter, source_eigenvalues, target_spectrum
-) -> FilterConstants:
-    """Bundle the per-mode quotient bounds and the source-spectrum sup norm."""
-    source = np.asarray(source_eigenvalues)
-    vg = np.array(
-        [max_difference_quotient(filter, lam, target_spectrum) for lam in source]
-    )
-    if filter.lipschitz_constant is not None and vg.size:
-        worst = vg.max()
-        if worst > filter.lipschitz_constant * (1.0 + 1e-9) + 1e-12:
-            raise FilterEvaluationError(
-                f"quotient {worst:g} exceeds declared Lipschitz constant "
-                f"{filter.lipschitz_constant:g}"
-            )
-    return FilterConstants(vg_per_eig=vg, sup_norm=sup_norm_on_spectrum(filter, source))

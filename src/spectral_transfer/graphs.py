@@ -4,13 +4,17 @@ Operators that are not symmetric matrices are handled as normal operators
 under a constructed inner product ``<u, v> = v^H B u``: for a diagonalizable
 matrix with eigenvector matrix G, ``B = G^{-H} G^{-1}`` makes the matrix
 normal, its adjoint is ``B^{-1} A^H B``, and eigenprojections are
-B-orthogonal.  All decompositions are dense and direct; the library targets
-graphs of at most a few thousand vertices.
+B-orthogonal.  All decompositions are dense and direct: time grows as n^3
+and memory as n^2 (one eigenbasis per operator, no per-eigenvalue
+projectors).  Measured on 2 cores with one BLAS thread, perturb-stability
+on random-geometric(1000, 0.06) with five perturbations and three filters
+takes 25 s at 313 MB peak RSS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +25,7 @@ from .errors import (
     GraphError,
     InvalidInnerProductError,
     NormalityError,
+    ParameterError,
 )
 
 #: Condition-number ceiling for eigenvector matrices of directed Laplacians.
@@ -82,10 +87,6 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         """Row sums of the adjacency matrix."""
         return self.adjacency().sum(axis=1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if self.directed else (min(u, v), max(u, v))
-        return any((e[0], e[1]) == key for e in self.edges)
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -181,9 +182,13 @@ class InnerProduct:
     def dim(self) -> int:
         return self.b_matrix.shape[0]
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
         return bool(np.array_equal(self.b_matrix, np.eye(self.dim)))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``B x`` for a vector or matrix ``x``; ``x`` itself when B = I."""
+        return x if self.is_standard else self.b_matrix @ x
 
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
         """``<u, v> = v^H B u``."""
@@ -207,7 +212,15 @@ class InnerProduct:
         """
         if mat.size == 0:
             return 0.0
-        return float(np.linalg.norm(self._sqrt @ mat, 2))
+        return float(np.linalg.norm(self._weighted(mat), 2))
+
+    def column_norms(self, mat: np.ndarray) -> np.ndarray:
+        """Norm under this inner product of each column of ``mat``."""
+        return np.linalg.norm(self._weighted(mat), axis=0)
+
+    def _weighted(self, mat: np.ndarray) -> np.ndarray:
+        # B^{1/2} mat, whose Euclidean norms are B-norms of mat.
+        return mat if self.is_standard else self._sqrt @ mat
 
 
 def adjoint_wrt(a: np.ndarray, inner: InnerProduct) -> np.ndarray:
@@ -277,7 +290,7 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
     inner product built from a numerically computed eigenvector matrix.
     """
     if kind not in ("unnormalized", "normalized", "adjacency"):
-        raise ValueError(f"unknown laplacian kind {kind!r}")
+        raise ParameterError(f"unknown laplacian kind {kind!r}")
     w_mat = graph.adjacency()
     deg = w_mat.sum(axis=1)
     if kind == "unnormalized":
@@ -308,58 +321,88 @@ def _real_if_possible(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenGroup:
-    """One eigenvalue with its eigenspace projection."""
+    """One eigenvalue with the B-orthonormal basis columns of its eigenspace."""
 
     eigenvalue: complex
-    projection: np.ndarray
-    multiplicity: int
+    columns: np.ndarray
+    inner: InnerProduct
+
+    @property
+    def multiplicity(self) -> int:
+        return self.columns.shape[1]
+
+    @property
+    def projection(self) -> np.ndarray:
+        """Eigenprojection ``C C^H B``; built on each access, never stored."""
+        return self.columns @ self.inner.apply(self.columns).conj().T
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues grouped into eigenspaces, ordered by increasing ``|lambda|``.
 
-    ``basis`` holds B-orthonormal eigenvector columns aligned with
-    ``eigenvalues_with_multiplicity``; projections are built from it and are
-    B-orthogonal, idempotent, and sum to the identity.
+    ``basis`` holds B-orthonormal eigenvector columns, group by group;
+    group j has eigenvalue ``group_values[j]`` and spans the next
+    ``multiplicities[j]`` columns.  A spectral function g acts as
+    ``V g(Lambda) V^H B``, so the decomposition stores one n x n matrix in
+    all, and no eigenprojection is formed unless asked for.
     """
 
-    groups: tuple
+    group_values: np.ndarray
+    multiplicities: np.ndarray
     inner: InnerProduct
     basis: np.ndarray
-    grouped: bool = False
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def grouped(self) -> bool:
+        """True when some eigenvalue is repeated (to the grouping tolerance)."""
+        return bool(np.any(self.multiplicities > 1))
+
+    @property
+    def groups(self) -> tuple:
+        """One :class:`EigenGroup` per eigenvalue, viewing its basis columns."""
+        ends = np.cumsum(self.multiplicities)
+        return tuple(
+            EigenGroup(complex(value), self.basis[:, end - count:end], self.inner)
+            for value, count, end in zip(self.group_values, self.multiplicities, ends)
+        )
+
     def eigenvalues(self) -> np.ndarray:
         """Distinct (grouped) eigenvalues in |lambda| order."""
-        return _real_if_possible(np.array([g.eigenvalue for g in self.groups]))
+        return self.group_values
+
+    def with_multiplicity(self, values) -> np.ndarray:
+        """Per-group ``values`` repeated over each group's basis columns."""
+        return np.repeat(np.asarray(values), self.multiplicities)
 
     def eigenvalues_with_multiplicity(self) -> np.ndarray:
-        return _real_if_possible(np.concatenate(
-            [[g.eigenvalue] * g.multiplicity for g in self.groups]
-        ))
+        return self.with_multiplicity(self.group_values)
 
     def apply_function(self, values) -> np.ndarray:
-        """Matrix of ``sum_j values[j] P_j`` over the grouped eigenvalues."""
-        out = np.zeros_like(self.groups[0].projection, dtype=np.result_type(
-            self.groups[0].projection.dtype, np.asarray(values).dtype))
-        for g, val in zip(self.groups, values):
-            out = out + val * g.projection
-        return out
+        """Matrix of ``sum_j values[j] P_j``, i.e. ``V diag(values) V^H B``."""
+        scaled = self.basis * self.with_multiplicity(values)
+        return scaled @ self.inner.apply(self.basis).conj().T
+
+    def apply_function_to(self, values, signal: np.ndarray) -> np.ndarray:
+        """``sum_j values[j] P_j signal`` as ``V (values * (V^H B signal))``.
+
+        ``signal`` is a vector or a matrix of column signals; no n x n
+        matrix is formed.
+        """
+        coeffs = self.basis.conj().T @ self.inner.apply(signal)
+        scale = self.with_multiplicity(values)
+        return self.basis @ (scale.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
 
     def reconstruct(self) -> np.ndarray:
-        return self.apply_function([g.eigenvalue for g in self.groups])
+        return self.apply_function(self.group_values)
 
     def spectral_projector(self, band: float) -> np.ndarray:
         """Projection onto the span of eigenspaces with ``|lambda| <= band``."""
-        out = np.zeros((self.dim, self.dim), dtype=self.basis.dtype)
-        for g in self.groups:
-            if abs(g.eigenvalue) <= band:
-                out = out + g.projection
-        return out
+        return self.apply_function((np.abs(self.group_values) <= band).astype(float))
 
 
 def _group_eigenvalues(values: np.ndarray, tol: float):
@@ -383,9 +426,9 @@ def eigendecompose(
     """Eigendecompose a normal-under-B operator into grouped eigenspaces.
 
     Eigenvalues closer than ``group_tol`` (default ``1e-8`` times the
-    spectral radius) merge into a single eigenspace with one projection.
-    Raises :class:`DecompositionError` when the operator is defective to
-    tolerance.
+    spectral radius) merge into a single eigenspace whose eigenvalue is
+    their mean.  Raises :class:`DecompositionError` when the operator is
+    defective to tolerance.
     """
     a = op.matrix
     n = a.shape[0]
@@ -414,23 +457,12 @@ def eigendecompose(
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)
 
-    index_groups = _group_eigenvalues(np.asarray(vals, dtype=complex), group_tol)
-    b = op.inner.b_matrix
-    groups = []
-    basis_cols = []
-    for idxs in index_groups:
-        cols = vecs[:, idxs]
-        proj = cols @ (cols.conj().T @ b)
-        value = np.mean(np.asarray(vals, dtype=complex)[idxs])
-        if hermitian:
-            proj = proj.real
-            value = complex(value.real)
-        groups.append(EigenGroup(value, proj, len(idxs)))
-        basis_cols.append(cols)
-    basis = np.concatenate(basis_cols, axis=1)
+    vals = np.asarray(vals, dtype=complex)
+    index_groups = _group_eigenvalues(vals, group_tol)
+    means = np.array([np.mean(vals[idxs]) for idxs in index_groups])
     return EigenDecomposition(
-        groups=tuple(groups),
+        group_values=means.real if hermitian else _real_if_possible(means),
+        multiplicities=np.array([len(idxs) for idxs in index_groups]),
         inner=op.inner,
-        basis=basis,
-        grouped=any(g.multiplicity > 1 for g in groups),
+        basis=vecs[:, np.concatenate(index_groups)],
     )

@@ -214,7 +214,7 @@ class GraphSpace:
     def project_pw(self, band: float, signal: np.ndarray) -> np.ndarray:
         """Coefficients <s, phi_m>_B for the eigenvectors inside the band."""
         basis = self.pw_basis(band)
-        return basis.conj().T @ (self.operator.inner.b_matrix @ np.asarray(signal))
+        return basis.conj().T @ self.operator.inner.apply(np.asarray(signal))
 
     def synthesize(self, coeffs: np.ndarray, band: float) -> np.ndarray:
         return self.pw_basis(band) @ np.asarray(coeffs)
@@ -224,23 +224,6 @@ class GraphSpace:
 
     def projector_matrix(self, band: float) -> np.ndarray:
         return self.eig.spectral_projector(band)
-
-
-@dataclass(frozen=True)
-class PaleyWiener:
-    """A band-limited subspace: its band, dimension, and spectral data."""
-
-    band: float
-    dim: int
-    eigenvalues: np.ndarray
-    projector: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, space, band: float) -> "PaleyWiener":
-        if isinstance(space, GraphSpace):
-            return cls(band, space.dim_pw(band), space.eigenvalues_up_to(band),
-                       space.projector_matrix(band))
-        return cls(band, space.dim_pw(band), space.eigenvalues_up_to(band), None)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BandError, ParameterError
-from .filters import Filter, filter_matrix, max_difference_quotient
+from .filters import (
+    Filter,
+    apply_exact,
+    max_difference_quotient,
+    sup_norm_on_spectrum,
+)
 from .graphs import (
     EigenDecomposition,
     OperatorWithInnerProduct,
@@ -38,6 +43,33 @@ ABS_SLACK = 1e-12
 
 def certified(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + REL_SLACK) + ABS_SLACK
+
+
+@dataclass(frozen=True)
+class FilterConstants:
+    """Per-eigenvalue quotient bounds and the sup norm over a spectrum."""
+
+    vg_per_eig: np.ndarray
+    sup_norm: float
+
+
+def filter_constants(filt: Filter, source_eigenvalues,
+                     target_spectrum) -> FilterConstants:
+    """Per-mode quotient bounds and the source-spectrum sup norm.
+
+    The quotients must respect the filter's declared Lipschitz constant,
+    under the same slack as every certified inequality; a violation raises
+    :class:`ParameterError`.
+    """
+    source = np.asarray(source_eigenvalues)
+    vg = max_difference_quotient(filt, source, target_spectrum)
+    lip = filt.lipschitz_constant
+    if lip is not None and vg.size and not certified(float(vg.max()), lip):
+        raise ParameterError(
+            f"declared Lipschitz constant {lip:g} is violated on the "
+            f"spectra (observed quotient {vg.max():g})"
+        )
+    return FilterConstants(vg_per_eig=vg, sup_norm=sup_norm_on_spectrum(filt, source))
 
 
 @dataclass(frozen=True)
@@ -70,10 +102,10 @@ class TransferSetting:
     def dim_pw(self) -> int:
         return int(self.source_eigenvalues.shape[0])
 
-    @property
+    @cached_property
     def r_pw(self) -> np.ndarray:
         """Interpolation as the adjoint of sampling: ``S^H B``."""
-        return self.s_pw.conj().T @ self.target.inner.b_matrix
+        return self.target.inner.apply(self.s_pw).conj().T
 
     def graph_norm(self, v: np.ndarray) -> float:
         return self.target.inner.norm(v)
@@ -82,21 +114,21 @@ class TransferSetting:
         """Operator norm, band coefficients in, graph inner product out."""
         return self.target.inner.weighted_operator_norm(mat)
 
+    # The three band norms below do not depend on the filter; each is
+    # measured once per setting.
+
+    @cached_property
     def interpolation_norm(self) -> float:
         """Measured ||R||; equals ||S|| since R is the adjoint of S."""
         return self.graph_operator_norm(self.s_pw)
 
-    def laplacian_mode_errors(self) -> np.ndarray:
-        """Per-mode ``|| Delta S phi_m - lambda_m S phi_m ||`` in the graph norm."""
-        diff = self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues
-        b_sqrt = self.target.inner.sqrt_matrix()
-        return np.linalg.norm(b_sqrt @ diff, axis=0)
-
+    @cached_property
     def laplacian_operator_error(self) -> float:
         """``|| S L P - Delta S P ||`` in operator norm over the band."""
         diff = self.s_pw * self.source_eigenvalues - self.target.matrix @ self.s_pw
         return self.graph_operator_norm(diff)
 
+    @cached_property
     def consistency_operator_error(self) -> float:
         """``|| P - R S P ||`` in operator norm over the band."""
         m = self.dim_pw
@@ -104,7 +136,7 @@ class TransferSetting:
 
     def filtered_transfer_matrix(self, filt: Filter) -> np.ndarray:
         """Band-coefficient matrix of ``R g(Delta) S``."""
-        return self.r_pw @ filter_matrix(filt, self.target_eig) @ self.s_pw
+        return self.r_pw @ apply_exact(filt, self.target_eig, self.s_pw)
 
 
 def sampling_setting(pair: SamplingPair, delta: OperatorWithInnerProduct,
@@ -171,28 +203,38 @@ class ModeRow:
         return certified(self.lhs, self.rhs)
 
 
-def bound_fourier_mode(setting: TransferSetting, filt: Filter, mode: int,
-                       g_delta: np.ndarray | None = None) -> ModeRow:
+def bound_fourier_mode(setting: TransferSetting, filt: Filter,
+                       mode: int) -> ModeRow:
     """Per-mode bound: the filtered mismatch of one source eigenvector,
     measured on the graph, against its Laplacian mismatch scaled by the
     largest filter difference quotient.
-
-    ``g_delta`` lets callers that loop over every mode reuse the filtered
-    target matrix.
     """
-    lam = float(np.real(setting.source_eigenvalues[mode]))
-    s_phi = setting.s_pw[:, mode]
-    if g_delta is None:
-        g_delta = filter_matrix(filt, setting.target_eig)
-    g_lam = filt.evaluate(lam)
-    lhs = setting.graph_norm(g_delta @ s_phi - g_lam * s_phi)
-    lap_err = setting.graph_norm(
-        setting.target.matrix @ s_phi - lam * s_phi
+    rows, _, _ = _mode_bounds(setting, filt, [mode])
+    return rows[0]
+
+
+def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
+    """Per-mode rows for the source modes ``modes`` (any column index).
+
+    Works on all the modes at once: the lhs are the graph-norm column
+    norms of ``g(Delta) S - S diag g(lambda)``.  Also returns the filter
+    constants of those modes and the filtered sampling matrix
+    ``g(Delta) S``, which the aggregate bounds reuse.
+    """
+    lams = np.real(setting.source_eigenvalues[modes])
+    s_cols = setting.s_pw[:, modes]
+    constants = filter_constants(filt, lams, setting.target_eig.eigenvalues())
+    g_s = apply_exact(filt, setting.target_eig, s_cols)
+    inner = setting.target.inner
+    lhs = inner.column_norms(g_s - s_cols * filt.evaluate(lams))
+    lap = inner.column_norms(setting.target.matrix @ s_cols - s_cols * lams)
+    rows = tuple(
+        ModeRow(int(mode), float(lam), float(left), float(q * err), float(q), float(err))
+        for mode, lam, left, q, err in zip(
+            np.arange(setting.dim_pw)[modes], lams, lhs, constants.vg_per_eig, lap
+        )
     )
-    quotient = max_difference_quotient(
-        filt, lam, setting.target_eig.eigenvalues()
-    )
-    return ModeRow(mode, lam, lhs, quotient * lap_err, quotient, lap_err)
+    return rows, constants, g_s
 
 
 def bound_pointwise(vg_values, coeffs, mode_errors, which: str,
@@ -243,7 +285,9 @@ def transfer_errors(setting: TransferSetting, filt: Filter,
         )
     g_vals = filt.evaluate(setting.source_eigenvalues)
     filtered_src = g_vals * coeffs
-    filtered_back = setting.filtered_transfer_matrix(filt) @ coeffs
+    filtered_back = setting.r_pw @ apply_exact(
+        filt, setting.target_eig, setting.s_pw @ coeffs
+    )
     lap_src = setting.source_eigenvalues * coeffs
     lap_back = setting.r_pw @ (setting.target.matrix @ (setting.s_pw @ coeffs))
     round_trip = setting.r_pw @ (setting.s_pw @ coeffs)
@@ -303,32 +347,19 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         coeffs /= np.linalg.norm(coeffs)
     coeffs = np.asarray(coeffs)
 
-    target_spectrum = setting.target_eig.eigenvalues()
-    source = np.real(setting.source_eigenvalues)
-    vg = np.array(
-        [max_difference_quotient(filt, lam, target_spectrum) for lam in source]
-    )
+    per_mode, constants, g_s = _mode_bounds(setting, filt, slice(None))
+    vg = constants.vg_per_eig
     d_lip = filt.lipschitz_constant
     if d_lip is None:
         d_lip = float(vg.max()) if vg.size else 0.0
-    elif vg.size and vg.max() > d_lip * (1.0 + REL_SLACK) + ABS_SLACK:
-        raise ParameterError(
-            f"declared Lipschitz constant {d_lip:g} is violated on the "
-            f"spectra (observed quotient {vg.max():g})"
-        )
-    g_sup = float(np.abs(filt.evaluate(source)).max()) if m else 0.0
-    c_norm = setting.interpolation_norm()
-
-    g_delta = filter_matrix(filt, setting.target_eig)
-    per_mode = tuple(
-        bound_fourier_mode(setting, filt, j, g_delta=g_delta) for j in range(m)
-    )
-    mode_errors = setting.laplacian_mode_errors()
+    g_sup = constants.sup_norm
+    c_norm = setting.interpolation_norm
+    mode_errors = np.array([row.laplacian_mode_error for row in per_mode])
 
     # Fixed-signal bounds, on the graph and back on the source space.
-    g_vals = filt.evaluate(source)
-    s_sig = setting.s_pw @ coeffs
-    lhs_point_g = setting.graph_norm(g_delta @ s_sig - setting.s_pw @ (g_vals * coeffs))
+    g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
+    mismatch = g_s - setting.s_pw * g_vals
+    lhs_point_g = setting.graph_norm(mismatch @ coeffs)
     rhs_point_g = bound_pointwise(vg, coeffs, mode_errors, "in_G")
 
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
@@ -338,15 +369,11 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     )
 
     # Operator-norm bounds over the whole band.
-    lap_op = setting.laplacian_operator_error()
-    lhs_worst_g = setting.graph_operator_norm(
-        g_delta @ setting.s_pw - setting.s_pw * g_vals
-    )
+    lap_op = setting.laplacian_operator_error
+    lhs_worst_g = setting.graph_operator_norm(mismatch)
     rhs_worst_g = bound_worstcase(d_lip, m, lap_op, "in_G")
-    cons_op = setting.consistency_operator_error()
-    lhs_worst_m = float(np.linalg.norm(
-        np.diag(g_vals) - setting.filtered_transfer_matrix(filt), 2
-    ))
+    cons_op = setting.consistency_operator_error
+    lhs_worst_m = float(np.linalg.norm(np.diag(g_vals) - setting.r_pw @ g_s, 2))
     rhs_worst_m = bound_worstcase(
         d_lip, m, lap_op, "in_M",
         c_norm=c_norm, g_sup=g_sup, consistency_norm=cons_op,

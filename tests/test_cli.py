@@ -69,3 +69,15 @@ def test_certification_failure_exits_one(config_file, tmp_path, monkeypatch, cap
     ])
     assert code == 1
     assert "CERTIFICATION FAILED" in capsys.readouterr().err
+
+
+def test_unknown_laplacian_kind_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(8)\nlaplacian = bogus\nfilters = lowpass(2.0)\nseed = 4\n")
+    code = cli.main([
+        "coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["spectral-transfer: error: unknown laplacian kind 'bogus'"]

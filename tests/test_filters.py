@@ -14,7 +14,6 @@ from spectral_transfer.filters import (
     apply_exact,
     apply_rational,
     chebyshev_sup_error,
-    filter_constants,
     filter_matrix,
     make_filter,
     max_difference_quotient,
@@ -26,6 +25,7 @@ from spectral_transfer.graphs import (
     eigendecompose,
     random_geometric_graph,
 )
+from spectral_transfer.transfer import filter_constants
 
 P2_LAPLACIAN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

@@ -10,7 +10,6 @@ from spectral_transfer.spaces import (
     CircleSpace,
     GraphSpace,
     KernelSpace,
-    PaleyWiener,
     bandlimited_kernel,
 )
 
@@ -133,12 +132,6 @@ class TestGraphSpace:
         space = GraphSpace.from_graph(path_graph(6))
         p = space.projector_matrix(1.0)
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
-
-    def test_paley_wiener_factory(self):
-        space = GraphSpace.from_graph(path_graph(4))
-        pw = PaleyWiener.of(space, 1.0)
-        assert pw.dim == pw.eigenvalues.shape[0]
-        assert pw.projector is not None
 
 
 class TestBandlimitedKernel:
