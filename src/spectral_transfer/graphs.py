@@ -135,10 +135,14 @@ class InnerProduct:
         b = np.asarray(self.b_matrix)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InvalidInnerProductError("B must be square")
-        if not np.allclose(b, b.conj().T, atol=1e-10 * (1.0 + np.abs(b).max())):
-            raise InvalidInnerProductError("B must be Hermitian")
         diag = np.diag(b)
-        if np.count_nonzero(b - np.diag(diag)) == 0:
+        # A diagonal B is Hermitian exactly when its diagonal is real, so
+        # only a full B needs the O(n^2) comparison with its adjoint.
+        full = np.count_nonzero(b) != np.count_nonzero(diag)
+        check = b if full else diag
+        if not np.allclose(check, check.conj().T, atol=1e-10 * (1.0 + np.abs(check).max())):
+            raise InvalidInnerProductError("B must be Hermitian")
+        if not full:
             if diag.min() <= 0 or np.abs(diag.imag).max() > 0:
                 raise InvalidInnerProductError(
                     f"B must be positive definite (min diagonal {diag.real.min():.3e})"

@@ -13,17 +13,17 @@ This module draws seeded trials, measures the three errors, evaluates the
 constants, checks empirical failure rates against delta, fits log-log
 convergence slopes, and evaluates the non-asymptotic filter transfer bound.
 
-Trials are embarrassingly parallel; each derives its generator from
-(master seed, size index, trial index), so results are bitwise reproducible
-regardless of worker count (capped by SPECTRAL_TRANSFER_THREADS).
+Each trial derives its generator from (master seed, size index, trial
+index), so results are bitwise reproducible.  A trial costs O(N K) time and
+memory for K = dim PW(kernel band): the sampled kernel is applied through
+its rank-K factors, and the activation probes of a size, whose seed depends
+on the size alone, are built once and shared by all its trials.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .sampling import SampleSet, sampled_laplacian_matrix
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
 
 _C_SPHERE_PROBES = 500
+#: Probe columns activated at once on the quadrature grid.  It bounds the
+#: grid-by-probes temporaries (4096 x 16 doubles = 0.5 MB each); blocks of
+#: 64 raised the peak RSS of the shipped mc-verify run by 6 MB.
+_PROBE_BLOCK = 16
 #: The sphere-sampling estimate of the activation-tail constant is inflated
 #: by this factor; the true maximum exists but has no closed form.
 C_TAIL_INFLATION = 1.5
@@ -153,21 +157,36 @@ def estimate_activation_tail_constant(
     band-limited probes and inflates the maximum; the inflation factor is
     carried in the constants so reports show the estimate's provenance.
     """
-    space = config.space
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xAC7)))
-    dim = space.dim_pw(config.band)
-    xs = np.arange(grid) / grid
-    basis_lo = space.basis_matrix(xs, config.band)
-    basis_hi = space.basis_matrix(xs, config.kernel_band)
+    dim = config.space.dim_pw(config.band)
     worst = 0.0
-    for _ in range(probes):
-        c = rng.normal(size=dim)
-        c /= np.linalg.norm(c)
-        rho_vals = activation(basis_lo @ c)
-        coeffs_hi = basis_hi.T @ rho_vals / grid
-        tail = rho_vals - basis_hi @ coeffs_hi
+    for start in range(0, probes, _PROBE_BLOCK):
+        block = _unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
+        _, tail = _activation_tail(config, block, grid, activation)
         worst = max(worst, float(np.abs(tail).max()))
     return C_TAIL_INFLATION * worst
+
+
+def _unit_probes(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` unit coefficient columns, drawn one probe after another."""
+    probes = rng.normal(size=(count, dim)).T
+    return probes / np.linalg.norm(probes, axis=0)
+
+
+def _activation_tail(config: TrialConfig, probes: np.ndarray, grid: int,
+                     activation=relu) -> tuple:
+    """Continuous activation tail of band-limited probes on a uniform grid.
+
+    For each coefficient column f of ``probes`` returns the coefficients of
+    ``P(kernel_band) rho(f)`` and the values of ``rho(f) - P(kernel_band)
+    rho(f)`` at ``grid`` equispaced points, one column per probe.
+    """
+    space = config.space
+    xs = np.arange(grid) / grid
+    rho = activation(space.basis_matrix(xs, config.band) @ probes)
+    basis_hi = space.basis_matrix(xs, config.kernel_band)
+    coeffs_hi = basis_hi.T @ rho / grid
+    return coeffs_hi, rho - basis_hi @ coeffs_hi
 
 
 def bound_constants(config: TrialConfig, grid: int = 4096) -> MCBoundConstants:
@@ -234,9 +253,9 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
     s_mat = phi / np.sqrt(n)
     b_sqrt = 1.0 / np.sqrt(w_vals)
 
-    delta_mat, _ = sampled_laplacian_matrix(config.kernel, sample, weight_fn)
+    delta_op, _ = sampled_laplacian_matrix(config.kernel, sample, weight_fn)
     lams = space.eigenvalues_up_to(config.band)
-    mismatch = s_mat * lams - delta_mat @ s_mat
+    mismatch = s_mat * lams - delta_op @ s_mat
     laplacian_err = float(np.linalg.norm(mismatch * b_sqrt[:, None], 2))
 
     gram_mat = s_mat.T @ (s_mat / w_vals[:, None])
@@ -258,6 +277,17 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
     )
 
 
+@lru_cache(maxsize=64)
+def _size_probes(config: TrialConfig, n: int, grid: int) -> tuple:
+    """The seeded unit probes of sample size ``n``, the coefficients of
+    their activated band-kernel projections, and the continuous L2 norms
+    of their activation tails; the same for every trial of that size."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xF0, n)))
+    probes = _unit_probes(rng, config.space.dim_pw(config.band), config.activation_probes)
+    coeffs_hi, tail = _activation_tail(config, probes, grid)
+    return probes, coeffs_hi, np.sqrt((tail**2).mean(axis=0))
+
+
 def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat, b_sqrt,
                        grid: int) -> float:
     """Sampled-minus-continuous tail norm excess over seeded probes.
@@ -269,60 +299,24 @@ def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat, b_sqrt,
     """
     if config.activation_probes == 0:
         return 0.0
-    space = config.space
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.master_seed, 0xF0, sample.size))
-    )
-    xs = np.arange(grid) / grid
-    basis_lo = space.basis_matrix(xs, config.band)
-    basis_hi = space.basis_matrix(xs, config.kernel_band)
-    phi_hi_sample = space.basis_matrix(sample.points, config.kernel_band)
     n = sample.size
-    worst = -np.inf
-    for _ in range(config.activation_probes):
-        c = rng.normal(size=s_mat.shape[1])
-        c /= np.linalg.norm(c)
-        rho_sampled = relu(s_mat @ c)  # rho commutes with evaluation: rho(S f) = S rho(f)
-        coeffs_hi = basis_hi.T @ relu(basis_lo @ c) / grid
-        projected_sampled = (phi_hi_sample @ coeffs_hi) / np.sqrt(n)
-        graph_tail = float(
-            np.linalg.norm((rho_sampled - projected_sampled) * b_sqrt)
-        )
-        rho_grid = relu(basis_lo @ c)
-        cont_tail_vals = rho_grid - basis_hi @ coeffs_hi
-        cont_tail = float(np.sqrt((cont_tail_vals**2).mean()))
-        worst = max(worst, graph_tail - cont_tail)
-    return worst
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("SPECTRAL_TRANSFER_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return min(cap, os.cpu_count() or 1)
+    probes, coeffs_hi, cont_tail = _size_probes(config, n, grid)
+    phi_hi_sample = config.space.basis_matrix(sample.points, config.kernel_band)
+    # rho commutes with evaluation: rho(S f) = S rho(f)
+    graph_tail_vals = relu(s_mat @ probes) - (phi_hi_sample @ coeffs_hi) / np.sqrt(n)
+    graph_tail = np.linalg.norm(graph_tail_vals * b_sqrt[:, None], axis=0)
+    return float(np.max(graph_tail - cont_tail))
 
 
 def run_trials(config: TrialConfig, constants: MCBoundConstants | None = None):
-    """All (size, trial) results, order-independent and bitwise reproducible."""
+    """All (size, trial) results, size-major and bitwise reproducible."""
     if constants is None:
         constants = bound_constants(config)
-    jobs = [
-        (si, ti) for si in range(len(config.sizes)) for ti in range(config.trials)
+    return [
+        mc_trial(config, si, ti, constants)
+        for si in range(len(config.sizes))
+        for ti in range(config.trials)
     ]
-    workers = _worker_count()
-    if workers == 1:
-        return [mc_trial(config, si, ti, constants) for si, ti in jobs]
-    results = [None] * len(jobs)
-
-    def run(k):
-        si, ti = jobs[k]
-        results[k] = mc_trial(config, si, ti, constants)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(len(jobs))))
-    return results
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ matrices:
 For randomly sampled graphs the discrete Laplacian is the Monte-Carlo
 quadrature of the kernel integral operator,
 ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``,
-self-adjoint under ``B = diag(1/w(x_k))``.
+self-adjoint under ``B = diag(1/w(x_k))``.  The band-limited kernel
+``H = Phi Lambda Phi^T`` has rank K = dim PW(kernel band), so D is kept as
+its rank-K factors and applied in O(N K) time and memory; the dense N x N
+matrix is formed only on request (``np.asarray``).
 """
 
 from __future__ import annotations
@@ -238,12 +241,33 @@ def coarsened_laplacian(
     return OperatorWithInnerProduct(mat, InnerProduct.standard(cmap.n_coarse))
 
 
+@dataclass(frozen=True)
+class LowRankOperator:
+    """The N x N matrix ``left @ right`` kept as its thin factors.
+
+    ``op @ x`` costs O(N K) per column and never forms the product;
+    ``np.asarray(op)`` gives the dense matrix.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __matmul__(self, x):
+        return self.left @ (self.right @ x)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.left @ self.right, dtype=dtype)
+
+
 def sampled_laplacian_matrix(
     kernel: BandlimitedKernel, sample_set: SampleSet, weight=None
 ) -> tuple:
     """Raw ``(matrix, w_values)`` of the Monte-Carlo kernel discretization.
 
-    ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``.
+    ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``.  With
+    ``H = Phi Lambda Phi^T`` over the kernel band, ``matrix`` is the
+    :class:`LowRankOperator` with factors ``Phi Lambda / N`` (N x K) and
+    ``(Phi / w)^T`` (K x N).
     """
     pts = sample_set.points
     if weight is not None:
@@ -254,8 +278,9 @@ def sampled_laplacian_matrix(
         w_vals = np.ones(sample_set.size)
     if np.any(w_vals <= 0):
         raise WeightError(f"nonpositive weight at a sample point: {w_vals.min():g}")
-    h = kernel.evaluate(pts, pts)
-    return (h / w_vals[None, :]) / sample_set.size, w_vals
+    phi = kernel.space.basis_matrix(pts, kernel.band)
+    left = phi * (kernel.eigenvalues / sample_set.size)
+    return LowRankOperator(left, (phi / w_vals[:, None]).T), w_vals
 
 
 def random_sampled_laplacian(

@@ -158,6 +158,18 @@ class TestInnerProduct:
         with pytest.raises(InvalidInnerProductError, match="Hermitian"):
             InnerProduct(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_hermitian_full_matrix(self):
+        b = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(InvalidInnerProductError, match="Hermitian"):
+            InnerProduct(b)
+
+    def test_rejects_complex_diagonal(self):
+        with pytest.raises(InvalidInnerProductError, match="Hermitian"):
+            InnerProduct(np.diag([1.0 + 0.5j, 2.0]))
+        # An imaginary part within the Hermitian tolerance still fails.
+        with pytest.raises(InvalidInnerProductError, match="positive definite"):
+            InnerProduct(np.diag([1.0 + 1e-12j, 2.0]))
+
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidInnerProductError, match="positive definite"):
             InnerProduct(np.diag([1.0, -1.0]))
