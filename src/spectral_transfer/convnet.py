@@ -11,9 +11,14 @@ a coarsened graph.  The same description runs in two places:
   coefficients and a band projection after every activation (activations do
   not preserve band limits, so the projection is part of the definition).
 
+A channel is a vector, or a matrix whose columns are signals that pass
+through the network together; a set of probe inputs is always the columns
+of one matrix, so every pass runs all probes at once.
+
 The module also measures the per-layer hypothesis terms of the transfer
 bound (Laplacian mismatch, round-trip consistency, activation commutation,
-pooling consistency) and evaluates the bound itself.
+pooling consistency), the output gaps between the networks, and evaluates
+the bound itself.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import ParameterError, TopologyError, TruncationError
 from .filters import Filter, apply_exact, make_filter
 from .graphs import OperatorWithInnerProduct, eigendecompose
-from .sampling import CoarseningMap
+from .sampling import CoarseningMap, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 
 
@@ -49,7 +54,8 @@ class Activation:
 
 
 def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
-    """Pool a fine signal onto the coarse vertices.
+    """Pool a fine signal, or each column of a matrix, onto the coarse
+    vertices.
 
     Max pooling takes the parent maximum scaled by 1/sqrt(K) and is defined
     for nonnegative signals only; l2 averaging takes sqrt(mean of squares).
@@ -66,16 +72,15 @@ def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
 def _pool_raw(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     if kind not in ("max", "l2avg"):
         raise ParameterError(f"unknown pooling kind {kind!r}")
-    out = np.empty(cmap.n_coarse, dtype=float)
-    for row in range(cmap.n_coarse):
-        parents = list(cmap.parents(row))
-        vals = signal[parents]
-        k = len(parents)
-        if kind == "max":
-            out[row] = vals.max() / np.sqrt(k)
-        else:
-            out[row] = np.sqrt(float(vals @ vals) / k)
-    return out
+    # the groups, concatenated, list every fine vertex once; row k of S is
+    # nonzero exactly on group k
+    parents = np.asarray(signal, dtype=float)[np.concatenate(cmap.groups)]
+    sizes = np.count_nonzero(cmap.s_matrix, axis=1)
+    starts = np.cumsum(sizes) - sizes
+    sizes = sizes.reshape((-1,) + (1,) * (parents.ndim - 1))
+    if kind == "max":
+        return np.maximum.reduceat(parents, starts) / np.sqrt(sizes)
+    return np.sqrt(np.add.reduceat(parents * parents, starts) / sizes)
 
 
 @dataclass(frozen=True)
@@ -240,22 +245,33 @@ def load_convnet_spec(path) -> ConvNetSpec:
     return ConvNetSpec(tuple(layers), activation, bands)
 
 
+def _input_channels(spec: ConvNetSpec, inputs) -> tuple:
+    """The K_0 input channels as float arrays, and their common column
+    shape: ``()`` for vectors, ``(P,)`` for matrices of P columns."""
+    if len(inputs) != spec.k_input:
+        raise TopologyError(f"network expects {spec.k_input} input channels")
+    signals = [np.asarray(ch, dtype=float) for ch in inputs]
+    columns = {ch.shape[1:] for ch in signals}
+    if len(columns) > 1:
+        raise TopologyError("input channels must all be vectors or equal-width matrices")
+    return signals, columns.pop() if columns else ()
+
+
 def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
     """Run the network on a graph; returns the channel signals per layer.
 
     ``operators[l]`` is the layer-(l+1) input operator (the graph where that
     layer's filters act); ``pooling_maps[l]`` is the coarsening used by
-    layer l+1 or None.  ``inputs`` holds the K_0 input channel vectors.
+    layer l+1 or None.  ``inputs`` holds the K_0 input channels, each a
+    vector or a matrix of column signals.
     """
     if len(operators) != spec.n_layers or len(pooling_maps) != spec.n_layers:
         raise TopologyError("need one operator and one pooling map per layer")
-    if len(inputs) != spec.k_input:
-        raise TopologyError(f"network expects {spec.k_input} input channels")
+    signals, columns = _input_channels(spec, inputs)
     eigs = [
         op if not isinstance(op, OperatorWithInnerProduct) else eigendecompose(op)
         for op in operators
     ]
-    signals = [np.asarray(ch, dtype=float) for ch in inputs]
     outputs = []
     for l, layer in enumerate(spec.layers):
         dim = eigs[l].dim
@@ -265,7 +281,7 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
             )
         mixed = []
         for k_out in range(layer.k_out):
-            acc = np.full(dim, layer.biases[k_out], dtype=float)
+            acc = np.full((dim,) + columns, layer.biases[k_out], dtype=float)
             for k_in in range(layer.k_in):
                 filtered = apply_exact(layer.filters[k_out][k_in], eigs[l], signals[k_in])
                 acc = acc + layer.mix[k_out, k_in] * np.real(filtered)
@@ -319,24 +335,23 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
     """Run the network on the underlying space; returns per-layer
     coefficient stacks.
 
-    ``inputs`` holds K_0 coefficient vectors in the band of depth zero.
-    Filters act diagonally, biases are projected constants, the activation
+    ``inputs`` holds K_0 channels in the band of depth zero, each a
+    coefficient vector or a matrix of coefficient columns.  Filters act
+    diagonally, biases are projected constants, the activation
     is evaluated pointwise (oversampled quadrature on the circle, exact
     vertex arithmetic on a graph space), and each layer ends with the
     projection onto its band.  No pooling happens on this side.
     """
     ops = _SpaceOps(space, spec.bands[-1])
-    if len(inputs) != spec.k_input:
-        raise TopologyError(f"network expects {spec.k_input} input channels")
+    signals, columns = _input_channels(spec, inputs)
     dim0 = ops.dim(spec.bands[0])
-    signals = []
-    for ch in inputs:
-        ch = np.asarray(ch, dtype=float)
+    for ch in signals:
         if ch.shape[0] != dim0:
             raise TopologyError(
                 f"input channel has {ch.shape[0]} coefficients, band holds {dim0}"
             )
-        signals.append(ch)
+    # coefficient-wise factors act on every column alike
+    as_column = (-1,) + (1,) * len(columns)
     outputs = []
     for l, layer in enumerate(spec.layers):
         band_in = spec.bands[l]
@@ -344,9 +359,9 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
         lams = ops.eigenvalues(band_in)
         next_signals = []
         for k_out in range(layer.k_out):
-            acc = ops.project_constant(layer.biases[k_out], band_in)
+            acc = ops.project_constant(layer.biases[k_out], band_in).reshape(as_column)
             for k_in in range(layer.k_in):
-                g_vals = np.real(layer.filters[k_out][k_in].evaluate(lams))
+                g_vals = np.real(layer.filters[k_out][k_in].evaluate(lams)).reshape(as_column)
                 acc = acc + layer.mix[k_out, k_in] * (g_vals * signals[k_in])
             projected = ops.pointwise_then_project(
                 acc, band_in, band_out, spec.activation.apply
@@ -412,8 +427,6 @@ class ConvNetGraphSetting:
         every pooling layer in ``spec`` needs one.  Each pooled layer's
         operator is the collapse ``C Delta C^T`` of the previous one.
         """
-        from .sampling import coarsened_laplacian
-
         s = np.eye(space.n_vertices) if initial_map is None else np.asarray(initial_map)
         op = space.operator if initial_operator is None else initial_operator
         coarsenings = coarsenings or {}
@@ -439,14 +452,16 @@ class ConvNetGraphSetting:
         return tuple(eigendecompose(op) for op in self.operators)
 
     def run(self, spec: ConvNetSpec, inputs_on_space):
-        """Sample space signals onto layer 0 and run the graph network."""
+        """Sample space signals (vectors or column matrices) onto layer 0
+        and run the graph network."""
         sampled = [self.sample_maps[0] @ np.asarray(ch) for ch in inputs_on_space]
         return forward_graph(
             spec, self.layer_eigs[: spec.n_layers], self.pooling_maps, sampled
         )
 
     def interpolate_output(self, channel: np.ndarray) -> np.ndarray:
-        """Carry a final-layer signal back to the space: R = S^T."""
+        """Carry a final-layer signal (or its columns) back to the space:
+        R = S^T."""
         return self.sample_maps[-1].T @ np.asarray(channel)
 
 
@@ -501,14 +516,10 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         basis_lo = space.pw_basis(band_lo)
         proj_hi = space.projector_matrix(band_hi)
         s_prev = setting.sample_maps[l - 1]
-        probes = _unit_probes(basis_lo.shape[1], n_probes, rng)
-        worst = 0.0
-        for c in probes:
-            f_vals = basis_lo @ c
-            lhs = spec.activation.apply(s_prev @ f_vals)
-            rhs = s_prev @ (proj_hi @ spec.activation.apply(f_vals))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        activation_terms.append(worst)
+        f_vals = basis_lo @ _basis_and_unit_probes(rng, basis_lo.shape[1], n_probes)
+        lhs = spec.activation.apply(s_prev @ f_vals)
+        rhs = s_prev @ (proj_hi @ spec.activation.apply(f_vals))
+        activation_terms.append(_largest_column_norm(lhs - rhs))
 
         layer = spec.layers[l - 1]
         if layer.pooling == "none":
@@ -516,14 +527,10 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         else:
             cmap = setting.pooling_maps[l - 1]
             basis_hi = space.pw_basis(band_hi)
-            s_l = setting.sample_maps[l]
-            worst = 0.0
-            for c in _unit_probes(basis_hi.shape[1], n_probes, rng):
-                f_vals = basis_hi @ c
-                pooled = _pool_raw(s_prev @ f_vals, cmap, layer.pooling)
-                direct = s_l @ f_vals
-                worst = max(worst, float(np.linalg.norm(pooled - direct)))
-            pooling_terms.append(worst)
+            f_vals = basis_hi @ _basis_and_unit_probes(rng, basis_hi.shape[1], n_probes)
+            pooled = _pool_raw(s_prev @ f_vals, cmap, layer.pooling)
+            direct = setting.sample_maps[l] @ f_vals
+            pooling_terms.append(_largest_column_norm(pooled - direct))
 
     return HypothesisErrors(
         laplacian=tuple(lap_terms),
@@ -533,52 +540,46 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
     )
 
 
-def _unit_probes(dim: int, n_random: int, rng) -> list:
-    probes = [col for col in np.eye(dim)]
-    for _ in range(n_random):
-        v = rng.normal(size=dim)
-        probes.append(v / np.linalg.norm(v))
-    return probes
+def _basis_and_unit_probes(rng, dim: int, count: int) -> np.ndarray:
+    """The ``dim`` basis columns followed by ``count`` random unit columns."""
+    return np.hstack([np.eye(dim), unit_probes(rng, dim, count)])
 
 
-def continuous_vs_graph_error(spec: ConvNetSpec, setting: ConvNetGraphSetting,
-                              probes) -> float:
-    """Largest per-channel gap between the space network and the graph
-    network carried back by interpolation, over unit-norm probe inputs."""
-    space = setting.space
-    band0 = spec.bands[0]
-    worst = 0.0
-    for coeffs in probes:
-        coeffs = np.asarray(coeffs, dtype=float)
-        norm = float(np.linalg.norm(coeffs))
-        if norm == 0.0:
-            raise ParameterError("probe inputs must be nonzero")
-        f_space = space.synthesize(coeffs, band0)
-        cont = forward_continuous(spec, space, [coeffs])[-1]
-        graph = setting.run(spec, [f_space])[-1]
-        for k in range(spec.layers[-1].k_out):
-            cont_vec = space.synthesize(cont[k], spec.bands[-1])
-            back = setting.interpolate_output(graph[k])
-            worst = max(worst, float(np.linalg.norm(cont_vec - back)) / norm)
-    return worst
+def _largest_column_norm(mat: np.ndarray) -> float:
+    return float(np.linalg.norm(mat, axis=0).max(initial=0.0))
 
 
-def two_graph_output_error(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
-                           setting2: ConvNetGraphSetting, probes) -> float:
-    """Largest per-channel gap between the two interpolated graph outputs."""
+def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
+                  setting2: ConvNetGraphSetting, probes) -> tuple:
+    """Largest per-channel output gaps over nonzero probe inputs, relative
+    to the probe norm: ``(space_vs_graph1, space_vs_graph2, two_graph)``.
+
+    ``probes`` holds one band-zero coefficient column per probe.  The
+    space network runs once, and each graph network runs once on the
+    synthesized probes; graph outputs are carried back by interpolation.
+    """
     space = setting1.space
-    band0 = spec.bands[0]
-    worst = 0.0
-    for coeffs in probes:
-        coeffs = np.asarray(coeffs, dtype=float)
-        norm = float(np.linalg.norm(coeffs))
-        f_space = space.synthesize(coeffs, band0)
-        out1 = setting1.run(spec, [f_space])[-1]
-        out2 = setting2.run(spec, [f_space])[-1]
-        for k in range(spec.layers[-1].k_out):
-            diff = setting1.interpolate_output(out1[k]) - setting2.interpolate_output(out2[k])
-            worst = max(worst, float(np.linalg.norm(diff)) / norm)
-    return worst
+    probes = np.asarray(probes, dtype=float)
+    norms = np.linalg.norm(probes, axis=0)
+    if np.any(norms == 0.0):
+        raise ParameterError("probe inputs must be nonzero")
+    f_space = space.synthesize(probes, spec.bands[0])
+    cont = [
+        space.synthesize(ch, spec.bands[-1])
+        for ch in forward_continuous(spec, space, [probes])[-1]
+    ]
+    back1, back2 = (
+        [setting.interpolate_output(ch) for ch in setting.run(spec, [f_space])[-1]]
+        for setting in (setting1, setting2)
+    )
+
+    def worst(outs_a, outs_b):
+        return max(
+            float((np.linalg.norm(a - b, axis=0) / norms).max(initial=0.0))
+            for a, b in zip(outs_a, outs_b)
+        )
+
+    return worst(cont, back1), worst(cont, back2), worst(back1, back2)
 
 
 def spectral_decay_check(activation: Activation, band: float, probes,

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SlopeUndefinedError
-from .sampling import SampleSet, sampled_laplacian_matrix
+from .sampling import SampleSet, sampled_laplacian_matrix, unit_probes
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
 
 _C_SPHERE_PROBES = 500
@@ -161,16 +161,10 @@ def estimate_activation_tail_constant(
     dim = config.space.dim_pw(config.band)
     worst = 0.0
     for start in range(0, probes, _PROBE_BLOCK):
-        block = _unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
+        block = unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
         _, tail = _activation_tail(config, block, grid, activation)
         worst = max(worst, float(np.abs(tail).max()))
     return C_TAIL_INFLATION * worst
-
-
-def _unit_probes(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` unit coefficient columns, drawn one probe after another."""
-    probes = rng.normal(size=(count, dim)).T
-    return probes / np.linalg.norm(probes, axis=0)
 
 
 def _activation_tail(config: TrialConfig, probes: np.ndarray, grid: int,
@@ -283,7 +277,7 @@ def _size_probes(config: TrialConfig, n: int, grid: int) -> tuple:
     their activated band-kernel projections, and the continuous L2 norms
     of their activation tails; the same for every trial of that size."""
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xF0, n)))
-    probes = _unit_probes(rng, config.space.dim_pw(config.band), config.activation_probes)
+    probes = unit_probes(rng, config.space.dim_pw(config.band), config.activation_probes)
     coeffs_hi, tail = _activation_tail(config, probes, grid)
     return probes, coeffs_hi, np.sqrt((tail**2).mean(axis=0))
 

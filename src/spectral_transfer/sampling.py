@@ -189,9 +189,6 @@ class CoarseningMap:
     def n_coarse(self) -> int:
         return self.s_matrix.shape[0]
 
-    def parents(self, coarse_index: int) -> tuple:
-        return self.groups[coarse_index]
-
 
 def coarsen_matching(graph: WeightedGraph, seed=None) -> CoarseningMap:
     """Heavy-edge maximal matching in the Graclus style.
@@ -376,6 +373,12 @@ def perturb_graph(graph: WeightedGraph, spec: PerturbationSpec) -> WeightedGraph
     return perturb_graph_detailed(graph, spec).graph
 
 
+def unit_probes(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` unit coefficient columns, drawn one probe after another."""
+    probes = rng.normal(size=(count, dim)).T
+    return probes / np.linalg.norm(probes, axis=0)
+
+
 def activation_commutation_error(
     pair: SamplingPair,
     pair_hi: SamplingPair,
@@ -385,13 +388,13 @@ def activation_commutation_error(
 ) -> float:
     """How far sampling is from commuting with a pointwise nonlinearity.
 
-    For each probe f in PW(pair.band), compares applying ``activation`` to
-    the sampled signal against sampling the band-limited projection of
-    ``activation`` applied in the continuous space:
-    ``max_f || rho(S f) - S' P(band') rho(f) || / ||f||`` with the high-band
-    pair's graph norm.  Sampling commutes with pointwise maps on continuous
-    signals, so the gap is purely the spectral content beyond the higher
-    band.
+    For each probe f in PW(pair.band), a column of ``probes``, compares
+    applying ``activation`` to the sampled signal against sampling the
+    band-limited projection of ``activation`` applied in the continuous
+    space: ``max_f || rho(S f) - S' P(band') rho(f) || / ||f||`` with the
+    high-band pair's graph norm.  Sampling commutes with pointwise maps on
+    continuous signals, so the gap is purely the spectral content beyond
+    the higher band.
     """
     if pair_hi.band < pair.band:
         raise BandError("second pair must have the higher band")
@@ -399,19 +402,14 @@ def activation_commutation_error(
         pair.sample_set.points, pair_hi.sample_set.points
     ):
         raise ParameterError("pairs must share one sample set")
+    probes = np.asarray(probes, dtype=float)
+    norms = np.linalg.norm(probes, axis=0)
+    if np.any(norms == 0.0):
+        raise ParameterError("probe signals must be nonzero")
     space = pair.space
     grid = np.arange(quadrature_grid) / quadrature_grid
-    phi_grid_lo = space.basis_matrix(grid, pair.band)
-    worst = 0.0
-    for coeffs in probes:
-        coeffs = np.asarray(coeffs, dtype=float)
-        norm_f = float(np.linalg.norm(coeffs))
-        if norm_f == 0.0:
-            raise ParameterError("probe signals must be nonzero")
-        sampled = activation(pair.sample_coefficients(coeffs))
-        rho_grid = activation(phi_grid_lo @ coeffs)
-        rho_coeffs = space.analyze_grid(rho_grid, pair_hi.band)
-        projected = pair_hi.sample_coefficients(rho_coeffs)
-        err = pair_hi.inner.norm(sampled - projected) / norm_f
-        worst = max(worst, err)
-    return worst
+    sampled = activation(pair.sample_coefficients(probes))
+    rho_grid = activation(space.basis_matrix(grid, pair.band) @ probes)
+    projected = pair_hi.sample_coefficients(space.analyze_grid(rho_grid, pair_hi.band))
+    errors = pair_hi.inner.column_norms(sampled - projected) / norms
+    return float(errors.max(initial=0.0))

@@ -81,3 +81,19 @@ def test_unknown_laplacian_kind_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == ["spectral-transfer: error: unknown laplacian kind 'bogus'"]
+
+
+@pytest.mark.parametrize("probes", ["0", "-1"])
+def test_nonpositive_probe_count_exits_two(tmp_path, capsys, probes):
+    path = tmp_path / "cfg.txt"
+    path.write_text(
+        f"graph = grid(12,12)\nlaplacian = normalized\nprobes = {probes}\nseed = 4\n"
+    )
+    code = cli.main([
+        "convnet-transfer", "--config", str(path), "--out", str(tmp_path / "out")
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"spectral-transfer: error: probes must be at least 1, got {probes}"]
+    assert not (tmp_path / "out").exists()

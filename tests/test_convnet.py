@@ -11,20 +11,19 @@ from spectral_transfer.convnet import (
     ConvNetSpec,
     HypothesisErrors,
     LayerSpec,
-    continuous_vs_graph_error,
     convnet_transfer_bound,
     forward_continuous,
     forward_graph,
     hypothesis_errors,
     load_convnet_spec,
+    output_errors,
     pool,
     spectral_decay_check,
-    two_graph_output_error,
 )
 from spectral_transfer.errors import ParameterError, TopologyError
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import build_laplacian, path_graph
-from spectral_transfer.sampling import CoarseningMap, coarsen_matching
+from spectral_transfer.sampling import CoarseningMap, coarsen_matching, unit_probes
 from spectral_transfer.spaces import CircleSpace, GraphSpace
 
 CIRCLE = CircleSpace()
@@ -345,10 +344,8 @@ class TestHypothesisAndCertification:
         )
         rng = np.random.default_rng(17)
         dim0 = space.dim_pw(spec.bands[0])
-        probes = [v / np.linalg.norm(v) for v in rng.normal(size=(10, dim0))]
-        err1 = continuous_vs_graph_error(spec, setting1, probes)
-        err2 = continuous_vs_graph_error(spec, setting2, probes)
-        err12 = two_graph_output_error(spec, setting1, setting2, probes)
+        probes = unit_probes(rng, dim0, 10)
+        err1, err2, err12 = output_errors(spec, setting1, setting2, probes)
         assert err1 <= bound
         assert err2 <= bound
         assert err12 <= bound

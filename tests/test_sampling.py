@@ -275,9 +275,9 @@ class TestActivationCommutation:
         lo = evaluation_operator(CIRCLE, ss, 1.0)
         hi1 = evaluation_operator(CIRCLE, ss, 1.0)
         hi9 = evaluation_operator(CIRCLE, ss, 9.0)
-        probe = np.array([0.0, 1.0, 0.0])  # sqrt2 cos(2 pi x)
-        e1 = activation_commutation_error(lo, hi1, relu, [probe], quadrature_grid=8192)
-        e9 = activation_commutation_error(lo, hi9, relu, [probe], quadrature_grid=8192)
+        probe = np.array([[0.0], [1.0], [0.0]])  # sqrt2 cos(2 pi x)
+        e1 = activation_commutation_error(lo, hi1, relu, probe, quadrature_grid=8192)
+        e9 = activation_commutation_error(lo, hi9, relu, probe, quadrature_grid=8192)
         assert e9 <= e1
 
     def test_band_order_enforced(self):
