@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, TopologyError, TruncationError
+from .errors import ConfigError, ParameterError, TopologyError, TruncationError
 from .filters import Filter, apply_exact, make_filter
-from .graphs import OperatorWithInnerProduct, eigendecompose
+from .graphs import OperatorWithInnerProduct
 from .sampling import CoarseningMap, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 
@@ -214,35 +213,46 @@ def load_convnet_spec(path) -> ConvNetSpec:
 
     ``filters`` and ``mix`` list one output channel per ';'-separated row
     and one input channel per ','-separated column; ``pooling`` is ``none``,
-    ``max``, or ``l2avg``.  Layers are read in section order.
+    ``max``, or ``l2avg``.  Layers are read in the order of their numbers.
+    A malformed file raises :class:`ConfigError` naming the file and, when
+    known, the section.
     """
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    if "net" not in parser:
-        raise ParameterError(f"{path}: missing [net] section")
-    net = parser["net"]
-    activation = Activation(net.get("activation", "relu").strip())
-    bands = tuple(float(b) for b in net.get("bands", "").split(",") if b.strip())
-    layer_sections = [s for s in parser.sections() if s.startswith("layer")]
-    layer_sections.sort(key=lambda s: int(s.split()[1]))
-    layers = []
-    for section in layer_sections:
-        sec = parser[section]
-        grid = tuple(
-            tuple(make_filter(cell.strip()) for cell in row.split(","))
-            for row in sec["filters"].split(";")
-        )
-        mix = np.array(
-            [[float(cell) for cell in row.split(",")] for row in sec["mix"].split(";")]
-        )
-        k_out = len(grid)
-        biases = np.array(
-            [float(b) for b in sec.get("biases", "").split(",") if b.strip()]
-            or [0.0] * k_out
-        )
-        layers.append(LayerSpec(grid, mix, biases, sec.get("pooling", "none").strip()))
-    return ConvNetSpec(tuple(layers), activation, bands)
+    section = None
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        if "net" not in parser:
+            raise ParameterError(f"{path}: missing [net] section")
+        section = "net"
+        net = parser["net"]
+        activation = Activation(net.get("activation", "relu").strip())
+        bands = tuple(float(b) for b in net.get("bands", "").split(",") if b.strip())
+        numbered = []
+        for section in (s for s in parser.sections() if s.startswith("layer")):
+            sec = parser[section]
+            grid = tuple(
+                tuple(make_filter(cell.strip()) for cell in row.split(","))
+                for row in sec["filters"].split(";")
+            )
+            mix = np.array(
+                [[float(cell) for cell in row.split(",")] for row in sec["mix"].split(";")]
+            )
+            k_out = len(grid)
+            biases = np.array(
+                [float(b) for b in sec.get("biases", "").split(",") if b.strip()]
+                or [0.0] * k_out
+            )
+            pooling = sec.get("pooling", "none").strip()
+            number = int(section.partition(" ")[2])
+            numbered.append((number, LayerSpec(grid, mix, biases, pooling)))
+    except (configparser.Error, KeyError, ValueError) as exc:
+        where = f"{path}: [{section}]" if section else str(path)
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        # configparser messages span lines; the CLI prints one
+        raise ConfigError(f"{where}: {' '.join(what.split())}") from None
+    layers = tuple(layer for _, layer in sorted(numbered, key=lambda pair: pair[0]))
+    return ConvNetSpec(layers, activation, bands)
 
 
 def _input_channels(spec: ConvNetSpec, inputs) -> tuple:
@@ -260,21 +270,17 @@ def _input_channels(spec: ConvNetSpec, inputs) -> tuple:
 def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
     """Run the network on a graph; returns the channel signals per layer.
 
-    ``operators[l]`` is the layer-(l+1) input operator (the graph where that
-    layer's filters act); ``pooling_maps[l]`` is the coarsening used by
+    ``operators[l]`` is the layer-(l+1) input operator, whose ``eig`` that
+    layer's filters read; ``pooling_maps[l]`` is the coarsening used by
     layer l+1 or None.  ``inputs`` holds the K_0 input channels, each a
     vector or a matrix of column signals.
     """
     if len(operators) != spec.n_layers or len(pooling_maps) != spec.n_layers:
         raise TopologyError("need one operator and one pooling map per layer")
     signals, columns = _input_channels(spec, inputs)
-    eigs = [
-        op if not isinstance(op, OperatorWithInnerProduct) else eigendecompose(op)
-        for op in operators
-    ]
     outputs = []
     for l, layer in enumerate(spec.layers):
-        dim = eigs[l].dim
+        dim = operators[l].dim
         if any(ch.shape[0] != dim for ch in signals):
             raise TopologyError(
                 f"layer {l + 1}: channel length does not match its graph ({dim})"
@@ -283,7 +289,7 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
         for k_out in range(layer.k_out):
             acc = np.full((dim,) + columns, layer.biases[k_out], dtype=float)
             for k_in in range(layer.k_in):
-                filtered = apply_exact(layer.filters[k_out][k_in], eigs[l], signals[k_in])
+                filtered = apply_exact(layer.filters[k_out][k_in], operators[l].eig, signals[k_in])
                 acc = acc + layer.mix[k_out, k_in] * np.real(filtered)
             mixed.append(spec.activation.apply(acc))
         if layer.pooling != "none":
@@ -299,13 +305,13 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
 class _SpaceOps:
     """Pointwise evaluation and band projection for either space model."""
 
-    def __init__(self, space, top_band: float, oversample: int = 8):
+    def __init__(self, space, top_band: float):
         self.space = space
         if isinstance(space, GraphSpace):
             self.grid = None
         else:
             n_max = CircleSpace.max_frequency(top_band)
-            self.grid_size = max(4096, oversample * 2 * (n_max + 1))
+            self.grid_size = max(4096, 8 * 2 * (n_max + 1))  # 8x oversampled
             self.grid = np.arange(self.grid_size) / self.grid_size
 
     def dim(self, band: float) -> int:
@@ -407,8 +413,9 @@ class ConvNetGraphSetting:
 
     ``sample_maps[l]`` carries vertex signals of the space to the layer-l
     graph (layer 0 is the network input graph); ``operators[l]`` is the
-    layer-l graph operator used by layer l+1's filters; ``pooling_maps[l]``
-    coarsens layer l to layer l+1 when that layer pools.
+    layer-l graph operator used by layer l+1's filters (a layer that does
+    not pool hands on the same object); ``pooling_maps[l]`` coarsens layer
+    l to layer l+1 when that layer pools.
     """
 
     space: GraphSpace
@@ -418,7 +425,6 @@ class ConvNetGraphSetting:
 
     @classmethod
     def build(cls, space: GraphSpace, spec: ConvNetSpec,
-              initial_map: np.ndarray | None = None,
               initial_operator: OperatorWithInnerProduct | None = None,
               coarsenings: dict | None = None) -> "ConvNetGraphSetting":
         """Chain maps and operators through the layers.
@@ -427,7 +433,7 @@ class ConvNetGraphSetting:
         every pooling layer in ``spec`` needs one.  Each pooled layer's
         operator is the collapse ``C Delta C^T`` of the previous one.
         """
-        s = np.eye(space.n_vertices) if initial_map is None else np.asarray(initial_map)
+        s = np.eye(space.n_vertices)
         op = space.operator if initial_operator is None else initial_operator
         coarsenings = coarsenings or {}
         maps = [s]
@@ -447,16 +453,12 @@ class ConvNetGraphSetting:
             operators.append(op)
         return cls(space, tuple(maps), tuple(operators), tuple(pooling))
 
-    @cached_property
-    def layer_eigs(self):
-        return tuple(eigendecompose(op) for op in self.operators)
-
     def run(self, spec: ConvNetSpec, inputs_on_space):
         """Sample space signals (vectors or column matrices) onto layer 0
         and run the graph network."""
         sampled = [self.sample_maps[0] @ np.asarray(ch) for ch in inputs_on_space]
         return forward_graph(
-            spec, self.layer_eigs[: spec.n_layers], self.pooling_maps, sampled
+            spec, self.operators[: spec.n_layers], self.pooling_maps, sampled
         )
 
     def interpolate_output(self, channel: np.ndarray) -> np.ndarray:

@@ -22,10 +22,12 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
     FilterEvaluationError,
+    ParameterError,
     SingularFilterError,
     SpectralIntervalError,
 )
-from .graphs import EigenDecomposition, OperatorWithInnerProduct, eigendecompose
+from .graphs import EigenDecomposition, OperatorWithInnerProduct
+from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 
 #: Eigenvalues whose difference quotient denominator is below this are
 #: excluded from the quotient maximum; the excluded term never contributes
@@ -76,11 +78,13 @@ class Filter:
 
     @classmethod
     def lowpass(cls, c: float) -> "Filter":
+        _require_positive("lowpass cutoff", c)
         return cls("closed_form", f"lowpass({c:g})", {"c": float(c)},
                    lipschitz_constant=1.0 / float(c))
 
     @classmethod
     def highpass(cls, c: float) -> "Filter":
+        _require_positive("highpass cutoff", c)
         return cls("closed_form", f"highpass({c:g})", {"c": float(c)},
                    lipschitz_constant=1.0 / float(c))
 
@@ -88,6 +92,7 @@ class Filter:
     def midpass(cls, c: float, sigma: float) -> "Filter":
         # Gaussian bump; max slope of exp(-(x-c)^2 / (2 sigma^2)) is
         # exp(-1/2)/sigma, attained one sigma away from the centre.
+        _require_positive("midpass width", sigma)
         return cls("closed_form", f"midpass({c:g},{sigma:g})",
                    {"c": float(c), "sigma": float(sigma)},
                    lipschitz_constant=math.exp(-0.5) / float(sigma))
@@ -216,9 +221,15 @@ class Filter:
         return self.scaled(1.0 / sup), sup
 
 
+def _require_positive(what: str, value: float) -> None:
+    if not float(value) > 0.0:
+        raise ParameterError(f"{what} must be positive, got {value:g}")
+
+
 def make_filter(descriptor: str) -> Filter:
     """Parse ``identity``, ``heat(t)``, ``lowpass(c)``, ``highpass(c)``,
-    ``midpass(c,sigma)``, ``poly(c0,c1,...)``, ``table(path)``."""
+    ``midpass(c,sigma)``, ``poly(c0,c1,...)`` (one coefficient or more),
+    ``table(path)``; a wrong argument count is a FilterEvaluationError."""
     descriptor = descriptor.strip()
     if descriptor == "identity":
         return Filter.identity()
@@ -232,18 +243,24 @@ def make_filter(descriptor: str) -> Filter:
         args = [float(a) for a in arg_str.split(",") if a.strip()]
     except ValueError:
         raise FilterEvaluationError(f"bad filter arguments in {descriptor!r}") from None
-    makers = {
-        "heat": Filter.heat,
-        "lowpass": Filter.lowpass,
-        "highpass": Filter.highpass,
-        "midpass": Filter.midpass,
-        "poly": Filter.polynomial,
+    if base == "poly":
+        if not args:
+            raise FilterEvaluationError(f"{descriptor!r} needs at least one coefficient")
+        return Filter.polynomial(args)
+    makers = {  # family -> (constructor, number of arguments)
+        "heat": (Filter.heat, 1),
+        "lowpass": (Filter.lowpass, 1),
+        "highpass": (Filter.highpass, 1),
+        "midpass": (Filter.midpass, 2),
     }
     if base not in makers:
         raise FilterEvaluationError(f"unknown filter family {base!r}")
-    if base == "poly":
-        return Filter.polynomial(args)
-    return makers[base](*args)
+    maker, arity = makers[base]
+    if len(args) != arity:
+        raise FilterEvaluationError(
+            f"{descriptor!r}: {base} takes {arity} argument(s), got {len(args)}"
+        )
+    return maker(*args)
 
 
 def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> np.ndarray:
@@ -370,7 +387,7 @@ def default_spectral_interval(op: OperatorWithInnerProduct) -> tuple:
 
 
 def _real_spectrum(op: OperatorWithInnerProduct) -> np.ndarray:
-    vals = eigendecompose(op).eigenvalues_with_multiplicity()
+    vals = op.eig.eigenvalues_with_multiplicity()
     if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):
         raise SpectralIntervalError("spectrum is not real; no containing interval")
     return vals.real
@@ -382,25 +399,20 @@ def _containing_interval(spectrum: np.ndarray) -> tuple:
     return (lo - abs(lo) * 1e-6 - 1e-12, hi + abs(hi) * 1e-6 + 1e-12)
 
 
-def chebyshev_sup_error(filter: Filter, degree: int, interval, n_grid: int = 4097) -> float:
-    """Scalar sup-norm interpolation error of g on the interval (fine grid)."""
+def chebyshev_sup_error(filter: Filter, degree: int, interval) -> float:
+    """Scalar sup-norm interpolation error of g on 4097 interval points."""
     a, b = float(interval[0]), float(interval[1])
     coeffs = chebyshev_coefficients(filter, degree, (a, b))
-    xs = np.linspace(a, b, n_grid)
+    xs = np.linspace(a, b, 4097)
     unit = (2.0 * xs - (a + b)) / (b - a)
     approx = _cheb.chebval(unit, coeffs)
     exact = np.asarray(filter.evaluate(xs), dtype=float)
     return float(np.abs(exact - approx).max())
 
 
-def max_difference_quotient(
-    filter: Filter,
-    lambda_m,
-    target_spectrum,
-    exclusion_tol: float = DEFAULT_EXCLUSION_TOL,
-):
+def max_difference_quotient(filter: Filter, lambda_m, target_spectrum):
     """Largest |g(kappa) - g(lambda_m)| / |kappa - lambda_m| over the target
-    spectrum, excluding points within ``exclusion_tol`` of lambda_m.
+    spectrum, excluding points within ``DEFAULT_EXCLUSION_TOL`` of lambda_m.
 
     This is the per-mode constant multiplying the Laplacian transfer error
     in the mode-wise bound; it never exceeds the filter's Lipschitz
@@ -414,7 +426,7 @@ def max_difference_quotient(
     source = np.asarray(lambda_m)
     lams = source.reshape(-1)
     dist = np.abs(target[None, :] - lams[:, None])
-    keep = dist > exclusion_tol
+    keep = dist > DEFAULT_EXCLUSION_TOL
     jump = np.abs(filter.evaluate(target)[None, :] - filter.evaluate(lams)[:, None])
     quotients = np.divide(jump, dist, out=np.zeros(dist.shape), where=keep)
     worst = quotients.max(axis=1)

@@ -4,11 +4,13 @@ Operators that are not symmetric matrices are handled as normal operators
 under a constructed inner product ``<u, v> = v^H B u``: for a diagonalizable
 matrix with eigenvector matrix G, ``B = G^{-H} G^{-1}`` makes the matrix
 normal, its adjoint is ``B^{-1} A^H B``, and eigenprojections are
-B-orthogonal.  All decompositions are dense and direct: time grows as n^3
-and memory as n^2 (one eigenbasis per operator, no per-eigenvalue
-projectors).  Measured on 2 cores with one BLAS thread, perturb-stability
-on random-geometric(1000, 0.06) with five perturbations and three filters
-takes 25 s at 313 MB peak RSS.
+B-orthogonal.  Each operator caches its eigendecomposition as ``op.eig``,
+which every filter, bound and network layer on it reads.  All
+decompositions are dense and direct: time grows as n^3 and memory as n^2
+(one eigenbasis per operator, no per-eigenvalue projectors).  Measured on
+2 cores with one BLAS thread, perturb-stability on random-geometric(1000,
+0.06) with five perturbations and three filters takes 25 s at 313 MB peak
+RSS.
 """
 
 from __future__ import annotations
@@ -277,6 +279,11 @@ class OperatorWithInnerProduct:
     def adjoint(self) -> np.ndarray:
         return adjoint_wrt(self.matrix, self.inner)
 
+    @cached_property
+    def eig(self) -> "EigenDecomposition":
+        """The grouped eigendecomposition, computed once per operator."""
+        return eigendecompose(self)
+
 
 def normality_defect(op: OperatorWithInnerProduct) -> float:
     """Frobenius norm of ``A A* - A* A`` with the B-adjoint; 0 when normal."""
@@ -424,15 +431,13 @@ def _group_eigenvalues(values: np.ndarray, tol: float):
     return groups
 
 
-def eigendecompose(
-    op: OperatorWithInnerProduct, group_tol: float | None = None
-) -> EigenDecomposition:
+def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
     """Eigendecompose a normal-under-B operator into grouped eigenspaces.
 
-    Eigenvalues closer than ``group_tol`` (default ``1e-8`` times the
-    spectral radius) merge into a single eigenspace whose eigenvalue is
-    their mean.  Raises :class:`DecompositionError` when the operator is
-    defective to tolerance.
+    Eigenvalues closer than ``DEFAULT_GROUP_TOL`` times max(spectral
+    radius, 1) merge into a single eigenspace whose eigenvalue is their
+    mean.  Raises :class:`DecompositionError` when the operator is
+    defective to tolerance.  Callers read the cached ``op.eig`` instead.
     """
     a = op.matrix
     n = a.shape[0]
@@ -458,8 +463,7 @@ def eigendecompose(
         vecs = op.inner.inv_sqrt_matrix() @ z
 
     radius = float(np.abs(vals).max()) if n else 0.0
-    if group_tol is None:
-        group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)
+    group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)
 
     vals = np.asarray(vals, dtype=complex)
     index_groups = _group_eigenvalues(vals, group_tol)

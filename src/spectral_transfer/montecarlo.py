@@ -32,6 +32,8 @@ from .sampling import SampleSet, sampled_laplacian_matrix, unit_probes
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
 
 _C_SPHERE_PROBES = 500
+#: Size of the uniform grid for the constants and the activation tails.
+_GRID = 4096
 #: Probe columns activated at once on the quadrature grid.  It bounds the
 #: grid-by-probes temporaries (4096 x 16 doubles = 0.5 MB each); blocks of
 #: 64 raised the peak RSS of the shipped mc-verify run by 6 MB.
@@ -134,7 +136,7 @@ class MCBoundConstants:
         return float(self.c_quad3 / (self.w_min * n * delta) ** 0.25)
 
 
-def exact_c_lambda(space: CircleSpace, band: float, grid: int = 4096) -> float:
+def exact_c_lambda(space: CircleSpace, band: float) -> float:
     """Optimal constant with ||f||_inf <= C ||f||_2 on the band.
 
     By Cauchy-Schwarz the supremum over unit-norm band-limited signals at a
@@ -142,14 +144,13 @@ def exact_c_lambda(space: CircleSpace, band: float, grid: int = 4096) -> float:
     matching coefficient vector; maximizing over a fine grid is exact up to
     grid resolution (the quantity is constant for the circle basis).
     """
-    xs = np.arange(grid) / grid
+    xs = np.arange(_GRID) / _GRID
     phi = space.basis_matrix(xs, band)
     return float(np.sqrt((phi**2).sum(axis=1).max()))
 
 
 def estimate_activation_tail_constant(
     config: TrialConfig, activation=relu, probes: int = _C_SPHERE_PROBES,
-    grid: int = 4096,
 ) -> float:
     """Sphere-sampling surrogate for the worst sup-norm activation tail.
 
@@ -162,34 +163,34 @@ def estimate_activation_tail_constant(
     worst = 0.0
     for start in range(0, probes, _PROBE_BLOCK):
         block = unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
-        _, tail = _activation_tail(config, block, grid, activation)
+        _, tail = _activation_tail(config, block, activation)
         worst = max(worst, float(np.abs(tail).max()))
     return C_TAIL_INFLATION * worst
 
 
-def _activation_tail(config: TrialConfig, probes: np.ndarray, grid: int,
+def _activation_tail(config: TrialConfig, probes: np.ndarray,
                      activation=relu) -> tuple:
     """Continuous activation tail of band-limited probes on a uniform grid.
 
     For each coefficient column f of ``probes`` returns the coefficients of
     ``P(kernel_band) rho(f)`` and the values of ``rho(f) - P(kernel_band)
-    rho(f)`` at ``grid`` equispaced points, one column per probe.
+    rho(f)`` at ``_GRID`` equispaced points, one column per probe.
     """
     space = config.space
-    xs = np.arange(grid) / grid
+    xs = np.arange(_GRID) / _GRID
     rho = activation(space.basis_matrix(xs, config.band) @ probes)
     basis_hi = space.basis_matrix(xs, config.kernel_band)
-    coeffs_hi = basis_hi.T @ rho / grid
+    coeffs_hi = basis_hi.T @ rho / _GRID
     return coeffs_hi, rho - basis_hi @ coeffs_hi
 
 
-def bound_constants(config: TrialConfig, grid: int = 4096) -> MCBoundConstants:
+def bound_constants(config: TrialConfig) -> MCBoundConstants:
     """Evaluate every explicit constant for the configuration."""
     space = config.space
-    w_vals = config.weight_fn()(np.arange(grid) / grid)
+    w_vals = config.weight_fn()(np.arange(_GRID) / _GRID)
     w_min = float(np.min(w_vals))
     c_lam = min(
-        exact_c_lambda(space, config.band, grid),
+        exact_c_lambda(space, config.band),
         float(np.sqrt(space.dim_pw(config.band)))
         * space.sup_norm_of_basis(config.band),
     )
@@ -228,8 +229,7 @@ class TrialResult:
 
 
 def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
-             constants: MCBoundConstants | None = None,
-             quadrature_grid: int = 4096) -> TrialResult:
+             constants: MCBoundConstants | None = None) -> TrialResult:
     """Draw one sample set and measure the three errors with their bounds."""
     if constants is None:
         constants = bound_constants(config)
@@ -255,9 +255,7 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
     gram_mat = s_mat.T @ (s_mat / w_vals[:, None])
     gram_err = float(np.linalg.norm(gram_mat - np.eye(s_mat.shape[1]), "fro"))
 
-    activation_err = _activation_excess(
-        config, sample, s_mat, b_sqrt, quadrature_grid
-    )
+    activation_err = _activation_excess(config, sample, s_mat, b_sqrt)
 
     return TrialResult(
         size=n,
@@ -272,18 +270,18 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
 
 
 @lru_cache(maxsize=64)
-def _size_probes(config: TrialConfig, n: int, grid: int) -> tuple:
+def _size_probes(config: TrialConfig, n: int) -> tuple:
     """The seeded unit probes of sample size ``n``, the coefficients of
     their activated band-kernel projections, and the continuous L2 norms
     of their activation tails; the same for every trial of that size."""
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xF0, n)))
     probes = unit_probes(rng, config.space.dim_pw(config.band), config.activation_probes)
-    coeffs_hi, tail = _activation_tail(config, probes, grid)
+    coeffs_hi, tail = _activation_tail(config, probes)
     return probes, coeffs_hi, np.sqrt((tail**2).mean(axis=0))
 
 
-def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat, b_sqrt,
-                       grid: int) -> float:
+def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat,
+                       b_sqrt) -> float:
     """Sampled-minus-continuous tail norm excess over seeded probes.
 
     For each unit probe f in the band, compares the graph norm of the
@@ -294,7 +292,7 @@ def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat, b_sqrt,
     if config.activation_probes == 0:
         return 0.0
     n = sample.size
-    probes, coeffs_hi, cont_tail = _size_probes(config, n, grid)
+    probes, coeffs_hi, cont_tail = _size_probes(config, n)
     phi_hi_sample = config.space.basis_matrix(sample.points, config.kernel_band)
     # rho commutes with evaluation: rho(S f) = S rho(f)
     graph_tail_vals = relu(s_mat @ probes) - (phi_hi_sample @ coeffs_hi) / np.sqrt(n)

@@ -133,9 +133,6 @@ class SamplingPair:
     def sample_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         return self.s_matrix @ np.asarray(coeffs)
 
-    def interpolate(self, graph_signal: np.ndarray) -> np.ndarray:
-        return self.r_matrix @ np.asarray(graph_signal)
-
 
 def evaluation_operator(
     space: CircleSpace, sample_set: SampleSet, band: float
@@ -190,16 +187,15 @@ class CoarseningMap:
         return self.s_matrix.shape[0]
 
 
-def coarsen_matching(graph: WeightedGraph, seed=None) -> CoarseningMap:
+def coarsen_matching(graph: WeightedGraph) -> CoarseningMap:
     """Heavy-edge maximal matching in the Graclus style.
 
     Vertices are visited in ascending (degree, index) order; an unmatched
     vertex pairs with the unmatched neighbour maximizing
     ``w_uv (1/d_u + 1/d_v)``, ties broken by the smaller index; leftovers
     become singletons.  The visit order makes the heuristic fully
-    deterministic, so ``seed`` is accepted only for interface stability.
+    deterministic.
     """
-    del seed
     if graph.directed:
         raise GraphError("coarsening requires an undirected graph")
     w = graph.adjacency()

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandError, IntegrationError
-from .graphs import (
-    EigenDecomposition,
-    OperatorWithInnerProduct,
-    WeightedGraph,
-    eigendecompose,
-)
+from .graphs import EigenDecomposition, OperatorWithInnerProduct, WeightedGraph
 
 #: Refinement-based trapezoid quadrature stops when successive estimates
 #: differ by less than this.
@@ -119,15 +114,15 @@ class CircleSpace:
         phi = self.basis_matrix(grid, band)
         return phi.T @ grid_values / q
 
-    def project_callable(self, func, band: float, start_grid: int = 256) -> np.ndarray:
+    def project_callable(self, func, band: float) -> np.ndarray:
         """Adaptive trapezoid projection of a callable signal onto PW(band).
 
-        Doubles the grid until successive coefficient vectors agree to
-        QUADRATURE_TOL; raises :class:`IntegrationError` if the budget runs
-        out before convergence.
+        Doubles the grid from 256 points (or 8 per frequency) until
+        successive coefficient vectors agree to QUADRATURE_TOL; raises
+        :class:`IntegrationError` if the budget runs out before convergence.
         """
         n_max = self.max_frequency(band)
-        q = max(start_grid, 8 * (n_max + 1))
+        q = max(256, 8 * (n_max + 1))
         prev = None
         while q <= _MAX_GRID:
             grid = np.arange(q) / q
@@ -175,7 +170,7 @@ class GraphSpace:
     eig: EigenDecomposition = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eig", eigendecompose(self.operator))
+        object.__setattr__(self, "eig", self.operator.eig)  # eager, on purpose
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph, kind: str = "unnormalized") -> "GraphSpace":

@@ -28,11 +28,7 @@ from .filters import (
     max_difference_quotient,
     sup_norm_on_spectrum,
 )
-from .graphs import (
-    EigenDecomposition,
-    OperatorWithInnerProduct,
-    eigendecompose,
-)
+from .graphs import OperatorWithInnerProduct
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
 from .spaces import GraphSpace
 
@@ -93,11 +89,6 @@ class TransferSetting:
         object.__setattr__(self, "source_eigenvalues", lams)
         object.__setattr__(self, "s_pw", s)
 
-    @cached_property
-    def target_eig(self) -> EigenDecomposition:
-        # Lazy: operator-norm measurements never need the decomposition.
-        return eigendecompose(self.target)
-
     @property
     def dim_pw(self) -> int:
         return int(self.source_eigenvalues.shape[0])
@@ -136,7 +127,7 @@ class TransferSetting:
 
     def filtered_transfer_matrix(self, filt: Filter) -> np.ndarray:
         """Band-coefficient matrix of ``R g(Delta) S``."""
-        return self.r_pw @ apply_exact(filt, self.target_eig, self.s_pw)
+        return self.r_pw @ apply_exact(filt, self.target.eig, self.s_pw)
 
 
 def sampling_setting(pair: SamplingPair, delta: OperatorWithInnerProduct,
@@ -223,8 +214,8 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     """
     lams = np.real(setting.source_eigenvalues[modes])
     s_cols = setting.s_pw[:, modes]
-    constants = filter_constants(filt, lams, setting.target_eig.eigenvalues())
-    g_s = apply_exact(filt, setting.target_eig, s_cols)
+    constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
+    g_s = apply_exact(filt, setting.target.eig, s_cols)
     inner = setting.target.inner
     lhs = inner.column_norms(g_s - s_cols * filt.evaluate(lams))
     lap = inner.column_norms(setting.target.matrix @ s_cols - s_cols * lams)
@@ -286,7 +277,7 @@ def transfer_errors(setting: TransferSetting, filt: Filter,
     g_vals = filt.evaluate(setting.source_eigenvalues)
     filtered_src = g_vals * coeffs
     filtered_back = setting.r_pw @ apply_exact(
-        filt, setting.target_eig, setting.s_pw @ coeffs
+        filt, setting.target.eig, setting.s_pw @ coeffs
     )
     lap_src = setting.source_eigenvalues * coeffs
     lap_back = setting.r_pw @ (setting.target.matrix @ (setting.s_pw @ coeffs))
@@ -396,7 +387,7 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         bounds=bounds,
         interpolation_norm=c_norm,
         lipschitz_constant=d_lip,
-        grouped_spectrum=setting.target_eig.grouped,
+        grouped_spectrum=setting.target.eig.grouped,
     )
 
 

@@ -97,3 +97,50 @@ def test_nonpositive_probe_count_exits_two(tmp_path, capsys, probes):
     assert "Traceback" not in err
     assert err.splitlines() == [f"spectral-transfer: error: probes must be at least 1, got {probes}"]
     assert not (tmp_path / "out").exists()
+
+
+_NET_HEAD = "[net]\nactivation = relu\nbands = 0.1, 0.2\n"
+_LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
+
+
+@pytest.mark.parametrize("keys, net_text", [
+    ("filters = lowpass(0)", None),
+    ("filters = highpass(0)", None),
+    ("filters = midpass(1,0)", None),
+    ("filters = lowpass()", None),
+    ("filters = lowpass(1,2)", None),
+    ("filters = poly()", None),
+    ("band = -1", None),
+    ("", "filters = lowpass(2.0)\nmix = 1.0\n"),
+    ("", _NET_HEAD + "[layer 1]\nmix = 1.0\n"),
+    ("", _NET_HEAD + "[layer 1]\nfilters = lowpass(2.0)\nmix = one\n"),
+    ("", _NET_HEAD + _LAYER_ONE + "biases = zero\n"),
+    ("", _NET_HEAD + _LAYER_ONE.replace("layer 1", "layer one")),
+], ids=[
+    "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
+    "lowpass-two-arguments", "poly-empty", "negative-band", "net-no-section-header",
+    "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
+    "net-layer-name-not-a-number",
+])
+def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_text):
+    if net_text is None:
+        text = f"experiment = coarsen-transfer\ngraph = path(8)\n{keys}\nseed = 4\n"
+    else:
+        net = tmp_path / "net.ini"
+        net.write_text(net_text)
+        text = (
+            "experiment = convnet-transfer\ngraph = path(16)\n"
+            f"laplacian = normalized\nnet = {net}\nseed = 4\n"
+        )
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    experiment = text.split("\n", 1)[0].split(" = ")[1]
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spectral-transfer: error: ")
+    if net_text is not None:
+        assert str(tmp_path / "net.ini") in err
+    assert not (tmp_path / "out").exists()

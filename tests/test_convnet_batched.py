@@ -177,12 +177,12 @@ def output_errors_per_probe(spec, setting1, setting2, probes):
 def contraction_per_pair(spec, setting, seed, pairs=50, tol=1e-10):
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     n = setting.operators[0].dim
-    eigs = setting.layer_eigs[: spec.n_layers]
+    ops = setting.operators[: spec.n_layers]
     for _ in range(pairs):
         f1 = rng.normal(size=n)
         f2 = rng.normal(size=n)
-        out1 = forward_graph(spec, eigs, setting.pooling_maps, [f1])[-1]
-        out2 = forward_graph(spec, eigs, setting.pooling_maps, [f2])[-1]
+        out1 = forward_graph(spec, ops, setting.pooling_maps, [f1])[-1]
+        out2 = forward_graph(spec, ops, setting.pooling_maps, [f2])[-1]
         gap = np.linalg.norm(f1 - f2)
         for k in range(spec.layers[-1].k_out):
             if np.linalg.norm(out1[k] - out2[k]) > gap + tol:
@@ -213,13 +213,13 @@ class TestBatchedForwards:
         spec = two_layer_spec(graph_bands(space, 3), pooling, act, biases=(0.1, -0.2),
                               k_input=2)
         setting = graph_setting(graph, spec)
-        eigs = setting.layer_eigs[: spec.n_layers]
+        ops = setting.operators[: spec.n_layers]
         rng = np.random.default_rng(seed)
         inputs = [rng.normal(size=(graph.n_vertices, width)) for _ in range(2)]
-        batched = forward_graph(spec, eigs, setting.pooling_maps, inputs)
+        batched = forward_graph(spec, ops, setting.pooling_maps, inputs)
         for j in range(width):
             single = forward_graph(
-                spec, eigs, setting.pooling_maps, [ch[:, j] for ch in inputs]
+                spec, ops, setting.pooling_maps, [ch[:, j] for ch in inputs]
             )
             for layer_out, layer_ref in zip(batched, single):
                 for ch, ref in zip(layer_out, layer_ref):
@@ -250,7 +250,7 @@ class TestBatchedForwards:
         spec = two_layer_spec(graph_bands(space, 3), "none", "relu", k_input=2)
         setting = graph_setting(path_graph(9), spec)
         with pytest.raises(TopologyError, match="channels"):
-            forward_graph(spec, setting.layer_eigs[:2], setting.pooling_maps,
+            forward_graph(spec, setting.operators[:2], setting.pooling_maps,
                           [np.ones(9), np.ones((9, 3))])
 
 

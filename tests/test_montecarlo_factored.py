@@ -112,7 +112,7 @@ def test_activation_excess_matches_per_probe_loop(weight):
             sample, w_vals, s_mat = trial_inputs(config, size_index, trial_index)
             b_sqrt = 1.0 / np.sqrt(w_vals)
             assert_close(
-                _activation_excess(config, sample, s_mat, b_sqrt, 4096),
+                _activation_excess(config, sample, s_mat, b_sqrt),
                 per_probe_excess(config, sample, s_mat, b_sqrt),
             )
 

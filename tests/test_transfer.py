@@ -11,6 +11,7 @@ from spectral_transfer.graphs import (
     random_geometric_graph,
 )
 from spectral_transfer.sampling import (
+    CoarseningMap,
     PerturbationSpec,
     SampleSet,
     coarsen_matching,
@@ -213,12 +214,18 @@ class TestTwoGraph:
         assert err <= 1e-12
 
     def test_p8_two_coarsenings_within_triangle_bound(self):
+        # heavy-edge matching pairs (0,1) (2,3) (4,5) (6,7); the hand-built
+        # one shifts every pair by a vertex and keeps both ends single
         graph = path_graph(8)
         space = GraphSpace.from_graph(graph)
-        s1 = coarsening_setting(space, coarsen_matching(graph, seed=0), name="c1")
-        s2 = coarsening_setting(space, coarsen_matching(graph, seed=1), name="c2")
+        heavy = coarsen_matching(graph)
+        shifted = CoarseningMap(8, ((1, 2), (3, 4), (5, 6)), (0, 7))
+        assert heavy.groups != shifted.groups
+        s1 = coarsening_setting(space, heavy, name="c1")
+        s2 = coarsening_setting(space, shifted, name="c2")
         err, bound = two_graph_error(s1, s2, Filter.lowpass(1.0))
         assert np.isfinite(err) and np.isfinite(bound)
+        assert err > 1e-6
         assert err <= bound * (1 + 1e-9) + 1e-12
 
     def test_coarsening_vs_perturbation_share_space(self):
