@@ -54,19 +54,16 @@ from .sampling import (
     PerturbationSpec,
     SampleSet,
     SamplingPair,
-    activation_commutation_error,
     coarsen_matching,
     coarsened_laplacian,
     evaluation_operator,
     gram,
-    perturb_graph,
     random_sampled_laplacian,
 )
 from .spaces import (
     BandlimitedKernel,
     CircleSpace,
     GraphSpace,
-    KernelSpace,
     bandlimited_kernel,
 )
 from .transfer import (

@@ -379,15 +379,14 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
 
 
 def convnet_transfer_bound(n_layers: int, d_lipschitz: float, a_bound: float,
-                           b_bound: float, delta: float, count: int,
-                           input_norm: float = 1.0) -> float:
-    """Bound on the interpolated output gap between the two networks.
+                           b_bound: float, delta: float, count: int) -> float:
+    """Bound on the interpolated output gap between the two networks, per
+    unit input norm.
 
     ``(L D sqrt(count) + 2L + 2)`` times the norm-growth envelope
-    ``A^L ||f|| + B (A^L - 1)/(A - 1)`` (or ``||f|| + L B`` when the mixing
-    bound is 1), times the hypothesis tolerance delta.  The bias-free
-    normalized case with unit input reduces to ``(L D sqrt(count) + 2L + 2)
-    delta``.
+    ``A^L + B (A^L - 1)/(A - 1)`` (or ``1 + L B`` when the mixing bound is
+    1), times the hypothesis tolerance delta.  The bias-free normalized
+    case reduces to ``(L D sqrt(count) + 2L + 2) delta``.
     """
     if not 0.0 <= delta < 1.0:
         raise ParameterError(f"hypothesis tolerance {delta:g} outside [0, 1)")
@@ -397,13 +396,13 @@ def convnet_transfer_bound(n_layers: int, d_lipschitz: float, a_bound: float,
         raise ParameterError("need a nonnegative count and at least one layer")
     front = n_layers * d_lipschitz * np.sqrt(count) + 2 * n_layers + 2
     if a_bound > 1.0:
-        growth = a_bound**n_layers * input_norm + b_bound * (
+        growth = a_bound**n_layers + b_bound * (
             (a_bound**n_layers - 1.0) / (a_bound - 1.0)
         )
     else:
         # the growth recursion is monotone in the mixing bound, so the
         # unit-mixing envelope also covers a_bound < 1
-        growth = input_norm + n_layers * b_bound
+        growth = 1.0 + n_layers * b_bound
     return float(front * growth * delta)
 
 
@@ -516,11 +515,11 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
     for l in range(1, n_layers + 1):
         band_lo, band_hi = spec.bands[l - 1], spec.bands[l]
         basis_lo = space.pw_basis(band_lo)
-        proj_hi = space.projector_matrix(band_hi)
         s_prev = setting.sample_maps[l - 1]
         f_vals = basis_lo @ _basis_and_unit_probes(rng, basis_lo.shape[1], n_probes)
         lhs = spec.activation.apply(s_prev @ f_vals)
-        rhs = s_prev @ (proj_hi @ spec.activation.apply(f_vals))
+        rho = spec.activation.apply(f_vals)
+        rhs = s_prev @ space.synthesize(space.project_pw(band_hi, rho), band_hi)
         activation_terms.append(_largest_column_norm(lhs - rhs))
 
         layer = spec.layers[l - 1]

@@ -37,10 +37,6 @@ class SpectralIntervalError(SpectralTransferError):
     """Operator spectrum escapes the polynomial approximation interval."""
 
 
-class IntegrationError(SpectralTransferError):
-    """Quadrature failed to converge to the requested accuracy."""
-
-
 class BandError(SpectralTransferError):
     """Signal or operator is inconsistent with the requested frequency band."""
 

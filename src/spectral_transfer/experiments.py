@@ -181,6 +181,13 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             parser.read_string("[experiment]\n" + text)
+        except configparser.ParsingError as exc:
+            # configparser counts the [experiment] line prepended above
+            lineno = exc.errors[0][0] - 1
+            bad = text.splitlines()[lineno - 1].strip()
+            raise ConfigError(
+                f"{path}: line {lineno}: expected 'key = value', got {bad!r}"
+            ) from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         raw = dict(parser["experiment"])
@@ -270,13 +277,12 @@ def _collect_transfer_rows(setting, filters, signal_seed):
                 row.rhs, row.quotient, row.laplacian_mode_error, row.satisfied,
             ))
             scatter_points.append((row.laplacian_mode_error, row.lhs, filt.name))
-            all_ok &= row.satisfied
         for bound in report.bounds:
             bound_rows.append((
                 filt.name, setting.name, bound.name, bound.lhs, bound.rhs,
                 bound.satisfied,
             ))
-            all_ok &= bound.satisfied
+        all_ok &= report.all_satisfied
         summaries[filt.name] = {
             "filter_error": report.filter_error,
             "laplacian_error": report.laplacian_error,

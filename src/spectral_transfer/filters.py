@@ -73,6 +73,8 @@ class Filter:
     @classmethod
     def heat(cls, t: float) -> "Filter":
         # |d/dx e^{-tx}| <= t on x >= 0
+        if not float(t) >= 0.0:
+            raise ParameterError(f"heat time must be nonnegative, got {t:g}")
         return cls("closed_form", f"heat({t:g})", {"t": float(t)},
                    lipschitz_constant=float(t))
 

@@ -86,10 +86,6 @@ class WeightedGraph:
                 w_mat[v, u] = w
         return w_mat
 
-    def degrees(self) -> np.ndarray:
-        """Row sums of the adjacency matrix."""
-        return self.adjacency().sum(axis=1)
-
 
 def path_graph(n: int) -> WeightedGraph:
     """Path on ``n`` vertices with unit weights."""
@@ -410,10 +406,6 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return self.apply_function(self.group_values)
-
-    def spectral_projector(self, band: float) -> np.ndarray:
-        """Projection onto the span of eigenspaces with ``|lambda| <= band``."""
-        return self.apply_function((np.abs(self.group_values) <= band).astype(float))
 
 
 def _group_eigenvalues(values: np.ndarray, tol: float):

@@ -150,7 +150,7 @@ def exact_c_lambda(space: CircleSpace, band: float) -> float:
 
 
 def estimate_activation_tail_constant(
-    config: TrialConfig, activation=relu, probes: int = _C_SPHERE_PROBES,
+    config: TrialConfig, probes: int = _C_SPHERE_PROBES,
 ) -> float:
     """Sphere-sampling surrogate for the worst sup-norm activation tail.
 
@@ -163,22 +163,22 @@ def estimate_activation_tail_constant(
     worst = 0.0
     for start in range(0, probes, _PROBE_BLOCK):
         block = unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
-        _, tail = _activation_tail(config, block, activation)
+        _, tail = _activation_tail(config, block)
         worst = max(worst, float(np.abs(tail).max()))
     return C_TAIL_INFLATION * worst
 
 
-def _activation_tail(config: TrialConfig, probes: np.ndarray,
-                     activation=relu) -> tuple:
+def _activation_tail(config: TrialConfig, probes: np.ndarray) -> tuple:
     """Continuous activation tail of band-limited probes on a uniform grid.
 
     For each coefficient column f of ``probes`` returns the coefficients of
     ``P(kernel_band) rho(f)`` and the values of ``rho(f) - P(kernel_band)
-    rho(f)`` at ``_GRID`` equispaced points, one column per probe.
+    rho(f)`` at ``_GRID`` equispaced points, one column per probe, with
+    rho the ReLU.
     """
     space = config.space
     xs = np.arange(_GRID) / _GRID
-    rho = activation(space.basis_matrix(xs, config.band) @ probes)
+    rho = relu(space.basis_matrix(xs, config.band) @ probes)
     basis_hi = space.basis_matrix(xs, config.kernel_band)
     coeffs_hi = basis_hi.T @ rho / _GRID
     return coeffs_hi, rho - basis_hi @ coeffs_hi
@@ -243,8 +243,12 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
         else np.asarray(weight_fn(sample.points), dtype=float)
     )
 
-    phi = space.basis_matrix(sample.points, config.band)
-    s_mat = phi / np.sqrt(n)
+    # the band basis is the leading columns of the kernel-band basis, which
+    # only the activation tail needs
+    phi = space.basis_matrix(
+        sample.points, config.kernel_band if config.activation_probes else config.band
+    )
+    s_mat = phi[:, : space.dim_pw(config.band)] / np.sqrt(n)
     b_sqrt = 1.0 / np.sqrt(w_vals)
 
     delta_op, _ = sampled_laplacian_matrix(config.kernel, sample, weight_fn)
@@ -255,7 +259,7 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
     gram_mat = s_mat.T @ (s_mat / w_vals[:, None])
     gram_err = float(np.linalg.norm(gram_mat - np.eye(s_mat.shape[1]), "fro"))
 
-    activation_err = _activation_excess(config, sample, s_mat, b_sqrt)
+    activation_err = _activation_excess(config, phi, s_mat, b_sqrt)
 
     return TrialResult(
         size=n,
@@ -280,22 +284,23 @@ def _size_probes(config: TrialConfig, n: int) -> tuple:
     return probes, coeffs_hi, np.sqrt((tail**2).mean(axis=0))
 
 
-def _activation_excess(config: TrialConfig, sample: SampleSet, s_mat,
+def _activation_excess(config: TrialConfig, phi_hi: np.ndarray, s_mat,
                        b_sqrt) -> float:
     """Sampled-minus-continuous tail norm excess over seeded probes.
 
     For each unit probe f in the band, compares the graph norm of the
     sampled activation tail ``rho(f) - P(band') rho(f)`` at the sample
     points against the continuous L2 norm of the same tail; the Monte-Carlo
-    lemma bounds the excess of the first over the second.
+    lemma bounds the excess of the first over the second.  ``phi_hi`` is
+    the kernel-band basis at the sample points and ``s_mat`` the band
+    sampling matrix.
     """
     if config.activation_probes == 0:
         return 0.0
-    n = sample.size
+    n = phi_hi.shape[0]
     probes, coeffs_hi, cont_tail = _size_probes(config, n)
-    phi_hi_sample = config.space.basis_matrix(sample.points, config.kernel_band)
     # rho commutes with evaluation: rho(S f) = S rho(f)
-    graph_tail_vals = relu(s_mat @ probes) - (phi_hi_sample @ coeffs_hi) / np.sqrt(n)
+    graph_tail_vals = relu(s_mat @ probes) - (phi_hi @ coeffs_hi) / np.sqrt(n)
     graph_tail = np.linalg.norm(graph_tail_vals * b_sqrt[:, None], axis=0)
     return float(np.max(graph_tail - cont_tail))
 
@@ -405,31 +410,3 @@ def nonasymptotic_filter_bound(
     term2 = g_sup * max_phi_inf**2 / np.sqrt(w_min) * n ** (-0.5)
     return float(dim_pw * (term1 + term2) / np.sqrt(delta))
 
-
-def pointwise_mc_estimate(config: TrialConfig, x0: float, coeffs: np.ndarray,
-                          n: int, trials: int):
-    """Monte-Carlo estimates of the kernel Laplacian at a fixed point.
-
-    Returns the per-trial quadrature values whose mean is the continuous
-    action at x0 (the estimator is unbiased); used by the smoke test
-    against the exact diagonal action.
-    """
-    space = config.space
-    weight_fn = config.weight_fn()
-    values = np.empty(trials)
-    for t in range(trials):
-        seed = np.random.SeedSequence(
-            entropy=config.master_seed, spawn_key=(0xE5, t)
-        )
-        if config.weight == "uniform":
-            sample = SampleSet.uniform_random(n, seed)
-        else:
-            sample = SampleSet.weighted_random(n, weight_fn, seed, w_max=1.5)
-        w_vals = (
-            sample.w_values if sample.w_values is not None
-            else weight_fn(sample.points)
-        )
-        f_vals = space.synthesize(coeffs, sample.points)
-        h_row = config.kernel.evaluate(np.array([x0]), sample.points)[0]
-        values[t] = float((h_row * f_vals / w_vals).mean())
-    return values

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BandError,
     DegeneratePerturbationError,
     GraphError,
     ParameterError,
@@ -47,7 +46,6 @@ class SampleSet:
     """
 
     points: np.ndarray
-    rng_seed: int | None = None
     w_values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -84,7 +82,7 @@ class SampleSet:
     @classmethod
     def uniform_random(cls, n: int, seed) -> "SampleSet":
         rng = np.random.default_rng(seed)
-        return cls(rng.uniform(size=n), rng_seed=None)
+        return cls(rng.uniform(size=n))
 
     @classmethod
     def weighted_random(cls, n: int, weight, seed, w_max: float | None = None) -> "SampleSet":
@@ -101,7 +99,7 @@ class SampleSet:
             take = cand[acc][: n - filled]
             points[filled : filled + take.size] = take
             filled += take.size
-        return cls(points, rng_seed=None, w_values=np.asarray(weight(points), dtype=float))
+        return cls(points, w_values=np.asarray(weight(points), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ class SamplingPair:
     """Evaluation/interpolation matrices for one band on one sample set.
 
     ``s_matrix`` has entries phi_m(x_k) / sqrt(density); the interpolation
-    matrix is its adjoint ``s^H B``.  Restricting to a lower band drops
-    trailing columns only, so pairs of different bands nest.
+    matrix is its adjoint ``s^H B``.  A lower band's ``s_matrix`` is the
+    leading columns of a higher band's, so pairs of different bands nest.
     """
 
     space: CircleSpace
@@ -122,16 +120,6 @@ class SamplingPair:
     @property
     def r_matrix(self) -> np.ndarray:
         return self.s_matrix.conj().T @ self.inner.b_matrix
-
-    def restrict_to_band(self, band: float) -> "SamplingPair":
-        if band > self.band:
-            raise BandError("can only restrict to a lower band")
-        m = self.space.dim_pw(band)
-        return SamplingPair(self.space, self.sample_set, band,
-                            self.s_matrix[:, :m], self.inner)
-
-    def sample_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.s_matrix @ np.asarray(coeffs)
 
 
 def evaluation_operator(
@@ -365,47 +353,8 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
     )
 
 
-def perturb_graph(graph: WeightedGraph, spec: PerturbationSpec) -> WeightedGraph:
-    return perturb_graph_detailed(graph, spec).graph
-
-
 def unit_probes(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """``count`` unit coefficient columns, drawn one probe after another."""
     probes = rng.normal(size=(count, dim)).T
     return probes / np.linalg.norm(probes, axis=0)
 
-
-def activation_commutation_error(
-    pair: SamplingPair,
-    pair_hi: SamplingPair,
-    activation,
-    probes,
-    quadrature_grid: int = 4096,
-) -> float:
-    """How far sampling is from commuting with a pointwise nonlinearity.
-
-    For each probe f in PW(pair.band), a column of ``probes``, compares
-    applying ``activation`` to the sampled signal against sampling the
-    band-limited projection of ``activation`` applied in the continuous
-    space: ``max_f || rho(S f) - S' P(band') rho(f) || / ||f||`` with the
-    high-band pair's graph norm.  Sampling commutes with pointwise maps on
-    continuous signals, so the gap is purely the spectral content beyond
-    the higher band.
-    """
-    if pair_hi.band < pair.band:
-        raise BandError("second pair must have the higher band")
-    if pair.sample_set is not pair_hi.sample_set and not np.array_equal(
-        pair.sample_set.points, pair_hi.sample_set.points
-    ):
-        raise ParameterError("pairs must share one sample set")
-    probes = np.asarray(probes, dtype=float)
-    norms = np.linalg.norm(probes, axis=0)
-    if np.any(norms == 0.0):
-        raise ParameterError("probe signals must be nonzero")
-    space = pair.space
-    grid = np.arange(quadrature_grid) / quadrature_grid
-    sampled = activation(pair.sample_coefficients(probes))
-    rho_grid = activation(space.basis_matrix(grid, pair.band) @ probes)
-    projected = pair_hi.sample_coefficients(space.analyze_grid(rho_grid, pair_hi.band))
-    errors = pair_hi.inner.column_norms(sampled - projected) / norms
-    return float(errors.max(initial=0.0))

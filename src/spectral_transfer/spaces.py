@@ -1,17 +1,16 @@
 """Models of the underlying space that graphs discretize.
 
-Three concrete models share one small interface (ordered eigenpairs up to a
-band, band-limited projection, diagonal Laplacian action):
-
 * :class:`CircleSpace` -- the unit circle [0, 1) with total measure 1, the
   real trigonometric basis {1, sqrt2 cos(2 pi n x), sqrt2 sin(2 pi n x)} and
-  eigenvalue n^2 (second derivative scaled by -(2 pi)^{-2});
+  eigenvalue n^2 (second derivative scaled by -(2 pi)^{-2}); signals are
+  evaluated through :meth:`CircleSpace.basis_matrix` and analyzed from
+  uniform grids;
 * :class:`GraphSpace` -- a weighted graph playing the "continuous" role, as
-  in coarsening and perturbation settings;
-* :class:`BandlimitedKernel` / :class:`KernelSpace` -- the integral operator
-  with kernel H(x0, x) = sum_m phi_m(x0) lambda_m phi_m(x) truncated at a
-  kernel band, which acts like the Laplacian composed with the band
-  projection.
+  in coarsening and perturbation settings; band-limited signals live in the
+  span of its B-orthonormal eigenvectors;
+* :class:`BandlimitedKernel` -- the kernel H(x0, x) = sum_m phi_m(x0)
+  lambda_m phi_m(x) truncated at a kernel band, whose integral operator
+  acts like the circle Laplacian composed with the band projection.
 """
 
 from __future__ import annotations
@@ -20,13 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandError, IntegrationError
+from .errors import BandError
 from .graphs import EigenDecomposition, OperatorWithInnerProduct, WeightedGraph
-
-#: Refinement-based trapezoid quadrature stops when successive estimates
-#: differ by less than this.
-QUADRATURE_TOL = 1e-10
-_MAX_GRID = 1 << 20
 
 
 class CircleSpace:
@@ -72,35 +66,6 @@ class CircleSpace:
             cols.append(root2 * np.sin(2.0 * np.pi * n * x))
         return np.stack(cols, axis=1)
 
-    def eigenpairs_up_to(self, band: float):
-        """Ordered (eigenvalue, callable) pairs with |lambda| <= band."""
-        vals = self.eigenvalues_up_to(band)
-        pairs = []
-        for m, lam in enumerate(vals):
-            pairs.append((lam, self._basis_callable(m)))
-        return pairs
-
-    def _basis_callable(self, index: int):
-        if index == 0:
-            return lambda x: np.ones_like(np.asarray(x, dtype=float))
-        n = (index + 1) // 2
-        if index % 2 == 1:
-            return lambda x: np.sqrt(2.0) * np.cos(2.0 * np.pi * n * np.asarray(x))
-        return lambda x: np.sqrt(2.0) * np.sin(2.0 * np.pi * n * np.asarray(x))
-
-    def synthesize(self, coeffs: np.ndarray, points) -> np.ndarray:
-        """Evaluate the PW signal with the given coefficients at points."""
-        coeffs = np.asarray(coeffs)
-        band = self.band_of_dim(coeffs.shape[0])
-        return self.basis_matrix(points, band) @ coeffs
-
-    def band_of_dim(self, dim: int) -> float:
-        """Band whose PW space has exactly ``dim`` basis functions."""
-        if dim < 1 or dim % 2 == 0:
-            raise BandError(f"no circle PW space has dimension {dim}")
-        n_max = (dim - 1) // 2
-        return float(n_max * n_max)
-
     def analyze_grid(self, grid_values: np.ndarray, band: float) -> np.ndarray:
         """Coefficients up to ``band`` from values on a uniform grid.
 
@@ -113,49 +78,6 @@ class CircleSpace:
         grid = np.arange(q) / q
         phi = self.basis_matrix(grid, band)
         return phi.T @ grid_values / q
-
-    def project_callable(self, func, band: float) -> np.ndarray:
-        """Adaptive trapezoid projection of a callable signal onto PW(band).
-
-        Doubles the grid from 256 points (or 8 per frequency) until
-        successive coefficient vectors agree to QUADRATURE_TOL; raises
-        :class:`IntegrationError` if the budget runs out before convergence.
-        """
-        n_max = self.max_frequency(band)
-        q = max(256, 8 * (n_max + 1))
-        prev = None
-        while q <= _MAX_GRID:
-            grid = np.arange(q) / q
-            coeffs = self.basis_matrix(grid, band).T @ np.asarray(func(grid)) / q
-            if prev is not None and np.abs(coeffs - prev).max() < QUADRATURE_TOL:
-                return coeffs
-            prev = coeffs
-            q *= 2
-        raise IntegrationError(
-            f"projection quadrature did not converge below {QUADRATURE_TOL:g}"
-        )
-
-    def project_pw(self, band: float, signal) -> np.ndarray:
-        """Spectral projection onto PW(band).
-
-        ``signal`` is either a callable on [0, 1) or a coefficient vector in
-        this space's ordering (then the projection is truncation or
-        zero-padding).  Idempotent.
-        """
-        dim = self.dim_pw(band)
-        if callable(signal):
-            return self.project_callable(signal, band)
-        coeffs = np.asarray(signal)
-        out = np.zeros(dim, dtype=coeffs.dtype)
-        k = min(dim, coeffs.shape[0])
-        out[:k] = coeffs[:k]
-        return out
-
-    def apply_laplacian(self, coeffs: np.ndarray) -> np.ndarray:
-        """Diagonal action: multiply each coefficient by its eigenvalue."""
-        coeffs = np.asarray(coeffs)
-        band = self.band_of_dim(coeffs.shape[0])
-        return self.eigenvalues_up_to(band) * coeffs
 
     def sup_norm_of_basis(self, band: float) -> float:
         return np.sqrt(2.0) if self.max_frequency(band) >= 1 else 1.0
@@ -201,11 +123,6 @@ class GraphSpace:
         keep = np.abs(vals) <= band * (1.0 + 1e-12)
         return self.eig.basis[:, keep]
 
-    def eigenpairs_up_to(self, band: float):
-        basis = self.pw_basis(band)
-        vals = self.eigenvalues_up_to(band)
-        return [(vals[m], basis[:, m]) for m in range(len(vals))]
-
     def project_pw(self, band: float, signal: np.ndarray) -> np.ndarray:
         """Coefficients <s, phi_m>_B for the eigenvectors inside the band."""
         basis = self.pw_basis(band)
@@ -213,12 +130,6 @@ class GraphSpace:
 
     def synthesize(self, coeffs: np.ndarray, band: float) -> np.ndarray:
         return self.pw_basis(band) @ np.asarray(coeffs)
-
-    def apply_laplacian(self, coeffs: np.ndarray, band: float) -> np.ndarray:
-        return self.eigenvalues_up_to(band) * np.asarray(coeffs)
-
-    def projector_matrix(self, band: float) -> np.ndarray:
-        return self.eig.spectral_projector(band)
 
 
 @dataclass(frozen=True)
@@ -258,57 +169,9 @@ class BandlimitedKernel:
         phi1 = self.space.basis_matrix(np.atleast_1d(x), self.band)
         return (phi0 * self.eigenvalues) @ phi1.T
 
-    def l2_norm_by_quadrature(self, grid: int = 512) -> float:
-        """Independent check of the L2 norm on a tensor grid."""
-        xs = np.arange(grid) / grid
-        h = self.evaluate(xs, xs)
-        return float(np.sqrt((h**2).sum() / grid**2))
-
 
 def bandlimited_kernel(space: CircleSpace, band: float) -> BandlimitedKernel:
     """Kernel evaluator for the band-limited Laplacian; see the class docs."""
     if band < 0:
         raise BandError("kernel band must be nonnegative")
     return BandlimitedKernel(space, band)
-
-
-@dataclass(frozen=True)
-class KernelSpace:
-    """The kernel variant of the continuous space.
-
-    Delegates the eigenstructure to its base space but exposes the kernel
-    quadrature route for the Laplacian action, so the diagonal action can be
-    cross-checked against direct integration.
-    """
-
-    kernel: BandlimitedKernel
-
-    @property
-    def base(self) -> CircleSpace:
-        return self.kernel.space
-
-    def eigenvalues_up_to(self, band: float) -> np.ndarray:
-        if band > self.kernel.band:
-            raise BandError(
-                f"band {band:g} exceeds the kernel band {self.kernel.band:g}"
-            )
-        return self.base.eigenvalues_up_to(band)
-
-    def count_eig_leq(self, band: float) -> int:
-        return int(self.eigenvalues_up_to(band).shape[0])
-
-    def apply_laplacian(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.base.apply_laplacian(coeffs)
-
-    def apply_by_quadrature(self, coeffs: np.ndarray, grid: int = 2048) -> np.ndarray:
-        """Laplacian action via integral quadrature of the kernel.
-
-        Computes coefficients of x0 -> integral H(x0, x) f(x) dx on a fine
-        uniform grid; the diagonal route must agree to quadrature accuracy.
-        """
-        coeffs = np.asarray(coeffs)
-        band = self.base.band_of_dim(coeffs.shape[0])
-        xs = np.arange(grid) / grid
-        f_vals = self.base.synthesize(coeffs, xs)
-        lf_vals = self.kernel.evaluate(xs, xs) @ f_vals / grid
-        return self.base.analyze_grid(lf_vals, band)

@@ -228,10 +228,9 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     return rows, constants, g_s
 
 
-def bound_pointwise(vg_values, coeffs, mode_errors, which: str,
-                    c_norm: float | None = None, g_sup: float | None = None,
-                    consistency: float | None = None) -> float:
-    """Right-hand side of the fixed-signal bounds.
+def bound_pointwise(vg_values, coeffs, mode_errors, c_norm: float,
+                    g_sup: float, consistency: float) -> tuple:
+    """Right-hand sides ``(in_G, in_M)`` of the fixed-signal bounds.
 
     Evaluated in the graph: ``sum_m V_m |c_m| err_m``.  Evaluated back in
     the source space: the same sum scaled by the interpolation norm, plus
@@ -241,28 +240,16 @@ def bound_pointwise(vg_values, coeffs, mode_errors, which: str,
     coeffs = np.asarray(coeffs)
     mode_errors = np.asarray(mode_errors, dtype=float)
     core = float(np.sum(vg_values * np.abs(coeffs) * mode_errors))
-    if which == "in_G":
-        return core
-    if which == "in_M":
-        if c_norm is None or g_sup is None or consistency is None:
-            raise ParameterError("in_M bound needs c_norm, g_sup, consistency")
-        return c_norm * core + g_sup * consistency
-    raise ParameterError(f"unknown bound side {which!r}")
+    return core, c_norm * core + g_sup * consistency
 
 
 def bound_worstcase(d_lipschitz: float, count: int, lap_op_norm: float,
-                    which: str, c_norm: float | None = None,
-                    g_sup: float | None = None,
-                    consistency_norm: float | None = None) -> float:
-    """Right-hand side of the operator-norm bounds over the band."""
+                    c_norm: float, g_sup: float,
+                    consistency_norm: float) -> tuple:
+    """Right-hand sides ``(in_G, in_M)`` of the operator-norm bounds over
+    the band."""
     core = d_lipschitz * np.sqrt(count) * lap_op_norm
-    if which == "in_G":
-        return float(core)
-    if which == "in_M":
-        if c_norm is None or g_sup is None or consistency_norm is None:
-            raise ParameterError("in_M bound needs c_norm, g_sup, consistency_norm")
-        return float(c_norm * core + g_sup * consistency_norm)
-    raise ParameterError(f"unknown bound side {which!r}")
+    return float(core), float(c_norm * core + g_sup * consistency_norm)
 
 
 def transfer_errors(setting: TransferSetting, filt: Filter,
@@ -351,23 +338,17 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
     mismatch = g_s - setting.s_pw * g_vals
     lhs_point_g = setting.graph_norm(mismatch @ coeffs)
-    rhs_point_g = bound_pointwise(vg, coeffs, mode_errors, "in_G")
-
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
-    rhs_point_m = bound_pointwise(
-        vg, coeffs, mode_errors, "in_M",
-        c_norm=c_norm, g_sup=g_sup, consistency=cons_err,
+    rhs_point_g, rhs_point_m = bound_pointwise(
+        vg, coeffs, mode_errors, c_norm, g_sup, cons_err
     )
 
     # Operator-norm bounds over the whole band.
-    lap_op = setting.laplacian_operator_error
     lhs_worst_g = setting.graph_operator_norm(mismatch)
-    rhs_worst_g = bound_worstcase(d_lip, m, lap_op, "in_G")
-    cons_op = setting.consistency_operator_error
     lhs_worst_m = float(np.linalg.norm(np.diag(g_vals) - setting.r_pw @ g_s, 2))
-    rhs_worst_m = bound_worstcase(
-        d_lip, m, lap_op, "in_M",
-        c_norm=c_norm, g_sup=g_sup, consistency_norm=cons_op,
+    rhs_worst_g, rhs_worst_m = bound_worstcase(
+        d_lip, m, setting.laplacian_operator_error, c_norm, g_sup,
+        setting.consistency_operator_error,
     )
 
     bounds = (

@@ -111,6 +111,8 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("filters = lowpass(1,2)", None),
     ("filters = poly()", None),
     ("band = -1", None),
+    ("filters = heat(-1)", None),
+    ("garbage line", None),
     ("", "filters = lowpass(2.0)\nmix = 1.0\n"),
     ("", _NET_HEAD + "[layer 1]\nmix = 1.0\n"),
     ("", _NET_HEAD + "[layer 1]\nfilters = lowpass(2.0)\nmix = one\n"),
@@ -118,7 +120,8 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("", _NET_HEAD + _LAYER_ONE.replace("layer 1", "layer one")),
 ], ids=[
     "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
-    "lowpass-two-arguments", "poly-empty", "negative-band", "net-no-section-header",
+    "lowpass-two-arguments", "poly-empty", "negative-band", "heat-negative-time",
+    "line-without-equals", "net-no-section-header",
     "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
     "net-layer-name-not-a-number",
 ])
@@ -143,4 +146,8 @@ def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_tex
     assert err.startswith("spectral-transfer: error: ")
     if net_text is not None:
         assert str(tmp_path / "net.ini") in err
+    if keys.startswith("filters = heat"):
+        assert "heat" in err
+    if keys == "garbage line":
+        assert "line 3" in err
     assert not (tmp_path / "out").exists()

@@ -241,15 +241,15 @@ class TestTransferBound:
         assert convnet_transfer_bound(2, 1.0, 1.0, 0.0, 0.0, 9) == 0.0
 
     def test_unit_mixing_substitution(self):
-        val = convnet_transfer_bound(1, 1.0, 1.0, 0.0, 0.01, 4, input_norm=1.0)
+        val = convnet_transfer_bound(1, 1.0, 1.0, 0.0, 0.01, 4)
         assert val == pytest.approx(0.06)
 
     def test_bias_free_corollary_form(self):
-        val = convnet_transfer_bound(2, 1.0, 1.0, 0.0, 0.1, 9, input_norm=1.0)
+        val = convnet_transfer_bound(2, 1.0, 1.0, 0.0, 0.1, 9)
         assert val == pytest.approx(1.2)
 
     def test_expansive_mixing(self):
-        val = convnet_transfer_bound(2, 1.0, 2.0, 0.5, 0.1, 4, input_norm=1.0)
+        val = convnet_transfer_bound(2, 1.0, 2.0, 0.5, 0.1, 4)
         front = 2 * 1.0 * 2.0 + 4 + 2
         growth = 4.0 * 1.0 + 0.5 * 3.0
         assert val == pytest.approx(front * growth * 0.1)

@@ -26,14 +26,10 @@ from spectral_transfer.errors import ParameterError, TopologyError
 from spectral_transfer.experiments import _contraction_check
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import build_laplacian, grid_graph, path_graph
-from spectral_transfer.montecarlo import relu
 from spectral_transfer.sampling import (
     CoarseningMap,
     PerturbationSpec,
-    SampleSet,
-    activation_commutation_error,
     coarsen_matching,
-    evaluation_operator,
     perturb_graph_detailed,
     unit_probes,
 )
@@ -126,7 +122,10 @@ def hypothesis_terms_per_probe(setting, spec, n_probes, seed):
     for l in range(1, spec.n_layers + 1):
         band_lo, band_hi = spec.bands[l - 1], spec.bands[l]
         basis_lo = space.pw_basis(band_lo)
-        proj_hi = space.projector_matrix(band_hi)
+        # the dense band projector, as the reference for the eigenbasis path
+        proj_hi = space.eig.apply_function(
+            (np.abs(space.eig.eigenvalues()) <= band_hi).astype(float)
+        )
         s_prev = setting.sample_maps[l - 1]
         worst = 0.0
         for c in listed_unit_probes(basis_lo.shape[1], n_probes, rng):
@@ -188,18 +187,6 @@ def contraction_per_pair(spec, setting, seed, pairs=50, tol=1e-10):
             if np.linalg.norm(out1[k] - out2[k]) > gap + tol:
                 return False
     return True
-
-
-def commutation_per_probe(pair, pair_hi, activation, probes, quadrature_grid=4096):
-    grid = np.arange(quadrature_grid) / quadrature_grid
-    phi_grid_lo = pair.space.basis_matrix(grid, pair.band)
-    worst = 0.0
-    for coeffs in probes:
-        sampled = activation(pair.sample_coefficients(coeffs))
-        rho_coeffs = pair.space.analyze_grid(activation(phi_grid_lo @ coeffs), pair_hi.band)
-        err = pair_hi.inner.norm(sampled - pair_hi.sample_coefficients(rho_coeffs))
-        worst = max(worst, err / float(np.linalg.norm(coeffs)))
-    return worst
 
 
 # --- the batched code against the references --------------------------------
@@ -322,17 +309,3 @@ class TestBatchedMeasurements:
         assert _contraction_check(spec, setting, seed) == contraction_per_pair(
             spec, setting, seed
         )
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(8, 64), st.sampled_from((0.0, 1.0, 4.0)),
-           st.sampled_from((1.0, 4.0, 9.0)), st.integers(0, 5), st.integers(0, 2**31))
-    def test_activation_commutation_equals_per_probe_loop(self, n, band, extra,
-                                                          n_probes, seed):
-        sample = SampleSet.uniform_random(n, seed=seed)
-        lo = evaluation_operator(CIRCLE, sample, band)
-        hi = evaluation_operator(CIRCLE, sample, band + extra)
-        dim = CIRCLE.dim_pw(band)
-        listed = listed_unit_probes(dim, n_probes, np.random.default_rng(seed))
-        probes = np.hstack([np.eye(dim), unit_probes(np.random.default_rng(seed), dim, n_probes)])
-        got = activation_commutation_error(lo, hi, relu, probes, quadrature_grid=1024)
-        assert_close(got, commutation_per_probe(lo, hi, relu, listed, quadrature_grid=1024))

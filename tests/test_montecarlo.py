@@ -12,10 +12,10 @@ from spectral_transfer.montecarlo import (
     failure_rate,
     mc_trial,
     nonasymptotic_filter_bound,
-    pointwise_mc_estimate,
     run_trials,
     slope_fit,
 )
+from spectral_transfer.sampling import SampleSet
 from spectral_transfer.spaces import CircleSpace
 
 CIRCLE = CircleSpace()
@@ -194,6 +194,14 @@ class TestUnbiasedness:
             CIRCLE.basis_matrix(np.array([x0]), 1.0)[0]
             @ (CIRCLE.eigenvalues_up_to(1.0) * coeffs)
         )
-        values = pointwise_mc_estimate(cfg, x0, coeffs, n=128, trials=200)
+        # per trial, the quadrature of x -> H(x0, x) f(x) over 128 points
+        # drawn from w, whose mean is the exact action at x0
+        values = np.empty(200)
+        for t in range(values.size):
+            seed = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(0xE5, t))
+            sample = SampleSet.weighted_random(128, cfg.weight_fn(), seed, w_max=1.5)
+            f_vals = CIRCLE.basis_matrix(sample.points, 1.0) @ coeffs
+            h_row = cfg.kernel.evaluate(np.array([x0]), sample.points)[0]
+            values[t] = float((h_row * f_vals / sample.w_values).mean())
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - exact) <= 3.0 * se + 1e-12

@@ -111,8 +111,9 @@ def test_activation_excess_matches_per_probe_loop(weight):
         for trial_index in range(2):
             sample, w_vals, s_mat = trial_inputs(config, size_index, trial_index)
             b_sqrt = 1.0 / np.sqrt(w_vals)
+            phi_hi = CIRCLE.basis_matrix(sample.points, config.kernel_band)
             assert_close(
-                _activation_excess(config, sample, s_mat, b_sqrt),
+                _activation_excess(config, phi_hi, s_mat, b_sqrt),
                 per_probe_excess(config, sample, s_mat, b_sqrt),
             )
 

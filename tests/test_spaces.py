@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from spectral_transfer.errors import BandError
 from spectral_transfer.graphs import path_graph
 from spectral_transfer.spaces import (
     BandlimitedKernel,
     CircleSpace,
     GraphSpace,
-    KernelSpace,
     bandlimited_kernel,
 )
 
@@ -18,11 +16,10 @@ CIRCLE = CircleSpace()
 
 class TestCircleEigenpairs:
     def test_band_zero_constant_only(self):
-        pairs = CIRCLE.eigenpairs_up_to(0.0)
-        assert len(pairs) == 1
-        lam, phi = pairs[0]
-        assert lam == 0.0
-        np.testing.assert_allclose(phi(np.linspace(0, 1, 5)), 1.0)
+        np.testing.assert_array_equal(CIRCLE.eigenvalues_up_to(0.0), [0.0])
+        phi = CIRCLE.basis_matrix(np.linspace(0, 1, 5), 0.0)
+        assert phi.shape == (5, 1)
+        np.testing.assert_allclose(phi, 1.0)
 
     def test_band_one_eigenvalues(self):
         # Oracle: lambda_n = n^2 checked by quadrature of the second
@@ -35,8 +32,9 @@ class TestCircleEigenpairs:
         q = 1 << 12
         xs = np.arange(q) / q
         h = 1.0 / q
-        for index, (lam, phi) in enumerate(CIRCLE.eigenpairs_up_to(9.0)):
-            vals = phi(xs)
+        basis = CIRCLE.basis_matrix(xs, 9.0)
+        for index, lam in enumerate(CIRCLE.eigenvalues_up_to(9.0)):
+            vals = basis[:, index]
             second = (np.roll(vals, -1) - 2 * vals + np.roll(vals, 1)) / h**2
             lap = -second / (2 * np.pi) ** 2
             # quadrature inner product <L phi, phi> = lambda ||phi||^2 = lambda
@@ -61,17 +59,20 @@ class TestCircleEigenpairs:
         assert np.abs(gram - np.eye(phi.shape[1])).max() <= 1e-10
 
 
+GRID = np.arange(256) / 256
+
+
 class TestCircleProjection:
     def test_basis_function_projects_to_unit_coefficient(self):
-        lam, phi3 = CIRCLE.eigenpairs_up_to(4.0)[3]
-        coeffs = CIRCLE.project_pw(4.0, phi3)
+        phi3 = CIRCLE.basis_matrix(GRID, 4.0)[:, 3]
+        coeffs = CIRCLE.analyze_grid(phi3, 4.0)
         expected = np.zeros(5)
         expected[3] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-10)
 
     def test_basis_function_above_band_projects_to_zero(self):
-        _, phi3 = CIRCLE.eigenpairs_up_to(4.0)[3]  # frequency 2
-        coeffs = CIRCLE.project_pw(1.0, phi3)
+        phi3 = CIRCLE.basis_matrix(GRID, 4.0)[:, 3]  # frequency 2
+        coeffs = CIRCLE.analyze_grid(phi3, 1.0)
         np.testing.assert_allclose(coeffs, np.zeros(3), atol=1e-10)
 
     def test_cos_mixture(self):
@@ -79,40 +80,58 @@ class TestCircleProjection:
         # cosine coefficient, of size 1/sqrt2 in the sqrt2-normalized basis.
         # Oracle: orthonormality integral, <cos(2 pi x), sqrt2 cos(2 pi x)> =
         # 1/sqrt2.
-        func = lambda x: np.cos(2 * np.pi * x) + np.cos(4 * np.pi * x)
-        coeffs = CIRCLE.project_pw(1.0, func)
+        values = np.cos(2 * np.pi * GRID) + np.cos(4 * np.pi * GRID)
+        coeffs = CIRCLE.analyze_grid(values, 1.0)
         np.testing.assert_allclose(coeffs, [0.0, 1 / np.sqrt(2), 0.0], atol=1e-10)
 
     def test_projection_idempotent_and_monotone(self):
         rng = np.random.default_rng(8)
         c = rng.normal(size=CIRCLE.dim_pw(9.0))
-        once = CIRCLE.project_pw(4.0, c)
-        twice = CIRCLE.project_pw(4.0, once)
-        np.testing.assert_array_equal(once, twice)
+        once = CIRCLE.analyze_grid(CIRCLE.basis_matrix(GRID, 9.0) @ c, 4.0)
+        twice = CIRCLE.analyze_grid(CIRCLE.basis_matrix(GRID, 4.0) @ once, 4.0)
+        np.testing.assert_allclose(once, c[:5], atol=1e-12)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
         # band monotonicity: projecting to 4 then 1 equals projecting to 1
-        np.testing.assert_array_equal(
-            CIRCLE.project_pw(1.0, once), CIRCLE.project_pw(1.0, c)
+        np.testing.assert_allclose(
+            CIRCLE.analyze_grid(CIRCLE.basis_matrix(GRID, 4.0) @ once, 1.0), c[:3],
+            atol=1e-12,
         )
 
     def test_laplacian_diagonal_action(self):
-        coeffs = np.zeros(5)
-        coeffs[0] = 2.0
-        np.testing.assert_array_equal(CIRCLE.apply_laplacian(coeffs)[0], 0.0)
-        coeffs = np.zeros(5)
-        coeffs[3] = 1.0  # frequency 2 cosine
-        np.testing.assert_array_equal(CIRCLE.apply_laplacian(coeffs)[3], 4.0)
+        # The band-limited kernel applied by quadrature sends the constant to
+        # zero and the frequency-2 cosine to 4 times itself.
+        np.testing.assert_allclose(
+            _kernel_quadrature(9.0, np.eye(5)[0] * 2.0), np.zeros(5), atol=1e-8
+        )
+        np.testing.assert_allclose(
+            _kernel_quadrature(9.0, np.eye(5)[3]), 4.0 * np.eye(5)[3], atol=1e-8
+        )
 
-    def test_band_of_dim_validates(self):
-        with pytest.raises(BandError):
-            CIRCLE.band_of_dim(4)
+
+def _kernel_quadrature(kernel_band, coeffs):
+    """Band-4 coefficients of the kernel at ``kernel_band`` applied by quadrature."""
+    kernel = bandlimited_kernel(CIRCLE, kernel_band)
+    grid = np.arange(2048) / 2048
+    f_vals = CIRCLE.basis_matrix(grid, 4.0) @ coeffs
+    lf_vals = kernel.evaluate(grid, grid) @ f_vals / grid.size
+    return CIRCLE.analyze_grid(lf_vals, 4.0)
+
+
+class TestKernelSpace:
+    def test_quadrature_route_matches_diagonal_action(self):
+        # Below the kernel band, applying the kernel by quadrature multiplies
+        # each coefficient by its eigenvalue n^2.
+        rng = np.random.default_rng(10)
+        coeffs = rng.normal(size=CIRCLE.dim_pw(4.0))  # band 4 < kernel band 9
+        diag = CIRCLE.eigenvalues_up_to(4.0) * coeffs
+        np.testing.assert_allclose(_kernel_quadrature(9.0, coeffs), diag, atol=1e-8)
 
 
 class TestGraphSpace:
     def test_p2_eigenpairs(self):
         space = GraphSpace.from_graph(path_graph(2))
-        pairs = space.eigenpairs_up_to(3.0)
-        assert [lam for lam, _ in pairs] == [0.0, pytest.approx(2.0)]
-        v0 = pairs[0][1]
+        assert list(space.eigenvalues_up_to(3.0)) == [0.0, pytest.approx(2.0)]
+        v0 = space.pw_basis(3.0)[:, 0]
         np.testing.assert_allclose(np.abs(v0), np.ones(2) / np.sqrt(2), atol=1e-12)
 
     def test_full_band_counts_all(self):
@@ -125,13 +144,15 @@ class TestGraphSpace:
         rng = np.random.default_rng(0)
         s = rng.normal(size=4)
         coeffs = space.project_pw(band, s)
-        via_coeffs = space.synthesize(space.apply_laplacian(coeffs, band), band)
+        via_coeffs = space.synthesize(space.eigenvalues_up_to(band) * coeffs, band)
         np.testing.assert_allclose(via_coeffs, space.operator.matrix @ s, atol=1e-10)
 
     def test_projector_idempotent(self):
         space = GraphSpace.from_graph(path_graph(6))
-        p = space.projector_matrix(1.0)
-        np.testing.assert_allclose(p @ p, p, atol=1e-10)
+        s = np.random.default_rng(1).normal(size=6)
+        once = space.synthesize(space.project_pw(1.0, s), 1.0)
+        twice = space.synthesize(space.project_pw(1.0, once), 1.0)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
 
 class TestBandlimitedKernel:
@@ -157,24 +178,12 @@ class TestBandlimitedKernel:
         k = bandlimited_kernel(CIRCLE, 4.0)
         exact = k.l2_norm()
         assert exact == pytest.approx(np.sqrt(1 + 1 + 16 + 16))
-        assert k.l2_norm_by_quadrature(grid=256) == pytest.approx(exact, abs=1e-8)
+        xs = np.arange(256) / 256
+        by_quadrature = np.sqrt((k.evaluate(xs, xs) ** 2).sum()) / xs.size
+        assert by_quadrature == pytest.approx(exact, abs=1e-8)
 
     def test_l2_norm_below_lambda_l1(self):
         for band in (1.0, 4.0, 9.0):
             k = bandlimited_kernel(CIRCLE, band)
             assert k.l2_norm() <= k.lambda_l1 + 1e-12
 
-
-class TestKernelSpace:
-    def test_quadrature_route_matches_diagonal_action(self):
-        ks = KernelSpace(bandlimited_kernel(CIRCLE, 9.0))
-        rng = np.random.default_rng(10)
-        coeffs = rng.normal(size=CIRCLE.dim_pw(4.0))  # band 4 < kernel band 9
-        diag = ks.apply_laplacian(coeffs)
-        quad = ks.apply_by_quadrature(coeffs)
-        np.testing.assert_allclose(quad, diag, atol=1e-8)
-
-    def test_band_above_kernel_rejected(self):
-        ks = KernelSpace(bandlimited_kernel(CIRCLE, 1.0))
-        with pytest.raises(BandError):
-            ks.eigenvalues_up_to(4.0)

@@ -101,7 +101,7 @@ def test_projector_reconstruction_and_groups_match(decomposed):
     assert_matches(eig.reconstruct(), op.matrix)
     for band in (0.5, float(np.abs(values).max())):
         indicator = (np.abs(values) <= band).astype(float)
-        assert_matches(eig.spectral_projector(band), group_projector_sum(eig, indicator))
+        assert_matches(eig.apply_function(indicator), group_projector_sum(eig, indicator))
     for j, group in enumerate(eig.groups):
         unit = np.zeros(len(values))
         unit[j] = 1.0

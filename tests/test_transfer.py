@@ -106,23 +106,22 @@ class TestModeBound:
 
 class TestRawBoundFormulas:
     def test_pointwise_zero(self):
-        assert bound_pointwise([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], "in_G") == 0.0
+        assert bound_pointwise([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], 1.0, 1.0, 0.0) == (0.0, 0.0)
 
     def test_pointwise_two_mode_sum(self):
-        rhs = bound_pointwise([1.0, 1.0], [3.0, 4.0], [0.1, 0.2], "in_G")
-        assert rhs == pytest.approx(1.1)
+        in_g, in_m = bound_pointwise([1.0, 1.0], [3.0, 4.0], [0.1, 0.2], 2.0, 0.5, 0.4)
+        assert in_g == pytest.approx(1.1)
+        assert in_m == pytest.approx(2.0 * 1.1 + 0.5 * 0.4)
 
     def test_single_mode_reduces_to_mode_bound(self):
-        rhs = bound_pointwise([0.7], [1.0], [0.3], "in_G")
-        assert rhs == pytest.approx(0.7 * 0.3)
+        in_g, _ = bound_pointwise([0.7], [1.0], [0.3], 1.0, 1.0, 0.0)
+        assert in_g == pytest.approx(0.7 * 0.3)
 
     def test_worstcase_substitution(self):
-        assert bound_worstcase(1.0, 4, 0.05, "in_G") == pytest.approx(0.1)
-        assert bound_worstcase(1.0, 4, 0.0, "in_M", c_norm=1.0, g_sup=1.0,
-                               consistency_norm=0.0) == 0.0
-        rhs = bound_worstcase(1.0, 4, 0.05, "in_M", c_norm=1.0, g_sup=1.0,
-                              consistency_norm=0.02)
-        assert rhs == pytest.approx(0.12)
+        assert bound_worstcase(1.0, 4, 0.0, 1.0, 1.0, 0.0) == (0.0, 0.0)
+        in_g, in_m = bound_worstcase(1.0, 4, 0.05, 1.0, 1.0, 0.02)
+        assert in_g == pytest.approx(0.1)
+        assert in_m == pytest.approx(0.12)
 
 
 class TestCertification:
