@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, TopologyError, TruncationError
 from .filters import Filter, apply_exact, make_filter
-from .graphs import OperatorWithInnerProduct
+from .graphs import OperatorWithInnerProduct, operator_norm
 from .sampling import CoarseningMap, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 
@@ -502,13 +502,13 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         mismatch = s_l @ (space.operator.matrix @ basis) - (
             setting.operators[l].matrix @ (s_l @ basis)
         )
-        lap_terms.append(float(np.linalg.norm(mismatch, 2)))
+        lap_terms.append(operator_norm(mismatch))
 
     band_top = spec.bands[n_layers]
     basis_top = space.pw_basis(band_top)
     s_top = setting.sample_maps[n_layers]
     round_trip = basis_top - s_top.T @ (s_top @ basis_top)
-    consistency = float(np.linalg.norm(round_trip, 2))
+    consistency = operator_norm(round_trip)
 
     activation_terms = []
     pooling_terms = []

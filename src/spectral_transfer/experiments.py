@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import functools
 import os
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -173,20 +174,35 @@ class ExperimentConfig:
                   seed: int | None = None, out_dir: str | None = None,
                   svg: bool | None = None) -> "ExperimentConfig":
         """Read a flat key = value file; CLI arguments override file keys."""
-        parser = configparser.ConfigParser()
         try:
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        parser = configparser.ConfigParser()
+        # The [experiment] header prepended below is the only section
+        # header; any other [section] line fails to parse as a key.
+        parser.SECTCRE = re.compile(r"\[(?P<header>experiment)\]")
+        # the line numbers configparser reports count the prepended header
         try:
             parser.read_string("[experiment]\n" + text)
         except configparser.ParsingError as exc:
-            # configparser counts the [experiment] line prepended above
             lineno = exc.errors[0][0] - 1
             bad = text.splitlines()[lineno - 1].strip()
+            expected = (
+                "no [section] headers in a flat config"
+                if bad.startswith("[") and bad.endswith("]")
+                else "expected 'key = value'"
+            )
+            raise ConfigError(f"{path}: line {lineno}: {expected}, got {bad!r}") from None
+        except configparser.DuplicateSectionError as exc:
             raise ConfigError(
-                f"{path}: line {lineno}: expected 'key = value', got {bad!r}"
+                f"{path}: line {exc.lineno - 1}: no [section] headers in a flat "
+                f"config, got '[{exc.section}]'"
+            ) from None
+        except configparser.DuplicateOptionError as exc:
+            raise ConfigError(
+                f"{path}: line {exc.lineno - 1}: duplicate key {exc.option!r}"
             ) from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc

@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SlopeUndefinedError
+from .graphs import operator_norm
 from .sampling import SampleSet, sampled_laplacian_matrix, unit_probes
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
 
@@ -254,7 +255,7 @@ def mc_trial(config: TrialConfig, size_index: int, trial_index: int,
     delta_op, _ = sampled_laplacian_matrix(config.kernel, sample, weight_fn)
     lams = space.eigenvalues_up_to(config.band)
     mismatch = s_mat * lams - delta_op @ s_mat
-    laplacian_err = float(np.linalg.norm(mismatch * b_sqrt[:, None], 2))
+    laplacian_err = operator_norm(mismatch * b_sqrt[:, None])
 
     gram_mat = s_mat.T @ (s_mat / w_vals[:, None])
     gram_err = float(np.linalg.norm(gram_mat - np.eye(s_mat.shape[1]), "fro"))

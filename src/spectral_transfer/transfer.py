@@ -28,7 +28,7 @@ from .filters import (
     max_difference_quotient,
     sup_norm_on_spectrum,
 )
-from .graphs import OperatorWithInnerProduct
+from .graphs import OperatorWithInnerProduct, operator_norm
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
 from .spaces import GraphSpace
 
@@ -123,7 +123,7 @@ class TransferSetting:
     def consistency_operator_error(self) -> float:
         """``|| P - R S P ||`` in operator norm over the band."""
         m = self.dim_pw
-        return float(np.linalg.norm(np.eye(m) - self.r_pw @ self.s_pw, 2))
+        return operator_norm(np.eye(m) - self.r_pw @ self.s_pw)
 
     def filtered_transfer_matrix(self, filt: Filter) -> np.ndarray:
         """Band-coefficient matrix of ``R g(Delta) S``."""
@@ -334,18 +334,22 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     c_norm = setting.interpolation_norm
     mode_errors = np.array([row.laplacian_mode_error for row in per_mode])
 
-    # Fixed-signal bounds, on the graph and back on the source space.
+    # The graph-side lhs of the fixed-signal and operator-norm bounds.  The
+    # mismatch is freed before the band x band matrices below are formed.
     g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
     mismatch = g_s - setting.s_pw * g_vals
     lhs_point_g = setting.graph_norm(mismatch @ coeffs)
+    lhs_worst_g = setting.graph_operator_norm(mismatch)
+    del mismatch
+
+    # Fixed-signal bounds, on the graph and back on the source space.
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
     rhs_point_g, rhs_point_m = bound_pointwise(
         vg, coeffs, mode_errors, c_norm, g_sup, cons_err
     )
 
     # Operator-norm bounds over the whole band.
-    lhs_worst_g = setting.graph_operator_norm(mismatch)
-    lhs_worst_m = float(np.linalg.norm(np.diag(g_vals) - setting.r_pw @ g_s, 2))
+    lhs_worst_m = operator_norm(np.diag(g_vals) - setting.r_pw @ g_s)
     rhs_worst_g, rhs_worst_m = bound_worstcase(
         d_lip, m, setting.laplacian_operator_error, c_norm, g_sup,
         setting.consistency_operator_error,
@@ -383,7 +387,7 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
         raise BandError("the two settings must share one source space and band")
     mat1 = setting1.filtered_transfer_matrix(filt)
     mat2 = setting2.filtered_transfer_matrix(filt)
-    error = float(np.linalg.norm(mat1 - mat2, 2))
+    error = operator_norm(mat1 - mat2)
     bound = 0.0
     for setting in (setting1, setting2):
         report = evaluate_transfer(setting, filt)

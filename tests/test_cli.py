@@ -99,6 +99,25 @@ def test_nonpositive_probe_count_exits_two(tmp_path, capsys, probes):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tail, message", [
+    ("seed = 4\nseed = 5\n", "line 4: duplicate key 'seed'"),
+    ("seed = 4\n[extra]\nfilters = heat(-1)\n",
+     "line 4: no [section] headers in a flat config, got '[extra]'"),
+    ("[experiment]\nseed = 4\n",
+     "line 3: no [section] headers in a flat config, got '[experiment]'"),
+], ids=["duplicate-key", "section-header", "experiment-header"])
+def test_malformed_flat_config_names_its_line(tmp_path, capsys, tail, message):
+    path = tmp_path / "d.txt"
+    path.write_text("experiment = coarsen-transfer\ngraph = path(8)\n" + tail)
+    code = cli.main([
+        "coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"spectral-transfer: error: {path}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 _NET_HEAD = "[net]\nactivation = relu\nbands = 0.1, 0.2\n"
 _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
 

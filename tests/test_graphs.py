@@ -12,6 +12,7 @@ from spectral_transfer.errors import (
     InvalidInnerProductError,
     NormalityError,
 )
+from spectral_transfer import graphs
 from spectral_transfer.graphs import (
     InnerProduct,
     OperatorWithInnerProduct,
@@ -204,6 +205,136 @@ class TestNormalityDefect:
         b = inner.b_matrix
         a_star = np.linalg.solve(b, a.T @ b)
         np.testing.assert_allclose(a @ a_star, a_star @ a, atol=1e-12)
+
+
+def _commutator_accepts(a, inner):
+    """The commutator test every operator took before the symmetric shortcut."""
+    a_star = adjoint_wrt(a, inner)
+    defect = np.linalg.norm(a @ a_star - a_star @ a, "fro")
+    scale = (1.0 + np.linalg.norm(a, "fro")) ** 2
+    return defect <= OperatorWithInnerProduct._NORMALITY_RTOL * scale
+
+
+def _accepts(a, inner):
+    try:
+        OperatorWithInnerProduct(a, inner)
+    except NormalityError:
+        return False
+    return True
+
+
+class TestNormalityCheck:
+    def test_symmetric_laplacian_skips_the_commutator(self, monkeypatch):
+        a = build_laplacian(grid_graph(4, 5), "normalized").matrix
+        assert _commutator_accepts(a, InnerProduct.standard(20))
+
+        def commutator(op):
+            raise AssertionError("commutator computed for a symmetric matrix")
+
+        monkeypatch.setattr(graphs, "normality_defect", commutator)
+        assert _accepts(a, InnerProduct.standard(20))
+
+    @pytest.mark.parametrize("name", [
+        "symmetric-laplacian", "normal-circulant", "non-normal", "directed-laplacian",
+    ])
+    def test_same_verdict_as_the_commutator(self, name):
+        if name == "symmetric-laplacian":
+            a = build_laplacian(random_geometric_graph(30, 0.4, seed=3), "unnormalized").matrix
+            inner = InnerProduct.standard(30)
+        elif name == "normal-circulant":
+            a = np.roll(np.eye(6), 1, axis=1) + 2.0 * np.eye(6)  # I-shift circulant
+            assert not np.array_equal(a, a.T)
+            inner = InnerProduct.standard(6)
+        elif name == "non-normal":
+            a = np.array([[1.0, 1.0], [0.0, 2.0]])
+            inner = InnerProduct.standard(2)
+        else:
+            graph = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 0.5)),
+                                  directed=True)
+            op = build_laplacian(graph, "unnormalized")
+            a, inner = op.matrix, op.inner
+        expected = name != "non-normal"
+        assert _commutator_accepts(a, inner) == expected
+        assert _accepts(a, inner) == expected
+
+
+def _group_eigenvalues_reference(values, tol):
+    """The grouping as first written: ``np.mean`` of the group each step."""
+    order = np.lexsort((values.imag, values.real, np.abs(values)))
+    groups = []
+    for idx in order:
+        if groups:
+            current = groups[-1]
+            if abs(values[idx] - np.mean(values[current])) <= tol:
+                current.append(idx)
+                continue
+        groups.append([idx])
+    return groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=12),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_grouping_matches_reference_on_clustered_spectra(cluster_sizes, complex_, seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    values = []
+    for size in cluster_sizes:
+        centre = rng.uniform(-3.0, 3.0) + (1j * rng.uniform(-3.0, 3.0) if complex_ else 0)
+        # members lie within half the tolerance of the centre; some repeat it
+        spread = rng.choice([0.0, 0.1, 0.5]) * tol
+        values.extend(centre + spread * rng.uniform(-1.0, 1.0, size=size))
+    values = np.asarray(values, dtype=complex)
+    got = graphs._group_eigenvalues(values, tol)
+    expected = _group_eigenvalues_reference(values, tol)
+    assert [list(map(int, g)) for g in got] == [list(map(int, g)) for g in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(min_value=0.4, max_value=0.9), min_size=0, max_size=8),
+        min_size=1, max_size=6,
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_grouping_matches_reference_on_chained_spectra(chains, seed):
+    # Successive gaps of 0.4-0.9 tol put members within tol of the last
+    # member but not always of the first or of the group mean, so only the
+    # running mean reproduces the reference's groups.
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    values = []
+    for gaps in chains:
+        start = rng.uniform(0.5, 3.0)
+        values.extend(start + tol * np.concatenate([[0.0], np.cumsum(gaps)]))
+    values = np.asarray(values, dtype=complex)
+    got = graphs._group_eigenvalues(values, tol)
+    expected = _group_eigenvalues_reference(values, tol)
+    assert [list(map(int, g)) for g in got] == [list(map(int, g)) for g in expected]
+
+
+@pytest.mark.parametrize(
+    "offsets, expected",
+    [
+        # beyond tol of the first member, just inside tol of the mean
+        ([0.0, 0.8, 1.39], [[0, 1, 2]]),
+        # just outside tol of the mean
+        ([0.0, 0.8, 1.41], [[0, 1], [2]]),
+        # within tol of the last member, not of the mean
+        ([0.0, 0.9, 1.8], [[0, 1], [2]]),
+        ([0.0, 0.6, 1.2, 1.8, 2.4], [[0, 1, 2], [3, 4]]),
+    ],
+)
+def test_grouping_compares_with_the_running_mean(offsets, expected):
+    tol = 1e-8
+    values = 1.0 + tol * np.asarray(offsets, dtype=complex)
+    got = graphs._group_eigenvalues(values, tol)
+    assert [list(map(int, g)) for g in got] == expected
+    assert [list(map(int, g)) for g in _group_eigenvalues_reference(values, tol)] == expected
 
 
 class TestEigendecompose:

@@ -1,0 +1,92 @@
+"""``graphs.operator_norm`` against the largest singular value from an SVD."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectral_transfer.graphs import operator_norm
+from spectral_transfer.transfer import ABS_SLACK, REL_SLACK
+
+
+def _matrix(rng, rows, cols, kind, complex_, cond_exp, scale_exp):
+    def draw(shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_ else out
+
+    if kind == "zero":
+        mat = np.zeros((rows, cols), dtype=complex if complex_ else float)
+    elif kind == "rank-deficient":
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        mat = draw((rows, rank)) @ draw((rank, cols))
+    elif kind == "ill-conditioned":
+        # A = U diag(s) V^H with singular values from 1 down to 10^-cond_exp
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(draw((rows, k)))
+        v, _ = np.linalg.qr(draw((cols, k)))
+        mat = (u * np.logspace(0, -cond_exp, k)) @ v.conj().T
+    else:
+        mat = draw((rows, cols))
+    return mat * 10.0**scale_exp
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 80),
+    cols=st.integers(1, 80),
+    kind=st.sampled_from(["gaussian", "rank-deficient", "ill-conditioned", "zero"]),
+    complex_=st.booleans(),
+    cond_exp=st.integers(0, 12),
+    scale_exp=st.sampled_from([0, 0, 0, -8, 8, -200, 200, -310]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_norm_matches_largest_singular_value(
+    rows, cols, kind, complex_, cond_exp, scale_exp, seed
+):
+    mat = _matrix(np.random.default_rng(seed), rows, cols, kind, complex_,
+                  cond_exp, scale_exp)
+    sigma = np.linalg.svd(mat, compute_uv=False)[0]
+    got = operator_norm(mat)
+    # a certified lhs never comes out lower than the SVD's beyond the slack
+    assert got >= sigma - (REL_SLACK * sigma + ABS_SLACK)
+    assert abs(got - sigma) <= 1e-12 * sigma
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_empty_matrix_has_norm_zero(shape):
+    assert operator_norm(np.zeros(shape)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (50, 40)])
+def test_nan_entry_raises_as_the_svd_does(shape):
+    mat = np.ones(shape)
+    mat[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(mat, compute_uv=False)
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(mat)
+
+
+def test_infinite_entry_raises():
+    mat = np.ones((6, 3))
+    mat[1, 2] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(mat)
+
+
+@pytest.mark.parametrize("exponent", [-1022, -1030, -1060, -1072])
+def test_subnormal_entries_get_their_norm(exponent):
+    # the rows (3, 4) and (0, 0) scaled by 2^exponent have norm exactly
+    # 5 * 2^exponent, down into the subnormal range
+    mat = np.array([[3.0, 4.0], [0.0, 0.0]]) * 2.0**exponent
+    assert operator_norm(mat) == 5.0 * 2.0**exponent
+    assert operator_norm(mat) == np.linalg.svd(mat, compute_uv=False)[0]
+
+
+def test_near_isometries_have_norm_one():
+    # Every eigenvalue of the Gram matrix of a near-isometry sits near 1,
+    # a tight cluster on which LAPACK's single-eigenvalue drivers can fail.
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        assert abs(operator_norm(q) - 1.0) <= 1e-13
