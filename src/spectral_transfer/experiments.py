@@ -1,8 +1,10 @@
 """Experiment configuration and orchestration.
 
-Configs are flat ``key = value`` text files; every run is a pure function
-of (config, seed): all randomness derives from the master seed through
-named substreams, so reruns produce byte-identical reports.
+Configs are flat ``key = value`` text files (grammar in the README);
+loading one resolves every default and parses the filters before any
+graph work.  Every run is a pure function of (config, seed): all
+randomness derives from the master seed through named substreams, so
+reruns produce byte-identical reports.
 
 Five experiments cover the certification surface:
 
@@ -20,12 +22,11 @@ Five experiments cover the certification surface:
 
 from __future__ import annotations
 
-import configparser
 import functools
+import math
 import os
-import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .convnet import (
     load_convnet_spec,
     output_errors,
 )
-from .errors import ConfigError, ParseError, SpectralTransferError
+from .errors import ConfigError, SpectralTransferError
 from .filters import Filter, filter_matrix, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
@@ -119,19 +120,22 @@ def _substream(master_seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description: one field, and one
+    default, per config key.  ``parsed_filters`` holds the ``Filter``s of
+    the experiments that run ``filters``."""
 
     experiment: str
-    seed: int
-    out_dir: str
+    seed: int | None = None
+    out_dir: str = "spectral_transfer_out"
     svg: bool = False
     graph: str | None = None
     graph_file: str | None = None
     graph_format: str = "edge_list"
-    laplacian: str = "unnormalized"
+    laplacian: str | None = None  # normalized for convnet-transfer, else unnormalized
     filters: tuple = ("lowpass(1.0)", "highpass(1.0)", "heat(1.0)")
     band: float | None = None
-    perturbations: tuple = ()
+    perturbations: tuple = ("remove_edges(0.05)", "remove_edges(0.1)", "add_edges(0.05)",
+                            "add_edges(0.1)", "remove_vertices(0.05)")
     sizes: tuple = (64, 256, 1024)
     trials: int = 50
     delta: float = 0.25
@@ -141,6 +145,7 @@ class ExperimentConfig:
     net_file: str | None = None
     net_perturbation: str = "remove_edges(0.1)"
     probes: int = 10
+    parsed_filters: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -150,17 +155,16 @@ class ExperimentConfig:
             )
         if self.seed is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-        needs_graph = self.experiment in (
-            "coarsen-transfer", "perturb-stability", "convnet-transfer"
-        )
-        has_descriptor = self.graph is not None
-        has_file = self.graph_file is not None
-        if needs_graph and has_descriptor == has_file:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        sources = (self.graph is not None) + (self.graph_file is not None)
+        if self.experiment in ("circle-sampling", "mc-verify"):
+            if sources:
+                raise ConfigError(f"{self.experiment} takes no graph input")
+        elif sources != 1:
             raise ConfigError(
                 "exactly one graph source is required: 'graph' or 'graph_file'"
             )
-        if not needs_graph and (has_descriptor or has_file):
-            raise ConfigError(f"{self.experiment} takes no graph input")
         for path in (self.graph_file, self.net_file):
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"referenced file does not exist: {path}")
@@ -168,96 +172,73 @@ class ExperimentConfig:
             raise ConfigError(f"probes must be at least 1, got {self.probes}")
         if self.band is not None and not self.band >= 0:
             raise ConfigError(f"band must be nonnegative, got {self.band:g}")
+        for name in ("filters", "perturbations", "sizes", "weights"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} needs at least one entry")
+        if self.laplacian is None:
+            kind = "normalized" if self.experiment == "convnet-transfer" else "unnormalized"
+            object.__setattr__(self, "laplacian", kind)
+        parsed = ()
+        if self.experiment in ("coarsen-transfer", "perturb-stability"):
+            parsed = tuple(make_filter(desc) for desc in self.filters)
+        unbounded = [f.name for f in parsed if f.lipschitz_constant is None]
+        if self.experiment == "perturb-stability" and unbounded:
+            raise ConfigError(
+                f"{unbounded[0]}: the stability line needs a Lipschitz constant"
+            )
+        object.__setattr__(self, "parsed_filters", parsed)
 
     @classmethod
     def from_file(cls, path, experiment: str | None = None,
                   seed: int | None = None, out_dir: str | None = None,
                   svg: bool | None = None) -> "ExperimentConfig":
-        """Read a flat key = value file; CLI arguments override file keys."""
+        """Read a flat ``key = value`` file; CLI arguments override file keys.
+
+        Lines are blank, ``#``/``;`` comments or unindented ``key = value``
+        with a known, unrepeated key (any case) and a literal nonempty value.
+        """
         try:
             with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        parser = configparser.ConfigParser()
-        # The [experiment] header prepended below is the only section
-        # header; any other [section] line fails to parse as a key.
-        parser.SECTCRE = re.compile(r"\[(?P<header>experiment)\]")
-        # the line numbers configparser reports count the prepended header
-        try:
-            parser.read_string("[experiment]\n" + text)
-        except configparser.ParsingError as exc:
-            lineno = exc.errors[0][0] - 1
-            bad = text.splitlines()[lineno - 1].strip()
-            expected = (
-                "no [section] headers in a flat config"
-                if bad.startswith("[") and bad.endswith("]")
-                else "expected 'key = value'"
-            )
-            raise ConfigError(f"{path}: line {lineno}: {expected}, got {bad!r}") from None
-        except configparser.DuplicateSectionError as exc:
-            raise ConfigError(
-                f"{path}: line {exc.lineno - 1}: no [section] headers in a flat "
-                f"config, got '[{exc.section}]'"
-            ) from None
-        except configparser.DuplicateOptionError as exc:
-            raise ConfigError(
-                f"{path}: line {exc.lineno - 1}: duplicate key {exc.option!r}"
-            ) from None
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        raw = dict(parser["experiment"])
-
-        def take(key, cast, default):
-            if key not in raw:
-                return default
-            value = raw.pop(key).strip()
-            try:
-                return cast(value)
-            except (ValueError, ParseError) as exc:
-                raise ConfigError(f"{path}: bad value for {key}: {exc}") from None
-
-        def tuple_of(cast):
-            return lambda v: tuple(cast(p) for p in split_top_level(v))
-
-        file_experiment = take("experiment", str, None)
-        if experiment is None:
-            experiment = file_experiment
-        elif file_experiment is not None and file_experiment != experiment:
+                lines = fh.read().split("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        values = {}
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text or text[0] in "#;":
+                continue
+            key, sep, value = (part.strip() for part in text.partition("="))
+            key = key.lower()
+            if text[0] == "[" and text[-1] == "]":
+                problem = "no [section] headers in a flat config"
+            elif line[0].isspace():
+                problem = "no indented or continuation lines in a flat config"
+            elif not (sep and key and value):
+                problem = "expected 'key = value'"
+            elif key not in _FIELD_OF_KEY:
+                problem = "unknown key"
+            elif _FIELD_OF_KEY[key] in values:
+                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+            else:
+                try:
+                    values[_FIELD_OF_KEY[key]] = _PARSERS.get(key, str)(value)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}: line {lineno}: bad value for {key}: {exc}"
+                    ) from None
+                continue
+            raise ConfigError(f"{path}: line {lineno}: {problem}, got {text!r}")
+        file_experiment = values.get("experiment")
+        if None not in (experiment, file_experiment) and experiment != file_experiment:
             raise ConfigError(
                 f"config says experiment = {file_experiment}, "
                 f"command line says {experiment}"
             )
-        if experiment is None:
+        overrides = {"experiment": experiment, "seed": seed, "out_dir": out_dir, "svg": svg}
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+        if "experiment" not in values:
             raise ConfigError("no experiment named (config key or argument)")
-        file_seed = take("seed", int, None)
-        file_out = take("out", str, "spectral_transfer_out")
-        file_svg = take("svg", lambda v: v.lower() == "true", False)
-        config = cls(
-            experiment=experiment,
-            seed=seed if seed is not None else file_seed,
-            out_dir=out_dir if out_dir is not None else file_out,
-            svg=svg if svg is not None else file_svg,
-            graph=take("graph", str, None),
-            graph_file=take("graph_file", str, None),
-            graph_format=take("graph_format", str, "edge_list"),
-            laplacian=take("laplacian", str, "unnormalized"),
-            filters=take("filters", tuple_of(str), cls.filters),
-            band=take("band", float, None),
-            perturbations=take("perturbations", tuple_of(str), ()),
-            sizes=take("sizes", tuple_of(int), cls.sizes),
-            trials=take("trials", int, 50),
-            delta=take("delta", float, 0.25),
-            kernel_band=take("kernel_band", float, 4.0),
-            circle_band=take("circle_band", float, 1.0),
-            weights=take("weights", tuple_of(str), cls.weights),
-            net_file=take("net", str, None),
-            net_perturbation=take("net_perturbation", str, "remove_edges(0.1)"),
-            probes=take("probes", int, 10),
-        )
-        if raw:
-            raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(raw))}")
-        return config
+        return cls(**values)
 
     def load_graph(self) -> WeightedGraph:
         if self.graph is not None:
@@ -265,6 +246,38 @@ class ExperimentConfig:
         if self.graph_format == "off":
             return parse_mesh_off(self.graph_file)
         return parse_graph(self.graph_file, self.graph_format)
+
+
+def _tuple_of(cast):
+    return lambda text: tuple(cast(part) for part in split_top_level(text))
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# config key -> field; only 'out' and 'net' differ from their field names
+_FIELD_OF_KEY = {
+    {"out_dir": "out", "net_file": "net"}.get(f.name, f.name): f.name
+    for f in fields(ExperimentConfig) if f.init
+}
+# config key -> parser of its value; every other key is text
+_PARSERS = {
+    "seed": int, "trials": int, "probes": int, "svg": _true_or_false,
+    "band": _finite_float, "delta": _finite_float,
+    "kernel_band": _finite_float, "circle_band": _finite_float,
+    "filters": _tuple_of(str), "perturbations": _tuple_of(str),
+    "weights": _tuple_of(str), "sizes": _tuple_of(int),
+}
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -279,14 +292,13 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return runner(config)
 
 
-def _collect_transfer_rows(setting, filters, signal_seed):
+def _collect_transfer_rows(setting, config: ExperimentConfig):
     """Shared per-setting certification: mode rows, bound rows, verdict."""
     mode_rows, bound_rows, scatter_points = [], [], []
     all_ok = True
     summaries = {}
-    for desc in filters:
-        filt = make_filter(desc)
-        report = evaluate_transfer(setting, filt, signal_seed=signal_seed)
+    for filt in config.parsed_filters:
+        report = evaluate_transfer(setting, filt, signal_seed=config.seed)
         for row in report.per_mode:
             mode_rows.append((
                 filt.name, setting.name, row.mode, row.eigenvalue, row.lhs,
@@ -299,14 +311,10 @@ def _collect_transfer_rows(setting, filters, signal_seed):
                 bound.satisfied,
             ))
         all_ok &= report.all_satisfied
-        summaries[filt.name] = {
-            "filter_error": report.filter_error,
-            "laplacian_error": report.laplacian_error,
-            "consistency_error": report.consistency_error,
-            "interpolation_norm": report.interpolation_norm,
-            "lipschitz_constant": report.lipschitz_constant,
-            "grouped_spectrum": report.grouped_spectrum,
-        }
+        summaries[filt.name] = {key: getattr(report, key) for key in (
+            "filter_error", "laplacian_error", "consistency_error",
+            "interpolation_norm", "lipschitz_constant", "grouped_spectrum",
+        )}
     return mode_rows, bound_rows, scatter_points, summaries, all_ok
 
 
@@ -315,10 +323,8 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
     space = GraphSpace.from_graph(graph, config.laplacian)
     cmap = coarsen_matching(graph)
     setting = coarsening_setting(space, cmap, band=config.band, name="coarsening")
-    modes, bounds, points, summaries, ok = _collect_transfer_rows(
-        setting, config.filters, config.seed
-    )
-    d_max = max(make_filter(d).lipschitz_constant or 1.0 for d in config.filters)
+    modes, bounds, points, summaries, ok = _collect_transfer_rows(setting, config)
+    d_max = max(f.lipschitz_constant or 1.0 for f in config.parsed_filters)
     return ReportBundle(
         experiment="coarsen-transfer",
         summary={
@@ -348,16 +354,14 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
 def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     graph = config.load_graph()
     space = GraphSpace.from_graph(graph, config.laplacian)
-    perturbations = config.perturbations or (
-        "remove_edges(0.05)", "remove_edges(0.1)",
-        "add_edges(0.05)", "add_edges(0.1)", "remove_vertices(0.05)",
-    )
     all_modes, all_bounds, stability_rows, points = [], [], [], []
     summaries = {}
     ok = True
     # built on first need, shared by the perturbations that keep every vertex
-    space_filter_matrix = functools.cache(lambda d: filter_matrix(make_filter(d), space.eig))
-    for index, desc in enumerate(perturbations):
+    space_filter_matrix = functools.cache(
+        lambda i: filter_matrix(config.parsed_filters[i], space.eig)
+    )
+    for index, desc in enumerate(config.perturbations):
         spec = _parse_perturbation(desc, _substream(config.seed, "perturb", index))
         result = perturb_graph_detailed(graph, spec)
         delta_op = build_laplacian(result.graph, config.laplacian)
@@ -367,9 +371,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         setting = perturbation_setting(
             space, delta_op, restriction=restriction, band=config.band, name=desc
         )
-        modes, bounds, _, summary, setting_ok = _collect_transfer_rows(
-            setting, config.filters, config.seed
-        )
+        modes, bounds, _, summary, setting_ok = _collect_transfer_rows(setting, config)
         all_modes.extend(modes)
         all_bounds.extend(bounds)
         summaries[desc] = summary
@@ -378,26 +380,21 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         # Frobenius stability: restrict the fine operator first, then
         # compare the two functional-calculus applications.  Both must be
         # normal in the dot product.  Spectral projections do not depend on
-        # the inner product, so the decompositions already made serve.
-        if restriction is None:
-            fine_mat = space.operator.matrix
-        else:
-            fine_mat = restriction @ space.operator.matrix @ restriction.T
-        fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
+        # the inner product, so the decompositions already made serve; a
+        # restricted fine operator exists only when vertices were removed.
+        fine_mat, fine_op = space.operator.matrix, None
+        if restriction is not None:
+            fine_mat = restriction @ fine_mat @ restriction.T
+            fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
         lap_abs = float(np.linalg.norm(fine_mat - delta_op.matrix, "fro"))
         lap_rel = lap_abs / max(float(np.linalg.norm(fine_mat, "fro")), 1e-30)
-        for filt_desc in config.filters:
-            filt = make_filter(filt_desc)
-            f_fine = (space_filter_matrix(filt_desc) if restriction is None
+        for i, filt in enumerate(config.parsed_filters):
+            f_fine = (space_filter_matrix(i) if fine_op is None
                       else filter_matrix(filt, fine_op.eig))
             f_delta = filter_matrix(filt, delta_op.eig)
             filt_abs = float(np.linalg.norm(f_fine - f_delta, "fro"))
             filt_rel = filt_abs / max(float(np.linalg.norm(f_fine, "fro")), 1e-30)
-            d_lip = filt.lipschitz_constant
-            if d_lip is None:
-                raise ConfigError(
-                    f"{filt.name}: the stability line needs a Lipschitz constant"
-                )
+            d_lip = filt.lipschitz_constant  # the config checked it is set
             dominated = certified(filt_abs, d_lip * lap_abs)
             ok &= dominated
             stability_rows.append((
@@ -405,7 +402,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
                 d_lip, dominated,
             ))
             points.append((lap_abs, filt_abs, filt.name))
-    d_max = max(make_filter(d).lipschitz_constant or 1.0 for d in config.filters)
+    d_max = max(f.lipschitz_constant or 1.0 for f in config.parsed_filters)
     return ReportBundle(
         experiment="perturb-stability",
         summary={
@@ -502,17 +499,7 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
         ok &= all(r <= config.delta for r in rate.as_tuple())
         chain_ok = constants.kernel_l2 <= constants.lambda_l1 + 1e-8
         ok &= chain_ok
-        constants_out[weight] = {
-            "c_lambda": constants.c_lambda,
-            "c_quad1": constants.c_quad1,
-            "c_quad2": constants.c_quad2,
-            "c_quad3": constants.c_quad3,
-            "c_tail_inflation": constants.c_tail_inflation,
-            "lambda_l1": constants.lambda_l1,
-            "kernel_l2": constants.kernel_l2,
-            "w_min": constants.w_min,
-            "norm_chain_ok": chain_ok,
-        }
+        constants_out[weight] = {**asdict(constants), "norm_chain_ok": chain_ok}
         for r in results:
             v = r.violations
             rows.append((
@@ -575,8 +562,7 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
 
 def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     graph = config.load_graph()
-    lap_kind = config.laplacian if config.laplacian != "unnormalized" else "normalized"
-    space = GraphSpace.from_graph(graph, lap_kind)
+    space = GraphSpace.from_graph(graph, config.laplacian)
     if config.net_file is not None:
         spec = load_convnet_spec(config.net_file)
     else:
@@ -589,7 +575,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         raise ConfigError("the network comparison needs equal-size graphs; "
                           "use edge perturbations")
     other = perturb_graph_detailed(graph, pert).graph
-    other_op = build_laplacian(other, lap_kind)
+    other_op = build_laplacian(other, config.laplacian)
 
     coarsenings1 = _net_coarsenings(spec, graph)
     coarsenings2 = _net_coarsenings(spec, other)
@@ -660,7 +646,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         summary={
             "seed": config.seed,
             "graph": config.graph or config.graph_file,
-            "laplacian": lap_kind,
+            "laplacian": config.laplacian,
             "perturbation": config.net_perturbation,
             "layers": spec.n_layers,
             "bands": list(spec.bands),

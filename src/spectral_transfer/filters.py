@@ -136,23 +136,26 @@ class Filter:
     def from_table_file(cls, path) -> "Filter":
         """Load a (lambda, g(lambda)) two-column text table; '#' comments."""
         knots, values = [], []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise FilterEvaluationError(
-                        f"{path}: line {lineno}: expected two columns, got {len(parts)}"
-                    )
-                try:
-                    knots.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                except ValueError as exc:
-                    raise FilterEvaluationError(
-                        f"{path}: line {lineno}: {exc}"
-                    ) from None
+        try:
+            with open(path) as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise FilterEvaluationError(
+                            f"{path}: line {lineno}: expected two columns, got {len(parts)}"
+                        )
+                    try:
+                        knots.append(float(parts[0]))
+                        values.append(float(parts[1]))
+                    except ValueError as exc:
+                        raise FilterEvaluationError(
+                            f"{path}: line {lineno}: {exc}"
+                        ) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FilterEvaluationError(f"cannot read filter table {path}: {exc}") from None
         if not knots:
             raise FilterEvaluationError(f"{path}: empty filter table")
         return cls.from_table(knots, values)
@@ -166,7 +169,10 @@ class Filter:
         """Evaluate g at scalar(s) x; complex input allowed where g extends."""
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x))
-        out = self._evaluate_raw(x) * self.scale
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = self._evaluate_raw(x) * self.scale
+        if not np.isfinite(out).all():
+            raise FilterEvaluationError(f"{self.name} is not finite on the spectrum")
         return out[0] if scalar else out
 
     def _evaluate_raw(self, x: np.ndarray) -> np.ndarray:
@@ -200,7 +206,7 @@ class Filter:
             return np.minimum(1.0, xr / self.params["c"])
         if base == "midpass":
             c, sigma = self.params["c"], self.params["sigma"]
-            return np.exp(-((xr - c) ** 2) / (2.0 * sigma**2))
+            return np.exp(-((xr - c) ** 2) / (2.0 * sigma * sigma))
         raise FilterEvaluationError(f"unknown closed form {base!r}")
 
     # -- helpers --------------------------------------------------------
@@ -245,6 +251,8 @@ def make_filter(descriptor: str) -> Filter:
         args = [float(a) for a in arg_str.split(",") if a.strip()]
     except ValueError:
         raise FilterEvaluationError(f"bad filter arguments in {descriptor!r}") from None
+    if not all(math.isfinite(a) for a in args):
+        raise FilterEvaluationError(f"filter arguments must be finite in {descriptor!r}")
     if base == "poly":
         if not args:
             raise FilterEvaluationError(f"{descriptor!r} needs at least one coefficient")

@@ -469,12 +469,17 @@ def _group_eigenvalues(values: np.ndarray, tol: float):
     groups = []
     total = mean = 0.0
     for idx, value in zip(order.tolist(), values[order].tolist()):
-        if groups and abs(value - mean) <= tol:
+        if groups:
             current = groups[-1]
-            current.append(idx)
-            total += value
-            mean = total / len(current)
-            continue
+            gap = abs(value - mean)
+            if abs(gap - tol) <= 1e-12 * (1.0 + abs(value)):
+                # near tol, decide with np.mean: the running mean may be an ulp off
+                gap = abs(values[idx] - np.mean(values[current]))
+            if gap <= tol:
+                current.append(idx)
+                total += value
+                mean = total / len(current)
+                continue
         groups.append([idx])
         total = mean = value
     return groups

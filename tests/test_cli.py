@@ -1,8 +1,10 @@
 """Command-line behaviour: exit codes, overrides, verdict soundness."""
 
+import json
+
 import pytest
 
-from spectral_transfer import cli
+from spectral_transfer import cli, experiments
 from spectral_transfer.reports import ReportBundle
 
 
@@ -105,7 +107,17 @@ def test_nonpositive_probe_count_exits_two(tmp_path, capsys, probes):
      "line 4: no [section] headers in a flat config, got '[extra]'"),
     ("[experiment]\nseed = 4\n",
      "line 3: no [section] headers in a flat config, got '[experiment]'"),
-], ids=["duplicate-key", "section-header", "experiment-header"])
+    ("seed: 4\n", "line 3: expected 'key = value', got 'seed: 4'"),
+    ("seed = 4\nfilters = lowpass(1.0),\n  heat(1.0)\n",
+     "line 5: no indented or continuation lines in a flat config, got 'heat(1.0)'"),
+    ("seed = 4\nfilters =\n", "line 4: expected 'key = value', got 'filters ='"),
+    ("seed = 4\nbogus = 3\n", "line 4: unknown key, got 'bogus = 3'"),
+    ("svg = yes\nseed = 4\n",
+     "line 3: bad value for svg: expected true or false, got 'yes'"),
+    ("seed = 4\nband = inf\n", "line 4: bad value for band: 'inf' is not a finite number"),
+], ids=["duplicate-key", "section-header", "experiment-header", "colon-delimiter",
+        "continuation-line", "empty-value", "unknown-key", "svg-not-a-boolean",
+        "infinite-band"])
 def test_malformed_flat_config_names_its_line(tmp_path, capsys, tail, message):
     path = tmp_path / "d.txt"
     path.write_text("experiment = coarsen-transfer\ngraph = path(8)\n" + tail)
@@ -131,6 +143,11 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("filters = poly()", None),
     ("band = -1", None),
     ("filters = heat(-1)", None),
+    ("filters = heat(inf)", None),
+    ("filters = lowpass(inf)", None),
+    ("filters = midpass(inf,1)", None),
+    ("filters = poly(1,nan)", None),
+    ("filters = ,", None),
     ("garbage line", None),
     ("", "filters = lowpass(2.0)\nmix = 1.0\n"),
     ("", _NET_HEAD + "[layer 1]\nmix = 1.0\n"),
@@ -140,6 +157,8 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
 ], ids=[
     "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
     "lowpass-two-arguments", "poly-empty", "negative-band", "heat-negative-time",
+    "heat-infinite-time", "lowpass-infinite-cutoff", "midpass-infinite-centre",
+    "poly-nan-coefficient", "no-filters",
     "line-without-equals", "net-no-section-header",
     "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
     "net-layer-name-not-a-number",
@@ -170,3 +189,36 @@ def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_tex
     if keys == "garbage line":
         assert "line 3" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_percent_signs_in_values_are_literal(tmp_path, capsys):
+    out_dir = tmp_path / "res%1"
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph = path(8)\nfilters = lowpass(2.0)\nseed = 4\nout = {out_dir}\n")
+    assert cli.main(["coarsen-transfer", "--config", str(path)]) == 0
+    assert (out_dir / "summary.txt").exists()
+
+
+def test_bad_filter_exits_before_any_graph_work(tmp_path, monkeypatch, capsys):
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "synthetic_graph", no_graph_work)
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = grid(40,40)\nfilters = lowpass(1), bogus(2)\nseed = 4\n")
+    code = cli.main([
+        "coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: unknown filter family 'bogus'"
+    ]
+
+
+def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(16)\nlaplacian = unnormalized\nseed = 7\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.txt").read_text())
+    assert summary["laplacian"] == "unnormalized"

@@ -270,6 +270,26 @@ class TestTableAndParsing:
         with pytest.raises(FilterEvaluationError):
             make_filter("bandstop(1)")
 
+    @pytest.mark.parametrize(
+        "descriptor", ["heat(inf)", "lowpass(inf)", "midpass(inf,1)", "poly(1,nan)"]
+    )
+    def test_make_filter_rejects_non_finite_arguments(self, descriptor):
+        with pytest.raises(FilterEvaluationError, match="finite"):
+            make_filter(descriptor)
+
+    def test_missing_table_file_is_a_filter_error(self, tmp_path):
+        with pytest.raises(FilterEvaluationError, match="cannot read filter table"):
+            make_filter(f"table({tmp_path / 'nowhere.txt'})")
+
+    def test_non_finite_values_are_a_filter_error(self):
+        # 2 sigma^2 underflows to 0, so g(c) is 0/0
+        with pytest.raises(FilterEvaluationError, match="not finite"):
+            Filter.midpass(0.0, 1e-300).evaluate(np.array([0.0, 1.0]))
+        with pytest.raises(FilterEvaluationError, match="not finite"):
+            Filter.heat(1e3).evaluate(-1.0)
+        # 2 sigma^2 overflows to inf: a flat filter, not an error
+        np.testing.assert_array_equal(Filter.midpass(0.0, 1e300).evaluate([0.0, 5.0]), 1.0)
+
     def test_make_filter_table_descriptor(self, tmp_path):
         path = tmp_path / "resp.txt"
         path.write_text("0.0 1.0\n1.0 0.0\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_transfer.errors import (
@@ -301,6 +301,8 @@ def test_grouping_matches_reference_on_clustered_spectra(cluster_sizes, complex_
     ),
     st.integers(min_value=0, max_value=10**6),
 )
+# a running mean one ulp off np.mean puts this gap on the other side of tol
+@example(chains=[[], [0.546875, 0.4375, 0.5625, 0.5, 0.5, 0.5]], seed=0)
 def test_grouping_matches_reference_on_chained_spectra(chains, seed):
     # Successive gaps of 0.4-0.9 tol put members within tol of the last
     # member but not always of the first or of the group mean, so only the

@@ -257,6 +257,49 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_file(path)
 
+    def test_comments_case_and_percent_signs(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "# a comment\n; another\n\nEXPERIMENT = coarsen-transfer\n"
+            "Graph = path(8)\nseed=5\nout = a%(seed)s%\nsvg = True\n",
+        )
+        cfg = ExperimentConfig.from_file(path)
+        assert (cfg.experiment, cfg.graph, cfg.seed) == ("coarsen-transfer", "path(8)", 5)
+        assert cfg.out_dir == "a%(seed)s%"
+        assert cfg.svg is True
+
+    def test_laplacian_default_depends_on_the_experiment(self):
+        def laplacian(experiment, **kw):
+            return ExperimentConfig(experiment=experiment, seed=1, graph="path(16)",
+                                    **kw).laplacian
+
+        assert laplacian("convnet-transfer") == "normalized"
+        assert laplacian("coarsen-transfer") == "unnormalized"
+        assert laplacian("perturb-stability") == "unnormalized"
+        assert laplacian("convnet-transfer", laplacian="unnormalized") == "unnormalized"
+
+    def test_filters_are_parsed_with_the_config(self):
+        cfg = ExperimentConfig(experiment="perturb-stability", seed=1, graph="path(8)")
+        assert [f.name for f in cfg.parsed_filters] == ["lowpass(1)", "highpass(1)", "heat(1)"]
+        assert cfg.perturbations == (
+            "remove_edges(0.05)", "remove_edges(0.1)",
+            "add_edges(0.05)", "add_edges(0.1)", "remove_vertices(0.05)",
+        )
+        # experiments that run no filter do not parse the key
+        assert ExperimentConfig(experiment="mc-verify", seed=1,
+                                filters=("bogus(1)",)).parsed_filters == ()
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(filters=()), "filters needs at least one entry"),
+        (dict(perturbations=()), "perturbations needs at least one entry"),
+        (dict(seed=-1), "seed must be nonnegative"),
+        (dict(filters=("poly(1,2)",)), "needs a Lipschitz constant"),
+    ])
+    def test_rejected_before_any_graph_work(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**dict(dict(experiment="perturb-stability", seed=1,
+                                         graph="path(8)"), **kw))
+
     def test_graph_experiments_reject_extra_source(self, tmp_path):
         path = self.write(
             tmp_path, "experiment = mc-verify\ngraph = path(8)\nseed = 1\n"

@@ -1,6 +1,8 @@
 """Each operator owns its eigendecomposition: ``op.eig`` is computed once
 and every consumer reads it, so no operator is decomposed twice."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from spectral_transfer import experiments, graphs
@@ -62,3 +64,23 @@ def test_perturb_stability_builds_each_fine_filter_matrix_once(monkeypatch, tmp_
     # perturbation and filter on the perturbed side
     assert len(keys) == 2 + 2 * 2
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("perturbations, restricted", [
+    (("remove_edges(0.1)", "add_edges(0.1)"), 0),
+    (("remove_edges(0.1)", "remove_vertices(0.1)"), 1),
+])
+def test_perturb_stability_restricts_the_fine_operator_only_when_vertices_go(
+        monkeypatch, tmp_path, perturbations, restricted):
+    built = []  # fine operators the runner restricts and wraps
+    original = experiments.OperatorWithInnerProduct.symmetric
+    monkeypatch.setattr(experiments, "OperatorWithInnerProduct", SimpleNamespace(
+        symmetric=lambda mat: built.append(mat) or original(mat)
+    ))
+    config = ExperimentConfig(
+        experiment="perturb-stability", seed=5, out_dir=str(tmp_path),
+        graph="random-geometric(30,0.4)", filters=("heat(1.0)",),
+        perturbations=perturbations,
+    )
+    assert run_experiment(config).all_certified
+    assert len(built) == restricted
