@@ -46,7 +46,15 @@ from .filters import Filter, filter_matrix, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .graph_io import parse_graph, parse_mesh_off, synthetic_graph
-from .montecarlo import TrialConfig, bound_constants, failure_rate, run_trials, slope_fit
+from .montecarlo import (
+    TrialConfig,
+    bound_constants,
+    check_failure_rate_inputs,
+    check_slope_fit_inputs,
+    failure_rate,
+    run_trials,
+    slope_fit,
+)
 from .reports import ReportBundle, ScatterData
 from .sampling import (
     PerturbationSpec,
@@ -121,8 +129,13 @@ def _substream(master_seed: int, *key) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and validated experiment description: one field, and one
-    default, per config key.  ``parsed_filters`` holds the ``Filter``s of
-    the experiments that run ``filters``."""
+    default, per config key.  What the experiment runs is parsed with the
+    config, before any graph work or trial: ``parsed_filters`` holds the
+    ``Filter``s of the experiments that run ``filters``,
+    ``parsed_perturbations`` the ``PerturbationSpec``s of
+    ``perturbations`` (perturb-stability) or of ``net_perturbation``
+    (convnet-transfer), and ``trial_configs`` one ``TrialConfig`` per
+    weight of the Monte-Carlo experiments."""
 
     experiment: str
     seed: int | None = None
@@ -146,6 +159,8 @@ class ExperimentConfig:
     net_perturbation: str = "remove_edges(0.1)"
     probes: int = 10
     parsed_filters: tuple = field(init=False, repr=False, compare=False)
+    parsed_perturbations: tuple = field(init=False, repr=False, compare=False)
+    trial_configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -187,6 +202,37 @@ class ExperimentConfig:
                 f"{unbounded[0]}: the stability line needs a Lipschitz constant"
             )
         object.__setattr__(self, "parsed_filters", parsed)
+        perturbations = ()
+        if self.experiment == "perturb-stability":
+            perturbations = tuple(
+                _parse_perturbation(desc, _substream(self.seed, "perturb", index))
+                for index, desc in enumerate(self.perturbations)
+            )
+        elif self.experiment == "convnet-transfer":
+            perturbations = (_parse_perturbation(
+                self.net_perturbation, _substream(self.seed, "net-perturb")
+            ),)
+            if perturbations[0].mode == "remove_vertices":
+                raise ConfigError("the network comparison needs equal-size graphs; "
+                                  "use edge perturbations")
+        object.__setattr__(self, "parsed_perturbations", perturbations)
+        trial_configs = ()
+        if self.experiment in ("circle-sampling", "mc-verify"):
+            sampling = self.experiment == "circle-sampling"
+            trial_configs = tuple(
+                TrialConfig(
+                    band=self.circle_band, kernel_band=self.kernel_band,
+                    sizes=self.sizes, trials=self.trials, delta=self.delta,
+                    master_seed=_substream(
+                        self.seed, "circle" if sampling else "verify", weight
+                    ),
+                    weight=weight, **({"activation_probes": 0} if sampling else {}),
+                )
+                for weight in self.weights
+            )
+            check = check_slope_fit_inputs if sampling else check_failure_rate_inputs
+            check(trial_configs[0])
+        object.__setattr__(self, "trial_configs", trial_configs)
 
     @classmethod
     def from_file(cls, path, experiment: str | None = None,
@@ -361,8 +407,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     space_filter_matrix = functools.cache(
         lambda i: filter_matrix(config.parsed_filters[i], space.eig)
     )
-    for index, desc in enumerate(config.perturbations):
-        spec = _parse_perturbation(desc, _substream(config.seed, "perturb", index))
+    for desc, spec in zip(config.perturbations, config.parsed_perturbations):
         result = perturb_graph_detailed(graph, spec)
         delta_op = build_laplacian(result.graph, config.laplacian)
         restriction = None
@@ -438,13 +483,8 @@ def _run_circle_sampling(config: ExperimentConfig) -> ReportBundle:
     rows = []
     slopes = {}
     ok = True
-    for weight in config.weights:
-        trial_cfg = TrialConfig(
-            band=config.circle_band, kernel_band=config.kernel_band,
-            sizes=config.sizes, trials=config.trials, delta=config.delta,
-            master_seed=_substream(config.seed, "circle", weight),
-            weight=weight, activation_probes=0,
-        )
+    for trial_cfg in config.trial_configs:
+        weight = trial_cfg.weight
         results = run_trials(trial_cfg)
         fit = slope_fit(trial_cfg, results)
         slopes[weight] = {"laplacian": fit.laplacian, "gram": fit.gram}
@@ -482,13 +522,8 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
     rates = {}
     ok = True
     constants_out = {}
-    for weight in config.weights:
-        trial_cfg = TrialConfig(
-            band=config.circle_band, kernel_band=config.kernel_band,
-            sizes=config.sizes, trials=config.trials, delta=config.delta,
-            master_seed=_substream(config.seed, "verify", weight),
-            weight=weight,
-        )
+    for trial_cfg in config.trial_configs:
+        weight = trial_cfg.weight
         constants = bound_constants(trial_cfg)
         results = run_trials(trial_cfg, constants)
         rate = failure_rate(trial_cfg, results)
@@ -568,13 +603,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     else:
         spec = default_convnet_spec(space)
 
-    pert = _parse_perturbation(
-        config.net_perturbation, _substream(config.seed, "net-perturb")
-    )
-    if pert.mode == "remove_vertices":
-        raise ConfigError("the network comparison needs equal-size graphs; "
-                          "use edge perturbations")
-    other = perturb_graph_detailed(graph, pert).graph
+    other = perturb_graph_detailed(graph, config.parsed_perturbations[0]).graph
     other_op = build_laplacian(other, config.laplacian)
 
     coarsenings1 = _net_coarsenings(spec, graph)

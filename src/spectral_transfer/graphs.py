@@ -52,47 +52,62 @@ _NUMPY_EIGVALSH_MAX_DIM = 256
 _GRAM_SAFE_RANGE = (2.0**-900, 2.0**900)
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of ``mat``.
+def operator_norm(mat: np.ndarray):
+    """Spectral norm (largest singular value) of ``mat``, or of each matrix
+    of an (..., m, n) stack.
 
     The square root of the largest eigenvalue of the smaller Gram matrix,
     ``A^H A`` or ``A A^H``, which is accurate to about machine epsilon
-    relative to the norm.  An empty matrix has norm 0; a non-finite entry
+    relative to the norm.  A 2-D ``mat`` gives a float and a stack an array
+    of its leading shape.  An empty matrix has norm 0; a non-finite entry
     raises :class:`numpy.linalg.LinAlgError`, as a full SVD does.
     """
     mat = np.asarray(mat)
+    stack = mat.shape[:-2]
     if mat.size == 0:
-        return 0.0
-    if mat.shape[0] < mat.shape[1]:
+        return np.zeros(stack) if stack else 0.0
+    mats = mat.reshape((-1,) + mat.shape[-2:])
+    if mats.shape[1] < mats.shape[2]:
         # the conjugate of A A^H has the same eigenvalues
-        mat = mat.T
-    left = (mat.conj() if np.iscomplexobj(mat) else mat).T
+        mats = mats.swapaxes(1, 2)
+    left = (mats.conj() if np.iscomplexobj(mats) else mats).swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = left @ mat
+        grams = left @ mats
     # the squared column norms; a non-finite entry makes its column's one
     # non-finite
-    top_column = gram.diagonal().real.max()
+    top_column = grams.diagonal(axis1=1, axis2=2).real.max(axis=1)
     low, high = _GRAM_SAFE_RANGE
-    if not low <= top_column <= high:
-        peak = np.abs(mat).max()
-        if not np.isfinite(peak):
-            raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
-        if peak == 0.0:
-            return 0.0
-        # scale by a power of two, exact bar entries far too small to move
-        # the norm; the clamp keeps the factor finite for a subnormal peak
-        shift = min(max(-int(np.frexp(peak)[1]), -1000), 1000)
-        scale = np.ldexp(1.0, shift)
-        return operator_norm(mat * scale) / scale
-    if gram.shape[0] <= _NUMPY_EIGVALSH_MAX_DIM:
-        top = np.linalg.eigvalsh(gram)[-1]
+    safe = (low <= top_column) & (top_column <= high)
+    norms = np.empty(mats.shape[0])
+    for i in np.flatnonzero(~safe):
+        norms[i] = _rescaled_norm(mats[i])
+    if grams.shape[1] <= _NUMPY_EIGVALSH_MAX_DIM:
+        top = np.linalg.eigvalsh(grams if safe.all() else grams[safe])[:, -1]
     else:
         # gram.T is the same Hermitian matrix in Fortran order, so LAPACK
         # overwrites it in place instead of copying it
-        top = scipy.linalg.eigvalsh(
-            gram.T, overwrite_a=True, check_finite=False, driver="evd"
-        )[-1]
-    return float(np.sqrt(max(top, 0.0)))
+        top = [
+            scipy.linalg.eigvalsh(
+                grams[i].T, overwrite_a=True, check_finite=False, driver="evd"
+            )[-1]
+            for i in np.flatnonzero(safe)
+        ]
+    norms[safe] = np.sqrt(np.maximum(top, 0.0))
+    return norms.reshape(stack) if stack else float(norms[0])
+
+
+def _rescaled_norm(mat: np.ndarray) -> float:
+    """Norm of a matrix whose Gram matrix would overflow or underflow."""
+    peak = np.abs(mat).max()
+    if not np.isfinite(peak):
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    if peak == 0.0:
+        return 0.0
+    # scale by a power of two, exact bar entries far too small to move
+    # the norm; the clamp keeps the factor finite for a subnormal peak
+    shift = min(max(-int(np.frexp(peak)[1]), -1000), 1000)
+    scale = np.ldexp(1.0, shift)
+    return operator_norm(mat * scale) / scale
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ class SampleSet:
 
     ``density`` is N / mu(M) = N on unit-measure spaces.  ``w_values`` holds
     the sampling density w evaluated at the points when they were drawn from
-    a non-uniform measure; it induces the graph inner product.
+    a non-uniform measure; it induces the graph inner product.  Points of
+    shape (..., N) are a stack of sample sets of one size N, which
+    :func:`sampled_laplacian_matrix` turns into a stack of operators.
     """
 
     points: np.ndarray
@@ -63,7 +65,7 @@ class SampleSet:
 
     @property
     def size(self) -> int:
-        return int(self.points.shape[0])
+        return int(self.points.shape[-1])
 
     @property
     def density(self) -> float:
@@ -227,7 +229,8 @@ class LowRankOperator:
     """The N x N matrix ``left @ right`` kept as its thin factors.
 
     ``op @ x`` costs O(N K) per column and never forms the product;
-    ``np.asarray(op)`` gives the dense matrix.
+    ``np.asarray(op)`` gives the dense matrix.  Factors of shapes
+    (..., N, K) and (..., K, N) hold a stack of such matrices.
     """
 
     left: np.ndarray
@@ -241,14 +244,16 @@ class LowRankOperator:
 
 
 def sampled_laplacian_matrix(
-    kernel: BandlimitedKernel, sample_set: SampleSet, weight=None
+    kernel: BandlimitedKernel, sample_set: SampleSet, weight=None, basis=None
 ) -> tuple:
     """Raw ``(matrix, w_values)`` of the Monte-Carlo kernel discretization.
 
     ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``.  With
     ``H = Phi Lambda Phi^T`` over the kernel band, ``matrix`` is the
     :class:`LowRankOperator` with factors ``Phi Lambda / N`` (N x K) and
-    ``(Phi / w)^T`` (K x N).
+    ``(Phi / w)^T`` (K x N); a stack of sample sets gives stacked factors.
+    ``basis`` is ``Phi``, the kernel-band basis at the points, when the
+    caller has already evaluated it.
     """
     pts = sample_set.points
     if weight is not None:
@@ -256,12 +261,12 @@ def sampled_laplacian_matrix(
     elif sample_set.w_values is not None:
         w_vals = sample_set.w_values
     else:
-        w_vals = np.ones(sample_set.size)
+        w_vals = np.ones(pts.shape)
     if np.any(w_vals <= 0):
         raise WeightError(f"nonpositive weight at a sample point: {w_vals.min():g}")
-    phi = kernel.space.basis_matrix(pts, kernel.band)
+    phi = kernel.space.basis_matrix(pts, kernel.band) if basis is None else basis
     left = phi * (kernel.eigenvalues / sample_set.size)
-    return LowRankOperator(left, (phi / w_vals[:, None]).T), w_vals
+    return LowRankOperator(left, (phi / w_vals[..., None]).swapaxes(-1, -2)), w_vals
 
 
 def random_sampled_laplacian(

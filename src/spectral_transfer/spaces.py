@@ -56,7 +56,8 @@ class CircleSpace:
         return self.count_eig_leq(band)
 
     def basis_matrix(self, points, band: float) -> np.ndarray:
-        """Eigenfunction evaluations, shape (len(points), dim PW(band))."""
+        """Eigenfunction evaluations, shape ``points.shape + (dim PW(band),)``
+        for points of any shape (a scalar counts as one point)."""
         x = np.atleast_1d(np.asarray(points, dtype=float))
         n_max = self.max_frequency(band)
         cols = [np.ones_like(x)]
@@ -64,7 +65,7 @@ class CircleSpace:
         for n in range(1, n_max + 1):
             cols.append(root2 * np.cos(2.0 * np.pi * n * x))
             cols.append(root2 * np.sin(2.0 * np.pi * n * x))
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
     def analyze_grid(self, grid_values: np.ndarray, band: float) -> np.ndarray:
         """Coefficients up to ``band`` from values on a uniform grid.

@@ -215,6 +215,51 @@ def test_bad_filter_exits_before_any_graph_work(tmp_path, monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("experiment, keys, message", [
+    ("perturb-stability", "perturbations = remove_edges(0.05), bogus(2)",
+     "bogus(2): unknown perturbation mode 'bogus'"),
+    ("convnet-transfer", "net_perturbation = remove_vertices(0.1)",
+     "the network comparison needs equal-size graphs; use edge perturbations"),
+])
+def test_bad_perturbation_exits_before_any_graph_work(
+    experiment, keys, message, tmp_path, monkeypatch, capsys
+):
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "synthetic_graph", no_graph_work)
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph = grid(40,40)\n{keys}\nseed = 4\n")
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"spectral-transfer: error: {message}"]
+
+
+@pytest.mark.parametrize("experiment, keys, message", [
+    ("mc-verify", "sizes = 4096\nweights = cosine, bogus", "unknown weight 'bogus'"),
+    ("mc-verify", "sizes = 64\ntrials = 99", "failure rates need at least 100 trials"),
+    ("circle-sampling", "sizes = 4096, 16384",
+     "slope fit needs at least 3 sample sizes"),
+    ("circle-sampling", "sizes = 64, 128, 64",
+     "slope fit needs at least 3 distinct sample sizes"),
+    ("circle-sampling", "sizes = 64, 128, 256\ntrials = 29",
+     "slope fit needs at least 30 trials per size"),
+    ("circle-sampling", "weights = uniform, bogus", "unknown weight 'bogus'"),
+])
+def test_bad_campaign_exits_before_any_trial(
+    experiment, keys, message, tmp_path, monkeypatch, capsys
+):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trials", no_trials)
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{keys}\nseed = 4\n")
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"spectral-transfer: error: {message}"]
+
+
 def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("graph = path(16)\nlaplacian = unnormalized\nseed = 7\n")

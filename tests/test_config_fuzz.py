@@ -89,3 +89,39 @@ def test_coarsen_transfer_on_a_path_exits_zero_one_or_two(n, filters, band, lapl
             "coarsen-transfer", "--config", path, "--out", os.path.join(tmp, "out"),
         ])
     assert code in (0, 1, 2)
+
+
+def _mostly(good, bad):
+    """Values of which about four in five are ``good``."""
+    return st.sampled_from(good * (4 * len(bad)) + bad * len(good))
+
+
+_sizes = st.lists(
+    _mostly(("8", "16", "32"), ("-1", "0", "1", "3", "8.5", "x")), min_size=1, max_size=4,
+).map(", ".join)
+_weights = st.lists(_mostly(("uniform", "cosine"), ("bogus",)), min_size=1,
+                    max_size=2).map(", ".join)
+_band_bad = ("-1", "nan", "inf", "x")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("circle-sampling", "mc-verify")),
+    _sizes,
+    _mostly(("30", "34", "100"), ("-1", "0", "1", "29", "1.5", "x")),
+    _mostly(("0.25", "0.9", "1e-300"), ("0", "1", "nan", "inf", "x")),
+    _mostly(("0", "0.5", "1", "2.5"), _band_bad + ("4", "1e300")),
+    # kernel bands stay small: the kernel-band basis has 2 sqrt(band) + 1 columns
+    _mostly(("4", "9"), _band_bad + ("0", "1")),
+    _weights,
+)
+def test_monte_carlo_keys_exit_zero_one_or_two(
+    experiment, sizes, trials, delta, circle_band, kernel_band, weights
+):
+    keys = {"sizes": sizes, "trials": trials, "delta": delta,
+            "circle_band": circle_band, "kernel_band": kernel_band,
+            "weights": weights, "seed": "3"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code = cli.main([experiment, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)

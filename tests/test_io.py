@@ -289,11 +289,34 @@ class TestExperimentConfig:
         assert ExperimentConfig(experiment="mc-verify", seed=1,
                                 filters=("bogus(1)",)).parsed_filters == ()
 
+    def test_perturbations_and_campaigns_are_parsed_with_the_config(self):
+        cfg = ExperimentConfig(experiment="perturb-stability", seed=1, graph="path(8)",
+                               perturbations=("remove_edges(0.05)", "add_edges(0.1)"))
+        assert [(p.mode, p.fraction) for p in cfg.parsed_perturbations] == [
+            ("remove_edges", 0.05), ("add_edges", 0.1),
+        ]
+        assert cfg.parsed_perturbations[0].seed != cfg.parsed_perturbations[1].seed
+        net = ExperimentConfig(experiment="convnet-transfer", seed=1, graph="path(16)")
+        assert [(p.mode, p.fraction) for p in net.parsed_perturbations] == [
+            ("remove_edges", 0.1),
+        ]
+        verify = ExperimentConfig(experiment="mc-verify", seed=1, sizes=(64,), trials=100)
+        assert [t.weight for t in verify.trial_configs] == ["uniform", "cosine"]
+        assert [t.activation_probes for t in verify.trial_configs] == [8, 8]
+        circle = ExperimentConfig(experiment="circle-sampling", seed=1)
+        assert [t.activation_probes for t in circle.trial_configs] == [0, 0]
+        assert circle.trial_configs[0].master_seed != verify.trial_configs[0].master_seed
+        # experiments that run none of them do not parse the keys
+        coarsen = ExperimentConfig(experiment="coarsen-transfer", seed=1, graph="path(8)",
+                                   perturbations=("bogus(1)",), weights=("bogus",))
+        assert coarsen.parsed_perturbations == () and coarsen.trial_configs == ()
+
     @pytest.mark.parametrize("kw, message", [
         (dict(filters=()), "filters needs at least one entry"),
         (dict(perturbations=()), "perturbations needs at least one entry"),
         (dict(seed=-1), "seed must be nonnegative"),
         (dict(filters=("poly(1,2)",)), "needs a Lipschitz constant"),
+        (dict(perturbations=("add_edges(2)",)), "fraction 2.0 outside"),
     ])
     def test_rejected_before_any_graph_work(self, kw, message):
         with pytest.raises(ConfigError, match=message):

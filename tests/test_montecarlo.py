@@ -84,14 +84,14 @@ class TestConstants:
 class TestMcTrial:
     def test_equispaced_band1_exact(self):
         cfg = small_config(sizes=(8,), sampler="equispaced", trials=1)
-        r = mc_trial(cfg, 0, 0)
+        (r,) = mc_trial(cfg, 0, [0])
         assert r.laplacian_err <= 1e-12
         assert r.gram_err <= 1e-12
 
     def test_bounds_attached(self):
         cfg = small_config()
         cons = bound_constants(cfg)
-        r = mc_trial(cfg, 0, 0, cons)
+        (r,) = mc_trial(cfg, 0, [0], cons)
         assert r.laplacian_bound == pytest.approx(cons.laplacian_bound(64, 0.25))
         assert r.gram_bound == pytest.approx(cons.gram_bound(64, 0.25))
         assert r.activation_bound == pytest.approx(cons.activation_bound(64, 0.25))

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_transfer.montecarlo import (
+    _TRIAL_ROWS,
     TrialConfig,
     _activation_excess,
     bound_constants,
@@ -16,6 +17,7 @@ from spectral_transfer.montecarlo import (
     estimate_activation_tail_constant,
     mc_trial,
     relu,
+    run_trials,
 )
 from spectral_transfer.sampling import SampleSet, sampled_laplacian_matrix
 from spectral_transfer.spaces import CircleSpace, bandlimited_kernel
@@ -133,10 +135,10 @@ def test_trial_allocates_no_dense_kernel():
     config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(n,), trials=1,
                          delta=0.25, master_seed=1, weight="cosine")
     constants = bound_constants(config)
-    mc_trial(config, 0, 0, constants)  # fills the per-size probe cache
+    mc_trial(config, 0, [0], constants)  # fills the per-size probe cache
     tracemalloc.start()
     try:
-        mc_trial(config, 0, 0, constants)
+        mc_trial(config, 0, [0], constants)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -154,8 +156,54 @@ def test_trial_matches_dense_reference(n, bands, weight, probes):
     config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=(n,), trials=1,
                          delta=0.25, master_seed=n, weight=weight,
                          activation_probes=probes)
-    result = mc_trial(config, 0, 0, bound_constants(config))
+    (result,) = mc_trial(config, 0, [0], bound_constants(config))
     assert_close(
         (result.laplacian_err, result.gram_err, result.activation_err),
         dense_trial_errors(config, 0, 0),
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=9, max_value=300), min_size=1, max_size=2),
+    trials=st.integers(min_value=1, max_value=12),
+    bands=st.sampled_from([(0.0, 1.0), (1.0, 4.0), (4.0, 9.0)]),
+    weight=st.sampled_from(["uniform", "cosine"]),
+    sampler=st.sampled_from(["random", "equispaced"]),
+    probes=st.sampled_from([0, 3]),
+)
+# blocks of 2048 // 300 = 6 trials: the last block holds 2
+@example(sizes=[300], trials=8, bands=(1.0, 4.0), weight="cosine",
+         sampler="random", probes=3)
+# above the row budget every block is one trial
+@example(sizes=[_TRIAL_ROWS + 1], trials=2, bands=(1.0, 4.0), weight="uniform",
+         sampler="random", probes=3)
+def test_run_trials_match_dense_reference(sizes, trials, bands, weight, sampler, probes):
+    config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=tuple(sizes),
+                         trials=trials, delta=0.25, master_seed=sum(sizes),
+                         weight=weight, sampler=sampler, activation_probes=probes)
+    results = run_trials(config, bound_constants(config))
+    order = [(si, t) for si in range(len(sizes)) for t in range(trials)]
+    assert [(r.size, r.trial) for r in results] == [(sizes[si], t) for si, t in order]
+    for r, (si, t) in zip(results, order):
+        ref = dense_trial_errors(config, si, t)
+        assert_close((r.laplacian_err, r.gram_err, r.activation_err), ref)
+        bounds = (r.laplacian_bound, r.gram_bound, r.activation_bound)
+        assert r.violations == tuple(e > b for e, b in zip(ref, bounds))
+
+
+def test_run_trials_memory_stays_linear_in_n():
+    n = 16384
+    config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(n,), trials=2,
+                         delta=0.25, master_seed=1, weight="cosine")
+    constants = bound_constants(config)
+    run_trials(config, constants)  # fills the per-size probe cache
+    tracemalloc.start()
+    try:
+        run_trials(config, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about ten N x K arrays of doubles: one trial per block at this size,
+    # and no N x N kernel (2 GB here)
+    assert peak < 16 * n * config.kernel.dim * 8

@@ -90,3 +90,49 @@ def test_near_isometries_have_norm_one():
     for _ in range(60):
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         assert abs(operator_norm(q) - 1.0) <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stack=st.sampled_from([(1,), (4,), (2, 3)]),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    kind=st.sampled_from(["gaussian", "rank-deficient", "ill-conditioned", "zero"]),
+    complex_=st.booleans(),
+    scale_exp=st.sampled_from([-200, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_norms_equal_per_matrix_norms(
+    stack, rows, cols, kind, complex_, scale_exp, seed
+):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([
+        _matrix(rng, rows, cols, kind, complex_, 6, 0)
+        for _ in range(int(np.prod(stack)))
+    ])
+    # one matrix far out of the Gram matrix's range takes the rescaled path
+    mats[-1] *= 10.0**scale_exp
+    mats = mats.reshape(stack + (rows, cols))
+    got = operator_norm(mats)
+    assert got.shape == stack
+    want = [operator_norm(m) for m in mats.reshape((-1, rows, cols))]
+    assert all(type(norm) is float for norm in want)
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+
+
+def test_stacked_norms_of_orders_above_the_numpy_cutoff():
+    mats = np.random.default_rng(3).standard_normal((2, 300, 280))
+    assert list(operator_norm(mats)) == [operator_norm(m) for m in mats]
+
+
+def test_nan_in_one_stacked_matrix_raises():
+    mats = np.ones((3, 6, 4))
+    mats[1, 2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(mats)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 4), (2, 4, 0), (0, 3, 3)])
+def test_empty_stacks_have_norm_zero(shape):
+    got = operator_norm(np.zeros(shape))
+    assert got.shape == shape[:-2] and not got.any()
