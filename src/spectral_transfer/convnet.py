@@ -196,6 +196,13 @@ class ConvNetSpec:
         return ConvNetSpec(tuple(new_layers), self.activation, self.bands)
 
 
+def _only_keys(section, known) -> None:
+    """Raise ValueError naming the first key of ``section`` not in ``known``."""
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+
+
 def load_convnet_spec(path) -> ConvNetSpec:
     """Load a network description from a plain-text document.
 
@@ -214,8 +221,8 @@ def load_convnet_spec(path) -> ConvNetSpec:
     ``filters`` and ``mix`` list one output channel per ';'-separated row
     and one input channel per ','-separated column; ``pooling`` is ``none``,
     ``max``, or ``l2avg``.  Layers are read in the order of their numbers.
-    A malformed file raises :class:`ConfigError` naming the file and, when
-    known, the section.
+    A malformed file, an unknown key or another section raises
+    :class:`ConfigError` naming the file and, when known, the section.
     """
     parser = configparser.ConfigParser()
     section = None
@@ -226,11 +233,17 @@ def load_convnet_spec(path) -> ConvNetSpec:
             raise ParameterError(f"{path}: missing [net] section")
         section = "net"
         net = parser["net"]
+        _only_keys(net, ("activation", "bands"))
         activation = Activation(net.get("activation", "relu").strip())
         bands = tuple(float(b) for b in net.get("bands", "").split(",") if b.strip())
         numbered = []
-        for section in (s for s in parser.sections() if s.startswith("layer")):
+        for section in (s for s in parser.sections() if s != "net"):
+            kind, _, label = section.partition(" ")
+            if kind != "layer":
+                raise ValueError("expected [net] or [layer <number>]")
+            number = int(label)
             sec = parser[section]
+            _only_keys(sec, ("filters", "mix", "biases", "pooling"))
             grid = tuple(
                 tuple(make_filter(cell.strip()) for cell in row.split(","))
                 for row in sec["filters"].split(";")
@@ -244,7 +257,6 @@ def load_convnet_spec(path) -> ConvNetSpec:
                 or [0.0] * k_out
             )
             pooling = sec.get("pooling", "none").strip()
-            number = int(section.partition(" ")[2])
             numbered.append((number, LayerSpec(grid, mix, biases, pooling)))
     except (configparser.Error, KeyError, ValueError) as exc:
         where = f"{path}: [{section}]" if section else str(path)

@@ -7,11 +7,13 @@ normal, its adjoint is ``B^{-1} A^H B``, and eigenprojections are
 B-orthogonal.  Each operator caches its eigendecomposition as ``op.eig``,
 which every filter, bound and network layer on it reads.  All
 decompositions are dense and direct: time grows as n^3 and memory as n^2
-(one eigenbasis per operator, no per-eigenvalue projectors).  Measured on
-2 cores with one BLAS thread, perturb-stability on random-geometric(1000,
-0.06) with three perturbations (remove_edges, add_edges and
-remove_vertices, 5% each) and three filters takes 6.6-6.7 s at 290 MB
-peak RSS.
+(one eigenbasis per operator, no per-eigenvalue projectors).  A diagonal B,
+the dot product included, is held as its n weights, and only a directed
+graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
+8.0 MB matrix plus 26 kB (tracemalloc).  Measured on 2 cores,
+perturb-stability on that graph with three perturbations (remove_edges,
+add_edges and remove_vertices, 5% each) and three filters takes 11.2-11.7 s
+at 222 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -193,49 +195,50 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """Hermitian positive-definite matrix B defining ``<u, v> = v^H B u``."""
+    """Hermitian positive-definite matrix B defining ``<u, v> = v^H B u``.
 
-    b_matrix: np.ndarray
+    ``b`` is a 1-D array of weights or a 2-D matrix.  A diagonal B is held as
+    its weights and acts by scaling rows; only a full B is held n x n, with
+    ``eigh`` square roots.  ``b_matrix`` builds the dense B on request.
+    """
+
+    b: np.ndarray
     _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
     _inv_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.b_matrix)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        b = np.asarray(self.b)
+        if b.ndim == 2 and b.shape[0] == b.shape[1]:
+            if np.count_nonzero(b) == np.count_nonzero(np.diag(b)):
+                b = np.diag(b)
+        elif b.ndim != 1:
             raise InvalidInnerProductError("B must be square")
-        diag = np.diag(b)
-        # A diagonal B is Hermitian exactly when its diagonal is real, so
+        # A diagonal B is Hermitian exactly when its weights are real, so
         # only a full B needs the O(n^2) comparison with its adjoint.
-        full = np.count_nonzero(b) != np.count_nonzero(diag)
-        check = b if full else diag
-        if not np.allclose(check, check.conj().T, atol=1e-10 * (1.0 + np.abs(check).max())):
+        if not np.allclose(b, b.conj().T, atol=1e-10 * (1.0 + np.abs(b).max())):
             raise InvalidInnerProductError("B must be Hermitian")
-        if not full:
-            if diag.min() <= 0 or np.abs(diag.imag).max() > 0:
+        if b.ndim == 1:
+            if b.min() <= 0 or np.abs(b.imag).max() > 0:
                 raise InvalidInnerProductError(
-                    f"B must be positive definite (min diagonal {diag.real.min():.3e})"
+                    f"B must be positive definite (min diagonal {b.real.min():.3e})"
                 )
-            root = np.sqrt(diag.real)
-            object.__setattr__(self, "b_matrix", b)
-            object.__setattr__(self, "_sqrt", np.diag(root))
-            object.__setattr__(self, "_inv_sqrt", np.diag(1.0 / root))
-            return
-        vals, vecs = np.linalg.eigh(b)
-        if vals.min() <= 0:
-            raise InvalidInnerProductError(
-                f"B must be positive definite (min eigenvalue {vals.min():.3e})"
-            )
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "_sqrt", (vecs * np.sqrt(vals)) @ vecs.conj().T)
-        object.__setattr__(self, "_inv_sqrt", (vecs / np.sqrt(vals)) @ vecs.conj().T)
+            b = b.real
+            roots = np.sqrt(b), 1.0 / np.sqrt(b)
+        else:
+            vals, vecs = np.linalg.eigh(b)
+            if vals.min() <= 0:
+                raise InvalidInnerProductError(
+                    f"B must be positive definite (min eigenvalue {vals.min():.3e})"
+                )
+            roots = ((vecs * np.sqrt(vals)) @ vecs.conj().T,
+                     (vecs / np.sqrt(vals)) @ vecs.conj().T)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_sqrt", roots[0])
+        object.__setattr__(self, "_inv_sqrt", roots[1])
 
     @classmethod
     def standard(cls, n: int) -> "InnerProduct":
-        return cls(np.eye(n))
-
-    @classmethod
-    def diagonal(cls, weights: np.ndarray) -> "InnerProduct":
-        return cls(np.diag(np.asarray(weights, dtype=float)))
+        return cls(np.ones(n))
 
     @classmethod
     def from_eigenvector_matrix(cls, gamma: np.ndarray) -> "InnerProduct":
@@ -252,45 +255,47 @@ class InnerProduct:
 
     @property
     def dim(self) -> int:
-        return self.b_matrix.shape[0]
+        return self.b.shape[0]
+
+    @property
+    def b_matrix(self) -> np.ndarray:
+        """The dense n x n matrix B, built on each access."""
+        return np.diag(self.b) if self.b.ndim == 1 else self.b
 
     @cached_property
     def is_standard(self) -> bool:
-        return bool(np.array_equal(self.b_matrix, np.eye(self.dim)))
+        return self.b.ndim == 1 and bool(np.all(self.b == 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``B x`` for a vector or matrix ``x``; ``x`` itself when B = I."""
-        return x if self.is_standard else self.b_matrix @ x
+        return self._times(self.b, x)
+
+    def apply_sqrt(self, x: np.ndarray) -> np.ndarray:
+        """``B^{1/2} x``, whose Euclidean norms are the B-norms of ``x``."""
+        return self._times(self._sqrt, x)
+
+    def _times(self, factor: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # factor is B or a root of B, held in the same form as B
+        if self.is_standard:
+            return x
+        if factor.ndim == 1:
+            return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
+        return factor @ x
 
     def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
         """``<u, v> = v^H B u``."""
-        return complex(v.conj() @ (self.b_matrix @ u))
+        return complex(v.conj() @ self.apply(u))
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.pair(u, u).real, 0.0)))
 
-    def sqrt_matrix(self) -> np.ndarray:
-        """Hermitian square root of B; reweights vectors into Euclidean norm."""
-        return self._sqrt
-
-    def inv_sqrt_matrix(self) -> np.ndarray:
-        return self._inv_sqrt
-
     def weighted_operator_norm(self, mat: np.ndarray) -> float:
-        """Largest singular value of ``mat`` with B-norm on the output side.
-
-        The input side is taken with the Euclidean norm (orthonormal
-        coefficients); pass ``B^{1/2} mat`` semantics are handled here.
-        """
-        return operator_norm(self._weighted(mat))
+        """Operator norm of ``mat``, Euclidean norm in and B-norm out."""
+        return operator_norm(self.apply_sqrt(mat))
 
     def column_norms(self, mat: np.ndarray) -> np.ndarray:
         """Norm under this inner product of each column of ``mat``."""
-        return np.linalg.norm(self._weighted(mat), axis=0)
-
-    def _weighted(self, mat: np.ndarray) -> np.ndarray:
-        # B^{1/2} mat, whose Euclidean norms are B-norms of mat.
-        return mat if self.is_standard else self._sqrt @ mat
+        return np.linalg.norm(self.apply_sqrt(mat), axis=0)
 
 
 def adjoint_wrt(a: np.ndarray, inner: InnerProduct) -> np.ndarray:
@@ -298,11 +303,9 @@ def adjoint_wrt(a: np.ndarray, inner: InnerProduct) -> np.ndarray:
     a = np.asarray(a)
     if a.shape[0] != a.shape[1] or a.shape[0] != inner.dim:
         raise InvalidInnerProductError("operator and inner product dimensions differ")
-    b = inner.b_matrix
-    diag = np.diag(b)
-    if np.count_nonzero(b - np.diag(diag)) == 0:
-        return (a.conj().T * diag[None, :]) / diag[:, None]
-    return np.linalg.solve(b, a.conj().T @ b)
+    if inner.b.ndim == 1:
+        return (a.conj().T * inner.b) / inner.b[:, None]
+    return np.linalg.solve(inner.b, a.conj().T @ inner.b)
 
 
 @dataclass(frozen=True)
@@ -341,9 +344,6 @@ class OperatorWithInnerProduct:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def adjoint(self) -> np.ndarray:
-        return adjoint_wrt(self.matrix, self.inner)
 
     @cached_property
     def eig(self) -> "EigenDecomposition":
@@ -517,10 +517,12 @@ def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(a)
         vals = vals.astype(float)
     else:
-        # Reweight into a Euclidean-normal matrix, then use its Schur form:
-        # for a normal matrix the Schur factor is diagonal and the unitary
-        # columns are orthonormal eigenvectors.
-        m = op.inner.sqrt_matrix() @ a @ op.inner.inv_sqrt_matrix()
+        # Reweight into the Euclidean-normal B^{1/2} A B^{-1/2}, then use its
+        # Schur form: for a normal matrix the Schur factor is diagonal and
+        # the unitary columns are orthonormal eigenvectors.
+        inner = op.inner
+        m = inner.apply_sqrt(a)
+        m = m * inner._inv_sqrt if inner.b.ndim == 1 else m @ inner._inv_sqrt
         t, z = scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")
         off = t - np.diag(np.diag(t))
         scale = 1.0 + np.abs(np.diag(t)).max()
@@ -529,7 +531,7 @@ def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
                 "operator is defective to tolerance; no eigendecomposition"
             )
         vals = np.diag(t)
-        vecs = op.inner.inv_sqrt_matrix() @ z
+        vecs = inner._times(inner._inv_sqrt, z)
 
     radius = float(np.abs(vals).max()) if n else 0.0
     group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)

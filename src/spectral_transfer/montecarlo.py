@@ -97,6 +97,12 @@ class TrialConfig:
         if self.sampler not in ("random", "equispaced"):
             raise ParameterError(f"unknown sampler {self.sampler!r}")
         space = CircleSpace()
+        if space.max_frequency(self.kernel_band) >= _GRID // 2:
+            # sin(pi k) = 0 at every grid point: the tail's grid basis is rank-deficient
+            raise ParameterError(
+                f"kernel band {self.kernel_band:.12g} must be below {(_GRID // 2) ** 2}: the "
+                f"{_GRID}-point activation grid resolves frequencies below {_GRID // 2}"
+            )
         min_dim = space.dim_pw(self.band)
         if any(n < min_dim for n in self.sizes):
             raise ParameterError(

@@ -73,9 +73,8 @@ class SampleSet:
 
     def inner_product(self) -> InnerProduct:
         """B = diag(1/w); the dot product for uniformly drawn points."""
-        if self.w_values is None:
-            return InnerProduct.standard(self.size)
-        return InnerProduct.diagonal(1.0 / self.w_values)
+        weights = np.ones(self.size) if self.w_values is None else 1.0 / self.w_values
+        return InnerProduct(weights)
 
     @classmethod
     def equispaced(cls, n: int) -> "SampleSet":
@@ -121,7 +120,7 @@ class SamplingPair:
 
     @property
     def r_matrix(self) -> np.ndarray:
-        return self.s_matrix.conj().T @ self.inner.b_matrix
+        return self.inner.apply(self.s_matrix).conj().T
 
 
 def evaluation_operator(
@@ -137,7 +136,7 @@ def gram(pair: SamplingPair) -> np.ndarray:
     """Quadrature Gram matrix ``S^H B S``; the matrix of R o S in the
     band-limited basis, converging to the identity for quadrature sample
     sets."""
-    return pair.s_matrix.conj().T @ (pair.inner.b_matrix @ pair.s_matrix)
+    return pair.s_matrix.conj().T @ pair.inner.apply(pair.s_matrix)
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def random_sampled_laplacian(
     with the inner product ``B = diag(1/w(x_k))`` under which it is
     self-adjoint for symmetric kernels."""
     mat, w_vals = sampled_laplacian_matrix(kernel, sample_set, weight)
-    return OperatorWithInnerProduct(mat, InnerProduct.diagonal(1.0 / w_vals))
+    return OperatorWithInnerProduct(mat, InnerProduct(1.0 / w_vals))
 
 
 @dataclass(frozen=True)

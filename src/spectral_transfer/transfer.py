@@ -98,26 +98,19 @@ class TransferSetting:
         """Interpolation as the adjoint of sampling: ``S^H B``."""
         return self.target.inner.apply(self.s_pw).conj().T
 
-    def graph_norm(self, v: np.ndarray) -> float:
-        return self.target.inner.norm(v)
-
-    def graph_operator_norm(self, mat: np.ndarray) -> float:
-        """Operator norm, band coefficients in, graph inner product out."""
-        return self.target.inner.weighted_operator_norm(mat)
-
     # The three band norms below do not depend on the filter; each is
     # measured once per setting.
 
     @cached_property
     def interpolation_norm(self) -> float:
         """Measured ||R||; equals ||S|| since R is the adjoint of S."""
-        return self.graph_operator_norm(self.s_pw)
+        return self.target.inner.weighted_operator_norm(self.s_pw)
 
     @cached_property
     def laplacian_operator_error(self) -> float:
         """``|| S L P - Delta S P ||`` in operator norm over the band."""
         diff = self.s_pw * self.source_eigenvalues - self.target.matrix @ self.s_pw
-        return self.graph_operator_norm(diff)
+        return self.target.inner.weighted_operator_norm(diff)
 
     @cached_property
     def consistency_operator_error(self) -> float:
@@ -338,8 +331,8 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     # mismatch is freed before the band x band matrices below are formed.
     g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
     mismatch = g_s - setting.s_pw * g_vals
-    lhs_point_g = setting.graph_norm(mismatch @ coeffs)
-    lhs_worst_g = setting.graph_operator_norm(mismatch)
+    lhs_point_g = setting.target.inner.norm(mismatch @ coeffs)
+    lhs_worst_g = setting.target.inner.weighted_operator_norm(mismatch)
     del mismatch
 
     # Fixed-signal bounds, on the graph and back on the source space.

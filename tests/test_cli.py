@@ -154,6 +154,9 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("", _NET_HEAD + "[layer 1]\nfilters = lowpass(2.0)\nmix = one\n"),
     ("", _NET_HEAD + _LAYER_ONE + "biases = zero\n"),
     ("", _NET_HEAD + _LAYER_ONE.replace("layer 1", "layer one")),
+    ("", _NET_HEAD + _LAYER_ONE + "poolng = max\n"),
+    ("", _NET_HEAD + "activaton = abs\n" + _LAYER_ONE),
+    ("", _NET_HEAD + _LAYER_ONE + "[pooling]\nkind = max\n"),
 ], ids=[
     "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
     "lowpass-two-arguments", "poly-empty", "negative-band", "heat-negative-time",
@@ -161,7 +164,8 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     "poly-nan-coefficient", "no-filters",
     "line-without-equals", "net-no-section-header",
     "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
-    "net-layer-name-not-a-number",
+    "net-layer-name-not-a-number", "net-misspelt-layer-key", "net-misspelt-net-key",
+    "net-unknown-section",
 ])
 def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_text):
     if net_text is None:
@@ -184,6 +188,9 @@ def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_tex
     assert err.startswith("spectral-transfer: error: ")
     if net_text is not None:
         assert str(tmp_path / "net.ini") in err
+    for misspelt, section in (("poolng", "layer 1"), ("activaton", "net")):
+        if misspelt in keys + (net_text or ""):
+            assert f"[{section}]: unknown key '{misspelt}'" in err
     if keys.startswith("filters = heat"):
         assert "heat" in err
     if keys == "garbage line":
@@ -245,6 +252,9 @@ def test_bad_perturbation_exits_before_any_graph_work(
     ("circle-sampling", "sizes = 64, 128, 256\ntrials = 29",
      "slope fit needs at least 30 trials per size"),
     ("circle-sampling", "weights = uniform, bogus", "unknown weight 'bogus'"),
+    ("mc-verify", "kernel_band = 1e12",
+     "kernel band 1e+12 must be below 4194304: the 4096-point activation grid "
+     "resolves frequencies below 2048"),
 ])
 def test_bad_campaign_exits_before_any_trial(
     experiment, keys, message, tmp_path, monkeypatch, capsys
@@ -258,6 +268,13 @@ def test_bad_campaign_exits_before_any_trial(
     code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"spectral-transfer: error: {message}"]
+
+
+def test_kernel_band_just_below_the_grid_limit_is_accepted(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"kernel_band = {2047**2}\nseed = 4\n")
+    config = experiments.ExperimentConfig.from_file(path, "mc-verify")
+    assert [t.kernel_band for t in config.trial_configs] == [2047.0**2] * 2
 
 
 def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
