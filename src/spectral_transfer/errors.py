@@ -66,13 +66,12 @@ class SlopeUndefinedError(SpectralTransferError):
 
 
 class ParseError(SpectralTransferError):
-    """Malformed input file; carries the offending line number when known."""
+    """Malformed input file; the message names the offending line when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ConfigError(SpectralTransferError):

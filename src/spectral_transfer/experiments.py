@@ -45,7 +45,7 @@ from .errors import ConfigError, SpectralTransferError
 from .filters import Filter, filter_matrix, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
-from .graph_io import parse_graph, parse_mesh_off, synthetic_graph
+from .graph_io import parse_graph, synthetic_graph
 from .montecarlo import (
     TrialConfig,
     bound_constants,
@@ -289,8 +289,6 @@ class ExperimentConfig:
     def load_graph(self) -> WeightedGraph:
         if self.graph is not None:
             return synthetic_graph(self.graph, default_seed=self.seed)
-        if self.graph_format == "off":
-            return parse_mesh_off(self.graph_file)
         return parse_graph(self.graph_file, self.graph_format)
 
 

@@ -3,7 +3,8 @@
 Two text formats round-trip exactly: whitespace edge lists ("u v w" with
 0-based indices and '#' comments) and Matrix Market coordinate files
 (symmetric -> undirected, general -> directed).  OFF meshes load as
-unit-weight graphs with one edge per polygon side, deduplicated.
+unit-weight graphs with one edge per polygon side, deduplicated.  Every
+reading or parsing error names the file.
 """
 
 from __future__ import annotations
@@ -22,40 +23,60 @@ from .graphs import (
 
 
 def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
-    """Read a graph file; ``format`` is ``edge_list`` or ``matrix_market``."""
-    if format == "edge_list":
-        return _parse_edge_list(path)
-    if format == "matrix_market":
-        return _parse_matrix_market(path)
-    raise ParseError(f"unknown graph format {format!r}")
+    """Read a graph file; ``format`` is ``edge_list``, ``matrix_market`` or
+    ``off``.
+
+    A file that cannot be read as text, or does not parse, raises
+    :class:`ParseError` with a message that names ``path``.
+    """
+    parsers = {
+        "edge_list": _parse_edge_list,
+        "matrix_market": _parse_matrix_market,
+        "off": _parse_mesh_off,
+    }
+    if format not in parsers:
+        raise ParseError(f"unknown graph format {format!r}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read graph file {path}: {exc}") from None
+    try:
+        return parsers[format](lines)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _parse_edge_list(path) -> WeightedGraph:
+def parse_mesh_off(path) -> WeightedGraph:
+    """Read an OFF mesh as a unit-weight graph of all polygon edges."""
+    return parse_graph(path, "off")
+
+
+def _parse_edge_list(lines) -> WeightedGraph:
     edges = []
     max_vertex = -1
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 'u v w', got {len(parts)} tokens", line=lineno
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if u < 0 or v < 0:
-                raise ParseError(f"negative vertex index ({u}, {v})", line=lineno)
-            if not np.isfinite(w):
-                raise ParseError(f"non-finite weight {parts[2]}", line=lineno)
-            edges.append((u, v, w))
-            max_vertex = max(max_vertex, u, v)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(
+                f"expected 'u v w', got {len(parts)} tokens", line=lineno
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"negative vertex index ({u}, {v})", line=lineno)
+        if not np.isfinite(w):
+            raise ParseError(f"non-finite weight {parts[2]}", line=lineno)
+        edges.append((u, v, w))
+        max_vertex = max(max_vertex, u, v)
     if max_vertex < 0:
-        raise ParseError(f"{path}: no edges found")
+        raise ParseError("no edges found")
     return WeightedGraph(max_vertex + 1, tuple(edges))
 
 
@@ -65,11 +86,9 @@ _MM_HEADER = re.compile(
 )
 
 
-def _parse_matrix_market(path) -> WeightedGraph:
-    with open(path) as fh:
-        lines = fh.readlines()
+def _parse_matrix_market(lines) -> WeightedGraph:
     if not lines:
-        raise ParseError(f"{path}: empty file")
+        raise ParseError("empty file")
     header = _MM_HEADER.match(lines[0].strip())
     if header is None:
         raise ParseError(
@@ -114,18 +133,15 @@ def _parse_matrix_market(path) -> WeightedGraph:
             continue  # diagonal entries carry no edge
         edges.append((i, j, w))
     if dims is None:
-        raise ParseError(f"{path}: missing size line")
+        raise ParseError("missing size line")
     return WeightedGraph(n, tuple(edges), directed=not symmetric)
 
 
-def parse_mesh_off(path) -> WeightedGraph:
-    """Read an OFF mesh as a unit-weight graph of all polygon edges."""
+def _parse_mesh_off(lines) -> WeightedGraph:
     tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
             tokens.append((lineno, line.split()))
     if not tokens or tokens[0][1] != ["OFF"]:
         raise ParseError("missing OFF header", line=tokens[0][0] if tokens else 1)
@@ -137,7 +153,7 @@ def parse_mesh_off(path) -> WeightedGraph:
         raise ParseError(str(exc), line=tokens[1][0]) from None
     face_rows = tokens[2 + n_vertices : 2 + n_vertices + n_faces]
     if len(face_rows) < n_faces:
-        raise ParseError(f"{path}: declared {n_faces} faces, found {len(face_rows)}")
+        raise ParseError(f"declared {n_faces} faces, found {len(face_rows)}")
     edges = set()
     for lineno, parts in face_rows:
         try:

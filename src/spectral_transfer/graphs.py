@@ -10,10 +10,7 @@ decompositions are dense and direct: time grows as n^3 and memory as n^2
 (one eigenbasis per operator, no per-eigenvalue projectors).  A diagonal B,
 the dot product included, is held as its n weights, and only a directed
 graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
-8.0 MB matrix plus 26 kB (tracemalloc).  Measured on 2 cores,
-perturb-stability on that graph with three perturbations (remove_edges,
-add_edges and remove_vertices, 5% each) and three filters takes 11.2-11.7 s
-at 222 MB peak RSS.
+8.0 MB matrix plus 26 kB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -50,8 +47,36 @@ DEFAULT_GROUP_TOL = 1e-8
 _NUMPY_EIGVALSH_MAX_DIM = 256
 
 #: Range of the largest squared column norm inside which the Gram matrix
-#: neither overflows nor loses its top eigenvalue to underflow.
+#: neither overflows nor loses its top eigenvalue to underflow; likewise a
+#: squared column norm in it is summed without overflow or underflow.
 _GRAM_SAFE_RANGE = (2.0**-900, 2.0**900)
+
+
+def column_norms(mat: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of ``mat``, free of overflow and underflow.
+
+    A column whose squared norm leaves ``_GRAM_SAFE_RANGE`` is summed again
+    after scaling by a power of two, from its largest entry; every other
+    column is summed as it is.  Non-finite entries give non-finite norms.
+    """
+    mat = np.asarray(mat)
+    low, high = _GRAM_SAFE_RANGE
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=0)
+        redo = np.flatnonzero(~((low <= norms * norms) & (norms * norms <= high)))
+    if redo.size:
+        cols = mat[:, redo]
+        peaks = np.abs(cols).max(axis=0, initial=0.0)
+        finite = np.isfinite(peaks) & (peaks > 0.0)
+        scale = _unit_scale(peaks[finite])
+        norms[redo[finite]] = np.linalg.norm(cols[:, finite] * scale, axis=0) / scale
+    return norms
+
+
+def _unit_scale(peak):
+    """Power of two that brings ``peak`` near 1, exact bar entries far too
+    small to move a norm; the clamp keeps it finite for a subnormal peak."""
+    return np.ldexp(1.0, np.clip(-np.frexp(peak)[1], -1000, 1000))
 
 
 def operator_norm(mat: np.ndarray):
@@ -105,10 +130,7 @@ def _rescaled_norm(mat: np.ndarray) -> float:
         raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
     if peak == 0.0:
         return 0.0
-    # scale by a power of two, exact bar entries far too small to move
-    # the norm; the clamp keeps the factor finite for a subnormal peak
-    shift = min(max(-int(np.frexp(peak)[1]), -1000), 1000)
-    scale = np.ldexp(1.0, shift)
+    scale = _unit_scale(peak)
     return operator_norm(mat * scale) / scale
 
 
@@ -287,7 +309,8 @@ class InnerProduct:
         return complex(v.conj() @ self.apply(u))
 
     def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.pair(u, u).real, 0.0)))
+        """Norm of the vector ``u`` under this inner product."""
+        return float(self.column_norms(np.asarray(u)[:, None])[0])
 
     def weighted_operator_norm(self, mat: np.ndarray) -> float:
         """Operator norm of ``mat``, Euclidean norm in and B-norm out."""
@@ -295,7 +318,7 @@ class InnerProduct:
 
     def column_norms(self, mat: np.ndarray) -> np.ndarray:
         """Norm under this inner product of each column of ``mat``."""
-        return np.linalg.norm(self.apply_sqrt(mat), axis=0)
+        return column_norms(self.apply_sqrt(mat))
 
 
 def adjoint_wrt(a: np.ndarray, inner: InnerProduct) -> np.ndarray:

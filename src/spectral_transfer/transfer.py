@@ -1,17 +1,25 @@
 """Transfer error measurements and the five certified filter bounds.
 
 Everything is assembled in the band-limited coordinates of the source
-space: a setting holds the source eigenvalues, the sampling matrix
+space: a setting holds the source eigenvalues, the sampling matrix S
 restricted to the band (source Fourier basis in, graph vector out), and the
 target operator with its inner product.  Interpolation is always the
-adjoint of sampling, so its matrix is ``S^H B``.
+adjoint of sampling, so its matrix is ``R = S^H B``.  A filter g reaches a
+setting through one cached matrix ``Q = V^H B S``, the band in the target's
+B-orthonormal eigenbasis V, and its responses ``g(mu)`` on the target
+eigenvalues and ``g(lambda)`` on the source ones: ``g(Delta) S = V (g(mu) Q)``
+and ``R g(Delta) S = Q^H diag(g(mu)) Q``.  The graph-side lhs are B-norms of
+``V (g(mu) Q) - S g(Lambda)`` on the graph, never norms of
+``g(mu) Q - Q g(Lambda)``: a directed target's V is B-orthonormal only to
+about cond(B) times machine epsilon.
 
 The five bound variants relate the filter transfer error to the Laplacian
 transfer error and the consistency error: per source Fourier mode, for a
 fixed signal (evaluated on the graph or back on the source space), and in
 operator norm over the whole band (again on either side).  Each is an exact
 inequality for any normal target operator, so a violation beyond roundoff
-slack indicates a broken build, never an unlucky input.
+slack indicates a broken build, never an unlucky input.  At complex source
+eigenvalues, the lhs on the graph and of ``worstcase_in_M`` take g(Re lambda).
 """
 
 from __future__ import annotations
@@ -22,13 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BandError, ParameterError
-from .filters import (
-    Filter,
-    apply_exact,
-    max_difference_quotient,
-    sup_norm_on_spectrum,
-)
-from .graphs import OperatorWithInnerProduct, operator_norm
+from .filters import Filter, max_difference_quotient, sup_norm_on_spectrum
+from .graphs import OperatorWithInnerProduct, column_norms, operator_norm
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
 from .spaces import GraphSpace
 
@@ -43,10 +46,12 @@ def certified(lhs: float, rhs: float) -> bool:
 
 @dataclass(frozen=True)
 class FilterConstants:
-    """Per-eigenvalue quotient bounds and the sup norm over a spectrum."""
+    """Per-eigenvalue quotient bounds, the sup norm over a spectrum, and the
+    operator-norm bounds' Lipschitz constant (declared, else the top quotient)."""
 
     vg_per_eig: np.ndarray
     sup_norm: float
+    lipschitz: float
 
 
 def filter_constants(filt: Filter, source_eigenvalues,
@@ -65,7 +70,9 @@ def filter_constants(filt: Filter, source_eigenvalues,
             f"declared Lipschitz constant {lip:g} is violated on the "
             f"spectra (observed quotient {vg.max():g})"
         )
-    return FilterConstants(vg_per_eig=vg, sup_norm=sup_norm_on_spectrum(filt, source))
+    if lip is None:
+        lip = float(vg.max()) if vg.size else 0.0
+    return FilterConstants(vg, sup_norm_on_spectrum(filt, source), lip)
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,19 @@ class TransferSetting:
         """Interpolation as the adjoint of sampling: ``S^H B``."""
         return self.target.inner.apply(self.s_pw).conj().T
 
-    # The three band norms below do not depend on the filter; each is
-    # measured once per setting.
+    # Q, the per-mode Laplacian errors and the band norms below do not depend
+    # on the filter; each is measured once per setting.
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """``Q = V^H B S``: the sampled band in the target eigenbasis V."""
+        return self.target.eig.basis.conj().T @ self.target.inner.apply(self.s_pw)
+
+    @cached_property
+    def laplacian_mode_errors(self) -> np.ndarray:
+        """Graph norm of ``Delta S e_m - S e_m Re lambda_m`` for each mode m."""
+        diff = self.target.matrix @ self.s_pw - self.s_pw * np.real(self.source_eigenvalues)
+        return self.target.inner.column_norms(diff)
 
     @cached_property
     def interpolation_norm(self) -> float:
@@ -115,60 +133,47 @@ class TransferSetting:
     @cached_property
     def consistency_operator_error(self) -> float:
         """``|| P - R S P ||`` in operator norm over the band."""
-        m = self.dim_pw
-        return operator_norm(np.eye(m) - self.r_pw @ self.s_pw)
+        return operator_norm(np.eye(self.dim_pw) - self.r_pw @ self.s_pw)
+
+    def target_response(self, filt: Filter) -> np.ndarray:
+        """``g(mu)`` on the target eigenvalues, one entry per row of Q."""
+        eig = self.target.eig
+        return eig.with_multiplicity(filt.evaluate(eig.eigenvalues()))[:, None]
 
     def filtered_transfer_matrix(self, filt: Filter) -> np.ndarray:
-        """Band-coefficient matrix of ``R g(Delta) S``."""
-        return self.r_pw @ apply_exact(filt, self.target.eig, self.s_pw)
+        """Band-coefficient matrix of ``R g(Delta) S``: ``Q^H diag(g(mu)) Q``."""
+        return self.q.conj().T @ (self.target_response(filt) * self.q)
 
 
 def sampling_setting(pair: SamplingPair, delta: OperatorWithInnerProduct,
                      name: str = "sampling") -> TransferSetting:
     """Point-sampling setting: circle modes in the band against ``delta``."""
-    return TransferSetting(
-        name=name,
-        band=pair.band,
-        source_eigenvalues=pair.space.eigenvalues_up_to(pair.band),
-        s_pw=pair.s_matrix,
-        target=delta,
-    )
+    return TransferSetting(name, pair.band, pair.space.eigenvalues_up_to(pair.band),
+                           pair.s_matrix, delta)
 
 
 def coarsening_setting(space: GraphSpace, cmap: CoarseningMap,
                        band: float | None = None,
                        delta: OperatorWithInnerProduct | None = None,
                        name: str = "coarsening") -> TransferSetting:
-    """Coarsening setting with the collapsed operator ``S L S^T`` by default."""
-    if band is None:
-        band = space.full_band()
+    """Coarsening setting, S the coarsening map on the band, with the
+    collapsed operator ``S L S^T`` by default."""
     if delta is None:
         delta = coarsened_laplacian(cmap, space.operator)
-    return TransferSetting(
-        name=name,
-        band=band,
-        source_eigenvalues=space.eigenvalues_up_to(band),
-        s_pw=cmap.s_matrix @ space.pw_basis(band),
-        target=delta,
-    )
+    return perturbation_setting(space, delta, cmap.s_matrix, band, name)
 
 
 def perturbation_setting(space: GraphSpace, delta: OperatorWithInnerProduct,
                          restriction: np.ndarray | None = None,
                          band: float | None = None,
                          name: str = "perturbation") -> TransferSetting:
-    """Perturbation setting, S = R = I (or a vertex restriction)."""
+    """Perturbation setting, S = R = I (or ``restriction``, such as a
+    vertex selection, on the band)."""
     if band is None:
         band = space.full_band()
     basis = space.pw_basis(band)
     s_pw = basis if restriction is None else restriction @ basis
-    return TransferSetting(
-        name=name,
-        band=band,
-        source_eigenvalues=space.eigenvalues_up_to(band),
-        s_pw=s_pw,
-        target=delta,
-    )
+    return TransferSetting(name, band, space.eigenvalues_up_to(band), s_pw, delta)
 
 
 @dataclass(frozen=True)
@@ -189,36 +194,33 @@ class ModeRow:
 
 def bound_fourier_mode(setting: TransferSetting, filt: Filter,
                        mode: int) -> ModeRow:
-    """Per-mode bound: the filtered mismatch of one source eigenvector,
-    measured on the graph, against its Laplacian mismatch scaled by the
-    largest filter difference quotient.
-    """
-    rows, _, _ = _mode_bounds(setting, filt, [mode])
-    return rows[0]
+    """Per-mode bound: the filtered mismatch of one source eigenvector, on
+    the graph, against its Laplacian mismatch times its largest quotient."""
+    return _mode_bounds(setting, filt, [mode])[0][0]
 
 
 def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     """Per-mode rows for the source modes ``modes`` (any column index).
 
     Works on all the modes at once: the lhs are the graph-norm column
-    norms of ``g(Delta) S - S diag g(lambda)``.  Also returns the filter
-    constants of those modes and the filtered sampling matrix
-    ``g(Delta) S``, which the aggregate bounds reuse.
+    norms of the mismatch ``V (g(mu) Q) - S g(Re Lambda)``.  Also returns
+    the modes' filter constants and the mismatch, for the aggregate bounds.
     """
     lams = np.real(setting.source_eigenvalues[modes])
-    s_cols = setting.s_pw[:, modes]
     constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
-    g_s = apply_exact(filt, setting.target.eig, s_cols)
-    inner = setting.target.inner
-    lhs = inner.column_norms(g_s - s_cols * filt.evaluate(lams))
-    lap = inner.column_norms(setting.target.matrix @ s_cols - s_cols * lams)
+    lap = setting.laplacian_mode_errors[modes]
+    mismatch = setting.target.eig.basis @ (
+        setting.target_response(filt) * setting.q[:, modes]
+    )
+    mismatch -= setting.s_pw[:, modes] * filt.evaluate(lams)
+    lhs = setting.target.inner.column_norms(mismatch)
     rows = tuple(
         ModeRow(int(mode), float(lam), float(left), float(q * err), float(q), float(err))
         for mode, lam, left, q, err in zip(
             np.arange(setting.dim_pw)[modes], lams, lhs, constants.vg_per_eig, lap
         )
     )
-    return rows, constants, g_s
+    return rows, constants, mismatch
 
 
 def bound_pointwise(vg_values, coeffs, mode_errors, c_norm: float,
@@ -254,19 +256,18 @@ def transfer_errors(setting: TransferSetting, filt: Filter,
         raise BandError(
             f"signal has {coeffs.shape[0]} coefficients, band holds {setting.dim_pw}"
         )
-    g_vals = filt.evaluate(setting.source_eigenvalues)
-    filtered_src = g_vals * coeffs
-    filtered_back = setting.r_pw @ apply_exact(
-        filt, setting.target.eig, setting.s_pw @ coeffs
+    lams = setting.source_eigenvalues
+    # R g(Delta) S c, as Q^H diag(g(mu)) Q applied from the right
+    filtered_back = setting.q.conj().T @ (
+        setting.target_response(filt)[:, 0] * (setting.q @ coeffs)
     )
-    lap_src = setting.source_eigenvalues * coeffs
-    lap_back = setting.r_pw @ (setting.target.matrix @ (setting.s_pw @ coeffs))
-    round_trip = setting.r_pw @ (setting.s_pw @ coeffs)
-    return (
-        float(np.linalg.norm(filtered_src - filtered_back)),
-        float(np.linalg.norm(lap_src - lap_back)),
-        float(np.linalg.norm(coeffs - round_trip)),
-    )
+    graph_signal = setting.s_pw @ coeffs
+    errors = np.stack([
+        filt.evaluate(lams) * coeffs - filtered_back,
+        lams * coeffs - setting.r_pw @ (setting.target.matrix @ graph_signal),
+        coeffs - setting.r_pw @ graph_signal,
+    ], axis=1)
+    return tuple(float(err) for err in column_norms(errors))
 
 
 @dataclass(frozen=True)
@@ -316,37 +317,24 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         rng = np.random.default_rng(np.random.SeedSequence((signal_seed, m)))
         coeffs = rng.normal(size=m)
         coeffs /= np.linalg.norm(coeffs)
-    coeffs = np.asarray(coeffs)
 
-    per_mode, constants, g_s = _mode_bounds(setting, filt, slice(None))
-    vg = constants.vg_per_eig
-    d_lip = filt.lipschitz_constant
-    if d_lip is None:
-        d_lip = float(vg.max()) if vg.size else 0.0
-    g_sup = constants.sup_norm
-    c_norm = setting.interpolation_norm
-    mode_errors = np.array([row.laplacian_mode_error for row in per_mode])
-
-    # The graph-side lhs of the fixed-signal and operator-norm bounds.  The
-    # mismatch is freed before the band x band matrices below are formed.
+    # The source side first, so that its band x band matrix is freed before
+    # the graph-side mismatch is formed.
+    filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
     g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
-    mismatch = g_s - setting.s_pw * g_vals
+    lhs_worst_m = operator_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
+
+    per_mode, constants, mismatch = _mode_bounds(setting, filt, slice(None))
     lhs_point_g = setting.target.inner.norm(mismatch @ coeffs)
     lhs_worst_g = setting.target.inner.weighted_operator_norm(mismatch)
     del mismatch
 
-    # Fixed-signal bounds, on the graph and back on the source space.
-    filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
+    c_norm = setting.interpolation_norm
     rhs_point_g, rhs_point_m = bound_pointwise(
-        vg, coeffs, mode_errors, c_norm, g_sup, cons_err
+        constants.vg_per_eig, coeffs, setting.laplacian_mode_errors, c_norm,
+        constants.sup_norm, cons_err,
     )
-
-    # Operator-norm bounds over the whole band.
-    lhs_worst_m = operator_norm(np.diag(g_vals) - setting.r_pw @ g_s)
-    rhs_worst_g, rhs_worst_m = bound_worstcase(
-        d_lip, m, setting.laplacian_operator_error, c_norm, g_sup,
-        setting.consistency_operator_error,
-    )
+    rhs_worst_g, rhs_worst_m = _worstcase_rhs(setting, constants)
 
     bounds = (
         BoundResult("pointwise_in_G", lhs_point_g, rhs_point_g),
@@ -364,8 +352,17 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         per_mode=per_mode,
         bounds=bounds,
         interpolation_norm=c_norm,
-        lipschitz_constant=d_lip,
+        lipschitz_constant=constants.lipschitz,
         grouped_spectrum=setting.target.eig.grouped,
+    )
+
+
+def _worstcase_rhs(setting: TransferSetting, constants: FilterConstants) -> tuple:
+    """Rhs ``(in_G, in_M)`` of the operator-norm bounds of one setting."""
+    return bound_worstcase(
+        constants.lipschitz, setting.dim_pw, setting.laplacian_operator_error,
+        setting.interpolation_norm, constants.sup_norm,
+        setting.consistency_operator_error,
     )
 
 
@@ -378,11 +375,12 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
         setting1.source_eigenvalues, setting2.source_eigenvalues
     ):
         raise BandError("the two settings must share one source space and band")
-    mat1 = setting1.filtered_transfer_matrix(filt)
-    mat2 = setting2.filtered_transfer_matrix(filt)
-    error = operator_norm(mat1 - mat2)
+    error = operator_norm(
+        setting1.filtered_transfer_matrix(filt) - setting2.filtered_transfer_matrix(filt)
+    )
     bound = 0.0
     for setting in (setting1, setting2):
-        report = evaluate_transfer(setting, filt)
-        bound += report.bounds[3].rhs  # worst-case bound on the source side
+        lams = np.real(setting.source_eigenvalues)
+        constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
+        bound += _worstcase_rhs(setting, constants)[1]
     return error, bound

@@ -1,7 +1,9 @@
 """Command-line behaviour: exit codes, overrides, verdict soundness."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectral_transfer import cli, experiments
@@ -284,3 +286,24 @@ def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
     assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
     summary = json.loads((out_dir / "summary.txt").read_text())
     assert summary["laplacian"] == "unnormalized"
+
+
+@pytest.mark.parametrize("graph_format", ["edge_list", "matrix_market", "off"])
+def test_undecodable_graph_file_exits_two_naming_it(graph_format, tmp_path, capsys):
+    graph_file = tmp_path / "noise.bin"
+    graph_file.write_bytes(np.random.default_rng(0).bytes(200))
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph_file = {graph_file}\ngraph_format = {graph_format}\nseed = 1\n")
+    code = cli.main(["coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"cannot read graph file {graph_file}" in err[0]
+
+
+def test_shipped_directed_config_certifies(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code = cli.main([
+        "perturb-stability", "--config", "configs/perturb_directed.txt",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_transfer.graphs import operator_norm
+from spectral_transfer.graphs import column_norms, operator_norm
 from spectral_transfer.transfer import ABS_SLACK, REL_SLACK
 
 
@@ -136,3 +136,26 @@ def test_nan_in_one_stacked_matrix_raises():
 def test_empty_stacks_have_norm_zero(shape):
     got = operator_norm(np.zeros(shape))
     assert got.shape == shape[:-2] and not got.any()
+
+
+def test_column_norms_in_range_equal_numpy_bytes():
+    mat = np.random.default_rng(3).standard_normal((40, 7)) * 10.0**np.arange(-3, 4)
+    assert np.array_equal(column_norms(mat), np.linalg.norm(mat, axis=0))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_column_norms_of_huge_and_tiny_columns(complex_):
+    # squared, these columns overflow, underflow to subnormals, or vanish
+    base = np.random.default_rng(4).standard_normal((30, 5))
+    if complex_:
+        base = base + 1j * np.random.default_rng(5).standard_normal((30, 5))
+    factors = np.array([1e160, 1e-160, 1e-310, 1.0, 1e300])
+    got = column_norms(base * factors)
+    assert np.allclose(got / factors, np.linalg.norm(base, axis=0), rtol=1e-12, atol=0)
+
+
+def test_column_norms_keep_zero_and_non_finite_columns():
+    mat = np.zeros((3, 3))
+    mat[0, 1], mat[1, 2] = np.inf, np.nan
+    got = column_norms(mat)
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
