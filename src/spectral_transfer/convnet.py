@@ -23,7 +23,7 @@ the bound itself.
 
 from __future__ import annotations
 
-import configparser
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +33,7 @@ from .filters import Filter, apply_exact, make_filter
 from .graphs import OperatorWithInnerProduct, operator_norm
 from .sampling import CoarseningMap, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
+from .textio import TextFile, config_entries, finite_float, split_top_level
 
 
 @dataclass(frozen=True)
@@ -196,75 +197,64 @@ class ConvNetSpec:
         return ConvNetSpec(tuple(new_layers), self.activation, self.bands)
 
 
-def _only_keys(section, known) -> None:
-    """Raise ValueError naming the first key of ``section`` not in ``known``."""
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r}")
+_NET_SECTION = re.compile(r"net|layer [1-9][0-9]*")
+_NET_KEYS = {"net": ("activation", "bands"), "layer": ("filters", "mix", "biases", "pooling")}
+
+
+def _numbers(text: str) -> list:
+    return [finite_float(cell) for cell in split_top_level(text)]
+
+
+def _rows(cast):
+    """Parser of ';'-separated rows of ','-separated cells."""
+    return lambda text: [[cast(c) for c in split_top_level(row)] for row in text.split(";")]
 
 
 def load_convnet_spec(path) -> ConvNetSpec:
-    """Load a network description from a plain-text document.
-
-    Format (INI-style)::
-
-        [net]
-        activation = relu
-        bands = 1.0, 1.5, 2.0
-
-        [layer 1]
-        filters = lowpass(2.0) ; highpass(2.0)
-        mix = 1.0 ; 1.0
-        biases = 0.0, 0.0
-        pooling = max
-
-    ``filters`` and ``mix`` list one output channel per ';'-separated row
-    and one input channel per ','-separated column; ``pooling`` is ``none``,
-    ``max``, or ``l2avg``.  Layers are read in the order of their numbers.
-    A malformed file, an unknown key or another section raises
-    :class:`ConfigError` naming the file and, when known, the section.
+    """Load a network file: the config line grammar with a ``[net]``
+    section (``activation``, relu or abs, default relu; ``bands``) and
+    sections ``[layer 1]`` to ``[layer L]`` (``filters``; ``mix``;
+    ``biases``, default zeros; ``pooling``, none, max or l2avg, default
+    none).  ``filters`` and ``mix`` list one output channel per
+    ';'-separated row and one input channel per ','-separated column, and
+    every number is finite (README, "Network description files").  Errors
+    are :class:`ConfigError` naming the file and, when known, the line and
+    the section.
     """
-    parser = configparser.ConfigParser()
-    section = None
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-        if "net" not in parser:
-            raise ParameterError(f"{path}: missing [net] section")
-        section = "net"
-        net = parser["net"]
-        _only_keys(net, ("activation", "bands"))
-        activation = Activation(net.get("activation", "relu").strip())
-        bands = tuple(float(b) for b in net.get("bands", "").split(",") if b.strip())
-        numbered = []
-        for section in (s for s in parser.sections() if s != "net"):
-            kind, _, label = section.partition(" ")
-            if kind != "layer":
-                raise ValueError("expected [net] or [layer <number>]")
-            number = int(label)
-            sec = parser[section]
-            _only_keys(sec, ("filters", "mix", "biases", "pooling"))
-            grid = tuple(
-                tuple(make_filter(cell.strip()) for cell in row.split(","))
-                for row in sec["filters"].split(";")
-            )
-            mix = np.array(
-                [[float(cell) for cell in row.split(",")] for row in sec["mix"].split(";")]
-            )
-            k_out = len(grid)
-            biases = np.array(
-                [float(b) for b in sec.get("biases", "").split(",") if b.strip()]
-                or [0.0] * k_out
-            )
-            pooling = sec.get("pooling", "none").strip()
-            numbered.append((number, LayerSpec(grid, mix, biases, pooling)))
-    except (configparser.Error, KeyError, ValueError) as exc:
-        where = f"{path}: [{section}]" if section else str(path)
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        # configparser messages span lines; the CLI prints one
-        raise ConfigError(f"{where}: {' '.join(what.split())}") from None
-    layers = tuple(layer for _, layer in sorted(numbered, key=lambda pair: pair[0]))
-    return ConvNetSpec(layers, activation, bands)
+    source = TextFile(path, ConfigError, "network file")
+    entries = {}  # section -> {key: (line, value)}, the header line under None
+    for line, section, key, value in config_entries(source, sections=True):
+        if key is None and not _NET_SECTION.fullmatch(section):
+            raise source.fail(line, "expected [net] or [layer k], k = 1, 2, ...", section)
+        if key is not None and key not in _NET_KEYS[section.split()[0]]:
+            raise source.fail(line, f"unknown key {key!r}", section)
+        entries.setdefault(section, {})[key] = (line, value)
+    if "net" not in entries:
+        raise source.fail(None, "missing [net] section")
+    n_layers = len(entries) - 1
+    for section, keys in entries.items():
+        if section != "net" and int(section.split()[1]) > n_layers:
+            raise source.fail(keys[None][0], f"layers must be numbered 1 to {n_layers}", section)
+
+    def read(section, key, parse, default=None):
+        line, value = entries[section].get(key, entries[section][None])
+        if value is None and default is None:
+            raise source.fail(line, f"missing key {key!r}", section)
+        with source.at(line, section, f"bad value for {key}: "):
+            return default if value is None else parse(value)
+
+    layers = []
+    for section in (f"layer {number}" for number in range(1, n_layers + 1)):
+        grid = read(section, "filters", _rows(make_filter))
+        mix = read(section, "mix", _rows(finite_float))
+        biases = read(section, "biases", _numbers, [0.0] * len(grid))
+        pooling = read(section, "pooling", str, "none")
+        with source.at(entries[section][None][0], section):
+            layers.append(LayerSpec(grid, np.array(mix), np.array(biases), pooling))
+    activation = read("net", "activation", Activation, Activation("relu"))
+    bands = tuple(read("net", "bands", _numbers))
+    with source.at(entries["net"][None][0], "net"):
+        return ConvNetSpec(tuple(layers), activation, bands)
 
 
 def _input_channels(spec: ConvNetSpec, inputs) -> tuple:

@@ -68,11 +68,6 @@ class SlopeUndefinedError(SpectralTransferError):
 class ParseError(SpectralTransferError):
     """Malformed input file; the message names the offending line when known."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class ConfigError(SpectralTransferError):
     """Invalid experiment configuration."""

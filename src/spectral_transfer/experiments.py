@@ -23,7 +23,6 @@ Five experiments cover the certification surface:
 from __future__ import annotations
 
 import functools
-import math
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -63,6 +62,7 @@ from .sampling import (
     unit_probes,
 )
 from .spaces import GraphSpace
+from .textio import TextFile, config_entries, finite_float, parse_descriptor, split_top_level
 from .transfer import (
     certified,
     coarsening_setting,
@@ -85,32 +85,14 @@ _MODES_HEADER = (
 _BOUNDS_HEADER = ("filter", "setting", "bound", "lhs", "rhs", "pass")
 
 
-def split_top_level(text: str) -> list:
-    """Split on commas that are not nested inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def _parse_perturbation(descriptor: str, seed: int) -> PerturbationSpec:
-    descriptor = descriptor.strip()
-    if "(" not in descriptor or not descriptor.endswith(")"):
-        raise ConfigError(f"cannot parse perturbation {descriptor!r}")
-    mode, arg = descriptor[:-1].split("(", 1)
+    mode, args = parse_descriptor(descriptor, ConfigError)
     try:
-        return PerturbationSpec(mode.strip(), float(arg), seed=seed)
+        if len(args) != 1:
+            raise ValueError(f"takes 1 argument, got {len(args)}")
+        return PerturbationSpec(mode, finite_float(args[0]), seed=seed)
     except (ValueError, SpectralTransferError) as exc:
-        raise ConfigError(f"{descriptor}: {exc}") from None
+        raise ConfigError(f"{descriptor.strip()}: {exc}") from None
 
 
 def _substream(master_seed: int, *key) -> int:
@@ -243,37 +225,13 @@ class ExperimentConfig:
         Lines are blank, ``#``/``;`` comments or unindented ``key = value``
         with a known, unrepeated key (any case) and a literal nonempty value.
         """
-        try:
-            with open(path) as fh:
-                lines = fh.read().split("\n")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        source = TextFile(path, ConfigError, "config")
         values = {}
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text or text[0] in "#;":
-                continue
-            key, sep, value = (part.strip() for part in text.partition("="))
-            key = key.lower()
-            if text[0] == "[" and text[-1] == "]":
-                problem = "no [section] headers in a flat config"
-            elif line[0].isspace():
-                problem = "no indented or continuation lines in a flat config"
-            elif not (sep and key and value):
-                problem = "expected 'key = value'"
-            elif key not in _FIELD_OF_KEY:
-                problem = "unknown key"
-            elif _FIELD_OF_KEY[key] in values:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            else:
-                try:
-                    values[_FIELD_OF_KEY[key]] = _PARSERS.get(key, str)(value)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: line {lineno}: bad value for {key}: {exc}"
-                    ) from None
-                continue
-            raise ConfigError(f"{path}: line {lineno}: {problem}, got {text!r}")
+        for lineno, _, key, value in config_entries(source):
+            if key not in _FIELD_OF_KEY:
+                raise source.fail(lineno, f"unknown key, got {source.lines[lineno - 1].strip()!r}")
+            with source.at(lineno, prefix=f"bad value for {key}: "):
+                values[_FIELD_OF_KEY[key]] = _PARSERS.get(key, str)(value)
         file_experiment = values.get("experiment")
         if None not in (experiment, file_experiment) and experiment != file_experiment:
             raise ConfigError(
@@ -296,13 +254,6 @@ def _tuple_of(cast):
     return lambda text: tuple(cast(part) for part in split_top_level(text))
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
 def _true_or_false(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -317,8 +268,8 @@ _FIELD_OF_KEY = {
 # config key -> parser of its value; every other key is text
 _PARSERS = {
     "seed": int, "trials": int, "probes": int, "svg": _true_or_false,
-    "band": _finite_float, "delta": _finite_float,
-    "kernel_band": _finite_float, "circle_band": _finite_float,
+    "band": finite_float, "delta": finite_float,
+    "kernel_band": finite_float, "circle_band": finite_float,
     "filters": _tuple_of(str), "perturbations": _tuple_of(str),
     "weights": _tuple_of(str), "sizes": _tuple_of(int),
 }
@@ -474,6 +425,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     )
 
 
+# an empirical window around the predicted rate -1/2, not a bound: no slack
 _SLOPE_WINDOW = (-0.65, -0.35)
 
 
@@ -529,8 +481,8 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
             "laplacian": rate.laplacian, "gram": rate.gram,
             "activation": rate.activation, "trials": rate.trials,
         }
-        ok &= all(r <= config.delta for r in rate.as_tuple())
-        chain_ok = constants.kernel_l2 <= constants.lambda_l1 + 1e-8
+        ok &= all(certified(r, config.delta) for r in rate.as_tuple())
+        chain_ok = certified(constants.kernel_l2, constants.lambda_l1)
         ok &= chain_ok
         constants_out[weight] = {**asdict(constants), "norm_chain_ok": chain_ok}
         for r in results:
@@ -626,6 +578,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     hyp2 = hypothesis_errors(setting2, spec, n_probes=config.probes,
                              seed=_substream(config.seed, "hyp", 2))
     delta = max(hyp1.delta, hyp2.delta)
+    # the theorem assumes delta < 1 strictly; a hypothesis, not a bound to certify
     ok = delta < 1.0
 
     count = space.count_eig_leq(spec.bands[-1])
@@ -650,7 +603,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         cert_rows.append((name, value, bound, passed))
 
     contraction_ok = None
-    if spec.bias_free() and spec.mixing_bound() <= 1.0 + 1e-12:
+    if spec.bias_free() and certified(spec.mixing_bound(), 1.0):
         contraction_ok = _contraction_check(
             spec, setting1, _substream(config.seed, "contraction")
         )
@@ -724,8 +677,9 @@ def _collapse_graph(graph: WeightedGraph, cmap) -> WeightedGraph:
 def _contraction_check(spec: ConvNetSpec, setting: ConvNetGraphSetting,
                        seed: int) -> bool:
     """Whether each of 50 seeded input pairs keeps its output gap within
-    its input gap (to 1e-10); all 100 inputs run as one matrix."""
-    pairs, tol = 50, 1e-10
+    its input gap, up to the ``certified`` slack; all 100 inputs run as
+    one matrix."""
+    pairs = 50
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     n = setting.operators[0].dim
     # f1 then f2 of each pair, in pair order; each n x pairs
@@ -735,7 +689,7 @@ def _contraction_check(spec: ConvNetSpec, setting: ConvNetGraphSetting,
         [np.hstack([f1, f2])],
     )[-1]
     gap = np.linalg.norm(f1 - f2, axis=0)
-    return not any(
-        np.any(np.linalg.norm(out[:, :pairs] - out[:, pairs:], axis=0) > gap + tol)
+    return all(
+        np.all(certified(np.linalg.norm(out[:, :pairs] - out[:, pairs:], axis=0), gap))
         for out in outputs
     )

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .graphs import EigenDecomposition, OperatorWithInnerProduct
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
+from .textio import TextFile, finite_float, parse_descriptor
 
 #: Eigenvalues whose difference quotient denominator is below this are
 #: excluded from the quotient maximum; the excluded term never contributes
@@ -135,29 +136,17 @@ class Filter:
     @classmethod
     def from_table_file(cls, path) -> "Filter":
         """Load a (lambda, g(lambda)) two-column text table; '#' comments."""
+        source = TextFile(path, FilterEvaluationError, "filter table")
         knots, values = [], []
-        try:
-            with open(path) as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    parts = line.split()
-                    if len(parts) != 2:
-                        raise FilterEvaluationError(
-                            f"{path}: line {lineno}: expected two columns, got {len(parts)}"
-                        )
-                    try:
-                        knots.append(float(parts[0]))
-                        values.append(float(parts[1]))
-                    except ValueError as exc:
-                        raise FilterEvaluationError(
-                            f"{path}: line {lineno}: {exc}"
-                        ) from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FilterEvaluationError(f"cannot read filter table {path}: {exc}") from None
+        for lineno, fields in source.records("#"):
+            with source.at(lineno):
+                if len(fields) != 2:
+                    raise ValueError(f"expected two columns, got {len(fields)}")
+                knot, value = (finite_float(f) for f in fields)
+            knots.append(knot)
+            values.append(value)
         if not knots:
-            raise FilterEvaluationError(f"{path}: empty filter table")
+            raise source.fail(None, "empty filter table")
         return cls.from_table(knots, values)
 
     # -- evaluation ----------------------------------------------------
@@ -238,39 +227,28 @@ def make_filter(descriptor: str) -> Filter:
     """Parse ``identity``, ``heat(t)``, ``lowpass(c)``, ``highpass(c)``,
     ``midpass(c,sigma)``, ``poly(c0,c1,...)`` (one coefficient or more),
     ``table(path)``; a wrong argument count is a FilterEvaluationError."""
-    descriptor = descriptor.strip()
-    if descriptor == "identity":
-        return Filter.identity()
-    if "(" not in descriptor or not descriptor.endswith(")"):
-        raise FilterEvaluationError(f"cannot parse filter descriptor {descriptor!r}")
-    base, arg_str = descriptor[:-1].split("(", 1)
-    base = base.strip()
-    if base == "table":
-        return Filter.from_table_file(arg_str.strip())
-    try:
-        args = [float(a) for a in arg_str.split(",") if a.strip()]
-    except ValueError:
-        raise FilterEvaluationError(f"bad filter arguments in {descriptor!r}") from None
-    if not all(math.isfinite(a) for a in args):
-        raise FilterEvaluationError(f"filter arguments must be finite in {descriptor!r}")
-    if base == "poly":
-        if not args:
-            raise FilterEvaluationError(f"{descriptor!r} needs at least one coefficient")
-        return Filter.polynomial(args)
-    makers = {  # family -> (constructor, number of arguments)
+    base, args = parse_descriptor(descriptor, FilterEvaluationError)
+    makers = {  # family -> (constructor, number of arguments; None: one or more)
+        "identity": (Filter.identity, 0),
         "heat": (Filter.heat, 1),
         "lowpass": (Filter.lowpass, 1),
         "highpass": (Filter.highpass, 1),
         "midpass": (Filter.midpass, 2),
+        "poly": (lambda *coeffs: Filter.polynomial(coeffs), None),
+        "table": (Filter.from_table_file, 1),
     }
     if base not in makers:
         raise FilterEvaluationError(f"unknown filter family {base!r}")
     maker, arity = makers[base]
-    if len(args) != arity:
+    if len(args) != arity and not (arity is None and args):
+        wanted = "at least 1" if arity is None else arity
         raise FilterEvaluationError(
-            f"{descriptor!r}: {base} takes {arity} argument(s), got {len(args)}"
+            f"{descriptor.strip()!r}: {base} takes {wanted} argument(s), got {len(args)}"
         )
-    return maker(*args)
+    try:  # a table takes a path, every other family numbers
+        return maker(*(a if base == "table" else finite_float(a) for a in args))
+    except ValueError as exc:
+        raise FilterEvaluationError(f"{descriptor.strip()!r}: {exc}") from None
 
 
 def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .graphs import (
     path_graph,
     random_geometric_graph,
 )
+from .textio import TextFile, finite_float, parse_descriptor
 
 
 def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
@@ -29,22 +30,11 @@ def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
     A file that cannot be read as text, or does not parse, raises
     :class:`ParseError` with a message that names ``path``.
     """
-    parsers = {
-        "edge_list": _parse_edge_list,
-        "matrix_market": _parse_matrix_market,
-        "off": _parse_mesh_off,
-    }
+    parsers = {"edge_list": _parse_edge_list, "matrix_market": _parse_matrix_market,
+               "off": _parse_mesh_off}
     if format not in parsers:
         raise ParseError(f"unknown graph format {format!r}")
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from None
-    try:
-        return parsers[format](lines)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return parsers[format](TextFile(path, ParseError, "graph file"))
 
 
 def parse_mesh_off(path) -> WeightedGraph:
@@ -52,32 +42,21 @@ def parse_mesh_off(path) -> WeightedGraph:
     return parse_graph(path, "off")
 
 
-def _parse_edge_list(lines) -> WeightedGraph:
+def _parse_edge_list(source: TextFile) -> WeightedGraph:
     edges = []
-    max_vertex = -1
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected 'u v w', got {len(parts)} tokens", line=lineno
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"negative vertex index ({u}, {v})", line=lineno)
-        if not np.isfinite(w):
-            raise ParseError(f"non-finite weight {parts[2]}", line=lineno)
+    for lineno, parts in source.records("#"):
+        with source.at(lineno):
+            if len(parts) != 3:
+                raise ValueError(f"expected 'u v w', got {len(parts)} tokens")
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex index ({u}, {v})")
+            if not np.isfinite(w):
+                raise ValueError(f"non-finite weight {parts[2]}")
         edges.append((u, v, w))
-        max_vertex = max(max_vertex, u, v)
-    if max_vertex < 0:
-        raise ParseError("no edges found")
-    return WeightedGraph(max_vertex + 1, tuple(edges))
+    if not edges:
+        raise source.fail(None, "no edges found")
+    return WeightedGraph(1 + max(max(u, v) for u, v, _ in edges), tuple(edges))
 
 
 _MM_HEADER = re.compile(
@@ -86,93 +65,58 @@ _MM_HEADER = re.compile(
 )
 
 
-def _parse_matrix_market(lines) -> WeightedGraph:
-    if not lines:
-        raise ParseError("empty file")
-    header = _MM_HEADER.match(lines[0].strip())
+def _parse_matrix_market(source: TextFile) -> WeightedGraph:
+    header = _MM_HEADER.match(source.lines[0].strip())
     if header is None:
-        raise ParseError(
-            "expected '%%MatrixMarket matrix coordinate real "
-            "symmetric|general' header", line=1,
+        raise source.fail(
+            1, "expected '%%MatrixMarket matrix coordinate real symmetric|general' header"
         )
-    symmetric = header.group(2).lower() == "symmetric"
-    dims = None
-    edges = []
-    n = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+    n, edges = None, []
+    for lineno, parts in source.records(None):
+        if lineno == 1 or parts[0].startswith("%"):
             continue
-        parts = line.split()
-        if dims is None:
+        with source.at(lineno):
             if len(parts) != 3:
-                raise ParseError("expected 'rows cols nnz'", line=lineno)
-            try:
-                rows, cols, _ = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if rows != cols:
-                raise ParseError(f"adjacency must be square, got {rows}x{cols}",
-                                 line=lineno)
-            dims = (rows, cols)
-            n = rows
-            continue
-        if len(parts) != 3:
-            raise ParseError("expected 'i j value'", line=lineno)
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            w = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"index ({i + 1}, {j + 1}) outside declared range",
-                             line=lineno)
-        if not np.isfinite(w):
-            raise ParseError(f"non-finite value {parts[2]}", line=lineno)
-        if i == j:
-            continue  # diagonal entries carry no edge
-        edges.append((i, j, w))
-    if dims is None:
-        raise ParseError("missing size line")
-    return WeightedGraph(n, tuple(edges), directed=not symmetric)
+                raise ValueError("expected " + ("'rows cols nnz'" if n is None else "'i j value'"))
+            if n is None:
+                n, cols, _ = (int(p) for p in parts)
+                if n != cols:
+                    raise ValueError(f"adjacency must be square, got {n}x{cols}")
+                continue
+            i, j, w = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"index ({i + 1}, {j + 1}) outside declared range")
+            if not np.isfinite(w):
+                raise ValueError(f"non-finite value {parts[2]}")
+        if i != j:  # diagonal entries carry no edge
+            edges.append((i, j, w))
+    if n is None:
+        raise source.fail(None, "missing size line")
+    return WeightedGraph(n, tuple(edges), directed=header.group(2).lower() == "general")
 
 
-def _parse_mesh_off(lines) -> WeightedGraph:
-    tokens = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.append((lineno, line.split()))
+def _parse_mesh_off(source: TextFile) -> WeightedGraph:
+    tokens = list(source.records("#"))
     if not tokens or tokens[0][1] != ["OFF"]:
-        raise ParseError("missing OFF header", line=tokens[0][0] if tokens else 1)
+        raise source.fail(tokens[0][0] if tokens else 1, "missing OFF header")
     if len(tokens) < 2 or len(tokens[1][1]) != 3:
-        raise ParseError("expected 'n_vertices n_faces n_edges' after header")
-    try:
+        raise source.fail(None, "expected 'n_vertices n_faces n_edges' after header")
+    with source.at(tokens[1][0]):
         n_vertices, n_faces, _ = (int(t) for t in tokens[1][1])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=tokens[1][0]) from None
     face_rows = tokens[2 + n_vertices : 2 + n_vertices + n_faces]
     if len(face_rows) < n_faces:
-        raise ParseError(f"declared {n_faces} faces, found {len(face_rows)}")
+        raise source.fail(None, f"declared {n_faces} faces, found {len(face_rows)}")
     edges = set()
     for lineno, parts in face_rows:
-        try:
+        with source.at(lineno):
             k = int(parts[0])
             idx = [int(p) for p in parts[1 : 1 + k]]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if len(idx) != k or k < 2:
-            raise ParseError(f"face lists {k} vertices but has {len(idx)}",
-                             line=lineno)
-        for a, b in zip(idx, idx[1:] + idx[:1]):
-            if not (0 <= a < n_vertices and 0 <= b < n_vertices):
-                raise ParseError(f"face index {max(a, b)} overflows vertex count",
-                                 line=lineno)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-    return WeightedGraph(
-        n_vertices, tuple((a, b, 1.0) for a, b in sorted(edges))
-    )
+            if len(idx) != k or k < 2:
+                raise ValueError(f"face lists {k} vertices but has {len(idx)}")
+            if not all(0 <= a < n_vertices for a in idx):
+                raise ValueError(f"face index {max(idx)} overflows vertex count")
+        edges.update((min(a, b), max(a, b)) for a, b in zip(idx, idx[1:] + idx[:1]) if a != b)
+    return WeightedGraph(n_vertices, tuple((a, b, 1.0) for a, b in sorted(edges)))
 
 
 def emit_graph(graph: WeightedGraph, path, format: str = "edge_list") -> None:
@@ -197,20 +141,13 @@ def emit_graph(graph: WeightedGraph, path, format: str = "edge_list") -> None:
         fh.write(text)
 
 
-_GENERATOR = re.compile(r"^([a-z-]+)\(([^)]*)\)$")
-
-
 def synthetic_graph(descriptor: str, default_seed: int | None = None) -> WeightedGraph:
     """Build ``path(n)``, ``grid(r,c)``, or ``random-geometric(n,radius[,seed])``.
 
     The geometric generator falls back to ``default_seed`` when the
     descriptor omits its own.
     """
-    match = _GENERATOR.match(descriptor.strip())
-    if match is None:
-        raise ParseError(f"cannot parse graph descriptor {descriptor!r}")
-    name, arg_str = match.group(1), match.group(2)
-    args = [a.strip() for a in arg_str.split(",") if a.strip()]
+    name, args = parse_descriptor(descriptor, ParseError)
     try:
         if name == "path" and len(args) == 1:
             return path_graph(int(args[0]))
@@ -223,7 +160,7 @@ def synthetic_graph(descriptor: str, default_seed: int | None = None) -> Weighte
                     f"{descriptor}: random-geometric needs a seed "
                     "(third argument or the experiment seed)"
                 )
-            return random_geometric_graph(int(args[0]), float(args[1]), seed)
+            return random_geometric_graph(int(args[0]), finite_float(args[1]), seed)
     except ValueError as exc:
         raise ParseError(f"{descriptor}: {exc}") from None
     raise ParseError(f"unknown graph descriptor {descriptor!r}")

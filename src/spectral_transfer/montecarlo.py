@@ -41,6 +41,7 @@ from .errors import ParameterError, SlopeUndefinedError
 from .graphs import operator_norm
 from .sampling import SampleSet, sampled_laplacian_matrix, unit_probes
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
+from .transfer import certified
 
 _C_SPHERE_PROBES = 500
 #: Size of the uniform grid for the constants and the activation tails.
@@ -218,7 +219,11 @@ def _activation_tail(basis_hi: np.ndarray, probes: np.ndarray) -> tuple:
 
 
 def bound_constants(config: TrialConfig) -> MCBoundConstants:
-    """Evaluate every explicit constant for the configuration."""
+    """Evaluate every explicit constant for the configuration.
+
+    ``c_quad3`` is estimated only for a configuration with activation
+    probes; without them no activation error is measured and it is 0.
+    """
     space = config.space
     w_vals = config.weight_fn()(np.arange(_GRID) / _GRID)
     w_min = float(np.min(w_vals))
@@ -234,7 +239,8 @@ def bound_constants(config: TrialConfig) -> MCBoundConstants:
         c_lambda=float(c_lam),
         c_quad1=float(kernel.l2_norm() * c_lam / w_min),
         c_quad2=float(dim * max_phi_inf**2 / np.sqrt(w_min)),
-        c_quad3=float(estimate_activation_tail_constant(config)),
+        c_quad3=(float(estimate_activation_tail_constant(config))
+                 if config.activation_probes > 0 else 0.0),
         lambda_l1=kernel.lambda_l1,
         kernel_l2=kernel.l2_norm(),
         w_min=w_min,
@@ -255,9 +261,9 @@ class TrialResult:
     @property
     def violations(self) -> tuple:
         return (
-            self.laplacian_err > self.laplacian_bound,
-            self.gram_err > self.gram_bound,
-            self.activation_err > self.activation_bound,
+            not certified(self.laplacian_err, self.laplacian_bound),
+            not certified(self.gram_err, self.gram_bound),
+            not certified(self.activation_err, self.activation_bound),
         )
 
 

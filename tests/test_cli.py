@@ -159,6 +159,7 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("", _NET_HEAD + _LAYER_ONE + "poolng = max\n"),
     ("", _NET_HEAD + "activaton = abs\n" + _LAYER_ONE),
     ("", _NET_HEAD + _LAYER_ONE + "[pooling]\nkind = max\n"),
+    ("graph = random-geometric(10,nan)", None),
 ], ids=[
     "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
     "lowpass-two-arguments", "poly-empty", "negative-band", "heat-negative-time",
@@ -167,11 +168,12 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     "line-without-equals", "net-no-section-header",
     "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
     "net-layer-name-not-a-number", "net-misspelt-layer-key", "net-misspelt-net-key",
-    "net-unknown-section",
+    "net-unknown-section", "graph-nan-radius",
 ])
 def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_text):
     if net_text is None:
-        text = f"experiment = coarsen-transfer\ngraph = path(8)\n{keys}\nseed = 4\n"
+        graph = "" if keys.startswith("graph") else "graph = path(8)\n"
+        text = f"experiment = coarsen-transfer\n{graph}{keys}\nseed = 4\n"
     else:
         net = tmp_path / "net.ini"
         net.write_text(net_text)
@@ -197,6 +199,8 @@ def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_tex
         assert "heat" in err
     if keys == "garbage line":
         assert "line 3" in err
+    if keys.startswith("graph"):
+        assert "random-geometric(10,nan)" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -307,3 +311,44 @@ def test_shipped_directed_config_certifies(tmp_path, monkeypatch):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 0
+
+
+_REFERENCE_NET = (Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini").read_text()
+
+
+@pytest.mark.parametrize("old, new, line, section, message", [
+    ("bands = 0.3, 0.6, 1.0", "bands = 0.3, nan, 1.0", 5, "net",
+     "bad value for bands: 'nan' is not a finite number"),
+    ("bands = 0.3, 0.6, 1.0", "bands = 0.3, 0.6, inf", 5, "net",
+     "bad value for bands: 'inf' is not a finite number"),
+    ("mix = 1.0 ; 1.0", "mix = nan ; 1.0", 9, "layer 1",
+     "bad value for mix: 'nan' is not a finite number"),
+    ("biases = 0.0, 0.0\npooling = max", "biases = inf, 0.0\npooling = max", 10, "layer 1",
+     "bad value for biases: 'inf' is not a finite number"),
+    ("activation = relu", "activation: relu", 4, "net",
+     "expected 'key = value', got 'activation: relu'"),
+    ("mix = 1.0 ; 1.0", "mix = 1.0 ;\n  1.0", 10, "layer 1",
+     "no indented or continuation lines in a sectioned config, got '1.0'"),
+    ("biases = 0.0, 0.0\npooling = max", "biases =\npooling = max", 10, "layer 1",
+     "expected 'key = value', got 'biases ='"),
+    ("[layer 2]", "[layer 7]", 13, "layer 7", "layers must be numbered 1 to 2"),
+    ("[layer 2]", "[layer 01]", 13, "layer 01", "expected [net] or [layer k], k = 1, 2, ..."),
+    ("[layer 2]", "[layer 1]", 13, "layer 1", "duplicate section"),
+    ("pooling = none", "pooling = none\nmix = 1.0", 18, "layer 2", "duplicate key 'mix'"),
+    ("activation = relu", "activation = relu%", 4, "net",
+     "bad value for activation: unknown activation 'relu%'"),
+], ids=["bands-nan", "bands-inf", "mix-nan", "biases-inf", "colon-delimiter",
+        "continuation-line", "empty-value", "layer-number-gap", "layer-number-zero-padded",
+        "repeated-section", "repeated-key", "percent-is-literal"])
+def test_net_file_follows_the_config_grammar(tmp_path, capsys, old, new, line, section,
+                                             message):
+    assert old in _REFERENCE_NET
+    net = tmp_path / "net.ini"
+    net.write_text(_REFERENCE_NET.replace(old, new, 1))
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph = path(16)\nlaplacian = normalized\nnet = {net}\nseed = 7\n")
+    code = cli.main(["convnet-transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"spectral-transfer: error: {net}: line {line}: [{section}]: {message}"
+    ]

@@ -1,10 +1,13 @@
 """Config fuzzing: no config text, and no filter, band or Laplacian value,
 ends in anything but a library error or one of the CLI's exit codes."""
 
+import contextlib
+import io
 import os
 import tempfile
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_transfer import cli
@@ -35,8 +38,8 @@ _key_value_lines = st.builds(
 )
 
 
-def _write(directory, text):
-    path = os.path.join(directory, "cfg.txt")
+def _write(directory, text, name="cfg.txt"):
+    path = os.path.join(directory, name)
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -125,3 +128,113 @@ def test_monte_carlo_keys_exit_zero_one_or_two(
         path = _write(tmp, "".join(f"{k} = {v}\n" for k, v in keys.items()))
         code = cli.main([experiment, "--config", path, "--out", os.path.join(tmp, "out")])
     assert code in (0, 1, 2)
+
+
+_NET_LINES = (Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini"
+              ).read_text().split("\n")
+_NET_KEY_LINES = tuple(i for i, line in enumerate(_NET_LINES)
+                       if " = " in line and not line.startswith("#"))
+_NET_HEADERS = ("[net]", "[layer 1]", "[layer 01]", "[layer 2]", "[Layer 1]", "[pooling]")
+# per key: values that fit the shipped network, then the same shapes with a
+# non-finite number
+_NET_VALUES = {
+    "activation": (("relu", "abs"), ()),
+    "bands": (("0.3, 0.6, 1.0", "0.2, 0.6, 0.6"), ("0.3, nan, 1.0", "0.3, 0.6, inf")),
+    "filters": (("lowpass(2.0) ; heat(0.5)", "midpass(1.0,0.5) ; heat(0.5)",
+                 "lowpass(2.0), heat(0.5) ; heat(0.5), lowpass(2.0)"), ("heat(nan) ; heat(0.5)",)),
+    "mix": (("1.0 ; 1.0", "0.5, 0.5 ; 0.5, -0.5"), ("nan ; 1.0", "0.5, 0.5 ; -inf, -0.5")),
+    "biases": (("0.0, 0.0", "0.1, -0.1"), ("inf, 0.0",)),
+    "pooling": (("max", "none", "l2avg"), ()),
+}
+_NET_BAD = ("nan", "%", "relu%", "")
+_net_forms = _mostly(("{} = {}",), ("{}: {}", "  {} = {}"))
+
+
+def _net_line(key):
+    good, non_finite = _NET_VALUES[key]
+    values = st.one_of(st.sampled_from(good), st.sampled_from(non_finite + _NET_BAD))
+    return st.builds(lambda value, form: form.format(key, value), values, _net_forms)
+
+
+# a key line of the shipped file with a new value or form
+_net_rewrites = st.sampled_from(_NET_KEY_LINES).flatmap(
+    lambda i: st.tuples(st.just(i), _net_line(_NET_LINES[i].split(" = ")[0]))
+)
+# a header or key line inserted before a line of the shipped file
+_net_inserts = st.tuples(
+    st.integers(min_value=0, max_value=len(_NET_LINES)),
+    st.one_of(st.sampled_from(_NET_HEADERS),
+              st.sampled_from(tuple(_NET_VALUES)).flatmap(_net_line)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_net_rewrites, max_size=2), st.lists(_net_inserts, max_size=2))
+def test_net_file_text_exits_zero_one_or_two(rewrites, inserts):
+    lines = list(_NET_LINES)
+    for index, line in rewrites:
+        lines[index] = line
+    for index, line in inserts:
+        lines.insert(index, line)
+    text = "\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        net = _write(tmp, text, "net.ini")
+        path = _write(tmp, f"graph = path(16)\nlaplacian = normalized\nnet = {net}\nseed = 7\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["convnet-transfer", "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if any(word in text for word in ("nan", "inf")):
+        assert code == 2, err.getvalue()
+
+
+_args = st.lists(
+    st.one_of(st.sampled_from(("1", "2", "3", "8", "0.5", "0.1")),
+              st.sampled_from(("nan", "inf", "-inf")),
+              st.sampled_from(("0", "-1", "x", "", "(1)", "1)", "(1"))),
+    min_size=1, max_size=3,
+).map(",".join)
+
+
+def _descriptors(*names):
+    return st.builds(
+        lambda name, args, shape: shape.format(name, args),
+        _mostly(names, ("bogus", "", names[0].title(), names[0].upper())),
+        _args,
+        _mostly(("{}({})",), ("{}", "{}({}", "{}{})", "{}(({}))", "{} ({})", "{}({}))")),
+    )
+
+
+_graph_descriptors = _descriptors("random-geometric", "path", "grid")
+_filter_descriptors = _descriptors("heat", "lowpass", "midpass", "poly", "identity")
+_perturbation_descriptors = _descriptors("remove_edges", "add_edges", "remove_vertices")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("graph"), _graph_descriptors),
+    st.tuples(st.just("filters"),
+              st.lists(_filter_descriptors, min_size=1, max_size=2).map(", ".join)),
+    st.tuples(st.just("perturbations"),
+              st.lists(_perturbation_descriptors, min_size=1, max_size=2).map(", ".join)),
+    st.tuples(st.just("net_perturbation"), _perturbation_descriptors),
+), st.sampled_from(("coarsen-transfer", "perturb-stability", "convnet-transfer")))
+@example(("graph", "random-geometric(10,nan)"), "coarsen-transfer")
+@example(("graph", "random-geometric(10,-inf)"), "convnet-transfer")
+@example(("net_perturbation", "add_edges(nan)"), "convnet-transfer")
+def test_descriptors_load_or_raise_a_library_error(key_and_value, experiment):
+    key, value = key_and_value
+    keys = {"experiment": experiment, "graph": "path(8)", "seed": "3", key: value}
+    used = {"coarsen-transfer": ("graph", "filters"),
+            "perturb-stability": ("graph", "filters", "perturbations"),
+            "convnet-transfer": ("graph", "net_perturbation")}[experiment]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "".join(f"{k} = {v}\n" for k, v in keys.items() if v))
+        try:
+            ExperimentConfig.from_file(path).load_graph()
+        except SpectralTransferError:
+            return
+    # a descriptor that the experiment reads takes finite numbers only
+    assert key not in used or not any(word in value for word in ("nan", "inf"))

@@ -26,6 +26,7 @@ from spectral_transfer.experiments import (
     run_experiment,
     split_top_level,
 )
+from spectral_transfer.textio import TextFile, config_entries, parse_descriptor
 
 
 class TestEdgeList:
@@ -208,6 +209,45 @@ class TestSplitTopLevel:
 
     def test_empty(self):
         assert split_top_level("") == []
+
+    @pytest.mark.parametrize("text", ["heat(1", "heat(1))", ")(", "a, b)"])
+    def test_unbalanced_parentheses_raise(self, text):
+        with pytest.raises(ValueError, match="unbalanced"):
+            split_top_level(text)
+
+
+class TestTextio:
+    @pytest.mark.parametrize("text, parsed", [
+        ("identity", ("identity", [])),
+        (" heat(0.5) ", ("heat", ["0.5"])),
+        ("random-geometric(20, 0.4,3)", ("random-geometric", ["20", "0.4", "3"])),
+        ("poly(1,,2)", ("poly", ["1", "2"])),
+        ("f(g(1,2), 3)", ("f", ["g(1,2)", "3"])),
+    ])
+    def test_descriptor_grammar(self, text, parsed):
+        assert parse_descriptor(text, ConfigError) == parsed
+
+    @pytest.mark.parametrize("text", ["Heat(1)", "heat(1", "heat(1))", "heat)1(", "", "(1)",
+                                      "heat(1) x"])
+    def test_descriptor_outside_the_grammar_names_it(self, text):
+        with pytest.raises(ParseError, match=re.escape(repr(text.strip()))):
+            parse_descriptor(text, ParseError)
+
+    def test_undecodable_file_raises_the_callers_error(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match=f"cannot read thing {re.escape(str(path))}"):
+            TextFile(path, ConfigError, "thing")
+
+    def test_config_entries_track_sections_and_lines(self, tmp_path):
+        path = tmp_path / "x.ini"
+        path.write_text("# c\n[a]\nK = 1%\n; c\n[b]\nk = 2\n")
+        entries = list(config_entries(TextFile(path, ConfigError, "x"), sections=True))
+        assert entries == [(2, "a", None, None), (3, "a", "k", "1%"),
+                           (5, "b", None, None), (6, "b", "k", "2")]
+        path.write_text("[a]\nk = 1\nK = 2\n")
+        with pytest.raises(ConfigError, match=r"line 3: \[a\]: duplicate key 'k'"):
+            list(config_entries(TextFile(path, ConfigError, "x"), sections=True))
 
 
 class TestExperimentConfig:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_transfer import montecarlo
 from spectral_transfer.errors import ParameterError, SlopeUndefinedError
 from spectral_transfer.montecarlo import (
     TrialConfig,
@@ -79,6 +80,16 @@ class TestConstants:
         cons = bound_constants(small_config())
         assert cons.c_quad3 > 0
         assert cons.c_tail_inflation == 1.5
+
+    def test_no_tail_estimate_without_activation_probes(self, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the activation tail was estimated")
+
+        monkeypatch.setattr(montecarlo, "estimate_activation_tail_constant", no_estimate)
+        cons = bound_constants(small_config(activation_probes=0))
+        assert cons.c_quad3 == 0.0
+        result = run_trials(small_config(activation_probes=0), cons)[0]
+        assert result.activation_bound == 0.0 and not result.violations[2]
 
 
 class TestMcTrial:
