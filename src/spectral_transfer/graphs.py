@@ -10,7 +10,9 @@ decompositions are dense and direct: time grows as n^3 and memory as n^2
 (one eigenbasis per operator, no per-eigenvalue projectors).  A diagonal B,
 the dot product included, is held as its n weights, and only a directed
 graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
-8.0 MB matrix plus 26 kB (tracemalloc).
+8.0 MB matrix plus 26 kB (tracemalloc).  scipy.linalg loads only when a run
+needs it: for a directed (non-Hermitian) operator's Schur form, or for a Gram
+matrix of order above 256 in :func:`operator_norm`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DecompositionError,
@@ -111,6 +112,11 @@ def operator_norm(mat: np.ndarray):
     if grams.shape[1] <= _NUMPY_EIGVALSH_MAX_DIM:
         top = np.linalg.eigvalsh(grams if safe.all() else grams[safe])[:, -1]
     else:
+        # imported here, not at module load: scipy.linalg doubles the
+        # package's import time, and only this branch and directed operators
+        # need it
+        import scipy.linalg
+
         # gram.T is the same Hermitian matrix in Fortran order, so LAPACK
         # overwrites it in place instead of copying it
         top = [
@@ -173,7 +179,14 @@ class WeightedGraph:
 
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix W; symmetric when undirected."""
-        w_mat = np.zeros((self.n_vertices, self.n_vertices))
+        n = self.n_vertices
+        try:
+            w_mat = np.zeros((n, n))
+        except MemoryError:
+            raise GraphError(
+                f"graph of {n} vertices needs a dense {n}x{n} matrix of "
+                f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
+            ) from None
         for u, v, w in self.edges:
             w_mat[u, v] = w
             if not self.directed:
@@ -543,6 +556,8 @@ def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
         # Reweight into the Euclidean-normal B^{1/2} A B^{-1/2}, then use its
         # Schur form: for a normal matrix the Schur factor is diagonal and
         # the unitary columns are orthonormal eigenvectors.
+        import scipy.linalg
+
         inner = op.inner
         m = inner.apply_sqrt(a)
         m = m * inner._inv_sqrt if inner.b.ndim == 1 else m @ inner._inv_sqrt

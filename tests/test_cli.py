@@ -352,3 +352,22 @@ def test_net_file_follows_the_config_grammar(tmp_path, capsys, old, new, line, s
     assert capsys.readouterr().err.splitlines() == [
         f"spectral-transfer: error: {net}: line {line}: [{section}]: {message}"
     ]
+
+
+@pytest.mark.parametrize("graph_format, text", [
+    ("edge_list", "0 100000000 1\n"),
+    ("matrix_market",
+     "%%MatrixMarket matrix coordinate real symmetric\n100000000 100000000 1\n2 1 1\n"),
+], ids=["edge-list-index", "matrix-market-rows"])
+def test_graph_too_large_for_a_dense_matrix_exits_two(graph_format, text, tmp_path, capsys):
+    # 10^8 vertices ask for 71 PiB, which no allocator grants; a smaller
+    # count could really be allocated
+    graph_file = tmp_path / "huge.txt"
+    graph_file.write_text(text)
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph_file = {graph_file}\ngraph_format = {graph_format}\nseed = 1\n")
+    code = cli.main(["coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spectral-transfer: error: graph of 1000000")
+    assert "dense" in err[0] and "GiB" in err[0]
