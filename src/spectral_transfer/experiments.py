@@ -357,45 +357,15 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         lambda i: filter_matrix(config.parsed_filters[i], space.eig)
     )
     for desc, spec in zip(config.perturbations, config.parsed_perturbations):
-        result = perturb_graph_detailed(graph, spec)
-        delta_op = build_laplacian(result.graph, config.laplacian)
-        restriction = None
-        if result.kept_vertices is not None:
-            restriction = result.restriction_matrix(graph.n_vertices)
-        setting = perturbation_setting(
-            space, delta_op, restriction=restriction, band=config.band, name=desc
+        modes, bounds, summary, stability, perturbation_ok = _perturbation_rows(
+            config, graph, space, desc, spec, space_filter_matrix
         )
-        modes, bounds, _, summary, setting_ok = _collect_transfer_rows(setting, config)
         all_modes.extend(modes)
         all_bounds.extend(bounds)
         summaries[desc] = summary
-        ok &= setting_ok
-
-        # Frobenius stability: restrict the fine operator first, then
-        # compare the two functional-calculus applications.  Both must be
-        # normal in the dot product.  Spectral projections do not depend on
-        # the inner product, so the decompositions already made serve; a
-        # restricted fine operator exists only when vertices were removed.
-        fine_mat, fine_op = space.operator.matrix, None
-        if restriction is not None:
-            fine_mat = restriction @ fine_mat @ restriction.T
-            fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
-        lap_abs = float(np.linalg.norm(fine_mat - delta_op.matrix, "fro"))
-        lap_rel = lap_abs / max(float(np.linalg.norm(fine_mat, "fro")), 1e-30)
-        for i, filt in enumerate(config.parsed_filters):
-            f_fine = (space_filter_matrix(i) if fine_op is None
-                      else filter_matrix(filt, fine_op.eig))
-            f_delta = filter_matrix(filt, delta_op.eig)
-            filt_abs = float(np.linalg.norm(f_fine - f_delta, "fro"))
-            filt_rel = filt_abs / max(float(np.linalg.norm(f_fine, "fro")), 1e-30)
-            d_lip = filt.lipschitz_constant  # the config checked it is set
-            dominated = certified(filt_abs, d_lip * lap_abs)
-            ok &= dominated
-            stability_rows.append((
-                desc, filt.name, lap_abs, filt_abs, lap_rel, filt_rel,
-                d_lip, dominated,
-            ))
-            points.append((lap_abs, filt_abs, filt.name))
+        stability_rows.extend(stability)
+        points.extend((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability)
+        ok &= perturbation_ok
     d_max = max(f.lipschitz_constant or 1.0 for f in config.parsed_filters)
     return ReportBundle(
         experiment="perturb-stability",
@@ -423,6 +393,52 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         },
         all_certified=ok,
     )
+
+
+def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
+                       space: GraphSpace, desc: str, spec,
+                       space_filter_matrix) -> tuple:
+    """Transfer rows, summary, stability rows and verdict of one perturbation.
+
+    A function of its own so that the perturbed operator, its setting and
+    its filter matrices are freed before the next perturbation is built.
+    """
+    result = perturb_graph_detailed(graph, spec)
+    delta_op = build_laplacian(result.graph, config.laplacian)
+    restriction = None
+    if result.kept_vertices is not None:
+        restriction = result.restriction_matrix(graph.n_vertices)
+    setting = perturbation_setting(
+        space, delta_op, restriction=restriction, band=config.band, name=desc
+    )
+    modes, bounds, _, summary, ok = _collect_transfer_rows(setting, config)
+
+    # Frobenius stability: restrict the fine operator first, then
+    # compare the two functional-calculus applications.  Both must be
+    # normal in the dot product.  Spectral projections do not depend on
+    # the inner product, so the decompositions already made serve; a
+    # restricted fine operator exists only when vertices were removed.
+    fine_mat, fine_op = space.operator.matrix, None
+    if restriction is not None:
+        fine_mat = restriction @ fine_mat @ restriction.T
+        fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
+    lap_abs = float(np.linalg.norm(fine_mat - delta_op.matrix, "fro"))
+    lap_rel = lap_abs / max(float(np.linalg.norm(fine_mat, "fro")), 1e-30)
+    stability = []
+    for i, filt in enumerate(config.parsed_filters):
+        f_fine = (space_filter_matrix(i) if fine_op is None
+                  else filter_matrix(filt, fine_op.eig))
+        f_delta = filter_matrix(filt, delta_op.eig)
+        filt_abs = float(np.linalg.norm(f_fine - f_delta, "fro"))
+        filt_rel = filt_abs / max(float(np.linalg.norm(f_fine, "fro")), 1e-30)
+        d_lip = filt.lipschitz_constant  # the config checked it is set
+        dominated = certified(filt_abs, d_lip * lap_abs)
+        ok &= dominated
+        stability.append((
+            desc, filt.name, lap_abs, filt_abs, lap_rel, filt_rel,
+            d_lip, dominated,
+        ))
+    return modes, bounds, summary, stability, ok
 
 
 # an empirical window around the predicted rate -1/2, not a bound: no slack
@@ -520,8 +536,9 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
 def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
     """The reference 2-layer network: channels 1 -> 2 -> 2, unit mixing,
     bias-free, relu, max pooling after the first layer, bands covering 4,
-    6, and 8 modes of the input graph."""
-    lams = np.sort(space.eig.eigenvalues_with_multiplicity().real)
+    6, and 8 modes of the input graph.  A band keeps the modes with
+    ``|lambda|`` up to it, so the bands fall between sorted ``|lambda|``."""
+    lams = np.sort(np.abs(space.eig.eigenvalues_with_multiplicity()))
     if lams.shape[0] < 9:
         raise ConfigError("the default network needs a graph with >= 9 modes")
     bands = (

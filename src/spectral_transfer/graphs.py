@@ -1,5 +1,11 @@
 """Weighted graphs, Laplacian variants, custom inner products, eigendecomposition.
 
+A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
+``w``; it is checked, filled into its adjacency matrix and perturbed
+(``sampling.perturb_graph_detailed``) as whole arrays, with no Python loop
+per edge.  The ``edges`` tuple of ``(u, v, w)`` triples is a view for file
+writers, built on request.
+
 Operators that are not symmetric matrices are handled as normal operators
 under a constructed inner product ``<u, v> = v^H B u``: for a diagonalizable
 matrix with eigenvector matrix G, ``B = G^{-H} G^{-1}`` makes the matrix
@@ -112,21 +118,47 @@ def operator_norm(mat: np.ndarray):
     if grams.shape[1] <= _NUMPY_EIGVALSH_MAX_DIM:
         top = np.linalg.eigvalsh(grams if safe.all() else grams[safe])[:, -1]
     else:
-        # imported here, not at module load: scipy.linalg doubles the
-        # package's import time, and only this branch and directed operators
-        # need it
-        import scipy.linalg
-
-        # gram.T is the same Hermitian matrix in Fortran order, so LAPACK
-        # overwrites it in place instead of copying it
-        top = [
-            scipy.linalg.eigvalsh(
-                grams[i].T, overwrite_a=True, check_finite=False, driver="evd"
-            )[-1]
-            for i in np.flatnonzero(safe)
-        ]
+        top = [hermitian_eigenvalues(grams[i])[-1] for i in np.flatnonzero(safe)]
     norms[safe] = np.sqrt(np.maximum(top, 0.0))
     return norms.reshape(stack) if stack else float(norms[0])
+
+
+def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix ``mat``, of which only
+    one triangle is read.
+
+    Order up to 256 takes numpy's ``eigvalsh``; a larger matrix goes to
+    LAPACK's divide-and-conquer solve, which works in place and clobbers
+    ``mat``, so pass a temporary.
+    """
+    if mat.shape[-1] <= _NUMPY_EIGVALSH_MAX_DIM:
+        return np.linalg.eigvalsh(mat)
+    # imported here, not at module load: scipy.linalg doubles the package's
+    # import time, and only large matrices and directed operators need it
+    import scipy.linalg
+
+    # mat.T is the same Hermitian matrix in Fortran order, so LAPACK can
+    # overwrite it in place instead of copying it
+    return scipy.linalg.eigvalsh(
+        mat.T, overwrite_a=True, check_finite=False, driver="evd"
+    )
+
+
+def hermitian_norm(mat: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest eigenvalue modulus.
+
+    One eigensolve of the Hermitian part of ``mat``, which absorbs roundoff
+    asymmetry, and no Gram product.  As in :func:`operator_norm`, an empty
+    matrix has norm 0 and a non-finite entry raises
+    :class:`numpy.linalg.LinAlgError`.
+    """
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return 0.0
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+    vals = hermitian_eigenvalues(0.5 * (mat + mat.conj().T))
+    return float(max(-vals[0], vals[-1]))
 
 
 def _rescaled_norm(mat: np.ndarray) -> float:
@@ -140,58 +172,121 @@ def _rescaled_norm(mat: np.ndarray) -> float:
     return operator_norm(mat * scale) / scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
     """A weighted graph: the discrete domain of all transfer settings.
 
-    Edges are stored as ``(u, v, w)`` triples.  Undirected graphs keep one
-    canonical entry per edge with ``u < v``; directed graphs keep entries as
-    given.  Self loops, duplicate edges, and non-finite weights are rejected.
+    Edges are held as three read-only arrays in input order: endpoints ``u``
+    and ``v`` (int64) and weights ``w`` (float64).  Undirected graphs keep
+    each edge once with ``u < v``; directed graphs keep endpoints as given.
+    Self loops, duplicate edges (either orientation when undirected), and
+    non-finite weights are rejected, naming the first bad edge.  ``edges``
+    is the ``(u, v, w)`` tuple view that file writers read, built on each
+    access.
     """
 
     n_vertices: int
-    edges: tuple
-    directed: bool = False
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    directed: bool
 
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges=(), directed: bool = False):
+        """Graph of ``(u, v, w)`` triples."""
+        rows = tuple(edges)
+        u, v, w = zip(*rows) if rows else ((), (), ())
+        self._store(n_vertices, np.array(u), np.array(v), np.array(w, dtype=float),
+                    directed)
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, u, v, w,
+                    directed: bool = False) -> "WeightedGraph":
+        """Graph of the edges ``(u[i], v[i], w[i])``, checked as triples are."""
+        graph = cls.__new__(cls)
+        graph._store(n_vertices, np.asarray(u), np.asarray(v),
+                     np.array(w, dtype=float), directed)
+        return graph
+
+    def _store(self, n_vertices, u, v, w, directed):
+        if n_vertices < 1:
             raise GraphError("graph must have at least one vertex")
-        seen = set()
-        canonical = []
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise GraphError(f"edge ({u}, {v}) outside vertex range")
-            if u == v:
-                raise GraphError(f"self loop at vertex {u}")
-            if not np.isfinite(w):
-                raise GraphError(f"non-finite weight on edge ({u}, {v})")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            canonical.append((key[0], key[1], w) if not self.directed else (u, v, w))
-        object.__setattr__(self, "edges", tuple(canonical))
+        # an index beyond int64 stays a Python int (object array)
+        u, v = (x if x.dtype == object else x.astype(np.int64) for x in (u, v))
+        message = _first_edge_error(n_vertices, u, v, w, directed)
+        if message:
+            raise GraphError(message)
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        for name, value in (("n_vertices", n_vertices), ("u", u), ("v", v),
+                            ("w", w), ("directed", directed)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def edges(self) -> tuple:
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+    def _key(self) -> tuple:
+        return self.n_vertices, self.edges, self.directed
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.w.shape[0]
 
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix W; symmetric when undirected."""
         n = self.n_vertices
         try:
             w_mat = np.zeros((n, n))
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise GraphError(
                 f"graph of {n} vertices needs a dense {n}x{n} matrix of "
                 f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
             ) from None
-        for u, v, w in self.edges:
-            w_mat[u, v] = w
-            if not self.directed:
-                w_mat[v, u] = w
+        w_mat[self.u, self.v] = self.w
+        if not self.directed:
+            w_mat[self.v, self.u] = self.w
         return w_mat
+
+
+def _first_edge_error(n: int, u, v, w, directed: bool) -> str | None:
+    """What is wrong with the first invalid edge, or None when all are valid.
+
+    An edge is checked for its vertex range, a self loop, a non-finite
+    weight and an earlier edge with the same endpoints, in that order.
+    """
+    if not u.size:
+        return None
+    # endpoints clipped into [-1, n] keep their range verdicts and int64 sorts
+    top = min(n, 2**62)
+    uc, vc = (np.clip(x, -1, top).astype(np.int64) for x in (u, v))
+    if not directed:
+        uc, vc = np.minimum(uc, vc), np.maximum(uc, vc)
+    order = np.lexsort((vc, uc))  # stable: a repeat sorts after its first
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = (np.diff(uc[order]) == 0) & (np.diff(vc[order]) == 0)
+    checks = (
+        ((uc < 0) | (uc >= n) | (vc < 0) | (vc >= n),
+         "edge ({0}, {1}) outside vertex range"),
+        (u == v, "self loop at vertex {0}"),
+        (~np.isfinite(w), "non-finite weight on edge ({0}, {1})"),
+        (repeat, "duplicate edge ({0}, {1})"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    first = int(np.argmax(bad))
+    message = next(message for mask, message in checks if mask[first])
+    return message.format(int(u[first]), int(v[first]))
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -222,10 +317,9 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
     pts = rng.uniform(size=(n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    edges = [
-        (i, j, 1.0) for i in range(n) for j in range(i + 1, n) if dist[i, j] <= radius
-    ]
-    return WeightedGraph(n, tuple(edges))
+    # row-major, so edges come in (i, j) order with i < j
+    rows, cols = np.nonzero(np.triu(dist <= radius, 1))
+    return WeightedGraph.from_arrays(n, rows, cols, np.ones(rows.size))
 
 
 @dataclass(frozen=True)
@@ -576,10 +670,15 @@ def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
 
     vals = np.asarray(vals, dtype=complex)
     index_groups = _group_eigenvalues(vals, group_tol)
-    means = np.array([np.mean(vals[idxs]) for idxs in index_groups])
+    counts = np.array([len(idxs) for idxs in index_groups])
+    order = np.concatenate(index_groups)
+    # a singleton's mean is its value; only a merged group needs np.mean
+    means = vals[order[np.cumsum(counts) - counts]]
+    for j in np.flatnonzero(counts > 1):
+        means[j] = np.mean(vals[index_groups[j]])
     return EigenDecomposition(
         group_values=means.real if hermitian else _real_if_possible(means),
-        multiplicities=np.array([len(idxs) for idxs in index_groups]),
+        multiplicities=counts,
         inner=op.inner,
-        basis=vecs[:, np.concatenate(index_groups)],
+        basis=vecs[:, order],
     )

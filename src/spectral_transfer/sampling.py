@@ -305,56 +305,57 @@ class PerturbationResult:
         if self.kept_vertices is None:
             return np.eye(n_fine)
         s = np.zeros((len(self.kept_vertices), n_fine))
-        for row, v in enumerate(self.kept_vertices):
-            s[row, v] = 1.0
+        s[np.arange(len(self.kept_vertices)), self.kept_vertices] = 1.0
         return s
 
 
 def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> PerturbationResult:
-    """Apply a perturbation; deterministic under the given seed."""
+    """Apply a perturbation; deterministic under the given seed.
+
+    Removed edges and vertices are drawn with one ``rng.choice`` each; added
+    edges are drawn among the absent ones in row-major (u, v) order, with
+    ``u < v`` when undirected, and appended in that order with weight 1.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    edges = list(graph.edges)
+    n, m = graph.n_vertices, graph.n_edges
+    u, v, w = graph.u, graph.v, graph.w
     if spec.mode == "remove_edges":
-        k = int(np.floor(spec.fraction * len(edges)))
-        drop = set(rng.choice(len(edges), size=k, replace=False)) if k else set()
-        kept = tuple(e for i, e in enumerate(edges) if i not in drop)
-        return PerturbationResult(WeightedGraph(graph.n_vertices, kept, graph.directed))
+        k = int(np.floor(spec.fraction * m))
+        keep = np.ones(m, dtype=bool)
+        if k:
+            keep[rng.choice(m, size=k, replace=False)] = False
+        return PerturbationResult(WeightedGraph.from_arrays(
+            n, u[keep], v[keep], w[keep], graph.directed
+        ))
     if spec.mode == "add_edges":
-        k = int(np.floor(spec.fraction * len(edges)))
-        existing = {(e[0], e[1]) for e in edges}
-        if graph.directed:
-            candidates = [
-                (u, v)
-                for u in range(graph.n_vertices)
-                for v in range(graph.n_vertices)
-                if u != v and (u, v) not in existing
-            ]
-        else:
-            candidates = [
-                (u, v)
-                for u in range(graph.n_vertices)
-                for v in range(u + 1, graph.n_vertices)
-                if (u, v) not in existing
-            ]
-        k = min(k, len(candidates))
-        pick = rng.choice(len(candidates), size=k, replace=False) if k else []
-        new_edges = edges + [(candidates[i][0], candidates[i][1], 1.0) for i in sorted(pick)]
-        return PerturbationResult(WeightedGraph(graph.n_vertices, tuple(new_edges), graph.directed))
+        k = int(np.floor(spec.fraction * m))
+        absent = np.ones((n, n), dtype=bool)
+        absent[u, v] = False
+        np.fill_diagonal(absent, False)
+        candidates = np.flatnonzero(absent if graph.directed else np.triu(absent, 1))
+        k = min(k, candidates.size)
+        pick = np.sort(rng.choice(candidates.size, size=k, replace=False)) if k else []
+        new_u, new_v = divmod(candidates[pick], n)
+        return PerturbationResult(WeightedGraph.from_arrays(
+            n, np.concatenate([u, new_u]), np.concatenate([v, new_v]),
+            np.concatenate([w, np.ones(k)]), graph.directed,
+        ))
     # remove_vertices
-    k = int(np.floor(spec.fraction * graph.n_vertices))
-    if k >= graph.n_vertices:
+    k = int(np.floor(spec.fraction * n))
+    if k >= n:
         raise DegeneratePerturbationError(
-            f"removing {k} of {graph.n_vertices} vertices empties the graph"
+            f"removing {k} of {n} vertices empties the graph"
         )
-    drop = set(rng.choice(graph.n_vertices, size=k, replace=False)) if k else set()
-    kept = tuple(v for v in range(graph.n_vertices) if v not in drop)
-    index = {v: i for i, v in enumerate(kept)}
-    new_edges = tuple(
-        (index[u], index[v], w) for u, v, w in edges if u in index and v in index
+    keep = np.ones(n, dtype=bool)
+    if k:
+        keep[rng.choice(n, size=k, replace=False)] = False
+    index = np.cumsum(keep) - 1  # new index of each kept vertex
+    kept_edge = keep[u] & keep[v]
+    sub = WeightedGraph.from_arrays(
+        int(keep.sum()), index[u[kept_edge]], index[v[kept_edge]], w[kept_edge],
+        graph.directed,
     )
-    return PerturbationResult(
-        WeightedGraph(len(kept), new_edges, graph.directed), kept
-    )
+    return PerturbationResult(sub, tuple(np.flatnonzero(keep).tolist()))
 
 
 def unit_probes(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

@@ -31,7 +31,13 @@ import numpy as np
 
 from .errors import BandError, ParameterError
 from .filters import Filter, max_difference_quotient, sup_norm_on_spectrum
-from .graphs import OperatorWithInnerProduct, column_norms, operator_norm
+from .graphs import (
+    OperatorWithInnerProduct,
+    column_norms,
+    hermitian_eigenvalues,
+    hermitian_norm,
+    operator_norm,
+)
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
 from .spaces import GraphSpace
 
@@ -77,7 +83,15 @@ def filter_constants(filt: Filter, source_eigenvalues,
 
 @dataclass(frozen=True)
 class TransferSetting:
-    """One (source space, sampling, target operator) configuration."""
+    """One (source space, sampling, target operator) configuration.
+
+    Interpolation is ``R = S^H B``, so ``K = S^H B S = R S`` is Hermitian
+    positive semidefinite, and the spectrum of K gives both band norms
+    exactly, with no further product: ``||R|| = ||S|| = sqrt(lambda_max(K))``,
+    because K is the Gram matrix of ``B^{1/2} S``, and ``||P - R S|| =
+    max |1 - lambda(K)|``, because ``P - R S = I - K`` is Hermitian with
+    eigenvalues ``1 - lambda(K)``.
+    """
 
     name: str
     band: float
@@ -120,9 +134,17 @@ class TransferSetting:
         return self.target.inner.column_norms(diff)
 
     @cached_property
+    def band_gram_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``K = S^H B S``, formed as ``Y^H Y`` for
+        ``Y = B^{1/2} S``, the Gram matrix that ``operator_norm(Y)`` forms;
+        empty for an empty band."""
+        y = self.target.inner.apply_sqrt(self.s_pw)
+        return hermitian_eigenvalues((y.conj().T if np.iscomplexobj(y) else y.T) @ y)
+
+    @cached_property
     def interpolation_norm(self) -> float:
         """Measured ||R||; equals ||S|| since R is the adjoint of S."""
-        return self.target.inner.weighted_operator_norm(self.s_pw)
+        return float(np.sqrt(self.band_gram_spectrum.max(initial=0.0)))
 
     @cached_property
     def laplacian_operator_error(self) -> float:
@@ -133,7 +155,7 @@ class TransferSetting:
     @cached_property
     def consistency_operator_error(self) -> float:
         """``|| P - R S P ||`` in operator norm over the band."""
-        return operator_norm(np.eye(self.dim_pw) - self.r_pw @ self.s_pw)
+        return float(np.abs(1.0 - self.band_gram_spectrum).max(initial=0.0))
 
     def target_response(self, filt: Filter) -> np.ndarray:
         """``g(mu)`` on the target eigenvalues, one entry per row of Q."""
@@ -322,7 +344,11 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     # the graph-side mismatch is formed.
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
     g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
-    lhs_worst_m = operator_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
+    worst_m = np.diag(g_vals) - setting.filtered_transfer_matrix(filt)
+    # Hermitian, so no Gram product is needed, when g is real on both spectra
+    hermitian = not any(np.iscomplexobj(g) and np.any(g.imag)
+                        for g in (g_vals, setting.target_response(filt)))
+    lhs_worst_m = hermitian_norm(worst_m) if hermitian else operator_norm(worst_m)
 
     per_mode, constants, mismatch = _mode_bounds(setting, filt, slice(None))
     lhs_point_g = setting.target.inner.norm(mismatch @ coeffs)

@@ -292,6 +292,18 @@ def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
     assert summary["laplacian"] == "unnormalized"
 
 
+def test_convnet_transfer_default_bands_hold_modes_of_a_signed_spectrum(tmp_path, capsys):
+    # the adjacency spectrum of a path is symmetric about 0; bands taken
+    # from signed eigenvalues left band 0 negative and its probes empty
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(16)\nlaplacian = adjacency\nseed = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert "certified" in capsys.readouterr().out
+    summary = json.loads((out_dir / "summary.txt").read_text())
+    assert all(band > 0 for band in summary["bands"])
+
+
 @pytest.mark.parametrize("graph_format", ["edge_list", "matrix_market", "off"])
 def test_undecodable_graph_file_exits_two_naming_it(graph_format, tmp_path, capsys):
     graph_file = tmp_path / "noise.bin"
@@ -356,12 +368,14 @@ def test_net_file_follows_the_config_grammar(tmp_path, capsys, old, new, line, s
 
 @pytest.mark.parametrize("graph_format, text", [
     ("edge_list", "0 100000000 1\n"),
+    ("edge_list", "0 100000000000000000000 1\n"),
     ("matrix_market",
      "%%MatrixMarket matrix coordinate real symmetric\n100000000 100000000 1\n2 1 1\n"),
-], ids=["edge-list-index", "matrix-market-rows"])
+], ids=["edge-list-index", "edge-list-index-beyond-int64", "matrix-market-rows"])
 def test_graph_too_large_for_a_dense_matrix_exits_two(graph_format, text, tmp_path, capsys):
     # 10^8 vertices ask for 71 PiB, which no allocator grants; a smaller
-    # count could really be allocated
+    # count could really be allocated.  numpy refuses a dimension of 10^20
+    # outright, with a ValueError rather than a MemoryError.
     graph_file = tmp_path / "huge.txt"
     graph_file.write_text(text)
     path = tmp_path / "cfg.txt"

@@ -1,0 +1,159 @@
+"""The edge-array graph layer against a per-edge reference.
+
+The reference below is the loop form of the same rules: one Python tuple
+per edge, checked and canonicalised one at a time, with perturbations that
+walk edge lists and candidate lists.  Every graph, adjacency matrix,
+perturbation and error message of the array code must match it exactly.
+The tests take their example counts from the hypothesis profile
+(``tests/conftest.py``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spectral_transfer.errors import DegeneratePerturbationError, GraphError
+from spectral_transfer.graphs import WeightedGraph, random_geometric_graph
+from spectral_transfer.sampling import PerturbationSpec, perturb_graph_detailed
+
+
+def reference_edges(n_vertices, edges, directed):
+    """Canonical edge tuple, or the GraphError message of the first bad edge."""
+    if n_vertices < 1:
+        raise GraphError("graph must have at least one vertex")
+    seen, canonical = set(), []
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise GraphError(f"edge ({u}, {v}) outside vertex range")
+        if u == v:
+            raise GraphError(f"self loop at vertex {u}")
+        if not np.isfinite(w):
+            raise GraphError(f"non-finite weight on edge ({u}, {v})")
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        canonical.append((key[0], key[1], w))
+    return tuple(canonical)
+
+
+def reference_adjacency(n_vertices, edges, directed):
+    w_mat = np.zeros((n_vertices, n_vertices))
+    for u, v, w in edges:
+        w_mat[u, v] = w
+        if not directed:
+            w_mat[v, u] = w
+    return w_mat
+
+
+def reference_geometric_edges(n, radius, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pts = rng.uniform(size=(n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    return tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)
+                 if dist[i, j] <= radius)
+
+
+def reference_perturb(n, edges, directed, spec):
+    """``(n, edges, kept_vertices)`` of the perturbed graph."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    edges = list(edges)
+    if spec.mode == "remove_edges":
+        k = int(np.floor(spec.fraction * len(edges)))
+        drop = set(rng.choice(len(edges), size=k, replace=False)) if k else set()
+        return n, tuple(e for i, e in enumerate(edges) if i not in drop), None
+    if spec.mode == "add_edges":
+        k = int(np.floor(spec.fraction * len(edges)))
+        existing = {(u, v) for u, v, _ in edges}
+        candidates = [(u, v) for u in range(n)
+                      for v in (range(n) if directed else range(u + 1, n))
+                      if u != v and (u, v) not in existing]
+        k = min(k, len(candidates))
+        pick = rng.choice(len(candidates), size=k, replace=False) if k else []
+        added = [(candidates[i][0], candidates[i][1], 1.0) for i in sorted(pick)]
+        return n, tuple(edges + added), None
+    k = int(np.floor(spec.fraction * n))
+    if k >= n:
+        raise DegeneratePerturbationError(f"removing {k} of {n} vertices empties the graph")
+    drop = set(rng.choice(n, size=k, replace=False)) if k else set()
+    kept = tuple(v for v in range(n) if v not in drop)
+    index = {v: i for i, v in enumerate(kept)}
+    return len(kept), tuple((index[u], index[v], w) for u, v, w in edges
+                            if u in index and v in index), kept
+
+
+WEIGHTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def edge_lists(draw, valid: bool):
+    """``(n, edges, directed)``; unless ``valid``, indices run one past each
+    end of the vertex range and weights may be non-finite."""
+    n = draw(st.integers(1, 7))
+    directed = draw(st.booleans())
+    low, high = (0, n - 1) if valid else (-1, n)
+    pairs = st.tuples(st.integers(low, high), st.integers(low, high))
+    if valid:
+        pairs = pairs.filter(lambda p: p[0] != p[1])
+    key = (lambda p: p) if directed else (lambda p: (min(p), max(p)))
+    raw = draw(st.lists(pairs, max_size=12, unique_by=key if valid else None))
+    weight = st.floats(0.1, 3.0) if valid else WEIGHTS
+    return n, tuple((u, v, draw(weight)) for u, v in raw), directed
+
+
+@settings(deadline=None)
+@given(case=edge_lists(valid=False))
+@example(case=(3, ((0, 1, 1.0), (1, 0, 2.0)), False))
+@example(case=(3, ((0, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)), True))
+@example(case=(3, ((0, 2, 1.0), (1, 1, np.nan), (5, 0, 1.0)), False))
+@example(case=(2, ((0, 1, np.inf), (0, 2, 1.0)), True))
+def test_graph_matches_the_per_edge_reference(case):
+    n, edges, directed = case
+    try:
+        expected = reference_edges(n, edges, directed)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as info:
+            WeightedGraph(n, edges, directed)
+        assert str(info.value) == str(exc)
+        return
+    graph = WeightedGraph(n, edges, directed)
+    assert graph.edges == expected
+    assert graph.n_edges == len(expected)
+    np.testing.assert_array_equal(graph.adjacency(),
+                                  reference_adjacency(n, expected, directed))
+    same = WeightedGraph.from_arrays(n, graph.u, graph.v, graph.w, directed)
+    assert same == graph
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 40), radius=st.floats(0.0, 1.5), seed=st.integers(0, 2**32))
+def test_random_geometric_graph_matches_the_per_pair_reference(n, radius, seed):
+    graph = random_geometric_graph(n, radius, seed)
+    assert graph.edges == reference_geometric_edges(n, radius, seed)
+
+
+@settings(deadline=None)
+@given(
+    case=edge_lists(valid=True),
+    mode=st.sampled_from(["remove_edges", "add_edges", "remove_vertices"]),
+    fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_perturbation_matches_the_per_edge_reference(case, mode, fraction, seed):
+    n, edges, directed = case
+    graph = WeightedGraph(n, edges, directed)
+    spec = PerturbationSpec(mode, fraction, seed)
+    try:
+        n_out, edges_out, kept = reference_perturb(n, graph.edges, directed, spec)
+    except DegeneratePerturbationError as exc:
+        with pytest.raises(DegeneratePerturbationError, match=str(exc)):
+            perturb_graph_detailed(graph, spec)
+        return
+    result = perturb_graph_detailed(graph, spec)
+    assert result.graph.n_vertices == n_out
+    assert result.graph.directed == directed
+    assert result.graph.edges == edges_out
+    assert result.kept_vertices == kept

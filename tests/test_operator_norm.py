@@ -1,11 +1,12 @@
-"""``graphs.operator_norm`` against the largest singular value from an SVD."""
+"""``graphs.operator_norm`` and ``graphs.hermitian_norm`` against the largest
+singular value from an SVD."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_transfer.graphs import column_norms, operator_norm
+from spectral_transfer.graphs import column_norms, hermitian_norm, operator_norm
 from spectral_transfer.transfer import ABS_SLACK, REL_SLACK
 
 
@@ -50,6 +51,38 @@ def test_operator_norm_matches_largest_singular_value(
     # a certified lhs never comes out lower than the SVD's beyond the slack
     assert got >= sigma - (REL_SLACK * sigma + ABS_SLACK)
     assert abs(got - sigma) <= 1e-12 * sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.one_of(st.integers(1, 40), st.just(300)),
+    kind=st.sampled_from(["gaussian", "rank-deficient", "ill-conditioned", "zero"]),
+    complex_=st.booleans(),
+    cond_exp=st.integers(0, 12),
+    scale_exp=st.sampled_from([0, 0, 0, -8, 8, -200, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_norm_matches_largest_singular_value(
+    order, kind, complex_, cond_exp, scale_exp, seed
+):
+    # A + A^H, plus a roundoff-sized skew part that the Hermitian part drops;
+    # order 300 takes the scipy branch
+    rng = np.random.default_rng(seed)
+    half = _matrix(rng, order, order, kind, complex_, cond_exp, scale_exp)
+    mat = half + half.conj().T
+    sigma = np.linalg.svd(mat, compute_uv=False)[0]
+    skewed = mat + 1e-17 * (half - half.conj().T)
+    for got in (hermitian_norm(mat), hermitian_norm(skewed)):
+        assert abs(got - sigma) <= 1e-12 * sigma
+
+
+def test_hermitian_norm_of_empty_and_non_finite_matrices():
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
+    for bad in (np.nan, np.inf):
+        mat = np.eye(3)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_norm(mat)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])

@@ -207,3 +207,46 @@ def test_large_and_small_filters_scale_every_lhs(factor):
     pairs.append((unit.filter_error, scaled.filter_error))
     for a, b in pairs:
         assert abs(b - factor * a) <= TOL * factor * (1.0 + a), (a, b)
+
+
+def band_setting(kind: str):
+    """A setting of each shape the band norms meet: undirected with S a
+    coarsening or the identity, a vertex restriction, a directed target
+    with a full B, and an empty band."""
+    if kind == "directed":
+        return directed_ring_setting()
+    graph = random_geometric_graph(24, 0.4, seed=11)
+    space = GraphSpace.from_graph(graph)
+    if kind == "coarsening":
+        return coarsening_setting(space, coarsen_matching(graph))
+    if kind == "empty":
+        return perturbation_setting(space, space.operator, band=-1.0)
+    res = perturb_graph_detailed(graph, PerturbationSpec(kind, 0.2, seed=4))
+    restriction = None
+    if res.kept_vertices is not None:
+        restriction = res.restriction_matrix(graph.n_vertices)
+    return perturbation_setting(space, build_laplacian(res.graph, "unnormalized"),
+                                restriction=restriction)
+
+
+@pytest.mark.parametrize("kind", ["coarsening", "add_edges", "remove_vertices",
+                                  "directed", "empty"])
+def test_band_norms_from_the_gram_spectrum_match_operator_norm(kind):
+    setting = band_setting(kind)
+    if kind == "directed":
+        assert setting.target.inner.b.ndim == 2
+    if kind == "empty":
+        assert setting.dim_pw == 0
+    if kind == "remove_vertices":
+        assert setting.s_pw.shape[0] < setting.s_pw.shape[1]
+    s, r = setting.s_pw, setting.r_pw
+    refs = {
+        "interpolation": setting.target.inner.weighted_operator_norm(s),
+        "consistency": operator_norm(np.eye(setting.dim_pw) - r @ s),
+    }
+    got = {"interpolation": setting.interpolation_norm,
+           "consistency": setting.consistency_operator_error}
+    for name, ref in refs.items():
+        assert abs(got[name] - ref) <= 1e-13 * ref + 1e-15, (name, got[name], ref)
+    if kind == "empty":
+        assert got == {"interpolation": 0.0, "consistency": 0.0}
