@@ -20,14 +20,17 @@ its rank-K factors, and the activation probes of a size, whose seed depends
 on the size alone, are built once and shared by all its trials.
 
 The trials of one size run in blocks of ``max(1, _TRIAL_ROWS // N)``: a
-block's sample sets are stacked as (trials, N) points, so its kernel-band
-basis, factored kernels, Gram matrices and norms are each one stacked
-call, not one small call per trial.  The row budget bounds the block's
-temporaries.  Measured with one BLAS thread on the shipped mc-verify
-config (800 trials of N = 256): blocks of 8 trials halve the run time of
-single trials (0.31 s to 0.16 s, host-normalised benchmark medians) at
-the same 62 MB peak RSS of the CLI process; blocks of 16384 rows raised
-that peak by 4 MB, and all 400 trials of a weight in one block by 38 MB.
+block's sample sets are drawn in one pass and stacked as (trials, N)
+points, so its rejection rounds, weights, kernel-band basis, factored
+kernels, Gram matrices and norms are each one stacked call, not one small
+call per trial.  The row budget bounds the block's temporaries.  Measured
+with one BLAS thread on a 2-core host, on the shipped mc-verify config
+(800 trials of N = 256): blocks of 32 trials (8192 rows) cut the
+benchmark's host-normalised median run time from 0.150 s, with blocks of
+8 trials drawn one trial at a time, to 0.111 s.  The CLI process peaks at
+41 MB RSS with 8192 rows, 40.5 MB with 2048 or 4096, 43.5 MB with 16384
+and 70 MB with all 400 trials of a weight in one block; 4096 and 16384
+rows were both slower than 8192.
 """
 
 from __future__ import annotations
@@ -39,20 +42,26 @@ import numpy as np
 
 from .errors import ParameterError, SlopeUndefinedError
 from .graphs import operator_norm
-from .sampling import SampleSet, sampled_laplacian_matrix, unit_probes
+from .sampling import (
+    SampleSet,
+    rejection_sample,
+    sampled_laplacian_matrix,
+    unit_probes,
+)
 from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
 from .transfer import certified
 
 _C_SPHERE_PROBES = 500
 #: Size of the uniform grid for the constants and the activation tails.
 _GRID = 4096
-#: Probe columns activated at once on the quadrature grid.  It bounds the
-#: grid-by-probes temporaries (4096 x 16 doubles = 0.5 MB each); blocks of
-#: 64 raised the peak RSS of the shipped mc-verify run by 6 MB.
+#: Probe columns activated at once on the quadrature grid.  It sizes the
+#: two grid-by-probes buffers that the tail-constant estimate reuses
+#: (4096 x 16 doubles = 0.5 MB each); blocks of 64 raised the peak RSS of
+#: the shipped mc-verify run by 6 MB.
 _PROBE_BLOCK = 16
 #: Sample rows of one block of trials (trials times N); a size above it
 #: runs one trial per block.
-_TRIAL_ROWS = 2048
+_TRIAL_ROWS = 8192
 #: The sphere-sampling estimate of the activation-tail constant is inflated
 #: by this factor; the true maximum exists but has no closed form.
 C_TAIL_INFLATION = 1.5
@@ -122,25 +131,30 @@ class TrialConfig:
     def weight_fn(self):
         return _WEIGHTS[self.weight]
 
-    def draw(self, size_index: int, trial_index: int) -> SampleSet:
+    def draw_block(self, size_index: int, trial_indices) -> SampleSet:
+        """The sample sets of the trials, stacked as (trials, N) points.
+
+        Trial t draws from its own generator, seeded by (master seed,
+        size index, t), so a trial's points do not depend on its block.
+        Random blocks draw all their trials in one pass: uniform points
+        fill the rows in place, and weighted ones come from one stacked
+        :func:`rejection_sample`, which also gives their weights.
+        """
         n = self.sizes[size_index]
         if self.sampler == "equispaced":
-            return SampleSet.equispaced(n)
-        seed = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(size_index, trial_index)
-        )
+            return SampleSet(np.tile(SampleSet.equispaced(n).points, (len(trial_indices), 1)))
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(
+                entropy=self.master_seed, spawn_key=(size_index, t)
+            ))
+            for t in trial_indices
+        ]
         if self.weight == "uniform":
-            return SampleSet.uniform_random(n, seed)
-        return SampleSet.weighted_random(n, self.weight_fn(), seed, w_max=1.5)
-
-    def draw_block(self, size_index: int, trial_indices) -> SampleSet:
-        """The sample sets of ``draw`` for each trial index, stacked as
-        (trials, N) points."""
-        samples = [self.draw(size_index, t) for t in trial_indices]
-        w_values = None
-        if samples[0].w_values is not None:
-            w_values = np.stack([sample.w_values for sample in samples])
-        return SampleSet(np.stack([sample.points for sample in samples]), w_values)
+            points = np.empty((len(rngs), n))
+            for rng, row in zip(rngs, points):
+                rng.random(out=row)
+            return SampleSet(points)
+        return SampleSet(*rejection_sample(rngs, n, self.weight_fn(), w_max=1.5))
 
 
 @dataclass(frozen=True)
@@ -191,11 +205,15 @@ def estimate_activation_tail_constant(
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xAC7)))
     dim = config.space.dim_pw(config.band)
     basis_hi = _grid_basis(config)
+    buffers = np.empty((2, _GRID * _PROBE_BLOCK))
     worst = 0.0
     for start in range(0, probes, _PROBE_BLOCK):
         block = unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
-        _, tail = _activation_tail(basis_hi, block)
-        worst = max(worst, float(np.abs(tail).max()))
+        # contiguous (_GRID, probes) views, so a short last block is laid
+        # out as a fresh array would be
+        out = buffers[:, : _GRID * block.shape[1]].reshape(2, _GRID, -1)
+        _, tail = _activation_tail(basis_hi, block, out)
+        worst = max(worst, float(tail.max()), -float(tail.min()))
     return C_TAIL_INFLATION * worst
 
 
@@ -204,18 +222,22 @@ def _grid_basis(config: TrialConfig) -> np.ndarray:
     return config.space.basis_matrix(np.arange(_GRID) / _GRID, config.kernel_band)
 
 
-def _activation_tail(basis_hi: np.ndarray, probes: np.ndarray) -> tuple:
+def _activation_tail(basis_hi: np.ndarray, probes: np.ndarray, out=None) -> tuple:
     """Continuous activation tail of band-limited probes on a uniform grid.
 
     For each coefficient column f of ``probes`` returns the coefficients of
     ``P(kernel_band) rho(f)`` and the values of ``rho(f) - P(kernel_band)
     rho(f)`` at the grid points of ``basis_hi`` (:func:`_grid_basis`), one
     column per probe, with rho the ReLU.  The band basis is the leading
-    columns of ``basis_hi``.
+    columns of ``basis_hi``.  ``out``, when given, is a pair of
+    (_GRID, probes) arrays that receive ``rho(f)`` and the tail.
     """
-    rho = relu(basis_hi[:, : probes.shape[0]] @ probes)
+    rho, tail = (None, None) if out is None else out
+    rho = np.matmul(basis_hi[:, : probes.shape[0]], probes, out=rho)
+    np.maximum(rho, 0.0, out=rho)
     coeffs_hi = basis_hi.T @ rho / _GRID
-    return coeffs_hi, rho - basis_hi @ coeffs_hi
+    tail = np.matmul(basis_hi, coeffs_hi, out=tail)
+    return coeffs_hi, np.subtract(rho, tail, out=tail)
 
 
 def bound_constants(config: TrialConfig) -> MCBoundConstants:
@@ -281,9 +303,10 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
     phi = space.basis_matrix(sample.points, config.kernel_band)
-    delta_op, w_vals = sampled_laplacian_matrix(
-        config.kernel, sample, config.weight_fn(), basis=phi
-    )
+    # a drawn weighted block carries its weights; equispaced points take
+    # the configured weight, and uniform ones get ones either way
+    weight = config.weight_fn() if sample.w_values is None else None
+    delta_op, w_vals = sampled_laplacian_matrix(config.kernel, sample, weight, basis=phi)
     # the band basis is the leading columns of the kernel-band basis
     s_mat = phi[..., : space.dim_pw(config.band)] / np.sqrt(n)
     b_sqrt = 1.0 / np.sqrt(w_vals)

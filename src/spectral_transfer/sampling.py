@@ -88,19 +88,47 @@ class SampleSet:
     @classmethod
     def weighted_random(cls, n: int, weight, seed, w_max: float | None = None) -> "SampleSet":
         """Rejection-sample n points from the density ``weight`` on [0, 1)."""
-        rng = np.random.default_rng(seed)
         if w_max is None:
             grid = np.arange(4096) / 4096
             w_max = float(np.max(weight(grid))) * (1.0 + 1e-9)
-        points = np.empty(n)
-        filled = 0
-        while filled < n:
-            cand = rng.uniform(size=2 * (n - filled) + 8)
-            acc = rng.uniform(size=cand.size) * w_max <= weight(cand)
-            take = cand[acc][: n - filled]
-            points[filled : filled + take.size] = take
-            filled += take.size
-        return cls(points, w_values=np.asarray(weight(points), dtype=float))
+        points, w_values = rejection_sample([np.random.default_rng(seed)], n, weight, w_max)
+        return cls(points[0], w_values[0])
+
+
+def rejection_sample(rngs, n: int, weight, w_max: float) -> tuple:
+    """Rejection-sample n points on [0, 1) from the density ``weight <=
+    w_max`` with each generator of ``rngs``.
+
+    Returns ``(points, w_values)``, both (len(rngs), N): row r is what
+    generator r alone gives, and ``w_values`` holds ``weight`` at the
+    points.  A round gives every short row ``m = 2 (N - filled) + 8``
+    candidates and then m acceptance variates from its generator, and
+    keeps the first accepted candidates in draw order.  The rows of one
+    shortfall draw their round as one stack, with one ``weight`` call and
+    one acceptance mask; the first round is one stack of every row.
+    """
+    points = np.empty((len(rngs), n))
+    w_values = np.empty_like(points)
+    filled = np.zeros(len(rngs), dtype=np.int64)
+    while (short := np.flatnonzero(filled < n)).size:
+        # the rows of the largest shortfall draw their round together
+        need = n - int(filled[short].min())
+        rows = short[filled[short] == n - need]
+        cand = np.empty((rows.size, 2 * need + 8))
+        accept = np.empty_like(cand)
+        # random(out=) writes the doubles that uniform(size=m) returns
+        for row, cand_row, accept_row in zip(rows, cand, accept):
+            rngs[row].random(out=cand_row)
+            rngs[row].random(out=accept_row)
+        w_cand = np.asarray(weight(cand), dtype=float)
+        acc = accept * w_max <= w_cand
+        rank = np.cumsum(acc, axis=1)
+        r, c = np.nonzero(acc & (rank <= need))
+        cols = filled[rows][r] + rank[r, c] - 1
+        points[rows[r], cols] = cand[r, c]
+        w_values[rows[r], cols] = w_cand[r, c]
+        filled[rows] += np.minimum(rank[:, -1], need)
+    return points, w_values
 
 
 @dataclass(frozen=True)

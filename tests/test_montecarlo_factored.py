@@ -1,5 +1,6 @@
-"""The factored sampled kernel and the per-size activation probes, checked
-against dense, per-probe reference implementations kept here."""
+"""The factored sampled kernel, the per-size activation probes and the
+block draw of trials, checked against dense, per-probe and per-trial
+reference implementations kept here."""
 
 import tracemalloc
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spectral_transfer import montecarlo
 from spectral_transfer.montecarlo import (
-    _TRIAL_ROWS,
     TrialConfig,
     _activation_excess,
     bound_constants,
@@ -19,7 +20,12 @@ from spectral_transfer.montecarlo import (
     relu,
     run_trials,
 )
-from spectral_transfer.sampling import SampleSet, sampled_laplacian_matrix
+from spectral_transfer.sampling import (
+    SampleSet,
+    rejection_sample,
+    sampled_laplacian_matrix,
+    unit_probes,
+)
 from spectral_transfer.spaces import CircleSpace, bandlimited_kernel
 
 CIRCLE = CircleSpace()
@@ -57,9 +63,10 @@ def per_probe_excess(config, sample, s_mat, b_sqrt, grid=4096):
 
 
 def trial_inputs(config, size_index, trial_index):
-    sample = config.draw(size_index, trial_index)
-    w_vals = (sample.w_values if sample.w_values is not None
-              else config.weight_fn()(sample.points))
+    block = config.draw_block(size_index, [trial_index])
+    sample = SampleSet(block.points[0])
+    w_vals = (config.weight_fn()(sample.points) if block.w_values is None
+              else block.w_values[0])
     s_mat = CIRCLE.basis_matrix(sample.points, config.band) / np.sqrt(sample.size)
     return sample, w_vals, s_mat
 
@@ -166,17 +173,18 @@ def test_trial_matches_dense_reference(n, bands, weight, probes):
 @settings(max_examples=20, deadline=None)
 @given(
     sizes=st.lists(st.integers(min_value=9, max_value=300), min_size=1, max_size=2),
-    trials=st.integers(min_value=1, max_value=12),
+    # up to 40 trials: above 8192 // 205 = 39 points a size spans two blocks
+    trials=st.integers(min_value=1, max_value=40),
     bands=st.sampled_from([(0.0, 1.0), (1.0, 4.0), (4.0, 9.0)]),
     weight=st.sampled_from(["uniform", "cosine"]),
     sampler=st.sampled_from(["random", "equispaced"]),
     probes=st.sampled_from([0, 3]),
 )
-# blocks of 2048 // 300 = 6 trials: the last block holds 2
-@example(sizes=[300], trials=8, bands=(1.0, 4.0), weight="cosine",
+# blocks of 8192 // 300 = 27 trials: the last block holds 3
+@example(sizes=[300], trials=30, bands=(1.0, 4.0), weight="cosine",
          sampler="random", probes=3)
-# above the row budget every block is one trial
-@example(sizes=[_TRIAL_ROWS + 1], trials=2, bands=(1.0, 4.0), weight="uniform",
+# blocks of 8192 // 2049 = 3 trials at a large N: the last block holds 2
+@example(sizes=[2049], trials=5, bands=(1.0, 4.0), weight="uniform",
          sampler="random", probes=3)
 def test_run_trials_match_dense_reference(sizes, trials, bands, weight, sampler, probes):
     config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=tuple(sizes),
@@ -207,3 +215,120 @@ def test_run_trials_memory_stays_linear_in_n():
     # about ten N x K arrays of doubles: one trial per block at this size,
     # and no N x N kernel (2 GB here)
     assert peak < 16 * n * config.kernel.dim * 8
+
+
+def per_set_rejection(rng, n, weight, w_max):
+    """The per-set rejection loop that drew each trial before blocks: the
+    points, their weights and the number of rounds."""
+    points = np.empty(n)
+    filled = rounds = 0
+    while filled < n:
+        cand = rng.uniform(size=2 * (n - filled) + 8)
+        acc = rng.uniform(size=cand.size) * w_max <= weight(cand)
+        take = cand[acc][: n - filled]
+        points[filled : filled + take.size] = take
+        filled += take.size
+        rounds += 1
+    return points, np.asarray(weight(points), dtype=float), rounds
+
+
+def per_trial_draw(config, size_index, trial_index):
+    """``TrialConfig.draw`` before blocks: one generator and one draw per
+    trial.  Returns the points, the weights (or None) and the rounds."""
+    n = config.sizes[size_index]
+    if config.sampler == "equispaced":
+        return np.arange(n) / n, None, 0
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=config.master_seed, spawn_key=(size_index, trial_index)
+    ))
+    if config.weight == "uniform":
+        return rng.uniform(size=n), None, 1
+    return per_set_rejection(rng, n, config.weight_fn(), 1.5)
+
+
+def assert_block_matches_per_trial(config, size_index, trials):
+    block = config.draw_block(size_index, trials)
+    refs = [per_trial_draw(config, size_index, t) for t in trials]
+    assert np.array_equal(block.points, np.stack([points for points, _, _ in refs]))
+    if refs[0][1] is None:
+        assert block.w_values is None
+    else:
+        assert np.array_equal(block.w_values, np.stack([w for _, w, _ in refs]))
+    return max(rounds for _, _, rounds in refs)
+
+
+@pytest.mark.parametrize("weight, sampler", [
+    ("uniform", "random"), ("cosine", "random"),
+    ("uniform", "equispaced"), ("cosine", "equispaced"),
+])
+def test_draw_block_matches_per_trial_draw(weight, sampler):
+    config = TrialConfig(band=0.0, kernel_band=1.0, sizes=(1, 2, 3, 4, 5, 256),
+                         trials=40, delta=0.25, master_seed=0, weight=weight,
+                         sampler=sampler)
+    for size_index in range(len(config.sizes)):
+        for trials in ([0], [7], range(40), range(32), range(32, 40)):
+            assert_block_matches_per_trial(config, size_index, trials)
+    # trial 351 of N = 4 at seed 0 falls short in its first round
+    for trials in ([351], range(345, 360)):
+        rounds = assert_block_matches_per_trial(config, 3, trials)
+        if (weight, sampler) == ("cosine", "random"):
+            assert rounds == 2
+
+
+def test_rejection_rounds_of_every_shortfall_match_per_set_loop():
+    # acceptance 1/30: rows fall short by different counts, round after round
+    seeds = [np.random.SeedSequence((4, row)) for row in range(12)]
+    points, w_values = rejection_sample(
+        [np.random.default_rng(seed) for seed in seeds], 7, cosine_weight, 30.0
+    )
+    refs = [per_set_rejection(np.random.default_rng(seed), 7, cosine_weight, 30.0)
+            for seed in seeds]
+    assert min(rounds for _, _, rounds in refs) > 1
+    assert np.array_equal(points, np.stack([p for p, _, _ in refs]))
+    assert np.array_equal(w_values, np.stack([w for _, w, _ in refs]))
+    single = SampleSet.weighted_random(7, cosine_weight, seeds[0], w_max=30.0)
+    assert np.array_equal(single.points, refs[0][0])
+    assert np.array_equal(single.w_values, refs[0][1])
+
+
+@pytest.mark.parametrize("weight, sampler", [
+    ("uniform", "random"), ("cosine", "random"), ("cosine", "equispaced"),
+])
+def test_run_trials_do_not_depend_on_the_row_budget(monkeypatch, weight, sampler):
+    config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(300, 9, 64), trials=30,
+                         delta=0.25, master_seed=3, weight=weight, sampler=sampler,
+                         activation_probes=3)
+    constants = bound_constants(config)
+    results = []
+    for rows in (1, 2048, 8192):  # one trial per block, then 6 and 27 at N = 300
+        monkeypatch.setattr(montecarlo, "_TRIAL_ROWS", rows)
+        results.append(run_trials(config, constants))
+    assert results[0] == results[1] == results[2]
+    order = [(si, t) for si in range(len(config.sizes)) for t in range(config.trials)]
+    for r, (si, t) in zip(results[0], order, strict=True):
+        assert_close((r.laplacian_err, r.gram_err, r.activation_err),
+                     dense_trial_errors(config, si, t))
+
+
+def allocating_tail_constant(config, probes):
+    """The activation-tail constant with fresh arrays for every block of
+    16 probes, as before its buffers were reused."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xAC7)))
+    dim = CIRCLE.dim_pw(config.band)
+    basis_hi = CIRCLE.basis_matrix(np.arange(4096) / 4096, config.kernel_band)
+    worst = 0.0
+    for start in range(0, probes, 16):
+        block = unit_probes(rng, dim, min(16, probes - start))
+        rho = relu(basis_hi[:, :dim] @ block)
+        coeffs_hi = basis_hi.T @ rho / 4096
+        worst = max(worst, float(np.abs(rho - basis_hi @ coeffs_hi).max()))
+    return 1.5 * worst
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("probes", [40, 500])
+def test_tail_constant_matches_allocating_loop_bitwise(seed, probes):
+    config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(16,), trials=1,
+                         delta=0.25, master_seed=seed)
+    assert (estimate_activation_tail_constant(config, probes=probes)
+            == allocating_tail_constant(config, probes))
