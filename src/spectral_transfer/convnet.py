@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParameterError, TopologyError, TruncationError
-from .filters import Filter, apply_exact, make_filter
-from .graphs import OperatorWithInnerProduct, operator_norm
-from .sampling import CoarseningMap, coarsened_laplacian, unit_probes
+from .filters import apply_exact, make_filter
+from .graphs import OperatorWithInnerProduct, WeightedGraph, operator_norm
+from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 from .textio import TextFile, config_entries, finite_float, split_top_level
 
@@ -425,33 +425,26 @@ class ConvNetGraphSetting:
     pooling_maps: tuple
 
     @classmethod
-    def build(cls, space: GraphSpace, spec: ConvNetSpec,
-              initial_operator: OperatorWithInnerProduct | None = None,
-              coarsenings: dict | None = None) -> "ConvNetGraphSetting":
-        """Chain maps and operators through the layers.
+    def build(cls, space: GraphSpace, spec: ConvNetSpec, graph: WeightedGraph,
+              operator: OperatorWithInnerProduct) -> "ConvNetGraphSetting":
+        """Chain maps and operators through the layers from ``graph`` and
+        its layer-0 ``operator``.
 
-        ``coarsenings`` maps 1-based layer indices to their CoarseningMap;
-        every pooling layer in ``spec`` needs one.  Each pooled layer's
-        operator is the collapse ``C Delta C^T`` of the previous one.
+        Each pooling layer matches the current graph, collapses it onto the
+        matched groups, and takes ``C Delta C^T`` of the previous operator.
         """
         s = np.eye(space.n_vertices)
-        op = space.operator if initial_operator is None else initial_operator
-        coarsenings = coarsenings or {}
-        maps = [s]
-        operators = [op]
-        pooling = []
-        for l, layer in enumerate(spec.layers, start=1):
+        maps, operators, pooling = [s], [operator], []
+        for layer in spec.layers:
+            cmap = None
             if layer.pooling != "none":
-                if l not in coarsenings:
-                    raise TopologyError(f"layer {l} pools but has no coarsening map")
-                cmap = coarsenings[l]
+                cmap = coarsen_matching(graph)
+                graph = _collapse_graph(graph, cmap)
                 s = cmap.s_matrix @ s
-                op = coarsened_laplacian(cmap, op)
-                pooling.append(cmap)
-            else:
-                pooling.append(None)
+                operator = coarsened_laplacian(cmap, operator)
+            pooling.append(cmap)
             maps.append(s)
-            operators.append(op)
+            operators.append(operator)
         return cls(space, tuple(maps), tuple(operators), tuple(pooling))
 
     def run(self, spec: ConvNetSpec, inputs_on_space):
@@ -466,6 +459,20 @@ class ConvNetGraphSetting:
         """Carry a final-layer signal (or its columns) back to the space:
         R = S^T."""
         return self.sample_maps[-1].T @ np.asarray(channel)
+
+
+def _collapse_graph(graph: WeightedGraph, cmap: CoarseningMap) -> WeightedGraph:
+    """Coarse graph whose edges aggregate the fine weights between groups."""
+    weights = {}
+    group_of = {v: row for row, grp in enumerate(cmap.groups) for v in grp}
+    for u, v, w in graph.edges:
+        gu, gv = group_of[u], group_of[v]
+        if gu == gv:
+            continue
+        key = (min(gu, gv), max(gu, gv))
+        weights[key] = weights.get(key, 0.0) + w
+    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+    return WeightedGraph(cmap.n_coarse, edges)
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,7 @@ def _run_circle_sampling(config: ExperimentConfig) -> ReportBundle:
     ok = True
     for trial_cfg in config.trial_configs:
         weight = trial_cfg.weight
-        results = run_trials(trial_cfg)
+        results = run_trials(trial_cfg, bound_constants(trial_cfg))
         fit = slope_fit(trial_cfg, results)
         slopes[weight] = {"laplacian": fit.laplacian, "gram": fit.gram}
         for quantity in ("laplacian", "gram"):
@@ -572,13 +572,8 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
 
     other = perturb_graph_detailed(graph, config.parsed_perturbations[0]).graph
     other_op = build_laplacian(other, config.laplacian)
-
-    coarsenings1 = _net_coarsenings(spec, graph)
-    coarsenings2 = _net_coarsenings(spec, other)
-    setting1 = ConvNetGraphSetting.build(space, spec, coarsenings=coarsenings1)
-    setting2 = ConvNetGraphSetting.build(
-        space, spec, initial_operator=other_op, coarsenings=coarsenings2
-    )
+    setting1 = ConvNetGraphSetting.build(space, spec, graph, space.operator)
+    setting2 = ConvNetGraphSetting.build(space, spec, other, other_op)
 
     union = np.concatenate(
         [space.eig.eigenvalues_with_multiplicity().real]
@@ -598,7 +593,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     # the theorem assumes delta < 1 strictly; a hypothesis, not a bound to certify
     ok = delta < 1.0
 
-    count = space.count_eig_leq(spec.bands[-1])
+    count = space.dim_pw(spec.bands[-1])
     d_lip = spec.max_lipschitz()
     a_bound = max(spec.mixing_bound(), 1.0)
     b_bound = 0.0 if spec.bias_free() else spec.max_bias() * np.sqrt(graph.n_vertices)
@@ -662,33 +657,6 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         },
         all_certified=ok,
     )
-
-
-def _net_coarsenings(spec: ConvNetSpec, graph: WeightedGraph) -> dict:
-    """One coarsening per pooled layer, chaining through collapsed graphs."""
-    coarsenings = {}
-    current = graph
-    for l, layer in enumerate(spec.layers, start=1):
-        if layer.pooling == "none":
-            continue
-        cmap = coarsen_matching(current)
-        coarsenings[l] = cmap
-        current = _collapse_graph(current, cmap)
-    return coarsenings
-
-
-def _collapse_graph(graph: WeightedGraph, cmap) -> WeightedGraph:
-    """Coarse graph whose edges aggregate the fine weights between groups."""
-    weights = {}
-    group_of = {v: row for row, grp in enumerate(cmap.groups) for v in grp}
-    for u, v, w in graph.edges:
-        gu, gv = group_of[u], group_of[v]
-        if gu == gv:
-            continue
-        key = (min(gu, gv), max(gu, gv))
-        weights[key] = weights.get(key, 0.0) + w
-    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedGraph(cmap.n_coarse, edges)
 
 
 def _contraction_check(spec: ConvNetSpec, setting: ConvNetGraphSetting,

@@ -369,11 +369,6 @@ def apply_chebyshev(
     return out
 
 
-def default_spectral_interval(op: OperatorWithInnerProduct) -> tuple:
-    """Smallest zero-anchored interval safely containing the real spectrum."""
-    return _containing_interval(_real_spectrum(op))
-
-
 def _real_spectrum(op: OperatorWithInnerProduct) -> np.ndarray:
     vals = op.eig.eigenvalues_with_multiplicity()
     if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):

@@ -1,10 +1,10 @@
-"""Graph file parsing, writing, and synthetic generators.
+"""Graph file parsing and synthetic generators.
 
-Two text formats round-trip exactly: whitespace edge lists ("u v w" with
-0-based indices and '#' comments) and Matrix Market coordinate files
-(symmetric -> undirected, general -> directed).  OFF meshes load as
-unit-weight graphs with one edge per polygon side, deduplicated.  Every
-reading or parsing error names the file.
+Three text formats load: whitespace edge lists ("u v w" with 0-based
+indices and '#' comments), Matrix Market coordinate files (symmetric ->
+undirected, general -> directed), and OFF meshes as unit-weight graphs
+with one edge per polygon side, deduplicated.  Every reading or parsing
+error names the file.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
     if format not in parsers:
         raise ParseError(f"unknown graph format {format!r}")
     return parsers[format](TextFile(path, ParseError, "graph file"))
-
-
-def parse_mesh_off(path) -> WeightedGraph:
-    """Read an OFF mesh as a unit-weight graph of all polygon edges."""
-    return parse_graph(path, "off")
 
 
 def _parse_edge_list(source: TextFile) -> WeightedGraph:
@@ -117,28 +112,6 @@ def _parse_mesh_off(source: TextFile) -> WeightedGraph:
                 raise ValueError(f"face index {max(idx)} overflows vertex count")
         edges.update((min(a, b), max(a, b)) for a, b in zip(idx, idx[1:] + idx[:1]) if a != b)
     return WeightedGraph(n_vertices, tuple((a, b, 1.0) for a, b in sorted(edges)))
-
-
-def emit_graph(graph: WeightedGraph, path, format: str = "edge_list") -> None:
-    """Write a graph so that :func:`parse_graph` reproduces it exactly."""
-    if format == "edge_list":
-        lines = [f"{u} {v} {w!r}" for u, v, w in graph.edges]
-        text = "# u v w\n" + "\n".join(lines) + "\n"
-    elif format == "matrix_market":
-        kind = "general" if graph.directed else "symmetric"
-        rows = [f"%%MatrixMarket matrix coordinate real {kind}",
-                f"{graph.n_vertices} {graph.n_vertices} {graph.n_edges}"]
-        for u, v, w in graph.edges:
-            if graph.directed:
-                rows.append(f"{u + 1} {v + 1} {w!r}")
-            else:
-                # symmetric storage keeps the lower triangle
-                rows.append(f"{max(u, v) + 1} {min(u, v) + 1} {w!r}")
-        text = "\n".join(rows) + "\n"
-    else:
-        raise ParseError(f"unknown graph format {format!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def synthetic_graph(descriptor: str, default_seed: int | None = None) -> WeightedGraph:

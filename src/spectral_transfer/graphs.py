@@ -411,10 +411,6 @@ class InnerProduct:
             return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
         return factor @ x
 
-    def pair(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """``<u, v> = v^H B u``."""
-        return complex(v.conj() @ self.apply(u))
-
     def norm(self, u: np.ndarray) -> float:
         """Norm of the vector ``u`` under this inner product."""
         return float(self.column_norms(np.asarray(u)[:, None])[0])
@@ -603,9 +599,6 @@ class EigenDecomposition:
         coeffs = self.basis.conj().T @ self.inner.apply(signal)
         scale = self.with_multiplicity(values)
         return self.basis @ (scale.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply_function(self.group_values)
 
 
 def _group_eigenvalues(values: np.ndarray, tol: float):

@@ -290,15 +290,13 @@ class TrialResult:
 
 
 def mc_trial(config: TrialConfig, size_index: int, trial_indices,
-             constants: MCBoundConstants | None = None) -> list:
+             constants: MCBoundConstants) -> list:
     """Draw the sample sets of a block of trials of one size and measure
     the three errors of each, with their bounds, in trial order.
 
     The block runs stacked: one kernel-band basis evaluation, one stack of
     factored kernels and one batched norm per error.
     """
-    if constants is None:
-        constants = bound_constants(config)
     space = config.space
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
@@ -367,14 +365,12 @@ def _activation_excess(config: TrialConfig, phi_hi: np.ndarray, s_mat,
     return np.max(graph_tail - cont_tail, axis=-1)
 
 
-def run_trials(config: TrialConfig, constants: MCBoundConstants | None = None):
+def run_trials(config: TrialConfig, constants: MCBoundConstants):
     """All (size, trial) results, size-major and bitwise reproducible.
 
     The trials of a size of N points run in blocks of ``max(1,
     _TRIAL_ROWS // N)``, one :func:`mc_trial` call each.
     """
-    if constants is None:
-        constants = bound_constants(config)
     results = []
     for size_index, n in enumerate(config.sizes):
         step = max(1, _TRIAL_ROWS // n)
@@ -404,11 +400,9 @@ def check_failure_rate_inputs(config: TrialConfig) -> None:
         raise ParameterError("failure rates need at least 100 trials")
 
 
-def failure_rate(config: TrialConfig, results=None) -> FailureRates:
-    """Violation fractions; each must stay at or below delta."""
+def failure_rate(config: TrialConfig, results) -> FailureRates:
+    """Violation fractions of ``results``; each must stay at or below delta."""
     check_failure_rate_inputs(config)
-    if results is None:
-        results = run_trials(config)
     flags = np.array([r.violations for r in results], dtype=float)
     rates = flags.mean(axis=0)
     return FailureRates(float(rates[0]), float(rates[1]), float(rates[2]), len(results))
@@ -434,7 +428,7 @@ def check_slope_fit_inputs(config: TrialConfig) -> None:
         raise ParameterError("slope fit needs at least 30 trials per size")
 
 
-def slope_fit(config: TrialConfig, results=None) -> SlopeFit:
+def slope_fit(config: TrialConfig, results) -> SlopeFit:
     """Least-squares slope of log(median error) against log(N).
 
     Medians are used because the Markov-style tails are heavy.  Raises
@@ -442,8 +436,6 @@ def slope_fit(config: TrialConfig, results=None) -> SlopeFit:
     with exact-quadrature point sets).
     """
     check_slope_fit_inputs(config)
-    if results is None:
-        results = run_trials(config)
     by_size = {n: [] for n in config.sizes}
     for r in results:
         by_size[r.size].append(r)

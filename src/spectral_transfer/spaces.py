@@ -49,11 +49,8 @@ class CircleSpace:
             vals.extend([float(n * n)] * 2)
         return np.array(vals)
 
-    def count_eig_leq(self, band: float) -> int:
-        return 1 + 2 * self.max_frequency(band)
-
     def dim_pw(self, band: float) -> int:
-        return self.count_eig_leq(band)
+        return 1 + 2 * self.max_frequency(band)
 
     def basis_matrix(self, points, band: float) -> np.ndarray:
         """Eigenfunction evaluations, shape ``points.shape + (dim PW(band),)``
@@ -109,10 +106,8 @@ class GraphSpace:
         vals = self.eig.eigenvalues_with_multiplicity()
         return vals[np.abs(vals) <= band * (1.0 + 1e-12)]
 
-    def count_eig_leq(self, band: float) -> int:
+    def dim_pw(self, band: float) -> int:
         return int(self.eigenvalues_up_to(band).shape[0])
-
-    dim_pw = count_eig_leq
 
     def full_band(self) -> float:
         vals = self.eig.eigenvalues_with_multiplicity()
@@ -150,10 +145,6 @@ class BandlimitedKernel:
         object.__setattr__(
             self, "eigenvalues", self.space.eigenvalues_up_to(self.band)
         )
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
 
     @property
     def lambda_l1(self) -> float:

@@ -24,6 +24,7 @@ eigenvalues, the lhs on the graph and of ``worstcase_in_M`` take g(Re lambda).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -260,13 +261,18 @@ def bound_pointwise(vg_values, coeffs, mode_errors, c_norm: float,
     return core, c_norm * core + g_sup * consistency
 
 
-def bound_worstcase(d_lipschitz: float, count: int, lap_op_norm: float,
-                    c_norm: float, g_sup: float,
-                    consistency_norm: float) -> tuple:
+def bound_worstcase(setting: TransferSetting, constants: FilterConstants) -> tuple:
     """Right-hand sides ``(in_G, in_M)`` of the operator-norm bounds over
-    the band."""
-    core = d_lipschitz * np.sqrt(count) * lap_op_norm
-    return float(core), float(c_norm * core + g_sup * consistency_norm)
+    the band: ``D sqrt(dim PW) ||L-error||``, and that scaled by the
+    interpolation norm plus ``sup|g|`` times the consistency error.
+
+    Python floats, so a product beyond the float range is a vacuous but
+    valid ``inf`` with no overflow warning.
+    """
+    core = (float(constants.lipschitz) * math.sqrt(setting.dim_pw)
+            * float(setting.laplacian_operator_error))
+    return core, (float(setting.interpolation_norm) * core
+                  + float(constants.sup_norm) * float(setting.consistency_operator_error))
 
 
 def transfer_errors(setting: TransferSetting, filt: Filter,
@@ -360,7 +366,7 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         constants.vg_per_eig, coeffs, setting.laplacian_mode_errors, c_norm,
         constants.sup_norm, cons_err,
     )
-    rhs_worst_g, rhs_worst_m = _worstcase_rhs(setting, constants)
+    rhs_worst_g, rhs_worst_m = bound_worstcase(setting, constants)
 
     bounds = (
         BoundResult("pointwise_in_G", lhs_point_g, rhs_point_g),
@@ -383,15 +389,6 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     )
 
 
-def _worstcase_rhs(setting: TransferSetting, constants: FilterConstants) -> tuple:
-    """Rhs ``(in_G, in_M)`` of the operator-norm bounds of one setting."""
-    return bound_worstcase(
-        constants.lipschitz, setting.dim_pw, setting.laplacian_operator_error,
-        setting.interpolation_norm, constants.sup_norm,
-        setting.consistency_operator_error,
-    )
-
-
 def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
                     filt: Filter) -> tuple:
     """Operator-norm gap between the two interpolated filter actions, with
@@ -408,5 +405,5 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
     for setting in (setting1, setting2):
         lams = np.real(setting.source_eigenvalues)
         constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
-        bound += _worstcase_rhs(setting, constants)[1]
+        bound += bound_worstcase(setting, constants)[1]
     return error, bound

@@ -304,6 +304,38 @@ def test_convnet_transfer_default_bands_hold_modes_of_a_signed_spectrum(tmp_path
     assert all(band > 0 for band in summary["bands"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_lipschitz_constant_near_the_float_limit_gives_an_infinite_worstcase_rhs(tmp_path):
+    # D sqrt(dim PW) ||L-error|| overflows; the rhs is a vacuous inf, with
+    # no overflow warning on the way
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(6)\nfilters = heat(1e308)\nseed = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["coarsen-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
+    rows = (out_dir / "bounds.csv").read_text().splitlines()
+    assert [row.split(",")[-2] for row in rows if ",worstcase_in_" in row] == ["inf", "inf"]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="pointwise_in_M's rhs takes sup|g| ||c - RSc|| where the identity "
+    "g(L)c - R g(D) S c = (I - RS) g(L)c + R (S g(L) - g(D) S) c needs "
+    "||(I - RS) g(L)c||",
+)
+def test_pointwise_in_m_certifies_when_half_of_path2_is_removed(tmp_path):
+    for seed in (1, 4, 5):
+        path = tmp_path / f"cfg{seed}.txt"
+        path.write_text(
+            f"graph = path(2)\nperturbations = remove_vertices(0.5)\nseed = {seed}\n"
+        )
+        out_dir = tmp_path / f"out{seed}"
+        code = cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)])
+        lowpass = [row for row in (out_dir / "bounds.csv").read_text().splitlines()
+                   if row.startswith("lowpass(1),") and ",pointwise_in_M," in row]
+        assert len(lowpass) == 1 and lowpass[0].endswith(",true"), seed
+        assert code == 0, seed
+
+
 @pytest.mark.parametrize("graph_format", ["edge_list", "matrix_market", "off"])
 def test_undecodable_graph_file_exits_two_naming_it(graph_format, tmp_path, capsys):
     graph_file = tmp_path / "noise.bin"

@@ -22,8 +22,15 @@ from spectral_transfer.convnet import (
 )
 from spectral_transfer.errors import ParameterError, TopologyError
 from spectral_transfer.filters import Filter
-from spectral_transfer.graphs import build_laplacian, path_graph
-from spectral_transfer.sampling import CoarseningMap, coarsen_matching, unit_probes
+from spectral_transfer.graphs import WeightedGraph, build_laplacian, grid_graph, path_graph
+from spectral_transfer.sampling import (
+    CoarseningMap,
+    PerturbationSpec,
+    coarsen_matching,
+    coarsened_laplacian,
+    perturb_graph_detailed,
+    unit_probes,
+)
 from spectral_transfer.spaces import CircleSpace, GraphSpace
 
 CIRCLE = CircleSpace()
@@ -160,7 +167,6 @@ class TestForwardGraph:
             Activation("relu"),
             (8.0, 8.0, 8.0),
         )
-        from spectral_transfer.sampling import coarsened_laplacian
 
         ops = [op, coarsened_laplacian(cmap, op)]
         maps = [cmap, None]
@@ -261,9 +267,6 @@ class TestTransferBound:
 
 def build_two_layer_setting(graph, perturb=None):
     """Shared fixture: a 2-layer K=1->2->2 net on a path graph."""
-    from spectral_transfer.graphs import build_laplacian
-    from spectral_transfer.sampling import PerturbationSpec, perturb_graph_detailed
-
     space = GraphSpace.from_graph(graph, "normalized")
     lams = np.sort(space.eig.eigenvalues_with_multiplicity().real)
     bands = (
@@ -296,11 +299,73 @@ def build_two_layer_setting(graph, perturb=None):
         res = perturb_graph_detailed(graph, perturb)
         base_graph = res.graph
         initial_op = build_laplacian(base_graph, "normalized")
-    cmap = coarsen_matching(base_graph)
-    setting = ConvNetGraphSetting.build(
-        space, spec, initial_operator=initial_op, coarsenings={1: cmap}
-    )
+    setting = ConvNetGraphSetting.build(space, spec, base_graph, initial_op)
     return space, spec, setting
+
+
+def reference_chain(space, spec, graph, operator):
+    """Maps and operators as they were built before ConvNetGraphSetting.build
+    matched and collapsed in its own loop: first a {layer: CoarseningMap}
+    dict chained through collapsed graphs, then a second walk applying it."""
+    coarsenings, current = {}, graph
+    for l, layer in enumerate(spec.layers, start=1):
+        if layer.pooling == "none":
+            continue
+        cmap = coarsen_matching(current)
+        coarsenings[l] = cmap
+        weights = {}
+        group_of = {v: row for row, grp in enumerate(cmap.groups) for v in grp}
+        for u, v, w in current.edges:
+            gu, gv = group_of[u], group_of[v]
+            if gu == gv:
+                continue
+            key = (min(gu, gv), max(gu, gv))
+            weights[key] = weights.get(key, 0.0) + w
+        edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+        current = WeightedGraph(cmap.n_coarse, edges)
+    s, op = np.eye(space.n_vertices), operator
+    maps, operators, pooling = [s], [op], []
+    for l in range(1, spec.n_layers + 1):
+        cmap = coarsenings.get(l)
+        if cmap is not None:
+            s = cmap.s_matrix @ s
+            op = coarsened_laplacian(cmap, op)
+        pooling.append(cmap)
+        maps.append(s)
+        operators.append(op)
+    return maps, operators, pooling
+
+
+class TestGraphSettingBuild:
+    def test_two_pooling_layers_match_the_two_pass_chain(self):
+        graph = grid_graph(4, 4)
+        space = GraphSpace.from_graph(graph, "normalized")
+        band = full_band_of(space)
+        spec = ConvNetSpec(
+            (one_channel_layer(Filter.heat(0.5), "max"),
+             one_channel_layer(Filter.lowpass(2.0), "l2avg"),
+             one_channel_layer(Filter.heat(1.0))),
+            Activation("relu"), (band,) * 4,
+        )
+        other = perturb_graph_detailed(
+            graph, PerturbationSpec("add_edges", 0.05, seed=3)
+        ).graph
+        assert other != graph
+        for g in (graph, other):
+            op = build_laplacian(g, "normalized")
+            setting = ConvNetGraphSetting.build(space, spec, g, op)
+            maps, operators, pooling = reference_chain(space, spec, g, op)
+            assert [o.dim for o in setting.operators] == [16, 8, 4, 4]
+            assert setting.operators[3] is setting.operators[2]
+            assert setting.pooling_maps[2] is None
+            for got, want in zip(setting.pooling_maps[:2], pooling[:2]):
+                assert got == want
+                np.testing.assert_array_equal(got.s_matrix, want.s_matrix)
+            for got, want in zip(setting.sample_maps, maps, strict=True):
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip(setting.operators, operators, strict=True):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(got.inner.b_matrix, want.inner.b_matrix)
 
 
 class TestHypothesisAndCertification:
@@ -311,7 +376,7 @@ class TestHypothesisAndCertification:
         spec = ConvNetSpec(
             (one_channel_layer(Filter.lowpass(2.0)),), Activation("relu"), (band, band)
         )
-        setting = ConvNetGraphSetting.build(space, spec)
+        setting = ConvNetGraphSetting.build(space, spec, graph, space.operator)
         errs = hypothesis_errors(setting, spec, n_probes=4)
         assert errs.delta <= 1e-10
 
@@ -325,8 +390,6 @@ class TestHypothesisAndCertification:
         assert 0.0 < errs.delta < 1.0
 
     def test_end_to_end_certification(self):
-        from spectral_transfer.sampling import PerturbationSpec
-
         graph = path_graph(16)
         space, spec, setting1 = build_two_layer_setting(graph)
         _, _, setting2 = build_two_layer_setting(
@@ -337,7 +400,7 @@ class TestHypothesisAndCertification:
             hypothesis_errors(setting2, spec, n_probes=8).delta,
         )
         assert delta < 1.0
-        count = space.count_eig_leq(spec.bands[-1])
+        count = space.dim_pw(spec.bands[-1])
         bound = convnet_transfer_bound(
             spec.n_layers, spec.max_lipschitz(), max(spec.mixing_bound(), 1.0),
             0.0, delta, count,

@@ -85,9 +85,7 @@ def graph_setting(graph, spec, perturb_seed=None):
             graph, PerturbationSpec("add_edges", 0.1, seed=perturb_seed)
         ).graph
         op = build_laplacian(base, "normalized")
-    return ConvNetGraphSetting.build(
-        space, spec, initial_operator=op, coarsenings={1: coarsen_matching(base)}
-    )
+    return ConvNetGraphSetting.build(space, spec, base, op)
 
 
 # --- per-probe references: the loops the batched code replaced -------------

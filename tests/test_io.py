@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from spectral_transfer.errors import ConfigError, ParseError
-from spectral_transfer.graph_io import (
-    emit_graph,
-    parse_graph,
-    parse_mesh_off,
-    synthetic_graph,
-)
-from spectral_transfer.graphs import WeightedGraph, path_graph
+from spectral_transfer.graph_io import parse_graph, synthetic_graph
+from spectral_transfer.graphs import path_graph
 from spectral_transfer.reports import (
     ReportBundle,
     ScatterData,
@@ -95,7 +90,7 @@ class TestOff:
     def test_single_triangle(self, tmp_path):
         path = tmp_path / "t.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        graph = parse_mesh_off(path)
+        graph = parse_graph(path, "off")
         assert graph.n_vertices == 3
         assert graph.n_edges == 3
         assert all(w == 1.0 for _, _, w in graph.edges)
@@ -105,48 +100,59 @@ class TestOff:
         path.write_text(
             "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 2 3\n"
         )
-        graph = parse_mesh_off(path)
+        graph = parse_graph(path, "off")
         assert graph.n_vertices == 4
         assert graph.n_edges == 5
 
     def test_empty_face_list(self, tmp_path):
         path = tmp_path / "v.off"
         path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
-        graph = parse_mesh_off(path)
+        graph = parse_graph(path, "off")
         assert graph.n_edges == 0
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.off"
         path.write_text("OOPS\n3 1 0\n")
         with pytest.raises(ParseError, match="OFF header"):
-            parse_mesh_off(path)
+            parse_graph(path, "off")
 
     def test_face_index_overflow(self, tmp_path):
         path = tmp_path / "x.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
         with pytest.raises(ParseError, match="overflow"):
-            parse_mesh_off(path)
+            parse_graph(path, "off")
 
 
-class TestRoundTrip:
+class TestExactParse:
+    """Shortest-repr floats in a file parse back to the very same edges."""
+
+    EDGES = ((0, 1, 0.1 + 0.2), (1, 2, 1 / 3), (3, 4, 7.25e-9))
+    TEXT = {
+        "edge_list": "# u v w\n0 1 0.30000000000000004\n1 2 0.3333333333333333\n"
+                     "3 4 7.25e-09\n",
+        # symmetric storage keeps the lower triangle
+        "matrix_market": "%%MatrixMarket matrix coordinate real symmetric\n5 5 3\n"
+                         "2 1 0.30000000000000004\n3 2 0.3333333333333333\n"
+                         "5 4 7.25e-09\n",
+    }
+
     @pytest.mark.parametrize("format", ["edge_list", "matrix_market"])
-    def test_exact_round_trip(self, tmp_path, format):
-        graph = WeightedGraph(
-            5, ((0, 1, 0.1 + 0.2), (1, 2, 1 / 3), (3, 4, 7.25e-9))
-        )
+    def test_repr_floats(self, tmp_path, format):
         path = tmp_path / "g.txt"
-        emit_graph(graph, path, format)
-        back = parse_graph(path, format)
-        assert back.n_vertices == graph.n_vertices
-        assert back.edges == graph.edges
+        path.write_text(self.TEXT[format])
+        graph = parse_graph(path, format)
+        assert not graph.directed
+        assert graph.n_vertices == 5
+        assert graph.edges == self.EDGES
 
-    def test_directed_round_trip(self, tmp_path):
-        graph = WeightedGraph(3, ((1, 0, 2.0), (0, 2, 0.5)), directed=True)
+    def test_general_keeps_direction_and_order(self, tmp_path):
         path = tmp_path / "g.mtx"
-        emit_graph(graph, path, "matrix_market")
-        back = parse_graph(path, "matrix_market")
-        assert back.directed
-        assert back.edges == graph.edges
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n2 1 2.0\n1 3 0.5\n"
+        )
+        graph = parse_graph(path, "matrix_market")
+        assert graph.directed
+        assert graph.edges == ((1, 0, 2.0), (0, 2, 0.5))
 
 
 class TestSynthetic:

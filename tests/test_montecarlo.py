@@ -29,6 +29,10 @@ def small_config(**kw):
     return TrialConfig(**defaults)
 
 
+def all_trials(cfg):
+    return run_trials(cfg, bound_constants(cfg))
+
+
 class TestConfigValidation:
     def test_band_ordering(self):
         with pytest.raises(ParameterError, match="below the kernel band"):
@@ -95,7 +99,7 @@ class TestConstants:
 class TestMcTrial:
     def test_equispaced_band1_exact(self):
         cfg = small_config(sizes=(8,), sampler="equispaced", trials=1)
-        (r,) = mc_trial(cfg, 0, [0])
+        (r,) = mc_trial(cfg, 0, [0], bound_constants(cfg))
         assert r.laplacian_err <= 1e-12
         assert r.gram_err <= 1e-12
 
@@ -109,8 +113,8 @@ class TestMcTrial:
 
     def test_bitwise_reproducible(self):
         cfg = small_config(trials=3)
-        a = run_trials(cfg)
-        b = run_trials(cfg)
+        a = all_trials(cfg)
+        b = all_trials(cfg)
         for r1, r2 in zip(a, b):
             assert r1 == r2
 
@@ -120,7 +124,7 @@ class TestFailureRates:
         # The bounds scale like delta^{-1/2}, so a small delta makes them
         # huge and the observed rate collapses to zero.
         cfg = small_config(sizes=(16,), trials=100, delta=0.01)
-        rates = failure_rate(cfg)
+        rates = failure_rate(cfg, all_trials(cfg))
         assert rates.laplacian == 0.0
         assert rates.gram == 0.0
 
@@ -128,25 +132,25 @@ class TestFailureRates:
         # delta = 0.99 gives the tightest bound with the weakest guarantee;
         # the observed rate can be large but never beyond delta.
         cfg = small_config(sizes=(16,), trials=100, delta=0.99)
-        rates = failure_rate(cfg)
+        rates = failure_rate(cfg, all_trials(cfg))
         for rate in rates.as_tuple():
             assert rate <= 0.99
 
     def test_markov_guarantee_holds(self):
         cfg = small_config(sizes=(64,), trials=120, delta=0.25, weight="cosine")
-        rates = failure_rate(cfg)
+        rates = failure_rate(cfg, all_trials(cfg))
         for rate in rates.as_tuple():
             assert rate <= 0.25
 
     def test_equispaced_rate_zero(self):
         cfg = small_config(sizes=(16,), trials=100, sampler="equispaced",
                            activation_probes=0)
-        rates = failure_rate(cfg)
+        rates = failure_rate(cfg, all_trials(cfg))
         assert rates.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_needs_100_trials(self):
         with pytest.raises(ParameterError, match="100"):
-            failure_rate(small_config(trials=5))
+            failure_rate(small_config(trials=5), [])
 
 
 class TestSlopes:
@@ -154,7 +158,7 @@ class TestSlopes:
         cfg = TrialConfig(band=1.0, kernel_band=4.0, sizes=(64, 256, 1024),
                           trials=50, delta=0.25, master_seed=42,
                           activation_probes=0)
-        fit = slope_fit(cfg)
+        fit = slope_fit(cfg, all_trials(cfg))
         assert -0.65 <= fit.laplacian <= -0.35
         assert -0.65 <= fit.gram <= -0.35
 
@@ -163,12 +167,12 @@ class TestSlopes:
                           trials=30, delta=0.25, master_seed=0,
                           sampler="equispaced", activation_probes=0)
         with pytest.raises(SlopeUndefinedError):
-            slope_fit(cfg)
+            slope_fit(cfg, all_trials(cfg))
 
     def test_needs_three_sizes(self):
         cfg = small_config(sizes=(64, 256), trials=30)
         with pytest.raises(ParameterError, match="3 sample sizes"):
-            slope_fit(cfg)
+            slope_fit(cfg, [])
 
 
 class TestNonasymptoticBound:

@@ -106,7 +106,8 @@ def test_factored_kernel_matches_dense(kind):
     dense = dense_kernel_matrix(kernel, sample.points, w_vals)
     rng = np.random.default_rng(0)
     vec, mat = rng.normal(size=40), rng.normal(size=(40, 3))
-    assert op.left.shape == (40, kernel.dim) and op.right.shape == (kernel.dim, 40)
+    assert op.left.shape == (40, len(kernel.eigenvalues))
+    assert op.right.shape == (len(kernel.eigenvalues), 40)
     assert_close(np.asarray(op), dense)
     assert_close(op @ vec, dense @ vec)
     assert_close(op @ mat, dense @ mat)
@@ -214,7 +215,7 @@ def test_run_trials_memory_stays_linear_in_n():
         tracemalloc.stop()
     # about ten N x K arrays of doubles: one trial per block at this size,
     # and no N x N kernel (2 GB here)
-    assert peak < 16 * n * config.kernel.dim * 8
+    assert peak < 16 * n * len(config.kernel.eigenvalues) * 8
 
 
 def per_set_rejection(rng, n, weight, w_max):

@@ -42,13 +42,13 @@ class TestCircleEigenpairs:
             assert est == pytest.approx(lam, abs=1e-4), f"basis index {index}"
 
     def test_count_examples(self):
-        assert CIRCLE.count_eig_leq(4.5) == 5  # n in {0, +-1, +-2}
-        assert CIRCLE.count_eig_leq(0.0) == 1
-        assert CIRCLE.count_eig_leq(1.0) == 3
+        assert CIRCLE.dim_pw(4.5) == 5  # n in {0, +-1, +-2}
+        assert CIRCLE.dim_pw(0.0) == 1
+        assert CIRCLE.dim_pw(1.0) == 3
 
     def test_weyl_count_window(self):
         for lam in (1.0, 4.0, 9.0, 16.0, 25.0):
-            count = CIRCLE.count_eig_leq(lam)
+            count = CIRCLE.dim_pw(lam)
             assert 2 * np.sqrt(lam) - 1 <= count <= 2 * np.sqrt(lam) + 1
 
     def test_orthonormal_gram_4096(self):
@@ -136,7 +136,7 @@ class TestGraphSpace:
 
     def test_full_band_counts_all(self):
         space = GraphSpace.from_graph(path_graph(5))
-        assert space.count_eig_leq(space.full_band()) == 5
+        assert space.dim_pw(space.full_band()) == 5
 
     def test_laplacian_action_matches_matrix(self):
         space = GraphSpace.from_graph(path_graph(4))

@@ -97,8 +97,8 @@ def test_filter_matrix_and_apply_exact_match_group_projectors(decomposed):
 def test_projector_reconstruction_and_groups_match(decomposed):
     _, op, eig = decomposed
     values = eig.eigenvalues()
-    assert_matches(eig.reconstruct(), group_projector_sum(eig, values))
-    assert_matches(eig.reconstruct(), op.matrix)
+    assert_matches(eig.apply_function(values), group_projector_sum(eig, values))
+    assert_matches(eig.apply_function(values), op.matrix)
     for band in (0.5, float(np.abs(values).max())):
         indicator = (np.abs(values) <= band).astype(float)
         assert_matches(eig.apply_function(indicator), group_projector_sum(eig, indicator))

@@ -1,5 +1,7 @@
 """The transfer-error measurements and the five certified bounds."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from spectral_transfer.sampling import (
 )
 from spectral_transfer.spaces import CircleSpace, GraphSpace, bandlimited_kernel
 from spectral_transfer.transfer import (
+    FilterConstants,
     bound_fourier_mode,
     bound_pointwise,
     bound_worstcase,
@@ -118,8 +121,15 @@ class TestRawBoundFormulas:
         assert in_g == pytest.approx(0.7 * 0.3)
 
     def test_worstcase_substitution(self):
-        assert bound_worstcase(1.0, 4, 0.0, 1.0, 1.0, 0.0) == (0.0, 0.0)
-        in_g, in_m = bound_worstcase(1.0, 4, 0.05, 1.0, 1.0, 0.02)
+        def rhs(lap_err, consistency):
+            setting = SimpleNamespace(
+                dim_pw=4, laplacian_operator_error=lap_err, interpolation_norm=1.0,
+                consistency_operator_error=consistency,
+            )
+            return bound_worstcase(setting, FilterConstants(np.ones(4), 1.0, 1.0))
+
+        assert rhs(0.0, 0.0) == (0.0, 0.0)
+        in_g, in_m = rhs(0.05, 0.02)
         assert in_g == pytest.approx(0.1)
         assert in_m == pytest.approx(0.12)
 
