@@ -34,6 +34,7 @@ from .graphs import OperatorWithInnerProduct, WeightedGraph, operator_norm
 from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 from .textio import TextFile, config_entries, finite_float, split_top_level
+from .transfer import filter_constants
 
 
 @dataclass(frozen=True)
@@ -164,17 +165,6 @@ class ConvNetSpec:
 
     def bias_free(self) -> bool:
         return self.max_bias() == 0.0
-
-    def max_lipschitz(self) -> float:
-        consts = [
-            f.lipschitz_constant
-            for layer in self.layers
-            for row in layer.filters
-            for f in row
-        ]
-        if any(c is None for c in consts):
-            raise ParameterError("every filter needs a Lipschitz constant")
-        return max(consts)
 
     def normalized_on(self, spectrum) -> "ConvNetSpec":
         """Rescale every filter to sup norm 1 on ``spectrum``, folding each
@@ -316,12 +306,6 @@ class _SpaceOps:
             self.grid_size = max(4096, 8 * 2 * (n_max + 1))  # 8x oversampled
             self.grid = np.arange(self.grid_size) / self.grid_size
 
-    def dim(self, band: float) -> int:
-        return self.space.dim_pw(band)
-
-    def eigenvalues(self, band: float) -> np.ndarray:
-        return self.space.eigenvalues_up_to(band)
-
     def pointwise_then_project(self, coeffs: np.ndarray, in_band: float,
                                out_band: float, func) -> np.ndarray:
         if self.grid is None:
@@ -334,7 +318,7 @@ class _SpaceOps:
         if self.grid is None:
             ones = np.ones(self.space.n_vertices)
             return value * self.space.project_pw(band, ones)
-        out = np.zeros(self.dim(band))
+        out = np.zeros(self.space.dim_pw(band))
         out[0] = value  # the constant is the first circle basis function
         return out
 
@@ -352,7 +336,7 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
     """
     ops = _SpaceOps(space, spec.bands[-1])
     signals, columns = _input_channels(spec, inputs)
-    dim0 = ops.dim(spec.bands[0])
+    dim0 = space.dim_pw(spec.bands[0])
     for ch in signals:
         if ch.shape[0] != dim0:
             raise TopologyError(
@@ -364,7 +348,7 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
     for l, layer in enumerate(spec.layers):
         band_in = spec.bands[l]
         band_out = spec.bands[l + 1]
-        lams = ops.eigenvalues(band_in)
+        lams = space.eigenvalues_up_to(band_in)
         next_signals = []
         for k_out in range(layer.k_out):
             acc = ops.project_constant(layer.biases[k_out], band_in).reshape(as_column)
@@ -473,6 +457,20 @@ def _collapse_graph(graph: WeightedGraph, cmap: CoarseningMap) -> WeightedGraph:
         weights[key] = weights.get(key, 0.0) + w
     edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
     return WeightedGraph(cmap.n_coarse, edges)
+
+
+def network_lipschitz(spec: ConvNetSpec, settings) -> float:
+    """D of the network bound: the largest Lipschitz constant that
+    :func:`~spectral_transfer.transfer.filter_constants` gives a filter of
+    layer l + 1 on the spectra it relates, the space's band at depth l
+    against the layer-l operator of each setting."""
+    return max(
+        filter_constants(filt, np.real(setting.space.eigenvalues_up_to(band)),
+                         op.eig.values).lipschitz
+        for setting in settings
+        for layer, band, op in zip(spec.layers, spec.bands, setting.operators)
+        for row in layer.filters for filt in row
+    )
 
 
 @dataclass(frozen=True)

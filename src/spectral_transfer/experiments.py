@@ -38,6 +38,7 @@ from .convnet import (
     forward_graph,
     hypothesis_errors,
     load_convnet_spec,
+    network_lipschitz,
     output_errors,
 )
 from .errors import ConfigError, SpectralTransferError
@@ -178,11 +179,6 @@ class ExperimentConfig:
         parsed = ()
         if self.experiment in ("coarsen-transfer", "perturb-stability"):
             parsed = tuple(make_filter(desc) for desc in self.filters)
-        unbounded = [f.name for f in parsed if f.lipschitz_constant is None]
-        if self.experiment == "perturb-stability" and unbounded:
-            raise ConfigError(
-                f"{unbounded[0]}: the stability line needs a Lipschitz constant"
-            )
         object.__setattr__(self, "parsed_filters", parsed)
         perturbations = ()
         if self.experiment == "perturb-stability":
@@ -288,8 +284,8 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
 
 
 def _collect_transfer_rows(setting, config: ExperimentConfig):
-    """Shared per-setting certification: mode rows, bound rows, verdict."""
-    mode_rows, bound_rows, scatter_points = [], [], []
+    """Shared per-setting certification: rows, summaries, each filter's D, verdict."""
+    mode_rows, bound_rows, scatter_points, lipschitz = [], [], [], []
     all_ok = True
     summaries = {}
     for filt in config.parsed_filters:
@@ -306,11 +302,12 @@ def _collect_transfer_rows(setting, config: ExperimentConfig):
                 bound.satisfied,
             ))
         all_ok &= report.all_satisfied
+        lipschitz.append(report.lipschitz_constant)
         summaries[filt.name] = {key: getattr(report, key) for key in (
             "filter_error", "laplacian_error", "consistency_error",
             "interpolation_norm", "lipschitz_constant", "grouped_spectrum",
         )}
-    return mode_rows, bound_rows, scatter_points, summaries, all_ok
+    return mode_rows, bound_rows, scatter_points, summaries, lipschitz, all_ok
 
 
 def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
@@ -318,8 +315,8 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
     space = GraphSpace.from_graph(graph, config.laplacian)
     cmap = coarsen_matching(graph)
     setting = coarsening_setting(space, cmap, band=config.band, name="coarsening")
-    modes, bounds, points, summaries, ok = _collect_transfer_rows(setting, config)
-    d_max = max(f.lipschitz_constant or 1.0 for f in config.parsed_filters)
+    modes, bounds, points, summaries, lipschitz, ok = _collect_transfer_rows(setting, config)
+    d_max = max(lipschitz)
     return ReportBundle(
         experiment="coarsen-transfer",
         summary={
@@ -366,7 +363,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
         stability_rows.extend(stability)
         points.extend((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability)
         ok &= perturbation_ok
-    d_max = max(f.lipschitz_constant or 1.0 for f in config.parsed_filters)
+    d_max = max(row[6] for row in stability_rows)  # each filter's certified D
     return ReportBundle(
         experiment="perturb-stability",
         summary={
@@ -411,7 +408,7 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     setting = perturbation_setting(
         space, delta_op, restriction=restriction, band=config.band, name=desc
     )
-    modes, bounds, _, summary, ok = _collect_transfer_rows(setting, config)
+    modes, bounds, _, summary, lipschitz, ok = _collect_transfer_rows(setting, config)
 
     # Frobenius stability: restrict the fine operator first, then
     # compare the two functional-calculus applications.  Both must be
@@ -431,7 +428,7 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
         f_delta = filter_matrix(filt, delta_op.eig)
         filt_abs = float(np.linalg.norm(f_fine - f_delta, "fro"))
         filt_rel = filt_abs / max(float(np.linalg.norm(f_fine, "fro")), 1e-30)
-        d_lip = filt.lipschitz_constant  # the config checked it is set
+        d_lip = lipschitz[i]  # the D of this filter's bounds
         dominated = certified(filt_abs, d_lip * lap_abs)
         ok &= dominated
         stability.append((
@@ -538,7 +535,7 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
     bias-free, relu, max pooling after the first layer, bands covering 4,
     6, and 8 modes of the input graph.  A band keeps the modes with
     ``|lambda|`` up to it, so the bands fall between sorted ``|lambda|``."""
-    lams = np.sort(np.abs(space.eig.eigenvalues_with_multiplicity()))
+    lams = np.sort(np.abs(space.eig.values))
     if lams.shape[0] < 9:
         raise ConfigError("the default network needs a graph with >= 9 modes")
     bands = (
@@ -575,14 +572,9 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     setting1 = ConvNetGraphSetting.build(space, spec, graph, space.operator)
     setting2 = ConvNetGraphSetting.build(space, spec, other, other_op)
 
-    union = np.concatenate(
-        [space.eig.eigenvalues_with_multiplicity().real]
-        + [
-            op.eig.eigenvalues_with_multiplicity().real
-            for setting in (setting1, setting2)
-            for op in setting.operators
-        ]
-    )
+    # setting1's layer-0 operator is the space's own
+    union = np.concatenate([op.eig.values.real for setting in (setting1, setting2)
+                            for op in setting.operators])
     spec = spec.normalized_on(union)
 
     hyp1 = hypothesis_errors(setting1, spec, n_probes=config.probes,
@@ -594,7 +586,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     ok = delta < 1.0
 
     count = space.dim_pw(spec.bands[-1])
-    d_lip = spec.max_lipschitz()
+    d_lip = network_lipschitz(spec, (setting1, setting2))
     a_bound = max(spec.mixing_bound(), 1.0)
     b_bound = 0.0 if spec.bias_free() else spec.max_bias() * np.sqrt(graph.n_vertices)
     bound = convnet_transfer_bound(

@@ -263,12 +263,12 @@ def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> 
         raise FilterEvaluationError(
             f"signal dimension {signal.shape[0]} != operator dimension {eig.dim}"
         )
-    return eig.apply_function_to(filter.evaluate(eig.eigenvalues()), signal)
+    return eig.apply_function_to(filter.evaluate(eig.values), signal)
 
 
 def filter_matrix(filter: Filter, eig: EigenDecomposition) -> np.ndarray:
     """Dense matrix of g(T)."""
-    return eig.apply_function(filter.evaluate(eig.eigenvalues()))
+    return eig.apply_function(filter.evaluate(eig.values))
 
 
 def apply_rational(
@@ -370,7 +370,7 @@ def apply_chebyshev(
 
 
 def _real_spectrum(op: OperatorWithInnerProduct) -> np.ndarray:
-    vals = op.eig.eigenvalues_with_multiplicity()
+    vals = op.eig.values
     if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):
         raise SpectralIntervalError("spectrum is not real; no containing interval")
     return vals.real

@@ -158,7 +158,7 @@ def hermitian_norm(mat: np.ndarray) -> float:
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
     vals = hermitian_eigenvalues(0.5 * (mat + mat.conj().T))
-    return float(max(-vals[0], vals[-1]))
+    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def _rescaled_norm(mat: np.ndarray) -> float:
@@ -544,14 +544,15 @@ class EigenGroup:
 class EigenDecomposition:
     """Eigenvalues grouped into eigenspaces, ordered by increasing ``|lambda|``.
 
-    ``basis`` holds B-orthonormal eigenvector columns, group by group;
-    group j has eigenvalue ``group_values[j]`` and spans the next
-    ``multiplicities[j]`` columns.  A spectral function g acts as
-    ``V g(Lambda) V^H B``, so the decomposition stores one n x n matrix in
-    all, and no eigenprojection is formed unless asked for.
+    ``basis`` holds B-orthonormal eigenvector columns, group by group, and
+    ``values`` one eigenvalue per column: group j spans the next
+    ``multiplicities[j]`` columns, each holding its group's mean eigenvalue.
+    A spectral function g acts as ``V g(Lambda) V^H B``, so the
+    decomposition stores one n x n matrix in all, and no eigenprojection is
+    formed unless asked for.
     """
 
-    group_values: np.ndarray
+    values: np.ndarray
     multiplicities: np.ndarray
     inner: InnerProduct
     basis: np.ndarray
@@ -570,34 +571,23 @@ class EigenDecomposition:
         """One :class:`EigenGroup` per eigenvalue, viewing its basis columns."""
         ends = np.cumsum(self.multiplicities)
         return tuple(
-            EigenGroup(complex(value), self.basis[:, end - count:end], self.inner)
-            for value, count, end in zip(self.group_values, self.multiplicities, ends)
+            EigenGroup(complex(self.values[end - 1]), self.basis[:, end - count:end], self.inner)
+            for count, end in zip(self.multiplicities, ends)
         )
 
-    def eigenvalues(self) -> np.ndarray:
-        """Distinct (grouped) eigenvalues in |lambda| order."""
-        return self.group_values
-
-    def with_multiplicity(self, values) -> np.ndarray:
-        """Per-group ``values`` repeated over each group's basis columns."""
-        return np.repeat(np.asarray(values), self.multiplicities)
-
-    def eigenvalues_with_multiplicity(self) -> np.ndarray:
-        return self.with_multiplicity(self.group_values)
-
     def apply_function(self, values) -> np.ndarray:
-        """Matrix of ``sum_j values[j] P_j``, i.e. ``V diag(values) V^H B``."""
-        scaled = self.basis * self.with_multiplicity(values)
+        """Matrix of ``V diag(values) V^H B``, one value per basis column."""
+        scaled = self.basis * np.asarray(values)
         return scaled @ self.inner.apply(self.basis).conj().T
 
     def apply_function_to(self, values, signal: np.ndarray) -> np.ndarray:
-        """``sum_j values[j] P_j signal`` as ``V (values * (V^H B signal))``.
+        """``V (values * (V^H B signal))``, one value per basis column.
 
         ``signal`` is a vector or a matrix of column signals; no n x n
         matrix is formed.
         """
         coeffs = self.basis.conj().T @ self.inner.apply(signal)
-        scale = self.with_multiplicity(values)
+        scale = np.asarray(values)
         return self.basis @ (scale.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
 
 
@@ -670,7 +660,7 @@ def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
     for j in np.flatnonzero(counts > 1):
         means[j] = np.mean(vals[index_groups[j]])
     return EigenDecomposition(
-        group_values=means.real if hermitian else _real_if_possible(means),
+        values=np.repeat(means.real if hermitian else _real_if_possible(means), counts),
         multiplicities=counts,
         inner=op.inner,
         basis=vecs[:, order],

@@ -35,7 +35,7 @@ rows were both slower than 8192.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -412,8 +412,6 @@ def failure_rate(config: TrialConfig, results) -> FailureRates:
 class SlopeFit:
     laplacian: float
     gram: float
-    activation: float
-    medians: dict = field(repr=False, default=None)
 
 
 def check_slope_fit_inputs(config: TrialConfig) -> None:
@@ -439,16 +437,11 @@ def slope_fit(config: TrialConfig, results) -> SlopeFit:
     by_size = {n: [] for n in config.sizes}
     for r in results:
         by_size[r.size].append(r)
-    quantities = ["laplacian_err", "gram_err"]
-    if config.activation_probes > 0:
-        quantities.append("activation_err")
-    medians = {}
-    slopes = {"activation_err": None}
-    for attr in quantities:
+    slopes = {}
+    for attr in ("laplacian_err", "gram_err"):
         med = np.array(
             [np.median([getattr(r, attr) for r in by_size[n]]) for n in config.sizes]
         )
-        medians[attr] = med
         if np.all(med <= 1e-14):  # vanishes up to roundoff
             raise SlopeUndefinedError(
                 f"all {attr} medians vanish; no rate to fit"
@@ -456,12 +449,7 @@ def slope_fit(config: TrialConfig, results) -> SlopeFit:
         slopes[attr] = float(
             np.polyfit(np.log(np.asarray(config.sizes, dtype=float)), np.log(med), 1)[0]
         )
-    return SlopeFit(
-        laplacian=slopes["laplacian_err"],
-        gram=slopes["gram_err"],
-        activation=slopes["activation_err"],
-        medians=medians,
-    )
+    return SlopeFit(laplacian=slopes["laplacian_err"], gram=slopes["gram_err"])
 
 
 def nonasymptotic_filter_bound(

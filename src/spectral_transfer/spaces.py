@@ -103,20 +103,18 @@ class GraphSpace:
         return self.graph.n_vertices
 
     def eigenvalues_up_to(self, band: float) -> np.ndarray:
-        vals = self.eig.eigenvalues_with_multiplicity()
+        vals = self.eig.values
         return vals[np.abs(vals) <= band * (1.0 + 1e-12)]
 
     def dim_pw(self, band: float) -> int:
         return int(self.eigenvalues_up_to(band).shape[0])
 
     def full_band(self) -> float:
-        vals = self.eig.eigenvalues_with_multiplicity()
-        return float(np.abs(vals).max())
+        return float(np.abs(self.eig.values).max())
 
     def pw_basis(self, band: float) -> np.ndarray:
         """B-orthonormal eigenvector columns with |lambda| <= band."""
-        vals = self.eig.eigenvalues_with_multiplicity()
-        keep = np.abs(vals) <= band * (1.0 + 1e-12)
+        keep = np.abs(self.eig.values) <= band * (1.0 + 1e-12)
         return self.eig.basis[:, keep]
 
     def project_pw(self, band: float, signal: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ def certified(lhs: float, rhs: float) -> bool:
 @dataclass(frozen=True)
 class FilterConstants:
     """Per-eigenvalue quotient bounds, the sup norm over a spectrum, and the
-    operator-norm bounds' Lipschitz constant (declared, else the top quotient)."""
+    Lipschitz constant D (declared, else the top quotient)."""
 
     vg_per_eig: np.ndarray
     sup_norm: float
@@ -63,11 +63,13 @@ class FilterConstants:
 
 def filter_constants(filt: Filter, source_eigenvalues,
                      target_spectrum) -> FilterConstants:
-    """Per-mode quotient bounds and the source-spectrum sup norm.
+    """Per-mode quotient bounds, the source-spectrum sup norm, and D.
 
-    The quotients must respect the filter's declared Lipschitz constant,
-    under the same slack as every certified inequality; a violation raises
-    :class:`ParameterError`.
+    The one rule for D, the Lipschitz constant of every filter, stability
+    and network bound: the filter's declared constant, checked against the
+    quotients between the two spectra under the same slack as every
+    certified inequality (a violation raises :class:`ParameterError`), or
+    the largest quotient when the filter declares none.
     """
     source = np.asarray(source_eigenvalues)
     vg = max_difference_quotient(filt, source, target_spectrum)
@@ -160,8 +162,7 @@ class TransferSetting:
 
     def target_response(self, filt: Filter) -> np.ndarray:
         """``g(mu)`` on the target eigenvalues, one entry per row of Q."""
-        eig = self.target.eig
-        return eig.with_multiplicity(filt.evaluate(eig.eigenvalues()))[:, None]
+        return filt.evaluate(self.target.eig.values)[:, None]
 
     def filtered_transfer_matrix(self, filt: Filter) -> np.ndarray:
         """Band-coefficient matrix of ``R g(Delta) S``: ``Q^H diag(g(mu)) Q``."""
@@ -230,7 +231,7 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     the modes' filter constants and the mismatch, for the aggregate bounds.
     """
     lams = np.real(setting.source_eigenvalues[modes])
-    constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
+    constants = filter_constants(filt, lams, setting.target.eig.values)
     lap = setting.laplacian_mode_errors[modes]
     mismatch = setting.target.eig.basis @ (
         setting.target_response(filt) * setting.q[:, modes]
@@ -404,6 +405,6 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
     bound = 0.0
     for setting in (setting1, setting2):
         lams = np.real(setting.source_eigenvalues)
-        constants = filter_constants(filt, lams, setting.target.eig.eigenvalues())
+        constants = filter_constants(filt, lams, setting.target.eig.values)
         bound += bound_worstcase(setting, constants)[1]
     return error, bound

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from spectral_transfer import cli, experiments
+from spectral_transfer.graphs import path_graph
 from spectral_transfer.reports import ReportBundle
+from spectral_transfer.spaces import GraphSpace
 
 
 @pytest.fixture()
@@ -295,25 +297,48 @@ def test_convnet_transfer_runs_an_explicit_unnormalized_laplacian(tmp_path):
 def test_convnet_transfer_default_bands_hold_modes_of_a_signed_spectrum(tmp_path, capsys):
     # the adjacency spectrum of a path is symmetric about 0; bands taken
     # from signed eigenvalues left band 0 negative and its probes empty
+    space = GraphSpace.from_graph(path_graph(16), "adjacency")
+    bands = experiments.default_convnet_spec(space).bands
+    assert all(band > 0 for band in bands)
+    assert [space.dim_pw(band) for band in bands] == [4, 6, 8]
+    # heat(0.5) declares its constant for x >= 0 only; on the negative
+    # eigenvalues the network's D is checked and refused, as
+    # coarsen-transfer refuses it
     path = tmp_path / "cfg.txt"
     path.write_text("graph = path(16)\nlaplacian = adjacency\nseed = 1\n")
     out_dir = tmp_path / "out"
+    assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: declared Lipschitz constant 0.187098 is violated "
+        "on the spectra (observed quotient 0.358106)"
+    ]
+
+
+def test_net_file_filter_without_a_declared_constant_certifies_with_its_quotient(tmp_path):
+    # g(x) = 1 + x, normalized by its sup 3 on the spectra (a path's
+    # normalized Laplacian tops out at 2), has every quotient 1/3
+    net = tmp_path / "net.ini"
+    net.write_text("[net]\nbands = 0.3, 0.6\n\n[layer 1]\nfilters = poly(1,1)\nmix = 1.0\n")
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph = path(16)\nlaplacian = normalized\nnet = {net}\nseed = 7\n")
+    out_dir = tmp_path / "out"
     assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
-    assert "certified" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.txt").read_text())
-    assert all(band > 0 for band in summary["bands"])
+    assert summary["lipschitz"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
 def test_lipschitz_constant_near_the_float_limit_gives_an_infinite_worstcase_rhs(tmp_path):
     # D sqrt(dim PW) ||L-error|| overflows; the rhs is a vacuous inf, with
-    # no overflow warning on the way
+    # no overflow warning on the way.  g vanishes on the spectra but for
+    # g(0) = 1, so the worst-case lhs are norms of zero matrices: 0.0, not -0.0
     path = tmp_path / "cfg.txt"
     path.write_text("graph = path(6)\nfilters = heat(1e308)\nseed = 1\n")
     out_dir = tmp_path / "out"
     assert cli.main(["coarsen-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
     rows = (out_dir / "bounds.csv").read_text().splitlines()
-    assert [row.split(",")[-2] for row in rows if ",worstcase_in_" in row] == ["inf", "inf"]
+    cells = [row.split(",")[-3:-1] for row in rows if ",worstcase_in_" in row]
+    assert cells == [["0.0", "inf"], ["0.0", "inf"]]
 
 
 @pytest.mark.xfail(

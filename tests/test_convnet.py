@@ -16,6 +16,7 @@ from spectral_transfer.convnet import (
     forward_graph,
     hypothesis_errors,
     load_convnet_spec,
+    network_lipschitz,
     output_errors,
     pool,
     spectral_decay_check,
@@ -268,7 +269,7 @@ class TestTransferBound:
 def build_two_layer_setting(graph, perturb=None):
     """Shared fixture: a 2-layer K=1->2->2 net on a path graph."""
     space = GraphSpace.from_graph(graph, "normalized")
-    lams = np.sort(space.eig.eigenvalues_with_multiplicity().real)
+    lams = np.sort(space.eig.values.real)
     bands = (
         float((lams[3] + lams[4]) / 2),
         float((lams[5] + lams[6]) / 2),
@@ -402,7 +403,8 @@ class TestHypothesisAndCertification:
         assert delta < 1.0
         count = space.dim_pw(spec.bands[-1])
         bound = convnet_transfer_bound(
-            spec.n_layers, spec.max_lipschitz(), max(spec.mixing_bound(), 1.0),
+            spec.n_layers, network_lipschitz(spec, (setting1, setting2)),
+            max(spec.mixing_bound(), 1.0),
             0.0, delta, count,
         )
         rng = np.random.default_rng(17)
@@ -496,7 +498,7 @@ pooling = none
         graph = path_graph(6)
         op = build_laplacian(graph, "unnormalized")
         space = GraphSpace.from_graph(graph)
-        lams = space.eig.eigenvalues_with_multiplicity().real
+        lams = space.eig.values.real
         layer = LayerSpec(
             ((Filter.polynomial((0.0, 2.0)),),), np.array([[0.5]]), np.zeros(1), "none"
         )

@@ -53,7 +53,7 @@ def assert_close(got, ref):
 
 def graph_bands(space, count):
     """Nondecreasing bands between the sorted distinct eigenvalues."""
-    lams = np.unique(np.round(space.eig.eigenvalues_with_multiplicity().real, 9))
+    lams = np.unique(np.round(space.eig.values.real, 9))
     picks = np.linspace(1, len(lams) - 1, count).astype(int)
     return tuple(float((lams[i - 1] + lams[i]) / 2) for i in picks)
 
@@ -122,7 +122,7 @@ def hypothesis_terms_per_probe(setting, spec, n_probes, seed):
         basis_lo = space.pw_basis(band_lo)
         # the dense band projector, as the reference for the eigenbasis path
         proj_hi = space.eig.apply_function(
-            (np.abs(space.eig.eigenvalues()) <= band_hi).astype(float)
+            (np.abs(space.eig.values) <= band_hi).astype(float)
         )
         s_prev = setting.sample_maps[l - 1]
         worst = 0.0

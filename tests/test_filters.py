@@ -62,7 +62,7 @@ class TestApplyExact:
 
     def test_vanishing_filter_gives_zero(self):
         eig = eigendecompose(random_connected_laplacian(8, seed=4))
-        lams = eig.eigenvalues_with_multiplicity().real
+        lams = eig.values.real
         # table filter that is exactly zero at every eigenvalue
         filt = Filter.from_table(lams, np.zeros_like(lams))
         s = np.random.default_rng(1).normal(size=eig.dim)
@@ -139,7 +139,7 @@ class TestApplyChebyshev:
     def test_refinement_shrinks_error(self):
         op = random_connected_laplacian(10, seed=3)
         eig = eigendecompose(op)
-        lam_max = float(eig.eigenvalues_with_multiplicity().real.max())
+        lam_max = float(eig.values.real.max())
         interval = (0.0, lam_max * (1.0 + 1e-6))
         filt = Filter.heat(1.0)
         s = np.random.default_rng(2).normal(size=op.dim)
@@ -188,7 +188,7 @@ class TestApplyChebyshev:
         from spectral_transfer.graphs import path_graph
 
         op = build_laplacian(path_graph(6), "normalized")
-        a, b = _containing_interval(op.eig.eigenvalues_with_multiplicity().real)
+        a, b = _containing_interval(op.eig.values.real)
         assert a <= 0.0 < 2.0 <= b <= 2.001
         s = np.random.default_rng(1).normal(size=6)
         out = apply_chebyshev(Filter.heat(1.0), op, 16, signal=s)

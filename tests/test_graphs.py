@@ -345,7 +345,7 @@ class TestEigendecompose:
         # with eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2.
         op = OperatorWithInnerProduct.symmetric(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         eig = eigendecompose(op)
-        np.testing.assert_allclose(eig.eigenvalues(), [0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(eig.values, [0.0, 2.0], atol=1e-12)
         p0 = 0.5 * np.ones((2, 2))
         p1 = np.array([[0.5, -0.5], [-0.5, 0.5]])
         np.testing.assert_allclose(eig.groups[0].projection, p0, atol=1e-12)
@@ -363,8 +363,8 @@ class TestEigendecompose:
         gamma = np.array([[1.0, 1.0], [0.0, 1.0]])
         inner = InnerProduct.from_eigenvector_matrix(gamma)
         eig = eigendecompose(OperatorWithInnerProduct(a, inner))
-        np.testing.assert_allclose(sorted(eig.eigenvalues().real), [1.0, 2.0], atol=1e-9)
-        recon = eig.apply_function(eig.group_values)
+        np.testing.assert_allclose(sorted(eig.values.real), [1.0, 2.0], atol=1e-9)
+        recon = eig.apply_function(eig.values)
         np.testing.assert_allclose(recon, a, atol=1e-9)
 
     def test_defective_rejected(self):
@@ -384,7 +384,7 @@ class TestEigendecompose:
             op = random_symmetric_op(n, rng)
             eig = eigendecompose(op)
             a = op.matrix
-            assert np.linalg.norm(eig.apply_function(eig.group_values) - a, "fro") <= 1e-9 * np.linalg.norm(a, "fro")
+            assert np.linalg.norm(eig.apply_function(eig.values) - a, "fro") <= 1e-9 * np.linalg.norm(a, "fro")
             total = sum(g.projection for g in eig.groups)
             assert np.linalg.norm(total - np.eye(n), "fro") <= 1e-9
 
@@ -407,14 +407,14 @@ class TestEigendecompose:
     def test_unnormalized_laplacian_kernel_is_constants(self):
         op = build_laplacian(random_geometric_graph(25, 0.5, seed=2), "unnormalized")
         eig = eigendecompose(op)
-        assert abs(eig.eigenvalues()[0]) < 1e-10
+        assert abs(eig.values[0]) < 1e-10
         ones = np.ones(op.dim) / np.sqrt(op.dim)
         np.testing.assert_allclose(eig.groups[0].projection @ ones, ones, atol=1e-9)
 
     def test_spectral_projector_band(self):
         op = OperatorWithInnerProduct.symmetric(np.diag([0.0, 1.0, 4.0]))
         eig = eigendecompose(op)
-        p = eig.apply_function((np.abs(eig.eigenvalues()) <= 2.0).astype(float))
+        p = eig.apply_function((np.abs(eig.values) <= 2.0).astype(float))
         np.testing.assert_allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 

@@ -78,7 +78,7 @@ def test_stored_form_matches_dense_formulas(form, n, cols, seed):
     op_mat = np.linalg.solve(root, (q * d) @ q.conj().T @ root)
     op = OperatorWithInnerProduct(op_mat, inner)
     eig = eigendecompose(op)
-    assert_close(eig.apply_function(eig.group_values), op_mat)
+    assert_close(eig.apply_function(eig.values), op_mat)
 
 
 def test_dot_product_operator_holds_its_matrix_and_o_n_bytes():

@@ -362,7 +362,7 @@ class TestExperimentConfig:
         (dict(filters=()), "filters needs at least one entry"),
         (dict(perturbations=()), "perturbations needs at least one entry"),
         (dict(seed=-1), "seed must be nonnegative"),
-        (dict(filters=("poly(1,2)",)), "needs a Lipschitz constant"),
+        (dict(band=-1.0), "band must be nonnegative"),
         (dict(perturbations=("add_edges(2)",)), "fraction 2.0 outside"),
     ])
     def test_rejected_before_any_graph_work(self, kw, message):
@@ -403,6 +403,45 @@ class TestRunExperiment:
         _, rows = bundle.tables["stability"]
         for row in rows:
             assert row[2] == 0.0 and row[3] <= 1e-12
+
+    def test_perturb_stability_rows_use_the_constant_of_their_bounds(self):
+        # poly(1,-0.1) declares no Lipschitz constant: its D is the largest
+        # quotient, 0.1 up to roundoff, and each stability row reads the D
+        # that its filter's transfer bounds used for the same perturbation
+        bundle = run_experiment(quick_config(
+            experiment="perturb-stability", filters=("poly(1,-0.1)", "heat(0.5)"),
+            perturbations=("remove_edges(0.2)", "remove_vertices(0.2)"),
+        ))
+        assert bundle.all_certified
+        _, rows = bundle.tables["stability"]
+        assert len(rows) == 4
+        for desc, name, *_, lipschitz, _ in rows:
+            summary = bundle.summary["perturbations"][desc][name]
+            assert lipschitz == summary["lipschitz_constant"]
+            assert lipschitz == (0.5 if name == "heat(0.5)" else pytest.approx(0.1, rel=1e-12))
+        assert bundle.scatters["scatter"].reference_slope == 0.5
+
+    def test_stability_rows_of_two_table_filters_use_their_own_constants(self, tmp_path):
+        # every table filter is named "table", so a lookup by name would
+        # hand both rows the D of the second table
+        paths = []
+        for slope in (0.1, 0.3):
+            paths.append(tmp_path / f"slope{slope}.txt")
+            paths[-1].write_text(f"0 1\n4 {1 - 4 * slope}\n")
+        bundle = run_experiment(quick_config(
+            experiment="perturb-stability", filters=tuple(f"table({p})" for p in paths),
+            perturbations=("remove_edges(0.2)",),
+        ))
+        assert bundle.all_certified
+        _, rows = bundle.tables["stability"]
+        assert [row[6] for row in rows] == pytest.approx([0.1, 0.3], rel=1e-12)
+
+    @pytest.mark.parametrize("experiment", ["coarsen-transfer", "perturb-stability"])
+    def test_scatter_line_of_an_undeclared_filter_takes_its_measured_constant(
+            self, experiment):
+        bundle = run_experiment(quick_config(experiment=experiment,
+                                             filters=("poly(1,-0.1)",)))
+        assert bundle.scatters["scatter"].reference_slope == pytest.approx(0.1, rel=1e-12)
 
     def test_emitted_tables_match_declared_counts(self, tmp_path):
         bundle = run_experiment(quick_config(experiment="coarsen-transfer"))

@@ -1,10 +1,10 @@
 """The eigenbasis representation against explicit group projectors.
 
-A decomposition stores the B-orthonormal basis and the multiplicity of each
-grouped eigenvalue; spectral functions act as ``V g V^H B``.  These tests
-compare every spectral route with the definition it replaced: a sum over
-the eigenvalue groups of ``g(lambda_j) C_j C_j^H B``, where ``C_j`` are the
-group's basis columns.
+A decomposition stores the B-orthonormal basis, one eigenvalue per basis
+column and the multiplicity of each grouped eigenvalue; spectral functions
+act as ``V g V^H B``.  These tests compare every spectral route with the
+definition it replaced: a sum over the eigenvalue groups of
+``g(lambda_j) C_j C_j^H B``, where ``C_j`` are the group's basis columns.
 """
 
 import numpy as np
@@ -41,6 +41,11 @@ def group_projector_sum(eig, values):
         out += value * (cols @ (cols.conj().T @ b))
         start += count
     return out
+
+
+def group_values(eig):
+    """One eigenvalue per group, as the groups report it."""
+    return np.array([group.eigenvalue for group in eig.groups])
 
 
 def directed_laplacian():
@@ -82,13 +87,23 @@ def test_operators_cover_the_three_cases(decomposed):
     assert int(eig.multiplicities.sum()) == op.dim
 
 
+def test_values_hold_each_group_eigenvalue_once_per_column(decomposed):
+    _, op, eig = decomposed
+    assert eig.values.shape == (op.dim,)
+    np.testing.assert_array_equal(
+        eig.values, np.repeat(group_values(eig), eig.multiplicities)
+    )
+    # each column is an eigenvector for its value
+    assert_matches(op.matrix @ eig.basis, eig.basis * eig.values)
+
+
 def test_filter_matrix_and_apply_exact_match_group_projectors(decomposed):
     _, op, eig = decomposed
     rng = np.random.default_rng(3)
     vector = rng.normal(size=op.dim)
     matrix = rng.normal(size=(op.dim, 3))
     for filt in FILTERS:
-        reference = group_projector_sum(eig, filt.evaluate(eig.eigenvalues()))
+        reference = group_projector_sum(eig, filt.evaluate(group_values(eig)))
         assert_matches(filter_matrix(filt, eig), reference)
         assert_matches(apply_exact(filt, eig, vector), reference @ vector)
         assert_matches(apply_exact(filt, eig, matrix), reference @ matrix)
@@ -96,14 +111,16 @@ def test_filter_matrix_and_apply_exact_match_group_projectors(decomposed):
 
 def test_projector_reconstruction_and_groups_match(decomposed):
     _, op, eig = decomposed
-    values = eig.eigenvalues()
-    assert_matches(eig.apply_function(values), group_projector_sum(eig, values))
+    values, groups = eig.values, group_values(eig)
+    assert_matches(eig.apply_function(values), group_projector_sum(eig, groups))
     assert_matches(eig.apply_function(values), op.matrix)
     for band in (0.5, float(np.abs(values).max())):
-        indicator = (np.abs(values) <= band).astype(float)
-        assert_matches(eig.apply_function(indicator), group_projector_sum(eig, indicator))
+        assert_matches(
+            eig.apply_function((np.abs(values) <= band).astype(float)),
+            group_projector_sum(eig, (np.abs(groups) <= band).astype(float)),
+        )
     for j, group in enumerate(eig.groups):
-        unit = np.zeros(len(values))
+        unit = np.zeros(len(groups))
         unit[j] = 1.0
         assert group.multiplicity == eig.multiplicities[j]
         assert_matches(group.projection, group_projector_sum(eig, unit))
@@ -121,7 +138,7 @@ def test_random_graphs_match_group_projectors(n, radius, seed, kind):
     eig = eigendecompose(op)
     signal = np.random.default_rng(seed).normal(size=(n, 2))
     for filt in FILTERS:
-        reference = group_projector_sum(eig, filt.evaluate(eig.eigenvalues()))
+        reference = group_projector_sum(eig, filt.evaluate(group_values(eig)))
         assert_matches(filter_matrix(filt, eig), reference)
         assert_matches(apply_exact(filt, eig, signal), reference @ signal)
         assert_matches(apply_exact(filt, eig, signal[:, 0]), reference @ signal[:, 0])
