@@ -51,8 +51,6 @@ class Activation:
         x = np.asarray(x)
         return np.maximum(x, 0.0) if self.kind == "relu" else np.abs(x)
 
-    __call__ = apply
-
 
 def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     """Pool a fine signal, or each column of a matrix, onto the coarse

@@ -179,6 +179,12 @@ class ExperimentConfig:
         parsed = ()
         if self.experiment in ("coarsen-transfer", "perturb-stability"):
             parsed = tuple(make_filter(desc) for desc in self.filters)
+            named = {}  # report name -> descriptor; the summary is keyed by name
+            for desc, filt in zip(self.filters, parsed):
+                if filt.name in named:
+                    raise ConfigError(f"filters {named[filt.name]!r} and {desc!r} share "
+                                      f"the report name {filt.name!r}")
+                named[filt.name] = desc
         object.__setattr__(self, "parsed_filters", parsed)
         perturbations = ()
         if self.experiment == "perturb-stability":

@@ -15,7 +15,7 @@ an evaluated spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -53,10 +53,11 @@ def _as_real(x, name: str) -> np.ndarray:
 class Filter:
     """A scalar filter with an optional Lipschitz constant.
 
-    ``variant`` is one of ``closed_form``, ``polynomial``, ``rational``,
-    ``table``; ``params`` carries the family-specific data.  Built-in
-    closed forms ship an analytic Lipschitz constant valid on the
-    nonnegative half line where Laplacian spectra live.
+    ``variant`` is the family that picks the formula (``identity``,
+    ``heat``, ``lowpass``, ``highpass``, ``midpass``, ``polynomial``,
+    ``rational``, ``table``); ``params`` carries its data, and ``name`` only
+    labels reports.  Built-in closed forms ship an analytic Lipschitz
+    constant valid on the nonnegative half line where Laplacian spectra live.
     """
 
     variant: str
@@ -69,26 +70,26 @@ class Filter:
 
     @classmethod
     def identity(cls) -> "Filter":
-        return cls("closed_form", "identity", {}, lipschitz_constant=0.0)
+        return cls("identity", "identity", {}, lipschitz_constant=0.0)
 
     @classmethod
     def heat(cls, t: float) -> "Filter":
         # |d/dx e^{-tx}| <= t on x >= 0
         if not float(t) >= 0.0:
             raise ParameterError(f"heat time must be nonnegative, got {t:g}")
-        return cls("closed_form", f"heat({t:g})", {"t": float(t)},
+        return cls("heat", f"heat({_exact(t)})", {"t": float(t)},
                    lipschitz_constant=float(t))
 
     @classmethod
     def lowpass(cls, c: float) -> "Filter":
         _require_positive("lowpass cutoff", c)
-        return cls("closed_form", f"lowpass({c:g})", {"c": float(c)},
+        return cls("lowpass", f"lowpass({_exact(c)})", {"c": float(c)},
                    lipschitz_constant=1.0 / float(c))
 
     @classmethod
     def highpass(cls, c: float) -> "Filter":
         _require_positive("highpass cutoff", c)
-        return cls("closed_form", f"highpass({c:g})", {"c": float(c)},
+        return cls("highpass", f"highpass({_exact(c)})", {"c": float(c)},
                    lipschitz_constant=1.0 / float(c))
 
     @classmethod
@@ -96,7 +97,7 @@ class Filter:
         # Gaussian bump; max slope of exp(-(x-c)^2 / (2 sigma^2)) is
         # exp(-1/2)/sigma, attained one sigma away from the centre.
         _require_positive("midpass width", sigma)
-        return cls("closed_form", f"midpass({c:g},{sigma:g})",
+        return cls("midpass", f"midpass({_exact(c)},{_exact(sigma)})",
                    {"c": float(c), "sigma": float(sigma)},
                    lipschitz_constant=math.exp(-0.5) / float(sigma))
 
@@ -147,12 +148,9 @@ class Filter:
             values.append(value)
         if not knots:
             raise source.fail(None, "empty filter table")
-        return cls.from_table(knots, values)
+        return replace(cls.from_table(knots, values), name=f"table({path})")
 
     # -- evaluation ----------------------------------------------------
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def evaluate(self, x):
         """Evaluate g at scalar(s) x; complex input allowed where g extends."""
@@ -165,8 +163,10 @@ class Filter:
         return out[0] if scalar else out
 
     def _evaluate_raw(self, x: np.ndarray) -> np.ndarray:
-        if self.variant == "closed_form":
-            return self._evaluate_closed(x)
+        if self.variant == "identity":
+            return np.ones(x.shape)
+        if self.variant == "heat":
+            return np.exp(-self.params["t"] * x)
         if self.variant == "polynomial":
             return np.polynomial.polynomial.polyval(x, self.params["coeffs"])
         if self.variant == "rational":
@@ -177,26 +177,17 @@ class Filter:
                     "rational filter denominator vanishes on the spectrum"
                 )
             return num / den
+        xr = _as_real(x, self.variant)
         if self.variant == "table":
-            xr = _as_real(x, "table")
             return np.interp(xr, self.params["knots"], self.params["values"])
-        raise FilterEvaluationError(f"unknown filter variant {self.variant!r}")
-
-    def _evaluate_closed(self, x: np.ndarray) -> np.ndarray:
-        base = self.name.split("(", 1)[0]
-        if base == "identity":
-            return np.ones(x.shape)
-        if base == "heat":
-            return np.exp(-self.params["t"] * x)
-        xr = _as_real(x, base)
-        if base == "lowpass":
+        if self.variant == "lowpass":
             return np.maximum(0.0, 1.0 - xr / self.params["c"])
-        if base == "highpass":
+        if self.variant == "highpass":
             return np.minimum(1.0, xr / self.params["c"])
-        if base == "midpass":
+        if self.variant == "midpass":
             c, sigma = self.params["c"], self.params["sigma"]
             return np.exp(-((xr - c) ** 2) / (2.0 * sigma * sigma))
-        raise FilterEvaluationError(f"unknown closed form {base!r}")
+        raise FilterEvaluationError(f"unknown filter variant {self.variant!r}")
 
     # -- helpers --------------------------------------------------------
 
@@ -216,6 +207,12 @@ class Filter:
         if sup == 0.0:
             raise FilterEvaluationError("cannot normalize a filter that vanishes on the spectrum")
         return self.scaled(1.0 / sup), sup
+
+
+def _exact(value: float) -> str:
+    """``repr`` of the float without a trailing ``.0``: distinct parameters
+    give distinct names, and ``heat(1)`` stays ``heat(1)``."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def _require_positive(what: str, value: float) -> None:

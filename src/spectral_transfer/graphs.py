@@ -227,17 +227,6 @@ class WeightedGraph:
     def edges(self) -> tuple:
         return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
-    def _key(self) -> tuple:
-        return self.n_vertices, self.edges, self.directed
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def n_edges(self) -> int:
         return self.w.shape[0]
@@ -529,10 +518,6 @@ class EigenGroup:
     eigenvalue: complex
     columns: np.ndarray
     inner: InnerProduct
-
-    @property
-    def multiplicity(self) -> int:
-        return self.columns.shape[1]
 
     @property
     def projection(self) -> np.ndarray:

@@ -48,7 +48,7 @@ from .sampling import (
     sampled_laplacian_matrix,
     unit_probes,
 )
-from .spaces import BandlimitedKernel, CircleSpace, bandlimited_kernel
+from .spaces import BandlimitedKernel, CircleSpace
 from .transfer import certified
 
 _C_SPHERE_PROBES = 500
@@ -79,10 +79,6 @@ def uniform_weight(x):
 _WEIGHTS = {"uniform": uniform_weight, "cosine": cosine_weight}
 
 
-def relu(x):
-    return np.maximum(np.asarray(x), 0.0)
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte-Carlo verification campaign."""
@@ -106,14 +102,13 @@ class TrialConfig:
             raise ParameterError(f"unknown weight {self.weight!r}")
         if self.sampler not in ("random", "equispaced"):
             raise ParameterError(f"unknown sampler {self.sampler!r}")
-        space = CircleSpace()
-        if space.max_frequency(self.kernel_band) >= _GRID // 2:
+        if self.space.max_frequency(self.kernel_band) >= _GRID // 2:
             # sin(pi k) = 0 at every grid point: the tail's grid basis is rank-deficient
             raise ParameterError(
                 f"kernel band {self.kernel_band:.12g} must be below {(_GRID // 2) ** 2}: the "
                 f"{_GRID}-point activation grid resolves frequencies below {_GRID // 2}"
             )
-        min_dim = space.dim_pw(self.band)
+        min_dim = self.space.dim_pw(self.band)
         if any(n < min_dim for n in self.sizes):
             raise ParameterError(
                 f"every sample size must be at least dim PW = {min_dim}"
@@ -126,7 +121,7 @@ class TrialConfig:
 
     @cached_property
     def kernel(self) -> BandlimitedKernel:
-        return bandlimited_kernel(self.space, self.kernel_band)
+        return BandlimitedKernel(self.space, self.kernel_band)
 
     def weight_fn(self):
         return _WEIGHTS[self.weight]
@@ -139,10 +134,12 @@ class TrialConfig:
         Random blocks draw all their trials in one pass: uniform points
         fill the rows in place, and weighted ones come from one stacked
         :func:`rejection_sample`, which also gives their weights.
+        Equispaced rows carry the configured weight at their points.
         """
         n = self.sizes[size_index]
         if self.sampler == "equispaced":
-            return SampleSet(np.tile(SampleSet.equispaced(n).points, (len(trial_indices), 1)))
+            points = np.tile(SampleSet.equispaced(n).points, (len(trial_indices), 1))
+            return SampleSet(points, self.weight_fn()(points))
         rngs = [
             np.random.default_rng(np.random.SeedSequence(
                 entropy=self.master_seed, spawn_key=(size_index, t)
@@ -249,11 +246,7 @@ def bound_constants(config: TrialConfig) -> MCBoundConstants:
     space = config.space
     w_vals = config.weight_fn()(np.arange(_GRID) / _GRID)
     w_min = float(np.min(w_vals))
-    c_lam = min(
-        exact_c_lambda(space, config.band),
-        float(np.sqrt(space.dim_pw(config.band)))
-        * space.sup_norm_of_basis(config.band),
-    )
+    c_lam = exact_c_lambda(space, config.band)
     kernel = config.kernel
     dim = space.dim_pw(config.band)
     max_phi_inf = space.sup_norm_of_basis(config.band)
@@ -301,19 +294,16 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
     phi = space.basis_matrix(sample.points, config.kernel_band)
-    # a drawn weighted block carries its weights; equispaced points take
-    # the configured weight, and uniform ones get ones either way
-    weight = config.weight_fn() if sample.w_values is None else None
-    delta_op, w_vals = sampled_laplacian_matrix(config.kernel, sample, weight, basis=phi)
+    delta_op = sampled_laplacian_matrix(config.kernel, sample, basis=phi)
     # the band basis is the leading columns of the kernel-band basis
     s_mat = phi[..., : space.dim_pw(config.band)] / np.sqrt(n)
-    b_sqrt = 1.0 / np.sqrt(w_vals)
+    b_sqrt = 1.0 / np.sqrt(sample.w_values)
 
     lams = space.eigenvalues_up_to(config.band)
     mismatch = s_mat * lams - delta_op @ s_mat
     laplacian_errs = operator_norm(mismatch * b_sqrt[..., None])
 
-    gram_mat = s_mat.swapaxes(-1, -2) @ (s_mat / w_vals[..., None])
+    gram_mat = s_mat.swapaxes(-1, -2) @ (s_mat / sample.w_values[..., None])
     gram_errs = np.linalg.norm(
         gram_mat - np.eye(s_mat.shape[-1]), "fro", axis=(-2, -1)
     )
@@ -360,7 +350,7 @@ def _activation_excess(config: TrialConfig, phi_hi: np.ndarray, s_mat,
     n = phi_hi.shape[-2]
     probes, coeffs_hi, cont_tail = _size_probes(config, n)
     # rho commutes with evaluation: rho(S f) = S rho(f)
-    graph_tail_vals = relu(s_mat @ probes) - (phi_hi @ coeffs_hi) / np.sqrt(n)
+    graph_tail_vals = np.maximum(s_mat @ probes, 0.0) - (phi_hi @ coeffs_hi) / np.sqrt(n)
     graph_tail = np.linalg.norm(graph_tail_vals * b_sqrt[..., None], axis=-2)
     return np.max(graph_tail - cont_tail, axis=-1)
 

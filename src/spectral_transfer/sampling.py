@@ -40,11 +40,11 @@ from .spaces import BandlimitedKernel, CircleSpace
 class SampleSet:
     """Sample points in the continuous space, with their drawing weights.
 
-    ``density`` is N / mu(M) = N on unit-measure spaces.  ``w_values`` holds
-    the sampling density w evaluated at the points when they were drawn from
-    a non-uniform measure; it induces the graph inner product.  Points of
-    shape (..., N) are a stack of sample sets of one size N, which
-    :func:`sampled_laplacian_matrix` turns into a stack of operators.
+    ``w_values`` holds the sampling density w evaluated at the points; it
+    induces the graph inner product, and is all ones when none is given
+    (uniformly drawn points).  Points of shape (..., N) are a stack of
+    sample sets of one size N, which :func:`sampled_laplacian_matrix`
+    turns into a stack of operators.
     """
 
     points: np.ndarray
@@ -55,35 +55,24 @@ class SampleSet:
         if pts.size < 1:
             raise ParameterError("sample set needs at least one point")
         object.__setattr__(self, "points", pts)
-        if self.w_values is not None:
-            w = np.asarray(self.w_values, dtype=float)
-            if w.shape != pts.shape:
-                raise WeightError("weight values must align with sample points")
-            if np.any(w <= 0):
-                raise WeightError(f"nonpositive sampling weight {w.min():g}")
-            object.__setattr__(self, "w_values", w)
+        w = np.ones(pts.shape) if self.w_values is None else np.asarray(self.w_values, dtype=float)
+        if w.shape != pts.shape:
+            raise WeightError("weight values must align with sample points")
+        if np.any(w <= 0):
+            raise WeightError(f"nonpositive sampling weight {w.min():g}")
+        object.__setattr__(self, "w_values", w)
 
     @property
     def size(self) -> int:
         return int(self.points.shape[-1])
 
-    @property
-    def density(self) -> float:
-        return float(self.size)
-
     def inner_product(self) -> InnerProduct:
         """B = diag(1/w); the dot product for uniformly drawn points."""
-        weights = np.ones(self.size) if self.w_values is None else 1.0 / self.w_values
-        return InnerProduct(weights)
+        return InnerProduct(1.0 / self.w_values)
 
     @classmethod
     def equispaced(cls, n: int) -> "SampleSet":
         return cls(np.arange(n) / n)
-
-    @classmethod
-    def uniform_random(cls, n: int, seed) -> "SampleSet":
-        rng = np.random.default_rng(seed)
-        return cls(rng.uniform(size=n))
 
     @classmethod
     def weighted_random(cls, n: int, weight, seed, w_max: float | None = None) -> "SampleSet":
@@ -135,7 +124,7 @@ def rejection_sample(rngs, n: int, weight, w_max: float) -> tuple:
 class SamplingPair:
     """Evaluation/interpolation matrices for one band on one sample set.
 
-    ``s_matrix`` has entries phi_m(x_k) / sqrt(density); the interpolation
+    ``s_matrix`` has entries phi_m(x_k) / sqrt(N); the interpolation
     matrix is its adjoint ``s^H B``.  A lower band's ``s_matrix`` is the
     leading columns of a higher band's, so pairs of different bands nest.
     """
@@ -156,7 +145,7 @@ def evaluation_operator(
 ) -> SamplingPair:
     """Point-evaluation sampling of PW(band) at the sample set."""
     phi = space.basis_matrix(sample_set.points, band)
-    s = phi / np.sqrt(sample_set.density)
+    s = phi / np.sqrt(sample_set.size)
     return SamplingPair(space, sample_set, band, s, sample_set.inner_product())
 
 
@@ -271,39 +260,31 @@ class LowRankOperator:
 
 
 def sampled_laplacian_matrix(
-    kernel: BandlimitedKernel, sample_set: SampleSet, weight=None, basis=None
-) -> tuple:
-    """Raw ``(matrix, w_values)`` of the Monte-Carlo kernel discretization.
+    kernel: BandlimitedKernel, sample_set: SampleSet, basis=None
+) -> LowRankOperator:
+    """The Monte-Carlo kernel discretization at the sample set's points.
 
-    ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``.  With
-    ``H = Phi Lambda Phi^T`` over the kernel band, ``matrix`` is the
-    :class:`LowRankOperator` with factors ``Phi Lambda / N`` (N x K) and
-    ``(Phi / w)^T`` (K x N); a stack of sample sets gives stacked factors.
-    ``basis`` is ``Phi``, the kernel-band basis at the points, when the
-    caller has already evaluated it.
+    ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})`` with w the
+    sample set's ``w_values``.  With ``H = Phi Lambda Phi^T`` over the kernel
+    band, it is the :class:`LowRankOperator` with factors ``Phi Lambda / N``
+    (N x K) and ``(Phi / w)^T`` (K x N); a stack of sample sets gives
+    stacked factors.  ``basis`` is ``Phi``, the kernel-band basis at the
+    points, when the caller has already evaluated it.
     """
-    pts = sample_set.points
-    if weight is not None:
-        w_vals = np.asarray(weight(pts), dtype=float)
-    elif sample_set.w_values is not None:
-        w_vals = sample_set.w_values
-    else:
-        w_vals = np.ones(pts.shape)
-    if np.any(w_vals <= 0):
-        raise WeightError(f"nonpositive weight at a sample point: {w_vals.min():g}")
-    phi = kernel.space.basis_matrix(pts, kernel.band) if basis is None else basis
+    phi = kernel.space.basis_matrix(sample_set.points, kernel.band) if basis is None else basis
     left = phi * (kernel.eigenvalues / sample_set.size)
-    return LowRankOperator(left, (phi / w_vals[..., None]).swapaxes(-1, -2)), w_vals
+    return LowRankOperator(left, (phi / sample_set.w_values[..., None]).swapaxes(-1, -2))
 
 
 def random_sampled_laplacian(
-    kernel: BandlimitedKernel, sample_set: SampleSet, weight=None
+    kernel: BandlimitedKernel, sample_set: SampleSet
 ) -> OperatorWithInnerProduct:
     """Monte-Carlo discretization of the kernel integral operator, paired
     with the inner product ``B = diag(1/w(x_k))`` under which it is
     self-adjoint for symmetric kernels."""
-    mat, w_vals = sampled_laplacian_matrix(kernel, sample_set, weight)
-    return OperatorWithInnerProduct(mat, InnerProduct(1.0 / w_vals))
+    return OperatorWithInnerProduct(
+        sampled_laplacian_matrix(kernel, sample_set), sample_set.inner_product()
+    )
 
 
 @dataclass(frozen=True)
@@ -330,8 +311,6 @@ class PerturbationResult:
 
     def restriction_matrix(self, n_fine: int) -> np.ndarray:
         """Selector rows mapping fine signals to surviving vertices."""
-        if self.kept_vertices is None:
-            return np.eye(n_fine)
         s = np.zeros((len(self.kept_vertices), n_fine))
         s[np.arange(len(self.kept_vertices)), self.kept_vertices] = 1.0
         return s

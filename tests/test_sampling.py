@@ -27,14 +27,26 @@ from spectral_transfer.sampling import (
     perturb_graph_detailed,
     random_sampled_laplacian,
 )
-from spectral_transfer.spaces import CircleSpace, bandlimited_kernel
+from spectral_transfer.spaces import BandlimitedKernel, CircleSpace
 
 CIRCLE = CircleSpace()
 
 
+def uniform_sample(n, seed):
+    """n points drawn uniformly on [0, 1) from a seeded generator."""
+    return SampleSet(np.random.default_rng(seed).uniform(size=n))
+
+
+class TestSampleSet:
+    def test_weights_default_to_ones(self):
+        ss = uniform_sample(6, seed=0)
+        np.testing.assert_array_equal(ss.w_values, np.ones(6))
+        np.testing.assert_array_equal(ss.inner_product().b_matrix, np.eye(6))
+
+
 class TestEvaluationOperator:
     def test_constant_column(self):
-        ss = SampleSet.uniform_random(10, seed=0)
+        ss = uniform_sample(10, seed=0)
         pair = evaluation_operator(CIRCLE, ss, 0.0)
         np.testing.assert_allclose(pair.s_matrix[:, 0], 1.0 / np.sqrt(10))
         assert pair.inner.norm(pair.s_matrix[:, 0]) == pytest.approx(1.0)
@@ -46,7 +58,7 @@ class TestEvaluationOperator:
         assert np.linalg.norm(pair.s_matrix[:, 1]) == pytest.approx(1.0)
 
     def test_band_nesting(self):
-        ss = SampleSet.uniform_random(17, seed=3)
+        ss = uniform_sample(17, seed=3)
         lo = evaluation_operator(CIRCLE, ss, 1.0)
         hi = evaluation_operator(CIRCLE, ss, 4.0)
         np.testing.assert_array_equal(hi.s_matrix[:, :3], lo.s_matrix)
@@ -76,7 +88,7 @@ class TestGram:
         np.testing.assert_allclose(gram(pair), [[1.0]], atol=1e-15)
 
     def test_gram_equals_r_compose_s(self):
-        ss = SampleSet.uniform_random(25, seed=1)
+        ss = uniform_sample(25, seed=1)
         pair = evaluation_operator(CIRCLE, ss, 4.0)
         np.testing.assert_allclose(gram(pair), pair.r_matrix @ pair.s_matrix,
                                    atol=1e-14)
@@ -85,9 +97,9 @@ class TestGram:
         # More samples usually tighten the Gram toward the identity.
         wins = 0
         for seed in range(50):
-            g16 = gram(evaluation_operator(CIRCLE, SampleSet.uniform_random(16, seed), 4.0))
+            g16 = gram(evaluation_operator(CIRCLE, uniform_sample(16, seed), 4.0))
             g64 = gram(evaluation_operator(
-                CIRCLE, SampleSet.uniform_random(64, seed + 1000), 4.0))
+                CIRCLE, uniform_sample(64, seed + 1000), 4.0))
             e16 = np.linalg.norm(g16 - np.eye(5), "fro")
             e64 = np.linalg.norm(g64 - np.eye(5), "fro")
             wins += e64 < e16
@@ -167,8 +179,8 @@ class TestCoarsenedLaplacian:
 
 class TestRandomSampledLaplacian:
     def test_zero_kernel_zero_operator(self):
-        kernel = bandlimited_kernel(CIRCLE, 0.0)
-        ss = SampleSet.uniform_random(8, seed=0)
+        kernel = BandlimitedKernel(CIRCLE, 0.0)
+        ss = uniform_sample(8, seed=0)
         op = random_sampled_laplacian(kernel, ss)
         np.testing.assert_allclose(op.matrix, 0.0, atol=1e-14)
 
@@ -176,7 +188,7 @@ class TestRandomSampledLaplacian:
         # Oracle: direct computation.  With 4 equispaced points, uniform
         # weight, and kernel band 1, the quadrature of H phi is exact, so
         # the discrete action reproduces S L phi without error.
-        kernel = bandlimited_kernel(CIRCLE, 1.0)
+        kernel = BandlimitedKernel(CIRCLE, 1.0)
         ss = SampleSet.equispaced(4)
         op = random_sampled_laplacian(kernel, ss)
         pair = evaluation_operator(CIRCLE, ss, 1.0)
@@ -187,16 +199,15 @@ class TestRandomSampledLaplacian:
     def test_self_adjoint_under_weighted_inner(self):
         w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
         ss = SampleSet.weighted_random(30, w, seed=9)
-        op = random_sampled_laplacian(bandlimited_kernel(CIRCLE, 4.0), ss)
+        op = random_sampled_laplacian(BandlimitedKernel(CIRCLE, 4.0), ss)
         defect = np.abs(op.matrix - adjoint_wrt(op.matrix, op.inner)).max()
         assert defect <= 1e-12
 
     def test_nonpositive_weight_rejected(self):
-        ss = SampleSet.uniform_random(5, seed=2)
-        with pytest.raises(WeightError):
-            random_sampled_laplacian(
-                bandlimited_kernel(CIRCLE, 1.0), ss, weight=lambda x: x - 1.0
-            )
+        # the sample set holds the weights the Laplacian divides by
+        points = uniform_sample(5, seed=2).points
+        with pytest.raises(WeightError, match="nonpositive sampling weight"):
+            random_sampled_laplacian(BandlimitedKernel(CIRCLE, 1.0), SampleSet(points, points - 1.0))
 
 
 class TestPerturbation:

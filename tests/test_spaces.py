@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from spectral_transfer.errors import BandError
 from spectral_transfer.graphs import path_graph
-from spectral_transfer.spaces import (
-    BandlimitedKernel,
-    CircleSpace,
-    GraphSpace,
-    bandlimited_kernel,
-)
+from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 
 CIRCLE = CircleSpace()
 
@@ -110,7 +106,7 @@ class TestCircleProjection:
 
 def _kernel_quadrature(kernel_band, coeffs):
     """Band-4 coefficients of the kernel at ``kernel_band`` applied by quadrature."""
-    kernel = bandlimited_kernel(CIRCLE, kernel_band)
+    kernel = BandlimitedKernel(CIRCLE, kernel_band)
     grid = np.arange(2048) / 2048
     f_vals = CIRCLE.basis_matrix(grid, 4.0) @ coeffs
     lf_vals = kernel.evaluate(grid, grid) @ f_vals / grid.size
@@ -156,14 +152,18 @@ class TestGraphSpace:
 
 
 class TestBandlimitedKernel:
+    def test_negative_band_rejected(self):
+        with pytest.raises(BandError, match="^kernel band must be nonnegative$"):
+            BandlimitedKernel(CIRCLE, -1.0)
+
     def test_zero_band_kernel_vanishes(self):
-        k = bandlimited_kernel(CIRCLE, 0.0)
+        k = BandlimitedKernel(CIRCLE, 0.0)
         xs = np.linspace(0, 1, 7)
         np.testing.assert_allclose(k.evaluate(xs, xs), 0.0, atol=1e-14)
 
     def test_band_one_closed_form(self):
         # H(x0, x) = 2 cos(2 pi (x0 - x)); trigonometric identity oracle.
-        k = bandlimited_kernel(CIRCLE, 1.0)
+        k = BandlimitedKernel(CIRCLE, 1.0)
         rng = np.random.default_rng(4)
         x0 = rng.uniform(size=9)
         x = rng.uniform(size=9)
@@ -172,10 +172,10 @@ class TestBandlimitedKernel:
 
     def test_lambda_l1_band4(self):
         # 0 + 1 + 1 + 4 + 4
-        assert bandlimited_kernel(CIRCLE, 4.0).lambda_l1 == pytest.approx(10.0)
+        assert BandlimitedKernel(CIRCLE, 4.0).lambda_l1 == pytest.approx(10.0)
 
     def test_l2_norm_quadrature_cross_check(self):
-        k = bandlimited_kernel(CIRCLE, 4.0)
+        k = BandlimitedKernel(CIRCLE, 4.0)
         exact = k.l2_norm()
         assert exact == pytest.approx(np.sqrt(1 + 1 + 16 + 16))
         xs = np.arange(256) / 256
@@ -184,6 +184,6 @@ class TestBandlimitedKernel:
 
     def test_l2_norm_below_lambda_l1(self):
         for band in (1.0, 4.0, 9.0):
-            k = bandlimited_kernel(CIRCLE, band)
+            k = BandlimitedKernel(CIRCLE, band)
             assert k.l2_norm() <= k.lambda_l1 + 1e-12
 

@@ -122,7 +122,7 @@ def test_projector_reconstruction_and_groups_match(decomposed):
     for j, group in enumerate(eig.groups):
         unit = np.zeros(len(groups))
         unit[j] = 1.0
-        assert group.multiplicity == eig.multiplicities[j]
+        assert group.columns.shape[1] == eig.multiplicities[j]
         assert_matches(group.projection, group_projector_sum(eig, unit))
 
 

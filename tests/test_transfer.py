@@ -7,8 +7,10 @@ import pytest
 
 from spectral_transfer.errors import BandError
 from spectral_transfer.filters import Filter
+from spectral_transfer import transfer
 from spectral_transfer.graphs import (
     build_laplacian,
+    grid_graph,
     path_graph,
     random_geometric_graph,
 )
@@ -20,8 +22,9 @@ from spectral_transfer.sampling import (
     evaluation_operator,
     perturb_graph_detailed,
     random_sampled_laplacian,
+    sampled_laplacian_matrix,
 )
-from spectral_transfer.spaces import CircleSpace, GraphSpace, bandlimited_kernel
+from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 from spectral_transfer.transfer import (
     FilterConstants,
     bound_fourier_mode,
@@ -37,6 +40,11 @@ from spectral_transfer.transfer import (
 
 CIRCLE = CircleSpace()
 FILTERS = [Filter.lowpass(1.0), Filter.highpass(1.0), Filter.heat(1.0)]
+
+
+def uniform_sample(n, seed):
+    """n points drawn uniformly on [0, 1) from a seeded generator."""
+    return SampleSet(np.random.default_rng(seed).uniform(size=n))
 
 
 def identity_setting(n=6, seed=0, name="identity"):
@@ -160,9 +168,9 @@ class TestCertification:
             assert report.all_satisfied, (mode, filt.name)
 
     def test_circle_sampling_certifies(self):
-        ss = SampleSet.uniform_random(64, seed=4)
+        ss = uniform_sample(64, seed=4)
         pair = evaluation_operator(CIRCLE, ss, 4.0)
-        delta = random_sampled_laplacian(bandlimited_kernel(CIRCLE, 9.0), ss)
+        delta = random_sampled_laplacian(BandlimitedKernel(CIRCLE, 9.0), ss)
         setting = sampling_setting(pair, delta)
         for filt in FILTERS:
             report = evaluate_transfer(setting, filt)
@@ -185,18 +193,33 @@ class TestCertification:
         assert report.interpolation_norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_quotients_see_each_distinct_target_eigenvalue_once(monkeypatch):
+    # the normalized grid(12,12) has 144 eigenvalues, 73 of them distinct
+    space = GraphSpace.from_graph(grid_graph(12, 12), "normalized")
+    assert space.eig.values.size == 144
+    seen = []
+
+    def spy(filt, source, target):
+        seen.append(np.asarray(target).size)
+        return quotient(filt, source, target)
+
+    quotient = transfer.max_difference_quotient
+    monkeypatch.setattr(transfer, "max_difference_quotient", spy)
+    setting = perturbation_setting(space, build_laplacian(grid_graph(12, 12), "normalized"))
+    assert evaluate_transfer(setting, Filter.heat(1.0)).all_satisfied
+    assert seen == [73]
+
+
 class TestRefinementMonotonicity:
     def test_median_laplacian_error_shrinks_with_n(self):
-        from spectral_transfer.sampling import sampled_laplacian_matrix
-
-        kernel = bandlimited_kernel(CIRCLE, 4.0)
+        kernel = BandlimitedKernel(CIRCLE, 4.0)
         lams = CIRCLE.eigenvalues_up_to(1.0)
         errs = {n: [] for n in (64, 1024)}
         for n in errs:
             for seed in range(50):
-                ss = SampleSet.uniform_random(n, seed=seed * 7 + n)
+                ss = uniform_sample(n, seed=seed * 7 + n)
                 pair = evaluation_operator(CIRCLE, ss, 1.0)
-                delta_mat, _ = sampled_laplacian_matrix(kernel, ss)
+                delta_mat = sampled_laplacian_matrix(kernel, ss)
                 diff = pair.s_matrix * lams - delta_mat @ pair.s_matrix
                 errs[n].append(np.linalg.norm(diff, 2))
         assert np.median(errs[1024]) < np.median(errs[64])

@@ -156,8 +156,9 @@ def directed_ring_setting():
 
 def test_shipped_directed_ring_follows_its_recipe():
     path = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
-    graph = parse_graph(path, "matrix_market")
-    assert graph == directed_ring(7, 4)
+    graph, ring = parse_graph(path, "matrix_market"), directed_ring(7, 4)
+    assert (graph.n_vertices, graph.edges, graph.directed) == (
+        ring.n_vertices, ring.edges, ring.directed)
 
 
 def test_ill_conditioned_directed_target_matches_reference():
