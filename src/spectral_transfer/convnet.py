@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, TopologyError, TruncationError
 from .filters import apply_exact, make_filter
-from .graphs import OperatorWithInnerProduct, WeightedGraph, operator_norm
+from .graphs import OperatorWithInnerProduct, WeightedGraph, column_norms, operator_norm
 from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
 from .spaces import CircleSpace, GraphSpace
 from .textio import TextFile, config_entries, finite_float, split_top_level
@@ -56,25 +56,15 @@ def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     """Pool a fine signal, or each column of a matrix, onto the coarse
     vertices.
 
-    Max pooling takes the parent maximum scaled by 1/sqrt(K) and is defined
-    for nonnegative signals only; l2 averaging takes sqrt(mean of squares).
-    Singletons pass through unchanged under both kinds.
+    Max pooling takes the group maximum scaled by 1/sqrt(K), for signed
+    signals too; l2 averaging takes sqrt(mean of squares).  Singletons pass
+    through unchanged under both kinds.
     """
-    signal = np.asarray(signal)
-    if kind == "max" and np.any(signal < 0):
-        raise ParameterError(
-            f"max pooling needs a nonnegative signal (min {signal.min():g})"
-        )
-    return _pool_raw(signal, cmap, kind)
-
-
-def _pool_raw(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     if kind not in ("max", "l2avg"):
         raise ParameterError(f"unknown pooling kind {kind!r}")
-    # the groups, concatenated, list every fine vertex once; row k of S is
-    # nonzero exactly on group k
+    # the groups, concatenated, list every fine vertex once
     parents = np.asarray(signal, dtype=float)[np.concatenate(cmap.groups)]
-    sizes = np.count_nonzero(cmap.s_matrix, axis=1)
+    sizes = np.array([len(grp) for grp in cmap.groups])
     starts = np.cumsum(sizes) - sizes
     sizes = sizes.reshape((-1,) + (1,) * (parents.ndim - 1))
     if kind == "max":
@@ -118,9 +108,6 @@ class LayerSpec:
     def k_out(self) -> int:
         return len(self.filters)
 
-    def mix_inf_norm(self) -> float:
-        return float(np.abs(self.mix).sum(axis=1).max())
-
 
 @dataclass(frozen=True)
 class ConvNetSpec:
@@ -156,7 +143,7 @@ class ConvNetSpec:
 
     def mixing_bound(self) -> float:
         """A = max_l ||A^l||_inf over the layers."""
-        return max(layer.mix_inf_norm() for layer in self.layers)
+        return max(float(np.abs(layer.mix).sum(axis=1).max()) for layer in self.layers)
 
     def max_bias(self) -> float:
         return max(float(np.abs(layer.biases).max()) for layer in self.layers)
@@ -525,7 +512,7 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         lhs = spec.activation.apply(s_prev @ f_vals)
         rho = spec.activation.apply(f_vals)
         rhs = s_prev @ space.synthesize(space.project_pw(band_hi, rho), band_hi)
-        activation_terms.append(_largest_column_norm(lhs - rhs))
+        activation_terms.append(float(column_norms(lhs - rhs).max(initial=0.0)))
 
         layer = spec.layers[l - 1]
         if layer.pooling == "none":
@@ -534,9 +521,9 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
             cmap = setting.pooling_maps[l - 1]
             basis_hi = space.pw_basis(band_hi)
             f_vals = basis_hi @ _basis_and_unit_probes(rng, basis_hi.shape[1], n_probes)
-            pooled = _pool_raw(s_prev @ f_vals, cmap, layer.pooling)
+            pooled = pool(s_prev @ f_vals, cmap, layer.pooling)
             direct = setting.sample_maps[l] @ f_vals
-            pooling_terms.append(_largest_column_norm(pooled - direct))
+            pooling_terms.append(float(column_norms(pooled - direct).max(initial=0.0)))
 
     return HypothesisErrors(
         laplacian=tuple(lap_terms),
@@ -549,10 +536,6 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
 def _basis_and_unit_probes(rng, dim: int, count: int) -> np.ndarray:
     """The ``dim`` basis columns followed by ``count`` random unit columns."""
     return np.hstack([np.eye(dim), unit_probes(rng, dim, count)])
-
-
-def _largest_column_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, axis=0).max(initial=0.0))
 
 
 def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,

@@ -43,7 +43,7 @@ from .convnet import (
 )
 from .errors import ConfigError, SpectralTransferError
 from .filters import Filter, filter_matrix, make_filter
-from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian
+from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian, frobenius_norm
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .graph_io import parse_graph, synthetic_graph
 from .montecarlo import (
@@ -425,15 +425,15 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     if restriction is not None:
         fine_mat = restriction @ fine_mat @ restriction.T
         fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
-    lap_abs = float(np.linalg.norm(fine_mat - delta_op.matrix, "fro"))
-    lap_rel = lap_abs / max(float(np.linalg.norm(fine_mat, "fro")), 1e-30)
+    lap_abs = frobenius_norm(fine_mat - delta_op.matrix)
+    lap_rel = lap_abs / max(frobenius_norm(fine_mat), 1e-30)
     stability = []
     for i, filt in enumerate(config.parsed_filters):
         f_fine = (space_filter_matrix(i) if fine_op is None
                   else filter_matrix(filt, fine_op.eig))
         f_delta = filter_matrix(filt, delta_op.eig)
-        filt_abs = float(np.linalg.norm(f_fine - f_delta, "fro"))
-        filt_rel = filt_abs / max(float(np.linalg.norm(f_fine, "fro")), 1e-30)
+        filt_abs = frobenius_norm(f_fine - f_delta)
+        filt_rel = filt_abs / max(frobenius_norm(f_fine), 1e-30)
         d_lip = lipschitz[i]  # the D of this filter's bounds
         dominated = certified(filt_abs, d_lip * lap_abs)
         ok &= dominated

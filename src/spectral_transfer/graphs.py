@@ -3,8 +3,8 @@
 A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
 ``w``; it is checked, filled into its adjacency matrix and perturbed
 (``sampling.perturb_graph_detailed``) as whole arrays, with no Python loop
-per edge.  The ``edges`` tuple of ``(u, v, w)`` triples is a view for file
-writers, built on request.
+per edge.  The ``edges`` tuple of ``(u, v, w)`` triples is a view built on
+request, which the ConvNet's graph coarsening reads.
 
 Operators that are not symmetric matrices are handled as normal operators
 under a constructed inner product ``<u, v> = v^H B u``: for a diagonalizable
@@ -17,8 +17,8 @@ decompositions are dense and direct: time grows as n^3 and memory as n^2
 the dot product included, is held as its n weights, and only a directed
 graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
 8.0 MB matrix plus 26 kB (tracemalloc).  scipy.linalg loads only when a run
-needs it: for a directed (non-Hermitian) operator's Schur form, or for a Gram
-matrix of order above 256 in :func:`operator_norm`.
+needs it: for a directed (non-Hermitian) operator's Schur form, or for a
+Hermitian matrix of order above 256 in :func:`hermitian_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ MAX_EIGENVECTOR_CONDITION = 1e8
 #: be well defined on the eigenspace.
 DEFAULT_GROUP_TOL = 1e-8
 
-#: Gram matrices up to this order take numpy's ``eigvalsh``, which copies
+#: Hermitian matrices up to this order take numpy's ``eigvalsh``, which copies
 #: its input; larger ones go to LAPACK's divide-and-conquer solve in place.
 #: Measured with one BLAS thread: numpy's call is the faster one up to
 #: here (6 us against 18 us at order 5, 3.0 ms against 3.1 ms at 256), and
@@ -78,6 +78,22 @@ def column_norms(mat: np.ndarray) -> np.ndarray:
         scale = _unit_scale(peaks[finite])
         norms[redo[finite]] = np.linalg.norm(cols[:, finite] * scale, axis=0) / scale
     return norms
+
+
+def frobenius_norm(mat: np.ndarray) -> float:
+    """Frobenius norm of ``mat``, free of overflow and underflow.
+
+    numpy's norm when its square lies in ``_GRAM_SAFE_RANGE``; otherwise
+    the rescaled norm that :func:`column_norms` gives the entries taken as
+    one column.  Non-finite entries give a non-finite norm.
+    """
+    mat = np.asarray(mat)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(mat))
+    low, high = _GRAM_SAFE_RANGE
+    if low <= norm * norm <= high:
+        return norm
+    return float(column_norms(mat.reshape(-1, 1))[0])
 
 
 def _unit_scale(peak):
@@ -115,21 +131,18 @@ def operator_norm(mat: np.ndarray):
     norms = np.empty(mats.shape[0])
     for i in np.flatnonzero(~safe):
         norms[i] = _rescaled_norm(mats[i])
-    if grams.shape[1] <= _NUMPY_EIGVALSH_MAX_DIM:
-        top = np.linalg.eigvalsh(grams if safe.all() else grams[safe])[:, -1]
-    else:
-        top = [hermitian_eigenvalues(grams[i])[-1] for i in np.flatnonzero(safe)]
+    top = hermitian_eigenvalues(grams if safe.all() else grams[safe])[:, -1]
     norms[safe] = np.sqrt(np.maximum(top, 0.0))
     return norms.reshape(stack) if stack else float(norms[0])
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix ``mat``, of which only
-    one triangle is read.
+    """Ascending eigenvalues of the Hermitian matrix ``mat``, or of each
+    matrix of an (..., n, n) stack, of which only one triangle is read.
 
-    Order up to 256 takes numpy's ``eigvalsh``; a larger matrix goes to
-    LAPACK's divide-and-conquer solve, which works in place and clobbers
-    ``mat``, so pass a temporary.
+    Order up to 256 takes numpy's ``eigvalsh``; a larger matrix goes, one
+    at a time, to LAPACK's divide-and-conquer solve, which works in place
+    and clobbers ``mat``, so pass a temporary.
     """
     if mat.shape[-1] <= _NUMPY_EIGVALSH_MAX_DIM:
         return np.linalg.eigvalsh(mat)
@@ -137,11 +150,12 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     # import time, and only large matrices and directed operators need it
     import scipy.linalg
 
-    # mat.T is the same Hermitian matrix in Fortran order, so LAPACK can
+    # each m.T is the same Hermitian matrix in Fortran order, so LAPACK can
     # overwrite it in place instead of copying it
-    return scipy.linalg.eigvalsh(
-        mat.T, overwrite_a=True, check_finite=False, driver="evd"
-    )
+    return np.array([
+        scipy.linalg.eigvalsh(m.T, overwrite_a=True, check_finite=False, driver="evd")
+        for m in mat.reshape((-1,) + mat.shape[-2:])
+    ]).reshape(mat.shape[:-1])
 
 
 def hermitian_norm(mat: np.ndarray) -> float:
@@ -181,8 +195,7 @@ class WeightedGraph:
     each edge once with ``u < v``; directed graphs keep endpoints as given.
     Self loops, duplicate edges (either orientation when undirected), and
     non-finite weights are rejected, naming the first bad edge.  ``edges``
-    is the ``(u, v, w)`` tuple view that file writers read, built on each
-    access.
+    is the ``(u, v, w)`` tuple view, built on each access.
     """
 
     n_vertices: int

@@ -8,6 +8,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -47,60 +48,37 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalars
-        return value.item()
-    return value
-
-
 def emit_reports(bundle: ReportBundle, out_dir, svg: bool = False) -> list:
     """Write summary.txt, one CSV per table, and scatters when requested.
 
     Returns the list of written paths.  Fails with the offending path on
     IO errors.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    summary_path = os.path.join(out_dir, "summary.txt")
-    payload = {
-        "experiment": bundle.experiment,
-        "certified": bundle.all_certified,
-        **_jsonable(bundle.summary),
-    }
-    try:
-        with open(summary_path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {summary_path}: {exc}") from exc
-    written.append(summary_path)
-
+    payload = {"experiment": bundle.experiment, "certified": bundle.all_certified,
+               **bundle.summary}
+    # numpy scalars are written as the Python numbers they hold
+    texts = {"summary.txt": json.dumps(payload, indent=2, sort_keys=True,
+                                       default=lambda v: v.item()) + "\n"}
     for name, (header, rows) in sorted(bundle.tables.items()):
-        table_path = os.path.join(out_dir, f"{name}.csv")
-        try:
-            with open(table_path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_format_cell(c) for c in row])
-        except OSError as exc:
-            raise OSError(f"cannot write {table_path}: {exc}") from exc
-        written.append(table_path)
-
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(c) for c in row] for row in rows)
+        texts[f"{name}.csv"] = buffer.getvalue()
     if svg:
         for name, scatter in sorted(bundle.scatters.items()):
-            svg_path = os.path.join(out_dir, f"{name}.svg")
-            try:
-                with open(svg_path, "w", newline="\n") as fh:
-                    fh.write(render_scatter_svg(scatter))
-            except OSError as exc:
-                raise OSError(f"cannot write {svg_path}: {exc}") from exc
-            written.append(svg_path)
+            texts[f"{name}.svg"] = render_scatter_svg(scatter)
+
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for file_name, text in texts.items():
+        path = os.path.join(out_dir, file_name)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
+        written.append(path)
     return written
 
 

@@ -6,8 +6,9 @@ matrices:
 * point sampling on the circle: S evaluates band-limited signals at sample
   points scaled by 1/sqrt(density), interpolation is its adjoint R = S*
   under the graph inner product;
-* heavy-edge matching coarsening: matched pairs collapse with weights
-  1/sqrt2, singletons copy through, so S has orthonormal rows and R = S^T;
+* heavy-edge matching coarsening: each vertex group (a matched pair or a
+  singleton) collapses with weights 1/sqrt(group size), so S has
+  orthonormal rows and R = S^T;
 * graph perturbation: S = R = identity (or a vertex restriction when
   vertices are deleted).
 
@@ -68,6 +69,11 @@ class SampleSet:
 
     def inner_product(self) -> InnerProduct:
         """B = diag(1/w); the dot product for uniformly drawn points."""
+        if self.points.ndim > 1:
+            raise ParameterError(
+                f"a stack of sample sets {self.points.shape} has no single "
+                "inner product; take one row"
+            )
         return InnerProduct(1.0 / self.w_values)
 
     @classmethod
@@ -158,30 +164,22 @@ def gram(pair: SamplingPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoarseningMap:
-    """A maximal matching with its collapse operator.
+    """A partition of the fine vertices into groups, with its collapse
+    operator.
 
-    Coarse rows follow the groups sorted by their smallest fine vertex;
-    paired rows carry (1/sqrt2, 1/sqrt2) and singleton rows carry 1, so the
-    rows are orthonormal and interpolation S^T is an isometry onto its
-    range.
+    Each group is sorted and the groups are ordered by their smallest fine
+    vertex; coarse row k carries 1/sqrt(|group k|) on group k, so the rows
+    are orthonormal and interpolation S^T is an isometry onto its range.
     """
 
     n_fine: int
-    pairs: tuple
-    singletons: tuple
-    groups: tuple = field(init=False, repr=False, compare=False)
+    groups: tuple
     s_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        covered = sorted(
-            [v for p in self.pairs for v in p] + list(self.singletons)
-        )
-        if covered != list(range(self.n_fine)):
+        groups = sorted((tuple(sorted(grp)) for grp in self.groups), key=min)
+        if sorted(v for grp in groups for v in grp) != list(range(self.n_fine)):
             raise GraphError("matching must cover every fine vertex exactly once")
-        groups = sorted(
-            [tuple(sorted(p)) for p in self.pairs] + [(s,) for s in self.singletons],
-            key=min,
-        )
         s = np.zeros((len(groups), self.n_fine))
         for row, grp in enumerate(groups):
             s[row, list(grp)] = 1.0 / np.sqrt(len(grp))
@@ -208,23 +206,23 @@ def coarsen_matching(graph: WeightedGraph) -> CoarseningMap:
     deg = w.sum(axis=1)
     order = sorted(range(graph.n_vertices), key=lambda u: (deg[u], u))
     matched = np.zeros(graph.n_vertices, dtype=bool)
-    pairs, singletons = [], []
+    groups = []
     for u in order:
         if matched[u]:
             continue
-        neighbors = [v for v in np.nonzero(w[u])[0] if not matched[v] and v != u]
+        matched[u] = True
+        neighbors = [v for v in np.nonzero(w[u])[0] if not matched[v]]
         if not neighbors:
-            matched[u] = True
-            singletons.append(u)
+            groups.append((u,))
             continue
         inv_du = 1.0 / deg[u]
         best = max(
             neighbors,
             key=lambda v: (w[u, v] * (inv_du + 1.0 / deg[v]), -v),
         )
-        matched[u] = matched[best] = True
-        pairs.append((min(u, best), max(u, best)))
-    return CoarseningMap(graph.n_vertices, tuple(pairs), tuple(singletons))
+        matched[best] = True
+        groups.append((u, best))
+    return CoarseningMap(graph.n_vertices, tuple(groups))
 
 
 def coarsened_laplacian(

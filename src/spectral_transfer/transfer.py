@@ -181,12 +181,10 @@ def sampling_setting(pair: SamplingPair, delta: OperatorWithInnerProduct,
 
 def coarsening_setting(space: GraphSpace, cmap: CoarseningMap,
                        band: float | None = None,
-                       delta: OperatorWithInnerProduct | None = None,
                        name: str = "coarsening") -> TransferSetting:
     """Coarsening setting, S the coarsening map on the band, with the
-    collapsed operator ``S L S^T`` by default."""
-    if delta is None:
-        delta = coarsened_laplacian(cmap, space.operator)
+    collapsed operator ``S L S^T``."""
+    delta = coarsened_laplacian(cmap, space.operator)
     return perturbation_setting(space, delta, cmap.s_matrix, band, name)
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, overrides, verdict soundness."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -379,6 +380,27 @@ def test_lipschitz_constant_near_the_float_limit_gives_an_infinite_worstcase_rhs
     rows = (out_dir / "bounds.csv").read_text().splitlines()
     cells = [row.split(",")[-3:-1] for row in rows if ",worstcase_in_" in row]
     assert cells == [["0.0", "inf"], ["0.0", "inf"]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_stability_of_a_filter_near_1e160_is_finite(tmp_path):
+    # squared, the filter matrices' Frobenius norms overflow; the exit code
+    # is left open, as a per-mode row of this run fails on roundoff alone
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(6)\nfilters = poly(0,1e160)\nseed = 1\n"
+                    "perturbations = remove_edges(0.2), remove_vertices(0.2)\n")
+    out_dir = tmp_path / "out"
+    cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)])
+    with open(out_dir / "stability.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["perturbation"] for row in rows] == ["remove_edges(0.2)", "remove_vertices(0.2)"]
+    for row in rows:
+        assert row["pass"] == "true"
+        assert float(row["filter_frobenius"]) == pytest.approx(
+            1e160 * float(row["laplacian_frobenius"]), rel=1e-12)
+        assert float(row["filter_relative"]) == pytest.approx(
+            float(row["laplacian_relative"]), rel=1e-12)
+    assert float(rows[0]["filter_frobenius"]) == pytest.approx(2e160, rel=1e-12)
 
 
 @pytest.mark.xfail(

@@ -94,6 +94,41 @@ def test_coarsen_transfer_on_a_path_exits_zero_one_or_two(n, filters, band, lapl
     assert code in (0, 1, 2)
 
 
+_fractions = st.one_of(
+    st.sampled_from(("0", "0.5", "1", "-1", "nan", "x")),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+)
+_perturbations = st.lists(
+    st.builds("{}({})".format,
+              st.sampled_from(("remove_edges", "add_edges", "remove_vertices", "bogus")),
+              _fractions),
+    min_size=1, max_size=3,
+).map(", ".join)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(("path(2)", "path(6)", "grid(3,3)", "random-geometric(9,0.6)")),
+    st.lists(_filters, min_size=0, max_size=3).map(", ".join),
+    _perturbations,
+    st.sampled_from(("unnormalized", "normalized", "adjacency")),
+    st.one_of(st.none(), _numbers),
+)
+# squared, the filter's Frobenius norms overflow
+@example("path(6)", "poly(0,1e300)", "remove_edges(0.2)", "unnormalized", None)
+def test_perturb_stability_exits_zero_one_or_two(graph, filters, perturbations,
+                                                 laplacian, band):
+    keys = {"graph": graph, "filters": filters, "perturbations": perturbations,
+            "laplacian": laplacian, "band": band, "seed": "3"}
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+        path = _write(tmp, text)
+        code = cli.main([
+            "perturb-stability", "--config", path, "--out", os.path.join(tmp, "out"),
+        ])
+    assert code in (0, 1, 2)
+
+
 def _mostly(good, bad):
     """Values of which about four in five are ``good``."""
     return st.sampled_from(good * (4 * len(bad)) + bad * len(good))

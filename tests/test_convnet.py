@@ -65,32 +65,40 @@ class TestActivation:
 
 class TestPool:
     def test_max_pair(self):
-        cmap = CoarseningMap(2, ((0, 1),), ())
+        cmap = CoarseningMap(2, ((0, 1),))
         np.testing.assert_allclose(
             pool(np.array([3.0, 1.0]), cmap, "max"), [3.0 / np.sqrt(2)]
         )
 
     def test_l2avg_pair(self):
-        cmap = CoarseningMap(2, ((0, 1),), ())
+        cmap = CoarseningMap(2, ((0, 1),))
         np.testing.assert_allclose(
             pool(np.array([3.0, 4.0]), cmap, "l2avg"), [np.sqrt(12.5)]
         )
 
     def test_singleton_passthrough(self):
-        cmap = CoarseningMap(1, (), (0,))
+        cmap = CoarseningMap(1, ((0,),))
         for kind in ("max", "l2avg"):
             np.testing.assert_allclose(pool(np.array([5.0]), cmap, kind), [5.0])
 
-    def test_max_rejects_negative(self):
-        cmap = CoarseningMap(2, ((0, 1),), ())
-        with pytest.raises(ParameterError, match="nonnegative"):
-            pool(np.array([-1.0, 2.0]), cmap, "max")
+    def test_max_of_signed_signals(self):
+        cmap = CoarseningMap(2, ((0, 1),))
+        np.testing.assert_allclose(
+            pool(np.array([-1.0, 2.0]), cmap, "max"), [2.0 / np.sqrt(2)]
+        )
+        np.testing.assert_allclose(
+            pool(np.array([-3.0, -1.0]), cmap, "max"), [-1.0 / np.sqrt(2)]
+        )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParameterError, match="pooling kind"):
+            pool(np.array([1.0, 2.0]), CoarseningMap(2, ((0, 1),)), "mean")
 
     def test_pooling_reduces_norm(self):
         rng = np.random.default_rng(3)
         cmap = coarsen_matching(path_graph(9))
         for _ in range(50):
-            s = np.abs(rng.normal(size=9))
+            s = rng.normal(size=9)
             for kind in ("max", "l2avg"):
                 assert np.linalg.norm(pool(s, cmap, kind)) <= np.linalg.norm(s) + 1e-12
 

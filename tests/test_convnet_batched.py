@@ -244,7 +244,7 @@ class TestBatchedPool:
     @given(graphs, poolings, st.integers(1, 5), st.integers(0, 2**31))
     def test_pool_matrix_equals_per_row_loop(self, graph, kind, width, seed):
         cmap = coarsen_matching(graph)
-        signal = np.abs(np.random.default_rng(seed).normal(size=(graph.n_vertices, width)))
+        signal = np.random.default_rng(seed).normal(size=(graph.n_vertices, width))
         pooled = pool(signal, cmap, kind)
         assert pooled.shape == (cmap.n_coarse, width)
         for j in range(width):
@@ -253,7 +253,7 @@ class TestBatchedPool:
 
     @pytest.mark.parametrize("kind", ["max", "l2avg"])
     def test_singletons_pass_through_in_a_matrix(self, kind):
-        cmap = CoarseningMap(5, ((1, 3),), (0, 2, 4))
+        cmap = CoarseningMap(5, ((0,), (1, 3), (2,), (4,)))
         signal = np.arange(15, dtype=float).reshape(5, 3)
         pooled = pool(signal, cmap, kind)
         np.testing.assert_array_equal(pooled[[0, 2, 3]], signal[[0, 2, 4]])

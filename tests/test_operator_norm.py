@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_transfer.graphs import column_norms, hermitian_norm, operator_norm
+from spectral_transfer.graphs import column_norms, frobenius_norm, hermitian_norm, operator_norm
 from spectral_transfer.transfer import ABS_SLACK, REL_SLACK
 
 
@@ -195,3 +195,29 @@ def test_column_norms_keep_zero_and_non_finite_columns():
     mat[0, 1], mat[1, 2] = np.inf, np.nan
     got = column_norms(mat)
     assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("factor", [1e200, 1e-200, 1.0])
+def test_frobenius_norm_of_huge_and_tiny_matrices(complex_, factor):
+    # squared, the entries of the scaled matrices overflow or underflow
+    base = np.random.default_rng(6).standard_normal((7, 5))
+    if complex_:
+        base = base + 1j * np.random.default_rng(7).standard_normal((7, 5))
+    got = frobenius_norm(base * factor)
+    assert isinstance(got, float)
+    assert got / factor == pytest.approx(np.linalg.norm(base), rel=1e-12)
+
+
+def test_frobenius_norm_in_range_equals_numpy_bytes():
+    mat = np.random.default_rng(8).standard_normal((9, 4)) * 1e3
+    assert frobenius_norm(mat) == np.linalg.norm(mat, "fro")
+
+
+def test_frobenius_norm_of_zero_and_non_finite_matrices():
+    assert frobenius_norm(np.zeros((3, 2))) == 0.0
+    mat = np.ones((3, 3))
+    mat[1, 2] = np.inf
+    assert frobenius_norm(mat) == np.inf
+    mat[0, 0] = np.nan
+    assert np.isnan(frobenius_norm(mat))

@@ -43,6 +43,14 @@ class TestSampleSet:
         np.testing.assert_array_equal(ss.w_values, np.ones(6))
         np.testing.assert_array_equal(ss.inner_product().b_matrix, np.eye(6))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 3, 4)])
+    def test_a_stack_has_no_single_inner_product(self, shape):
+        stack = SampleSet(np.random.default_rng(0).random(shape))
+        with pytest.raises(ParameterError, match=r"stack .*take one row"):
+            stack.inner_product()
+        row = SampleSet(stack.points[(0,) * (len(shape) - 1)])
+        np.testing.assert_array_equal(row.inner_product().b, np.ones(4))
+
 
 class TestEvaluationOperator:
     def test_constant_column(self):
@@ -109,19 +117,16 @@ class TestGram:
 class TestCoarsening:
     def test_p2_single_pair(self):
         cmap = coarsen_matching(path_graph(2))
-        assert cmap.pairs == ((0, 1),)
-        assert cmap.singletons == ()
+        assert cmap.groups == ((0, 1),)
 
     def test_p3_traces_heuristic(self):
         # Degree-1 vertex 0 is visited first and takes its only neighbour.
         cmap = coarsen_matching(path_graph(3))
-        assert cmap.pairs == ((0, 1),)
-        assert cmap.singletons == (2,)
+        assert cmap.groups == ((0, 1), (2,))
 
     def test_edgeless_all_singletons(self):
         cmap = coarsen_matching(WeightedGraph(4, ()))
-        assert cmap.pairs == ()
-        assert cmap.singletons == (0, 1, 2, 3)
+        assert cmap.groups == ((0,), (1,), (2,), (3,))
 
     def test_rows_orthonormal(self):
         cmap = coarsen_matching(path_graph(9))
@@ -134,20 +139,30 @@ class TestCoarsening:
         # w21 (1/6 + 1/15) = 1.167 for vertex 1, so the heavier edge wins.
         g = WeightedGraph(3, ((0, 1, 10.0), (1, 2, 5.0), (0, 2, 1.0)))
         cmap = coarsen_matching(g)
-        assert cmap.pairs == ((1, 2),)
-        assert cmap.singletons == (0,)
+        assert cmap.groups == ((0,), (1, 2))
 
     def test_equal_scores_tie_break_smaller_index(self):
         # Symmetric triangle: vertex 2 is visited first (degree 2) and both
         # neighbours score 1 (1/2 + 1/11); the tie goes to vertex 0.
         g = WeightedGraph(3, ((0, 1, 10.0), (1, 2, 1.0), (0, 2, 1.0)))
         cmap = coarsen_matching(g)
-        assert cmap.pairs == ((0, 2),)
-        assert cmap.singletons == (1,)
+        assert cmap.groups == ((0, 2), (1,))
 
     def test_matching_must_cover(self):
         with pytest.raises(GraphError, match="cover"):
-            CoarseningMap(3, ((0, 1),), ())
+            CoarseningMap(3, ((0, 1),))
+
+    def test_matching_must_not_repeat_a_vertex(self):
+        with pytest.raises(GraphError, match="cover"):
+            CoarseningMap(3, ((0, 1), (1, 2)))
+
+    def test_groups_sorted_and_ordered_by_smallest_vertex(self):
+        cmap = CoarseningMap(4, ((3, 1), (2,), (0,)))
+        assert cmap.groups == ((0,), (1, 3), (2,))
+        r = 1.0 / np.sqrt(2.0)
+        np.testing.assert_array_equal(
+            cmap.s_matrix, [[1, 0, 0, 0], [0, r, 0, r], [0, 0, 1, 0]]
+        )
 
 
 class TestCoarsenedLaplacian:

@@ -251,7 +251,7 @@ class TestTwoGraph:
         graph = path_graph(8)
         space = GraphSpace.from_graph(graph)
         heavy = coarsen_matching(graph)
-        shifted = CoarseningMap(8, ((1, 2), (3, 4), (5, 6)), (0, 7))
+        shifted = CoarseningMap(8, ((0,), (1, 2), (3, 4), (5, 6), (7,)))
         assert heavy.groups != shifted.groups
         s1 = coarsening_setting(space, heavy, name="c1")
         s2 = coarsening_setting(space, shifted, name="c2")
