@@ -11,7 +11,8 @@ Five experiments cover the certification surface:
 * ``coarsen-transfer``    -- heavy-edge coarsening with the collapsed
   operator; per-mode and aggregate filter bounds.
 * ``perturb-stability``   -- edge/vertex perturbations; the same bounds
-  plus Frobenius-norm filter stability against the Lipschitz line.
+  plus, on undirected graphs, Frobenius-norm filter stability against the
+  Lipschitz line.
 * ``circle-sampling``     -- Monte-Carlo convergence slopes of the sampled
   Laplacian and Gram errors.
 * ``mc-verify``           -- empirical failure rates of the three explicit
@@ -22,7 +23,6 @@ Five experiments cover the certification surface:
 
 from __future__ import annotations
 
-import functools
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -42,7 +42,7 @@ from .convnet import (
     output_errors,
 )
 from .errors import ConfigError, SpectralTransferError
-from .filters import Filter, filter_matrix, make_filter
+from .filters import Filter, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian, frobenius_norm
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .graph_io import parse_graph, synthetic_graph
@@ -352,59 +352,57 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
 def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     graph = config.load_graph()
     space = GraphSpace.from_graph(graph, config.laplacian)
-    all_modes, all_bounds, stability_rows, points = [], [], [], []
+    all_modes, all_bounds, stability_rows = [], [], []
     summaries = {}
     ok = True
-    # built on first need, shared by the perturbations that keep every vertex
-    space_filter_matrix = functools.cache(
-        lambda i: filter_matrix(config.parsed_filters[i], space.eig)
-    )
     for desc, spec in zip(config.perturbations, config.parsed_perturbations):
         modes, bounds, summary, stability, perturbation_ok = _perturbation_rows(
-            config, graph, space, desc, spec, space_filter_matrix
+            config, graph, space, desc, spec
         )
         all_modes.extend(modes)
         all_bounds.extend(bounds)
         summaries[desc] = summary
         stability_rows.extend(stability)
-        points.extend((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability)
         ok &= perturbation_ok
-    d_max = max(row[6] for row in stability_rows)  # each filter's certified D
-    return ReportBundle(
-        experiment="perturb-stability",
-        summary={
-            "seed": config.seed,
-            "graph": config.graph or config.graph_file,
-            "laplacian": config.laplacian,
-            "perturbations": summaries,
-        },
-        tables={
-            "modes": (_MODES_HEADER, tuple(all_modes)),
-            "bounds": (_BOUNDS_HEADER, tuple(all_bounds)),
-            "stability": (
-                ("perturbation", "filter", "laplacian_frobenius",
-                 "filter_frobenius", "laplacian_relative", "filter_relative",
-                 "lipschitz", "pass"),
-                tuple(stability_rows),
-            ),
-        },
-        scatters={
-            "scatter": ScatterData(
-                "Laplacian Frobenius error", "filter Frobenius error",
-                tuple(points), d_max, f"y = {d_max:g} x",
-            )
-        },
-        all_certified=ok,
-    )
+    summary = {
+        "seed": config.seed,
+        "graph": config.graph or config.graph_file,
+        "laplacian": config.laplacian,
+        "perturbations": summaries,
+    }
+    tables = {
+        "modes": (_MODES_HEADER, tuple(all_modes)),
+        "bounds": (_BOUNDS_HEADER, tuple(all_bounds)),
+    }
+    scatters = {}
+    if graph.directed:
+        summary["stability"] = (
+            "no Frobenius stability rows: a directed Laplacian is normal only under its "
+            "own inner product, and no theorem bounds ||g(L) - g(L')||_F by "
+            "D ||L - L'||_F across two inner products")
+    else:
+        tables["stability"] = (
+            ("perturbation", "filter", "laplacian_frobenius",
+             "filter_frobenius", "laplacian_relative", "filter_relative",
+             "lipschitz", "pass"),
+            tuple(stability_rows),
+        )
+        d_max = max(row[6] for row in stability_rows)  # each filter's certified D
+        scatters["scatter"] = ScatterData(
+            "Laplacian Frobenius error", "filter Frobenius error",
+            tuple((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability_rows),
+            d_max, f"y = {d_max:g} x",
+        )
+    return ReportBundle("perturb-stability", summary, tables, scatters, all_certified=ok)
 
 
 def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
-                       space: GraphSpace, desc: str, spec,
-                       space_filter_matrix) -> tuple:
+                       space: GraphSpace, desc: str, spec) -> tuple:
     """Transfer rows, summary, stability rows and verdict of one perturbation.
 
     A function of its own so that the perturbed operator, its setting and
-    its filter matrices are freed before the next perturbation is built.
+    its eigenbasis overlap are freed before the next perturbation is built.
+    Stability rows are written for undirected graphs only.
     """
     result = perturb_graph_detailed(graph, spec)
     delta_op = build_laplacian(result.graph, config.laplacian)
@@ -415,26 +413,26 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
         space, delta_op, restriction=restriction, band=config.band, name=desc
     )
     modes, bounds, _, summary, lipschitz, ok = _collect_transfer_rows(setting, config)
+    if graph.directed:
+        return modes, bounds, summary, [], ok
 
-    # Frobenius stability: restrict the fine operator first, then
-    # compare the two functional-calculus applications.  Both must be
-    # normal in the dot product.  Spectral projections do not depend on
-    # the inner product, so the decompositions already made serve; a
-    # restricted fine operator exists only when vertices were removed.
-    fine_mat, fine_op = space.operator.matrix, None
+    # Frobenius stability, the fine operator restricted first when vertices
+    # were removed.  Both operators are normal in the dot product: with
+    # orthonormal eigenbases U, V and W = U^H V, g(L) - g(L') =
+    # U (W o (g(l_i) - g(m_j))) V^H (Hoffman & Wielandt, 1953).
+    fine_mat, fine_eig = space.operator.matrix, space.eig
     if restriction is not None:
         fine_mat = restriction @ fine_mat @ restriction.T
-        fine_op = OperatorWithInnerProduct.symmetric(fine_mat)
+        fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
     lap_abs = frobenius_norm(fine_mat - delta_op.matrix)
     lap_rel = lap_abs / max(frobenius_norm(fine_mat), 1e-30)
+    overlap = np.abs(fine_eig.basis.T @ delta_op.eig.basis)
     stability = []
-    for i, filt in enumerate(config.parsed_filters):
-        f_fine = (space_filter_matrix(i) if fine_op is None
-                  else filter_matrix(filt, fine_op.eig))
-        f_delta = filter_matrix(filt, delta_op.eig)
-        filt_abs = frobenius_norm(f_fine - f_delta)
-        filt_rel = filt_abs / max(frobenius_norm(f_fine), 1e-30)
-        d_lip = lipschitz[i]  # the D of this filter's bounds
+    for filt, d_lip in zip(config.parsed_filters, lipschitz):  # D of its bounds
+        g_fine = filt.evaluate(fine_eig.values)
+        g_delta = filt.evaluate(delta_op.eig.values)
+        filt_abs = frobenius_norm(overlap * (g_fine[:, None] - g_delta[None, :]))
+        filt_rel = filt_abs / max(frobenius_norm(g_fine), 1e-30)
         dominated = certified(filt_abs, d_lip * lap_abs)
         ok &= dominated
         stability.append((

@@ -435,13 +435,39 @@ def test_undecodable_graph_file_exits_two_naming_it(graph_format, tmp_path, caps
     assert len(err) == 1 and f"cannot read graph file {graph_file}" in err[0]
 
 
+def assert_directed_perturb_files(out_dir, perturbations):
+    """Transfer rows of every perturbation and no Frobenius stability rows,
+    whose absence the summary explains."""
+    assert sorted(p.name for p in out_dir.iterdir()) == ["bounds.csv", "modes.csv",
+                                                         "summary.txt"]
+    for table in ("modes.csv", "bounds.csv"):
+        with open(out_dir / table, newline="") as fh:
+            assert {row["setting"] for row in csv.DictReader(fh)} == set(perturbations)
+    summary = json.loads((out_dir / "summary.txt").read_text())
+    assert summary["stability"].startswith("no Frobenius stability rows")
+
+
 def test_shipped_directed_config_certifies(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     code = cli.main([
         "perturb-stability", "--config", "configs/perturb_directed.txt",
-        "--out", str(tmp_path / "out"),
+        "--out", str(tmp_path / "out"), "--svg",
     ])
     assert code == 0
+    assert_directed_perturb_files(tmp_path / "out", {"remove_edges(0.1)", "add_edges(0.1)"})
+
+
+def test_directed_vertex_removal_writes_transfer_rows(tmp_path):
+    # the exit code is left open: a per-mode row of this run fails on
+    # roundoff alone (ROADMAP item 2)
+    path = tmp_path / "cfg.txt"
+    ring = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
+    path.write_text(f"graph_file = {ring}\ngraph_format = matrix_market\n"
+                    "filters = heat(0.5)\nperturbations = remove_vertices(0.1)\nseed = 1\n")
+    code = cli.main(["perturb-stability", "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--svg"])
+    assert code in (0, 1)
+    assert_directed_perturb_files(tmp_path / "out", {"remove_vertices(0.1)"})
 
 
 _REFERENCE_NET = (Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini").read_text()

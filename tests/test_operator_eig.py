@@ -1,5 +1,6 @@
 """Each operator owns its eigendecomposition: ``op.eig`` is computed once
-and every consumer reads it, so no operator is decomposed twice."""
+and every consumer reads it, so no operator is decomposed twice, and no
+run turns it into an n x n filter matrix."""
 
 from types import SimpleNamespace
 
@@ -43,27 +44,21 @@ def test_convnet_transfer_decomposes_each_operator_once(decomposed, tmp_path):
     assert len({id(op) for op in decomposed}) == 4
 
 
-def test_perturb_stability_builds_each_fine_filter_matrix_once(monkeypatch, tmp_path):
-    built = []  # (filter name, decomposition); holding them keeps ids unique
-    original = experiments.filter_matrix
+@pytest.mark.parametrize("experiment, keys", [
+    ("perturb-stability", {"graph": "random-geometric(30,0.4)",
+                           "filters": ("lowpass(1.0)", "heat(1.0)", "poly(0,1)"),
+                           "perturbations": ("remove_edges(0.1)", "add_edges(0.1)",
+                                             "remove_vertices(0.1)")}),
+    ("coarsen-transfer", {"graph": "grid(5,5)"}),
+    ("convnet-transfer", {"graph": "grid(5,5)", "laplacian": "normalized", "probes": 2}),
+], ids=["perturb-stability", "coarsen-transfer", "convnet-transfer"])
+def test_no_run_forms_an_n_by_n_filter_matrix(monkeypatch, tmp_path, experiment, keys):
+    def dense(self, values):
+        raise AssertionError("an n x n filter matrix was formed")
 
-    def recording(filt, eig):
-        built.append((filt.name, eig))
-        return original(filt, eig)
-
-    monkeypatch.setattr(experiments, "filter_matrix", recording)
-    config = ExperimentConfig(
-        experiment="perturb-stability", seed=5, out_dir=str(tmp_path),
-        graph="random-geometric(30,0.4)",
-        filters=("lowpass(1.0)", "heat(1.0)"),
-        perturbations=("remove_edges(0.1)", "add_edges(0.1)"),
-    )
+    monkeypatch.setattr(graphs.EigenDecomposition, "apply_function", dense)
+    config = ExperimentConfig(experiment=experiment, seed=5, out_dir=str(tmp_path), **keys)
     assert run_experiment(config).all_certified
-    keys = [(name, id(eig)) for name, eig in built]
-    # two fine-side matrices shared by both perturbations, plus one per
-    # perturbation and filter on the perturbed side
-    assert len(keys) == 2 + 2 * 2
-    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("perturbations, restricted", [

@@ -4,21 +4,26 @@ The reference below applies each filter to the sampling matrix with
 ``apply_exact`` (or builds ``filter_matrix``) and interpolates with
 ``r_pw = S^H B``, exactly as the certified terms are written; every number
 of ``evaluate_transfer``, ``transfer_errors`` and ``two_graph_error`` must
-agree with it to 1e-12 (1 + |ref|).
+agree with it to 1e-12 (1 + |ref|).  The Frobenius stability cells of
+perturb-stability are checked against dense ``filter_matrix`` differences.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from spectral_transfer.errors import SpectralTransferError
+from spectral_transfer.experiments import ExperimentConfig, run_experiment
 from spectral_transfer.filters import Filter, apply_exact, filter_matrix
 from spectral_transfer.graph_io import parse_graph
 from spectral_transfer.graphs import (
+    OperatorWithInnerProduct,
     WeightedGraph,
     build_laplacian,
+    frobenius_norm,
     operator_norm,
     path_graph,
     random_geometric_graph,
@@ -141,6 +146,70 @@ def test_q_route_matches_reference(n, radius, graph_seed, family, arg,
         setting = perturbation_setting(space, build_laplacian(res.graph, "unnormalized"),
                                        restriction=restriction, band=band)
     check_against_reference(setting, FILTER_MAKERS[family](arg))
+
+
+_GRAPHS = st.one_of(
+    st.integers(4, 30).map("path({})".format),
+    st.builds("grid({},{})".format, st.integers(2, 6), st.integers(2, 5)),
+    st.builds("random-geometric({},{:.3f})".format, st.integers(4, 30), st.floats(0.2, 0.9)),
+)
+_STABILITY_FILTERS = st.one_of(
+    st.builds("{}({:.3f})".format, st.sampled_from(("heat", "lowpass", "highpass")),
+              st.floats(0.1, 4.0)),
+    st.builds("midpass({:.3f},{:.3f})".format, st.floats(0.1, 3.0), st.floats(0.1, 2.0)),
+    st.builds("poly({:.3f},{:.3f},{:.3f})".format, *[st.floats(-2.0, 2.0)] * 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=_GRAPHS,
+    laplacian=st.sampled_from(("unnormalized", "normalized", "adjacency")),
+    filters=st.lists(_STABILITY_FILTERS, min_size=1, max_size=3, unique=True),
+    perturbations=st.lists(
+        st.builds("{}({:.3f})".format,
+                  st.sampled_from(("remove_edges", "add_edges", "remove_vertices")),
+                  st.floats(0.0, 0.5)),
+        min_size=1, max_size=3, unique=True),
+    seed=st.integers(1, 1000),
+)
+def test_stability_cells_match_dense_filter_matrices(graph, laplacian, filters,
+                                                      perturbations, seed):
+    config = ExperimentConfig(
+        experiment="perturb-stability", seed=seed, graph=graph, laplacian=laplacian,
+        filters=tuple(filters), perturbations=tuple(perturbations),
+    )
+    try:
+        bundle = run_experiment(config)
+    except SpectralTransferError:
+        reject()  # exit 2
+    header, rows = bundle.tables["stability"]
+    cells = [dict(zip(header, row)) for row in rows]
+    source = config.load_graph()
+    fine = build_laplacian(source, laplacian).matrix
+    expected = []
+    for desc, spec in zip(config.perturbations, config.parsed_perturbations):
+        result = perturb_graph_detailed(source, spec)
+        fine_mat = fine
+        if result.kept_vertices is not None:
+            restriction = result.restriction_matrix(source.n_vertices)
+            fine_mat = restriction @ fine @ restriction.T
+        delta = build_laplacian(result.graph, laplacian)
+        fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
+        for filt in config.parsed_filters:
+            g_fine = filter_matrix(filt, fine_eig)
+            g_delta = filter_matrix(filt, delta.eig)
+            expected.append((desc, filt.name, frobenius_norm(fine_mat - delta.matrix),
+                             frobenius_norm(g_fine - g_delta), frobenius_norm(g_fine),
+                             frobenius_norm(g_delta)))
+    assert len(cells) == len(expected)
+    for cell, (desc, name, lap_abs, filt_abs, fine_norm, delta_norm) in zip(cells, expected):
+        assert (cell["perturbation"], cell["filter"]) == (desc, name)
+        assert cell["laplacian_frobenius"] == lap_abs
+        tol = 1e-12 * (fine_norm + delta_norm)
+        assert abs(cell["filter_frobenius"] - filt_abs) <= tol, cell
+        assert abs(cell["filter_relative"] - filt_abs / max(fine_norm, 1e-30)) <= (
+            tol / max(fine_norm, 1e-30)), cell
 
 
 def directed_ring_setting():
