@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, TopologyError, TruncationError
+from .errors import ConfigError, GraphError, ParameterError, TopologyError, TruncationError
 from .filters import apply_exact, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, column_norms, operator_norm
 from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
@@ -267,7 +267,7 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
             acc = np.full((dim,) + columns, layer.biases[k_out], dtype=float)
             for k_in in range(layer.k_in):
                 filtered = apply_exact(layer.filters[k_out][k_in], operators[l].eig, signals[k_in])
-                acc = acc + layer.mix[k_out, k_in] * np.real(filtered)
+                acc = acc + layer.mix[k_out, k_in] * filtered
             mixed.append(spec.activation.apply(acc))
         if layer.pooling != "none":
             cmap = pooling_maps[l]
@@ -338,12 +338,12 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
         for k_out in range(layer.k_out):
             acc = ops.project_constant(layer.biases[k_out], band_in).reshape(as_column)
             for k_in in range(layer.k_in):
-                g_vals = np.real(layer.filters[k_out][k_in].evaluate(lams)).reshape(as_column)
+                g_vals = layer.filters[k_out][k_in].evaluate(lams).reshape(as_column)
                 acc = acc + layer.mix[k_out, k_in] * (g_vals * signals[k_in])
             projected = ops.pointwise_then_project(
                 acc, band_in, band_out, spec.activation.apply
             )
-            next_signals.append(np.real(projected))
+            next_signals.append(projected)
         signals = next_signals
         outputs.append(tuple(signals))
     return outputs
@@ -402,6 +402,8 @@ class ConvNetGraphSetting:
         Each pooling layer matches the current graph, collapses it onto the
         matched groups, and takes ``C Delta C^T`` of the previous operator.
         """
+        if graph.directed:
+            raise GraphError("a ConvNet requires an undirected graph")
         s = np.eye(space.n_vertices)
         maps, operators, pooling = [s], [operator], []
         for layer in spec.layers:
@@ -450,8 +452,7 @@ def network_lipschitz(spec: ConvNetSpec, settings) -> float:
     layer l + 1 on the spectra it relates, the space's band at depth l
     against the layer-l operator of each setting."""
     return max(
-        filter_constants(filt, np.real(setting.space.eigenvalues_up_to(band)),
-                         op.eig.values).lipschitz
+        filter_constants(filt, setting.space.eigenvalues_up_to(band), op.eig.values).lipschitz
         for setting in settings
         for layer, band, op in zip(spec.layers, spec.bands, setting.operators)
         for row in layer.filters for filt in row

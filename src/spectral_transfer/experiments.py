@@ -577,7 +577,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     setting2 = ConvNetGraphSetting.build(space, spec, other, other_op)
 
     # setting1's layer-0 operator is the space's own
-    union = np.concatenate([op.eig.values.real for setting in (setting1, setting2)
+    union = np.concatenate([op.eig.values for setting in (setting1, setting2)
                             for op in setting.operators])
     spec = spec.normalized_on(union)
 

@@ -102,25 +102,21 @@ class Filter:
                    lipschitz_constant=math.exp(-0.5) / float(sigma))
 
     @classmethod
-    def polynomial(cls, coeffs, lipschitz_constant: float | None = None) -> "Filter":
+    def polynomial(cls, coeffs) -> "Filter":
         coeffs = tuple(float(c) for c in coeffs)
-        return cls("polynomial", f"poly{coeffs}", {"coeffs": coeffs},
-                   lipschitz_constant=lipschitz_constant)
+        return cls("polynomial", f"poly{coeffs}", {"coeffs": coeffs})
 
     @classmethod
-    def rational(cls, numerator, denominator,
-                 lipschitz_constant: float | None = None) -> "Filter":
+    def rational(cls, numerator, denominator) -> "Filter":
         num = tuple(float(c) for c in numerator)
         den = tuple(float(c) for c in denominator)
         if not any(den):
             raise SingularFilterError("rational filter denominator is zero")
         return cls("rational", f"rational({num},{den})",
-                   {"numerator": num, "denominator": den},
-                   lipschitz_constant=lipschitz_constant)
+                   {"numerator": num, "denominator": den})
 
     @classmethod
-    def from_table(cls, knots, values,
-                   lipschitz_constant: float | None = None) -> "Filter":
+    def from_table(cls, knots, values) -> "Filter":
         """Piecewise-linear filter through (lambda, g(lambda)) knots.
 
         Linear interpolation between knots, constant extrapolation beyond.
@@ -131,8 +127,7 @@ class Filter:
             raise FilterEvaluationError("table filter needs matching 1-D knot arrays")
         order = np.argsort(knots)
         return cls("table", "table",
-                   {"knots": tuple(knots[order]), "values": tuple(values[order])},
-                   lipschitz_constant=lipschitz_constant)
+                   {"knots": tuple(knots[order]), "values": tuple(values[order])})
 
     @classmethod
     def from_table_file(cls, path) -> "Filter":

@@ -18,8 +18,15 @@ transfer error and the consistency error: per source Fourier mode, for a
 fixed signal (evaluated on the graph or back on the source space), and in
 operator norm over the whole band (again on either side).  Each is an exact
 inequality for any normal target operator, so a violation beyond roundoff
-slack indicates a broken build, never an unlucky input.  At complex source
-eigenvalues, the lhs on the graph and of ``worstcase_in_M`` take g(Re lambda).
+slack indicates a broken build, never an unlucky input.
+
+Every term is taken at the source eigenvalues as stored, complex ones too.
+``S L e_m = lambda_m S e_m``, and with P_j the B-orthogonal eigenprojections
+of Delta, ``(g(Delta) - g(lambda_m)) S e_m = sum_j (g(mu_j) - g(lambda_m)) P_j S e_m``
+and ``(Delta - lambda_m) S e_m = sum_j (mu_j - lambda_m) P_j S e_m``.  So the
+per-mode bound with quotients at lambda_m is exact, and a target equal to its
+source gives 0 on both sides; at Re lambda_m both would gain a spurious
+``lambda_m - Re lambda_m`` part.  Only a mode row's ``eigenvalue`` is Re lambda_m.
 """
 
 from __future__ import annotations
@@ -135,8 +142,8 @@ class TransferSetting:
 
     @cached_property
     def laplacian_mode_errors(self) -> np.ndarray:
-        """Graph norm of ``Delta S e_m - S e_m Re lambda_m`` for each mode m."""
-        diff = self.target.matrix @ self.s_pw - self.s_pw * np.real(self.source_eigenvalues)
+        """Graph norm of ``Delta S e_m - S e_m lambda_m`` for each mode m."""
+        diff = self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues
         return self.target.inner.column_norms(diff)
 
     @cached_property
@@ -228,10 +235,10 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     """Per-mode rows for the source modes ``modes`` (any column index).
 
     Works on all the modes at once: the lhs are the graph-norm column
-    norms of the mismatch ``V (g(mu) Q) - S g(Re Lambda)``.  Also returns
+    norms of the mismatch ``V (g(mu) Q) - S g(Lambda)``.  Also returns
     the modes' filter constants and the mismatch, for the aggregate bounds.
     """
-    lams = np.real(setting.source_eigenvalues[modes])
+    lams = setting.source_eigenvalues[modes]
     constants = filter_constants(filt, lams, setting.target.eig.values)
     lap = setting.laplacian_mode_errors[modes]
     mismatch = setting.target.eig.basis @ (
@@ -240,7 +247,7 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     mismatch -= setting.s_pw[:, modes] * filt.evaluate(lams)
     lhs = setting.target.inner.column_norms(mismatch)
     rows = tuple(
-        ModeRow(int(mode), float(lam), float(left), float(q * err), float(q), float(err))
+        ModeRow(int(mode), float(lam.real), float(left), float(q * err), float(q), float(err))
         for mode, lam, left, q, err in zip(
             np.arange(setting.dim_pw)[modes], lams, lhs, constants.vg_per_eig, lap
         )
@@ -335,23 +342,18 @@ class TransferReport:
 
 
 def evaluate_transfer(setting: TransferSetting, filt: Filter,
-                      coeffs: np.ndarray | None = None,
                       signal_seed: int = 0) -> TransferReport:
-    """Measure the three transfer errors and certify all five bounds.
-
-    ``coeffs`` fixes the probe signal for the pointwise bounds; by default
-    a seeded unit-norm coefficient vector is drawn.
-    """
+    """Measure the three transfer errors and certify all five bounds; the
+    pointwise ones probe a unit-norm signal drawn from ``signal_seed``."""
     m = setting.dim_pw
-    if coeffs is None:
-        rng = np.random.default_rng(np.random.SeedSequence((signal_seed, m)))
-        coeffs = rng.normal(size=m)
-        coeffs /= np.linalg.norm(coeffs)
+    rng = np.random.default_rng(np.random.SeedSequence((signal_seed, m)))
+    coeffs = rng.normal(size=m)
+    coeffs /= np.linalg.norm(coeffs)
 
     # The source side first, so that its band x band matrix is freed before
     # the graph-side mismatch is formed.
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
-    g_vals = filt.evaluate(np.real(setting.source_eigenvalues))
+    g_vals = filt.evaluate(setting.source_eigenvalues)
     worst_m = np.diag(g_vals) - setting.filtered_transfer_matrix(filt)
     # Hermitian, so no Gram product is needed, when g is real on both spectra
     hermitian = not any(np.iscomplexobj(g) and np.any(g.imag)
@@ -405,7 +407,7 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
     )
     bound = 0.0
     for setting in (setting1, setting2):
-        lams = np.real(setting.source_eigenvalues)
-        constants = filter_constants(filt, lams, setting.target.eig.values)
+        constants = filter_constants(filt, setting.source_eigenvalues,
+                                     setting.target.eig.values)
         bound += bound_worstcase(setting, constants)[1]
     return error, bound

@@ -64,9 +64,8 @@ def reference_report(setting, filt, coeffs):
     s, r = setting.s_pw, setting.r_pw
     lams = setting.source_eigenvalues
     g_s = apply_exact(filt, eig, s)
-    mismatch = g_s - s * filt.evaluate(lams.real)
-    lap = s * lams.real
-    lap = setting.target.matrix @ s - lap
+    mismatch = g_s - s * filt.evaluate(lams)
+    lap = setting.target.matrix @ s - s * lams
     filtered_back = r @ apply_exact(filt, eig, s @ coeffs)
     point_g = mismatch @ coeffs
     return {
@@ -75,7 +74,7 @@ def reference_report(setting, filt, coeffs):
         "pointwise_in_G": np.sqrt((point_g.conj() @ inner.apply(point_g)).real),
         "worstcase_in_G": operator_norm(inner.apply_sqrt(mismatch)),
         "pointwise_in_M": np.linalg.norm(filt.evaluate(lams) * coeffs - filtered_back),
-        "worstcase_in_M": operator_norm(np.diag(filt.evaluate(lams.real)) - r @ g_s),
+        "worstcase_in_M": operator_norm(np.diag(filt.evaluate(lams)) - r @ g_s),
         "laplacian_error": np.linalg.norm(
             lams * coeffs - r @ (setting.target.matrix @ (s @ coeffs))
         ),
@@ -238,6 +237,34 @@ def test_ill_conditioned_directed_target_matches_reference():
     # the known roundoff failure of this target: a mode-0 lhs of about
     # 3e-11 against a rhs of about 1e-13
     assert report.per_mode[0].lhs > 1e-11 and not report.per_mode[0].satisfied
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    chords=st.integers(4, 12),
+    laplacian=st.sampled_from(("unnormalized", "normalized", "adjacency")),
+    filt=st.one_of(
+        st.floats(0.1, 2.0).map(Filter.heat),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(Filter.polynomial),
+    ),
+)
+def test_identity_setting_of_a_directed_graph_has_roundoff_lhs(seed, chords, laplacian, filt):
+    # S = I and Delta = L: every lhs is 0 in exact arithmetic when g and the
+    # Laplacian mismatch are taken at the complex source eigenvalues.  Both
+    # sides are roundoff here, so no verdict is asserted.
+    try:
+        space = GraphSpace.from_graph(directed_ring(seed, chords), laplacian)
+        if np.linalg.cond(space.operator.inner.b_matrix) > 1e8:
+            reject()
+        report = evaluate_transfer(perturbation_setting(space, space.operator), filt)
+    except SpectralTransferError:
+        reject()
+    tol = 1e-9 * (1.0 + np.abs(filt.evaluate(space.eig.values)).max())
+    lhs = [row.lhs for row in report.per_mode]
+    lhs += [row.laplacian_mode_error for row in report.per_mode]
+    lhs += [bound.lhs for bound in report.bounds]
+    assert max(lhs) <= tol, (max(lhs), tol)
 
 
 def test_two_graph_error_matches_reference():
