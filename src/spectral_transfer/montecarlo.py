@@ -14,23 +14,29 @@ constants, checks empirical failure rates against delta, fits log-log
 convergence slopes, and evaluates the non-asymptotic filter transfer bound.
 
 Each trial derives its generator from (master seed, size index, trial
-index), so results are bitwise reproducible.  A trial costs O(N K) time and
-memory for K = dim PW(kernel band): the sampled kernel is applied through
-its rank-K factors, and the activation probes of a size, whose seed depends
+index), so results are bitwise reproducible.  A trial costs O(N K^2) time
+and O(N K) memory for K = dim PW(kernel band): both quadrature errors are
+read from one K x K weighted Gram of the kernel-band basis (see
+:func:`mc_trial`), and the activation probes of a size, whose seed depends
 on the size alone, are built once and shared by all its trials.
 
 The trials of one size run in blocks of ``max(1, _TRIAL_ROWS // N)``: a
 block's sample sets are drawn in one pass and stacked as (trials, N)
-points, so its rejection rounds, weights, kernel-band basis, factored
-kernels, Gram matrices and norms are each one stacked call, not one small
-call per trial.  The row budget bounds the block's temporaries.  Measured
-with one BLAS thread on a 2-core host, on the shipped mc-verify config
-(800 trials of N = 256): blocks of 32 trials (8192 rows) cut the
-benchmark's host-normalised median run time from 0.150 s, with blocks of
-8 trials drawn one trial at a time, to 0.111 s.  The CLI process peaks at
-41 MB RSS with 8192 rows, 40.5 MB with 2048 or 4096, 43.5 MB with 16384
-and 70 MB with all 400 trials of a weight in one block; 4096 and 16384
-rows were both slower than 8192.
+points, so its rejection rounds, weights, kernel-band basis, Grams,
+eigensolves and activation tails are each one stacked call, not one small
+call per trial.  The row budget bounds the block's temporaries, of which
+the kernel-band basis, the sampled Laplacian's factors and the
+activation-tail buffers are the only N-row ones: one block of 8192 rows
+peaks at about 4.6 arrays of N K doubles (tracemalloc), where the N-row
+mismatch and band-sampling products took 9.6.  Measured in-process with
+one BLAS thread on one core of a 2-core host, a warm run of the shipped
+mc-verify config (800 trials of N = 256) takes no minor page faults and
+about 2 ms of system time, where those products, which glibc handed back
+between blocks, cost about 18.8 k faults and 45 ms; the CLI process peaks
+at 40 MB RSS (42 MB before).  The benchmark's host-normalised mc-verify
+median fell from 0.123 to 0.093 s with the Gram route, and from 0.150 s
+(blocks of 8 trials drawn one trial at a time) to 0.111 s with 8192-row
+blocks before it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SlopeUndefinedError
-from .graphs import operator_norm
+from .graphs import hermitian_eigenvalues
 from .sampling import (
     SampleSet,
     rejection_sample,
@@ -287,36 +293,48 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     """Draw the sample sets of a block of trials of one size and measure
     the three errors of each, with their bounds, in trial order.
 
-    The block runs stacked: one kernel-band basis evaluation, one stack of
-    factored kernels and one batched norm per error.
+    Both quadrature errors are read from one K x K weighted Gram per
+    trial, ``G = Phi^T B Phi / N`` with ``B = diag(1/w)`` and ``Phi`` the
+    kernel-band basis at the N points (K = dim PW(kernel band)); it is the
+    sampled Laplacian's right factor times ``Phi / N``.  With ``S = Phi
+    E_k / sqrt(N)`` the band's sampling matrix (its k leading columns),
+    ``Lambda_K`` the kernel-band eigenvalues and ``Delta`` the sampled
+    Laplacian:
+
+    * ``Delta S = Phi Lambda_K G[:, :k] / sqrt(N)`` and ``S Lambda = Phi
+      E_k Lambda_k / sqrt(N)``, so the mismatch is ``Phi C / sqrt(N)``
+      with ``C = E_k Lambda_k - Lambda_K G[:, :k]``, and its squared
+      B-norm is ``lambda_max(C^T G C)``;
+    * ``S^H B S = G[:k, :k]``, so the Gram defect is
+      ``||G[:k, :k] - I||_F``.
+
+    No N-row array of the mismatch or of ``S`` is formed.  The block runs
+    stacked: one kernel-band basis evaluation, one stack of Grams and one
+    batched eigensolve.
     """
     space = config.space
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
+    k = space.dim_pw(config.band)
     phi = space.basis_matrix(sample.points, config.kernel_band)
-    delta_op = sampled_laplacian_matrix(config.kernel, sample, basis=phi)
-    # the band basis is the leading columns of the kernel-band basis
-    s_mat = phi[..., : space.dim_pw(config.band)] / np.sqrt(n)
-    b_sqrt = 1.0 / np.sqrt(sample.w_values)
+    gram = sampled_laplacian_matrix(config.kernel, sample, basis=phi).right @ phi / n
 
-    lams = space.eigenvalues_up_to(config.band)
-    mismatch = s_mat * lams - delta_op @ s_mat
-    laplacian_errs = operator_norm(mismatch * b_sqrt[..., None])
+    lams = config.kernel.eigenvalues
+    # C = E_k Lambda_k - Lambda_K G[:, :k]; the mismatch is Phi C / sqrt(N)
+    mismatch = np.eye(len(lams), k) * lams[:k] - lams[:, None] * gram[..., :k]
+    squared = hermitian_eigenvalues(mismatch.swapaxes(-1, -2) @ gram @ mismatch)
+    laplacian_errs = np.sqrt(np.maximum(squared[..., -1], 0.0))
+    gram_errs = np.linalg.norm(gram[..., :k, :k] - np.eye(k), "fro", axis=(-2, -1))
 
-    gram_mat = s_mat.swapaxes(-1, -2) @ (s_mat / sample.w_values[..., None])
-    gram_errs = np.linalg.norm(
-        gram_mat - np.eye(s_mat.shape[-1]), "fro", axis=(-2, -1)
-    )
-
-    activation_errs = _activation_excess(config, phi, s_mat, b_sqrt)
+    activation_errs = _activation_excess(config, phi, sample.w_values)
     bounds = (
         constants.laplacian_bound(n, config.delta),
         constants.gram_bound(n, config.delta),
         constants.activation_bound(n, config.delta),
     )
     return [
-        TrialResult(n, t, float(lap), float(gram), float(act), *bounds)
-        for t, lap, gram, act in zip(
+        TrialResult(n, t, float(lap), float(defect), float(act), *bounds)
+        for t, lap, defect, act in zip(
             trial_indices, laplacian_errs, gram_errs, activation_errs
         )
     ]
@@ -324,35 +342,38 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
 
 @lru_cache(maxsize=64)
 def _size_probes(config: TrialConfig, n: int) -> tuple:
-    """The seeded unit probes of sample size ``n``, the coefficients of
-    their activated band-kernel projections, and the continuous L2 norms
-    of their activation tails; the same for every trial of that size."""
+    """The seeded unit probes f of sample size ``n`` and the coefficients
+    of their activated band-kernel projections ``P(band') rho(f)``, both
+    over sqrt(N), and the continuous L2 norms of their activation tails;
+    the same for every trial of that size."""
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xF0, n)))
     probes = unit_probes(rng, config.space.dim_pw(config.band), config.activation_probes)
     coeffs_hi, tail = _activation_tail(_grid_basis(config), probes)
-    return probes, coeffs_hi, np.sqrt((tail**2).mean(axis=0))
+    return probes / np.sqrt(n), coeffs_hi / np.sqrt(n), np.sqrt((tail**2).mean(axis=0))
 
 
-def _activation_excess(config: TrialConfig, phi_hi: np.ndarray, s_mat,
-                       b_sqrt) -> np.ndarray:
+def _activation_excess(config: TrialConfig, phi_hi: np.ndarray,
+                       w_values: np.ndarray) -> np.ndarray:
     """Sampled-minus-continuous tail norm excess over seeded probes.
 
     For each unit probe f in the band, compares the graph norm of the
     sampled activation tail ``rho(f) - P(band') rho(f)`` at the sample
     points against the continuous L2 norm of the same tail; the Monte-Carlo
     lemma bounds the excess of the first over the second.  ``phi_hi`` is
-    the kernel-band basis at the sample points (..., N, K), ``s_mat`` the
-    band sampling matrix (..., N, k) and ``b_sqrt`` (..., N) the square
-    roots of the inner-product weights; the excess has the leading shape.
+    the kernel-band basis at the sample points (..., N, K) and ``w_values``
+    (..., N) the sampling density there; the excess has the leading shape.
+    The sampled tails are one (..., N, probes) buffer, worked in place.
     """
     if config.activation_probes == 0:
         return np.zeros(phi_hi.shape[:-2])
-    n = phi_hi.shape[-2]
-    probes, coeffs_hi, cont_tail = _size_probes(config, n)
+    probes, coeffs_hi, cont_tail = _size_probes(config, phi_hi.shape[-2])
     # rho commutes with evaluation: rho(S f) = S rho(f)
-    graph_tail_vals = np.maximum(s_mat @ probes, 0.0) - (phi_hi @ coeffs_hi) / np.sqrt(n)
-    graph_tail = np.linalg.norm(graph_tail_vals * b_sqrt[..., None], axis=-2)
-    return np.max(graph_tail - cont_tail, axis=-1)
+    tail = phi_hi[..., : probes.shape[0]] @ probes
+    np.maximum(tail, 0.0, out=tail)
+    tail -= phi_hi @ coeffs_hi
+    # squared B-norms of the columns: (1/w) @ tail^2
+    weighted = (1.0 / w_values)[..., None, :] @ np.square(tail, out=tail)
+    return np.max(np.sqrt(weighted[..., 0, :]) - cont_tail, axis=-1)
 
 
 def run_trials(config: TrialConfig, constants: MCBoundConstants):

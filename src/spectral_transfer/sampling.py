@@ -267,7 +267,10 @@ def sampled_laplacian_matrix(
     band, it is the :class:`LowRankOperator` with factors ``Phi Lambda / N``
     (N x K) and ``(Phi / w)^T`` (K x N); a stack of sample sets gives
     stacked factors.  ``basis`` is ``Phi``, the kernel-band basis at the
-    points, when the caller has already evaluated it.
+    points, when the caller has already evaluated it.  ``right @ Phi / N``
+    is the K x K weighted Gram ``Phi^T B Phi / N`` from which the
+    Monte-Carlo trials read both quadrature errors (``montecarlo.mc_trial``)
+    without forming an N-row product.
     """
     phi = kernel.space.basis_matrix(sample_set.points, kernel.band) if basis is None else basis
     left = phi * (kernel.eigenvalues / sample_set.size)

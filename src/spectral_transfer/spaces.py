@@ -52,15 +52,22 @@ class CircleSpace:
 
     def basis_matrix(self, points, band: float) -> np.ndarray:
         """Eigenfunction evaluations, shape ``points.shape + (dim PW(band),)``
-        for points of any shape (a scalar counts as one point)."""
+        for points of any shape (a scalar counts as one point).
+
+        The columns are written into one preallocated array through two
+        points-shaped scratch arrays.
+        """
         x = np.atleast_1d(np.asarray(points, dtype=float))
         n_max = self.max_frequency(band)
-        cols = [np.ones_like(x)]
+        out = np.empty(x.shape + (1 + 2 * n_max,))
+        out[..., 0] = 1.0
         root2 = np.sqrt(2.0)
+        arg, val = np.empty_like(x), np.empty_like(x)
         for n in range(1, n_max + 1):
-            cols.append(root2 * np.cos(2.0 * np.pi * n * x))
-            cols.append(root2 * np.sin(2.0 * np.pi * n * x))
-        return np.stack(cols, axis=-1)
+            np.multiply(2.0 * np.pi * n, x, out=arg)
+            np.multiply(root2, np.cos(arg, out=val), out=out[..., 2 * n - 1])
+            np.multiply(root2, np.sin(arg, out=val), out=out[..., 2 * n])
+        return out
 
     def analyze_grid(self, grid_values: np.ndarray, band: float) -> np.ndarray:
         """Coefficients up to ``band`` from values on a uniform grid.

@@ -127,11 +127,10 @@ def test_activation_excess_matches_per_probe_loop(weight):
     for size_index in range(2):
         for trial_index in range(2):
             sample, w_vals, s_mat = trial_inputs(config, size_index, trial_index)
-            b_sqrt = 1.0 / np.sqrt(w_vals)
             phi_hi = CIRCLE.basis_matrix(sample.points, config.kernel_band)
             assert_close(
-                _activation_excess(config, phi_hi, s_mat, b_sqrt),
-                per_probe_excess(config, sample, s_mat, b_sqrt),
+                _activation_excess(config, phi_hi, w_vals),
+                per_probe_excess(config, sample, s_mat, 1.0 / np.sqrt(w_vals)),
             )
 
 
@@ -160,13 +159,36 @@ def test_trial_allocates_no_dense_kernel():
     assert peak < n * n * 8 / 16
 
 
+@pytest.mark.parametrize("weight", ["uniform", "cosine"])
+@pytest.mark.parametrize("n, trials", [(256, 32), (2048, 4)])
+def test_trial_block_peak_stays_within_six_basis_arrays(n, trials, weight):
+    # 8192 rows, the row budget of one block, at two block shapes
+    config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(n,), trials=trials,
+                         delta=0.25, master_seed=1, weight=weight, activation_probes=8)
+    constants = bound_constants(config)
+    mc_trial(config, 0, range(trials), constants)  # fills the per-size probe cache
+    tracemalloc.start()
+    try:
+        mc_trial(config, 0, range(trials), constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block's kernel-band basis is one rows x K array; the sampled
+    # Laplacian's factors and the probe tails add a few more, and no N-row
+    # mismatch, band sampling matrix or their products are formed
+    assert peak <= 6 * n * trials * len(config.kernel.eigenvalues) * 8
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=9, max_value=300),
-    bands=st.sampled_from([(0.0, 1.0), (1.0, 4.0), (1.0, 9.0), (4.0, 9.0)]),
+    bands=st.sampled_from([(0.0, 1.0), (1.0, 4.0), (1.0, 9.0), (4.0, 9.0), (1.0, 25.0)]),
     weight=st.sampled_from(["uniform", "cosine"]),
     probes=st.sampled_from([0, 3]),
 )
+# N = 9 points below K = 11 kernel-band functions: the weighted Gram of the
+# kernel-band basis is singular
+@example(n=9, bands=(1.0, 25.0), weight="cosine", probes=3)
 def test_trial_matches_dense_reference(n, bands, weight, probes):
     config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=(n,), trials=1,
                          delta=0.25, master_seed=n, weight=weight,
@@ -220,7 +242,7 @@ def test_run_trials_memory_stays_linear_in_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about ten N x K arrays of doubles: one trial per block at this size,
+    # about five N x K arrays of doubles: one trial per block at this size,
     # and no N x N kernel (2 GB here)
     assert peak < 16 * n * len(config.kernel.eigenvalues) * 8
 
