@@ -43,7 +43,13 @@ from .convnet import (
 )
 from .errors import ConfigError, SpectralTransferError
 from .filters import Filter, make_filter
-from .graphs import OperatorWithInnerProduct, WeightedGraph, build_laplacian, frobenius_norm
+from .graphs import (
+    OperatorWithInnerProduct,
+    WeightedGraph,
+    build_laplacian,
+    frobenius_norm,
+    unit_scale,
+)
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .graph_io import parse_graph, synthetic_graph
 from .montecarlo import (
@@ -431,8 +437,14 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     for filt, d_lip in zip(config.parsed_filters, lipschitz):  # D of its bounds
         g_fine = filt.evaluate(fine_eig.values)
         g_delta = filt.evaluate(delta_op.eig.values)
-        filt_abs = frobenius_norm(overlap * (g_fine[:, None] - g_delta[None, :]))
-        filt_rel = filt_abs / max(frobenius_norm(g_fine), 1e-30)
+        # g scaled by a power of two, which cancels exactly from both norms
+        # and their ratio and keeps ||g||_F in range
+        scale = unit_scale(np.abs(np.append(g_fine, g_delta)).max(initial=0.0))
+        g_fine, g_delta = scale * g_fine, scale * g_delta
+        scaled_abs = frobenius_norm(overlap * (g_fine[:, None] - g_delta[None, :]))
+        with np.errstate(over="ignore"):
+            filt_abs = float(scaled_abs / scale)
+        filt_rel = float(scaled_abs / max(frobenius_norm(g_fine), 1e-30 * scale))
         dominated = certified(filt_abs, d_lip * lap_abs)
         ok &= dominated
         stability.append((

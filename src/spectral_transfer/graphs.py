@@ -16,9 +16,9 @@ decompositions are dense and direct: time grows as n^3 and memory as n^2
 (one eigenbasis per operator, no per-eigenvalue projectors).  A diagonal B,
 the dot product included, is held as its n weights, and only a directed
 graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
-8.0 MB matrix plus 26 kB (tracemalloc).  scipy.linalg loads only when a run
-needs it: for a directed (non-Hermitian) operator's Schur form, or for a
-Hermitian matrix of order above 256 in :func:`hermitian_eigenvalues`.
+8.0 MB matrix plus 26 kB (tracemalloc).  Every Hermitian eigenvalue solve is
+numpy's ``eigvalsh``; scipy.linalg loads only for a directed (non-Hermitian)
+operator's Schur form.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ MAX_EIGENVECTOR_CONDITION = 1e8
 #: be well defined on the eigenspace.
 DEFAULT_GROUP_TOL = 1e-8
 
-#: Hermitian matrices up to this order take numpy's ``eigvalsh``, which copies
-#: its input; larger ones go to LAPACK's divide-and-conquer solve in place.
-#: Measured with one BLAS thread: numpy's call is the faster one up to
-#: here (6 us against 18 us at order 5, 3.0 ms against 3.1 ms at 256), and
-#: in place a Gram matrix of order 1600 costs 20 MB less peak memory.
-_NUMPY_EIGVALSH_MAX_DIM = 256
-
 #: Range of the largest squared column norm inside which the Gram matrix
 #: neither overflows nor loses its top eigenvalue to underflow; likewise a
 #: squared column norm in it is summed without overflow or underflow.
@@ -75,8 +68,9 @@ def column_norms(mat: np.ndarray) -> np.ndarray:
         cols = mat[:, redo]
         peaks = np.abs(cols).max(axis=0, initial=0.0)
         finite = np.isfinite(peaks) & (peaks > 0.0)
-        scale = _unit_scale(peaks[finite])
-        norms[redo[finite]] = np.linalg.norm(cols[:, finite] * scale, axis=0) / scale
+        scale = unit_scale(peaks[finite])
+        with np.errstate(over="ignore"):
+            norms[redo[finite]] = np.linalg.norm(cols[:, finite] * scale, axis=0) / scale
     return norms
 
 
@@ -96,66 +90,44 @@ def frobenius_norm(mat: np.ndarray) -> float:
     return float(column_norms(mat.reshape(-1, 1))[0])
 
 
-def _unit_scale(peak):
+def unit_scale(peak):
     """Power of two that brings ``peak`` near 1, exact bar entries far too
     small to move a norm; the clamp keeps it finite for a subnormal peak."""
     return np.ldexp(1.0, np.clip(-np.frexp(peak)[1], -1000, 1000))
 
 
-def operator_norm(mat: np.ndarray):
-    """Spectral norm (largest singular value) of ``mat``, or of each matrix
-    of an (..., m, n) stack.
+def operator_norm(mat: np.ndarray) -> float:
+    """Spectral norm (largest singular value) of the matrix ``mat``.
 
     The square root of the largest eigenvalue of the smaller Gram matrix,
     ``A^H A`` or ``A A^H``, which is accurate to about machine epsilon
-    relative to the norm.  A 2-D ``mat`` gives a float and a stack an array
-    of its leading shape.  An empty matrix has norm 0; a non-finite entry
+    relative to the norm; where that Gram matrix leaves its safe range,
+    the norm of ``mat`` scaled by a power of two.  An empty matrix has norm
+    0 and a norm beyond the float range is ``inf``; a non-finite entry
     raises :class:`numpy.linalg.LinAlgError`, as a full SVD does.
     """
     mat = np.asarray(mat)
-    stack = mat.shape[:-2]
-    if mat.size == 0:
-        return np.zeros(stack) if stack else 0.0
-    mats = mat.reshape((-1,) + mat.shape[-2:])
-    if mats.shape[1] < mats.shape[2]:
+    if mat.shape[0] < mat.shape[1]:
         # the conjugate of A A^H has the same eigenvalues
-        mats = mats.swapaxes(1, 2)
-    left = (mats.conj() if np.iscomplexobj(mats) else mats).swapaxes(1, 2)
+        mat = mat.T
+    left = mat.conj().T if np.iscomplexobj(mat) else mat.T
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = left @ mats
+        gram = left @ mat
     # the squared column norms; a non-finite entry makes its column's one
     # non-finite
-    top_column = grams.diagonal(axis1=1, axis2=2).real.max(axis=1)
+    top_column = gram.diagonal().real.max(initial=0.0)
     low, high = _GRAM_SAFE_RANGE
-    safe = (low <= top_column) & (top_column <= high)
-    norms = np.empty(mats.shape[0])
-    for i in np.flatnonzero(~safe):
-        norms[i] = _rescaled_norm(mats[i])
-    top = hermitian_eigenvalues(grams if safe.all() else grams[safe])[:, -1]
-    norms[safe] = np.sqrt(np.maximum(top, 0.0))
-    return norms.reshape(stack) if stack else float(norms[0])
-
-
-def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix ``mat``, or of each
-    matrix of an (..., n, n) stack, of which only one triangle is read.
-
-    Order up to 256 takes numpy's ``eigvalsh``; a larger matrix goes, one
-    at a time, to LAPACK's divide-and-conquer solve, which works in place
-    and clobbers ``mat``, so pass a temporary.
-    """
-    if mat.shape[-1] <= _NUMPY_EIGVALSH_MAX_DIM:
-        return np.linalg.eigvalsh(mat)
-    # imported here, not at module load: scipy.linalg doubles the package's
-    # import time, and only large matrices and directed operators need it
-    import scipy.linalg
-
-    # each m.T is the same Hermitian matrix in Fortran order, so LAPACK can
-    # overwrite it in place instead of copying it
-    return np.array([
-        scipy.linalg.eigvalsh(m.T, overwrite_a=True, check_finite=False, driver="evd")
-        for m in mat.reshape((-1,) + mat.shape[-2:])
-    ]).reshape(mat.shape[:-1])
+    if not low <= top_column <= high:
+        # an empty or zero matrix has norm 0
+        peak = np.abs(mat).max(initial=0.0)
+        if not np.isfinite(peak):
+            raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
+        if peak == 0.0:
+            return 0.0
+        scale = unit_scale(peak)
+        with np.errstate(over="ignore"):
+            return float(operator_norm(mat * scale) / scale)
+    return float(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def hermitian_norm(mat: np.ndarray) -> float:
@@ -163,27 +135,17 @@ def hermitian_norm(mat: np.ndarray) -> float:
 
     One eigensolve of the Hermitian part of ``mat``, which absorbs roundoff
     asymmetry, and no Gram product.  As in :func:`operator_norm`, an empty
-    matrix has norm 0 and a non-finite entry raises
-    :class:`numpy.linalg.LinAlgError`.
+    matrix has norm 0, a norm beyond the float range is ``inf`` and a
+    non-finite entry raises :class:`numpy.linalg.LinAlgError`.
     """
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
-    vals = hermitian_eigenvalues(0.5 * (mat + mat.conj().T))
+    # halved before the sum, which then cannot overflow
+    vals = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.conj().T)
     return float(max(abs(vals[0]), abs(vals[-1])))
-
-
-def _rescaled_norm(mat: np.ndarray) -> float:
-    """Norm of a matrix whose Gram matrix would overflow or underflow."""
-    peak = np.abs(mat).max()
-    if not np.isfinite(peak):
-        raise np.linalg.LinAlgError("operator norm of a matrix with non-finite entries")
-    if peak == 0.0:
-        return 0.0
-    scale = _unit_scale(peak)
-    return operator_norm(mat * scale) / scale
 
 
 @dataclass(frozen=True, init=False, eq=False)

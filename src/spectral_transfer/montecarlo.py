@@ -47,7 +47,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, SlopeUndefinedError
-from .graphs import hermitian_eigenvalues
 from .sampling import (
     SampleSet,
     rejection_sample,
@@ -187,13 +186,11 @@ def exact_c_lambda(space: CircleSpace, band: float) -> float:
     """Optimal constant with ||f||_inf <= C ||f||_2 on the band.
 
     By Cauchy-Schwarz the supremum over unit-norm band-limited signals at a
-    point x is the Euclidean norm of the basis column at x, attained by the
-    matching coefficient vector; maximizing over a fine grid is exact up to
-    grid resolution (the quantity is constant for the circle basis).
+    point x is the Euclidean norm of the basis column at x.  On the circle
+    its square, ``1 + 2 sum_n (cos^2 + sin^2)(2 pi n x)``, is ``dim PW(band)``
+    at every x, so C is its square root.
     """
-    xs = np.arange(_GRID) / _GRID
-    phi = space.basis_matrix(xs, band)
-    return float(np.sqrt((phi**2).sum(axis=1).max()))
+    return float(np.sqrt(space.dim_pw(band)))
 
 
 def estimate_activation_tail_constant(
@@ -322,7 +319,7 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     lams = config.kernel.eigenvalues
     # C = E_k Lambda_k - Lambda_K G[:, :k]; the mismatch is Phi C / sqrt(N)
     mismatch = np.eye(len(lams), k) * lams[:k] - lams[:, None] * gram[..., :k]
-    squared = hermitian_eigenvalues(mismatch.swapaxes(-1, -2) @ gram @ mismatch)
+    squared = np.linalg.eigvalsh(mismatch.swapaxes(-1, -2) @ gram @ mismatch)
     laplacian_errs = np.sqrt(np.maximum(squared[..., -1], 0.0))
     gram_errs = np.linalg.norm(gram[..., :k, :k] - np.eye(k), "fro", axis=(-2, -1))
 

@@ -39,13 +39,7 @@ import numpy as np
 
 from .errors import BandError, ParameterError
 from .filters import Filter, max_difference_quotient, sup_norm_on_spectrum
-from .graphs import (
-    OperatorWithInnerProduct,
-    column_norms,
-    hermitian_eigenvalues,
-    hermitian_norm,
-    operator_norm,
-)
+from .graphs import OperatorWithInnerProduct, column_norms, hermitian_norm, operator_norm
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
 from .spaces import GraphSpace
 
@@ -149,10 +143,10 @@ class TransferSetting:
     @cached_property
     def band_gram_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of ``K = S^H B S``, formed as ``Y^H Y`` for
-        ``Y = B^{1/2} S``, the Gram matrix that ``operator_norm(Y)`` forms;
-        empty for an empty band."""
+        ``Y = B^{1/2} S``, the Gram matrix that ``operator_norm(Y)`` forms,
+        from numpy's ``eigvalsh`` at any order; empty for an empty band."""
         y = self.target.inner.apply_sqrt(self.s_pw)
-        return hermitian_eigenvalues((y.conj().T if np.iscomplexobj(y) else y.T) @ y)
+        return np.linalg.eigvalsh((y.conj().T if np.iscomplexobj(y) else y.T) @ y)
 
     @cached_property
     def interpolation_norm(self) -> float:

@@ -404,6 +404,21 @@ def test_frobenius_stability_of_a_filter_near_1e160_is_finite(tmp_path):
     assert float(rows[0]["filter_frobenius"]) == pytest.approx(2e160, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_filter_relative_of_a_filter_near_the_float_limit_equals_laplacian_relative(tmp_path):
+    # ||g||_F of this linear filter exceeds the float range while the ratio
+    # of its norms does not; the exit code is left open, as the mode-0 row
+    # of this run fails on roundoff alone
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(6)\nfilters = poly(0,4e307)\nseed = 1\n"
+                    "perturbations = remove_edges(0.2)\n")
+    out_dir = tmp_path / "out"
+    cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)])
+    with open(out_dir / "stability.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert abs(float(row["filter_relative"]) - float(row["laplacian_relative"])) <= 1e-12
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="pointwise_in_M's rhs takes sup|g| ||c - RSc|| where the identity "

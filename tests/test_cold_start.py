@@ -26,18 +26,21 @@ sys.exit(code)
 """
 
 
+def _run(experiment: str, config: Path, out_dir: Path) -> subprocess.CompletedProcess:
+    package_parent = str(Path(spectral_transfer.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", _CHILD, package_parent, experiment, str(config), str(out_dir)],
+        cwd=_ROOT, capture_output=True, text=True, timeout=300,
+    )
+
+
 def _run_shipped(config: Path, out_dir: Path) -> subprocess.CompletedProcess:
     experiment = next(
         line.split("=", 1)[1].strip()
         for line in config.read_text().splitlines()
         if line.startswith("experiment")
     )
-    package_parent = str(Path(spectral_transfer.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", _CHILD, package_parent, experiment,
-         str(config.relative_to(_ROOT)), str(out_dir)],
-        cwd=_ROOT, capture_output=True, text=True, timeout=300,
-    )
+    return _run(experiment, config.relative_to(_ROOT), out_dir)
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -53,3 +56,14 @@ def test_directed_shipped_config_loads_scipy_linalg_and_certifies(tmp_path):
     done = _run_shipped(_ROOT / "configs" / _DIRECTED, tmp_path / "out")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "scipy.linalg loaded: True"
+
+
+def test_undirected_run_above_order_256_never_loads_scipy_linalg(tmp_path):
+    # operators, Gram matrices and band spectra of order 300, all solved by
+    # numpy's eigvalsh
+    config = tmp_path / "order300.txt"
+    config.write_text("graph = random-geometric(300,0.1)\nfilters = heat(1.0)\n"
+                      "perturbations = remove_edges(0.05)\nseed = 3\n")
+    done = _run("perturb-stability", config, tmp_path / "out")
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.stdout.splitlines()[-1] == "scipy.linalg loaded: False"

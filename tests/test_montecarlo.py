@@ -51,8 +51,8 @@ class TestConstants:
     def test_exact_c_lambda_is_sqrt_dim(self):
         # For the circle basis the pointwise column norm is constant, so the
         # optimal constant equals sqrt(dim PW).
-        assert exact_c_lambda(CIRCLE, 1.0) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-        assert exact_c_lambda(CIRCLE, 4.0) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+        for band, dim in ((0.0, 1), (1.0, 3), (4.0, 5), (25.0, 11), (1e4, 201)):
+            assert exact_c_lambda(CIRCLE, band) == np.sqrt(dim)
 
     def test_c_lambda_certificate_1000_probes(self):
         cons = bound_constants(small_config())
