@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, ParameterError, TopologyError, TruncationError
+from .errors import ConfigError, ParameterError, TopologyError, TruncationError
 from .filters import apply_exact, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, column_norms, operator_norm
 from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
@@ -402,8 +402,6 @@ class ConvNetGraphSetting:
         Each pooling layer matches the current graph, collapses it onto the
         matched groups, and takes ``C Delta C^T`` of the previous operator.
         """
-        if graph.directed:
-            raise GraphError("a ConvNet requires an undirected graph")
         s = np.eye(space.n_vertices)
         maps, operators, pooling = [s], [operator], []
         for layer in spec.layers:

@@ -14,15 +14,11 @@ class DegenerateDegreeError(GraphError):
 
 
 class InvalidInnerProductError(SpectralTransferError):
-    """Inner-product matrix is not Hermitian positive definite."""
+    """Inner-product weights are not a 1-D array of positive reals."""
 
 
 class NormalityError(SpectralTransferError):
-    """Operator does not commute with its adjoint under the given inner product."""
-
-
-class DecompositionError(SpectralTransferError):
-    """Eigendecomposition failed (defective or ill-conditioned operator)."""
+    """Operator is not self-adjoint under the given inner product."""
 
 
 class FilterEvaluationError(SpectralTransferError):

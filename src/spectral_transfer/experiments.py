@@ -11,8 +11,7 @@ Five experiments cover the certification surface:
 * ``coarsen-transfer``    -- heavy-edge coarsening with the collapsed
   operator; per-mode and aggregate filter bounds.
 * ``perturb-stability``   -- edge/vertex perturbations; the same bounds
-  plus, on undirected graphs, Frobenius-norm filter stability against the
-  Lipschitz line.
+  plus Frobenius-norm filter stability against the Lipschitz line.
 * ``circle-sampling``     -- Monte-Carlo convergence slopes of the sampled
   Laplacian and Gram errors.
 * ``mc-verify``           -- empirical failure rates of the three explicit
@@ -379,26 +378,16 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     tables = {
         "modes": (_MODES_HEADER, tuple(all_modes)),
         "bounds": (_BOUNDS_HEADER, tuple(all_bounds)),
+        "stability": (("perturbation", "filter", "laplacian_frobenius",
+                       "filter_frobenius", "laplacian_relative", "filter_relative",
+                       "lipschitz", "pass"), tuple(stability_rows)),
     }
-    scatters = {}
-    if graph.directed:
-        summary["stability"] = (
-            "no Frobenius stability rows: a directed Laplacian is normal only under its "
-            "own inner product, and no theorem bounds ||g(L) - g(L')||_F by "
-            "D ||L - L'||_F across two inner products")
-    else:
-        tables["stability"] = (
-            ("perturbation", "filter", "laplacian_frobenius",
-             "filter_frobenius", "laplacian_relative", "filter_relative",
-             "lipschitz", "pass"),
-            tuple(stability_rows),
-        )
-        d_max = max(row[6] for row in stability_rows)  # each filter's certified D
-        scatters["scatter"] = ScatterData(
-            "Laplacian Frobenius error", "filter Frobenius error",
-            tuple((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability_rows),
-            d_max, f"y = {d_max:g} x",
-        )
+    d_max = max(row[6] for row in stability_rows)  # each filter's certified D
+    scatters = {"scatter": ScatterData(
+        "Laplacian Frobenius error", "filter Frobenius error",
+        tuple((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability_rows),
+        d_max, f"y = {d_max:g} x",
+    )}
     return ReportBundle("perturb-stability", summary, tables, scatters, all_certified=ok)
 
 
@@ -408,7 +397,6 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
 
     A function of its own so that the perturbed operator, its setting and
     its eigenbasis overlap are freed before the next perturbation is built.
-    Stability rows are written for undirected graphs only.
     """
     result = perturb_graph_detailed(graph, spec)
     delta_op = build_laplacian(result.graph, config.laplacian)
@@ -419,11 +407,8 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
         space, delta_op, restriction=restriction, band=config.band, name=desc
     )
     modes, bounds, _, summary, lipschitz, ok = _collect_transfer_rows(setting, config)
-    if graph.directed:
-        return modes, bounds, summary, [], ok
-
     # Frobenius stability, the fine operator restricted first when vertices
-    # were removed.  Both operators are normal in the dot product: with
+    # were removed.  Both operators are symmetric: with
     # orthonormal eigenbases U, V and W = U^H V, g(L) - g(L') =
     # U (W o (g(l_i) - g(m_j))) V^H (Hoffman & Wielandt, 1953).
     fine_mat, fine_eig = space.operator.matrix, space.eig

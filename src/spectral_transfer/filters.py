@@ -1,4 +1,4 @@
-"""Scalar spectral filters and their application to normal operators.
+"""Scalar spectral filters and their application to self-adjoint operators.
 
 A filter is a scalar function g applied to an operator through its
 eigendecomposition, ``g(T) s = V g(Lambda) V^H B s`` with the B-orthonormal
@@ -34,19 +34,6 @@ from .textio import TextFile, finite_float, parse_descriptor
 #: excluded from the quotient maximum; the excluded term never contributes
 #: to the bound because it carries a vanishing |kappa - lambda|^2 factor.
 DEFAULT_EXCLUSION_TOL = 1e-12
-
-_REAL_IMAG_TOL = 1e-9
-
-
-def _as_real(x, name: str) -> np.ndarray:
-    """Coerce spectral points to real, rejecting genuinely complex input."""
-    x = np.asarray(x, dtype=complex)
-    if np.any(np.abs(x.imag) > _REAL_IMAG_TOL * (1.0 + np.abs(x))):
-        raise FilterEvaluationError(
-            f"{name} filter is defined on the real line; "
-            f"got eigenvalue with imaginary part {np.abs(x.imag).max():.3e}"
-        )
-    return x.real
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,7 @@ class Filter:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, x):
-        """Evaluate g at scalar(s) x; complex input allowed where g extends."""
+        """Evaluate g at real scalar(s) x."""
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -172,16 +159,15 @@ class Filter:
                     "rational filter denominator vanishes on the spectrum"
                 )
             return num / den
-        xr = _as_real(x, self.variant)
         if self.variant == "table":
-            return np.interp(xr, self.params["knots"], self.params["values"])
+            return np.interp(x, self.params["knots"], self.params["values"])
         if self.variant == "lowpass":
-            return np.maximum(0.0, 1.0 - xr / self.params["c"])
+            return np.maximum(0.0, 1.0 - x / self.params["c"])
         if self.variant == "highpass":
-            return np.minimum(1.0, xr / self.params["c"])
+            return np.minimum(1.0, x / self.params["c"])
         if self.variant == "midpass":
             c, sigma = self.params["c"], self.params["sigma"]
-            return np.exp(-((xr - c) ** 2) / (2.0 * sigma * sigma))
+            return np.exp(-((x - c) ** 2) / (2.0 * sigma * sigma))
         raise FilterEvaluationError(f"unknown filter variant {self.variant!r}")
 
     # -- helpers --------------------------------------------------------
@@ -331,7 +317,7 @@ def apply_chebyshev(
     """
     if degree < 0:
         raise SpectralIntervalError("degree must be nonnegative")
-    spectrum = _real_spectrum(op)
+    spectrum = op.eig.values
     if interval is None:
         interval = _containing_interval(spectrum)
     a, b = float(interval[0]), float(interval[1])
@@ -359,13 +345,6 @@ def apply_chebyshev(
             w_prev, w_curr = w_curr, w_next
             out = out + coeffs[j] * w_curr
     return out
-
-
-def _real_spectrum(op: OperatorWithInnerProduct) -> np.ndarray:
-    vals = op.eig.values
-    if np.any(np.abs(vals.imag) > 1e-9 * (1.0 + np.abs(vals))):
-        raise SpectralIntervalError("spectrum is not real; no containing interval")
-    return vals.real
 
 
 def _containing_interval(spectrum: np.ndarray) -> tuple:

@@ -1,10 +1,11 @@
 """Graph file parsing and synthetic generators.
 
-Three text formats load: whitespace edge lists ("u v w" with 0-based
-indices and '#' comments), Matrix Market coordinate files (symmetric ->
-undirected, general -> directed), and OFF meshes as unit-weight graphs
-with one edge per polygon side, deduplicated.  Every reading or parsing
-error names the file.
+Three text formats load, each as an undirected graph: whitespace edge
+lists ("u v w" with 0-based indices and '#' comments), Matrix Market
+coordinate files with a ``symmetric`` header (a ``general`` header, which
+declares a directed graph, is a :class:`GraphError`), and OFF meshes as
+unit-weight graphs with one edge per polygon side, deduplicated.  Every
+reading or parsing error names the file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GraphError, ParseError
 from .graphs import (
     WeightedGraph,
     grid_graph,
@@ -64,7 +65,13 @@ def _parse_matrix_market(source: TextFile) -> WeightedGraph:
     header = _MM_HEADER.match(source.lines[0].strip())
     if header is None:
         raise source.fail(
-            1, "expected '%%MatrixMarket matrix coordinate real symmetric|general' header"
+            1, "expected '%%MatrixMarket matrix coordinate real symmetric' header"
+        )
+    if header.group(2).lower() == "general":
+        raise GraphError(
+            f"{source.path}: line 1: a 'general' Matrix Market header declares a directed "
+            "graph, and only undirected graphs are supported; write the file with a "
+            "'symmetric' header"
         )
     n, edges = None, []
     for lineno, parts in source.records(None):
@@ -87,7 +94,7 @@ def _parse_matrix_market(source: TextFile) -> WeightedGraph:
             edges.append((i, j, w))
     if n is None:
         raise source.fail(None, "missing size line")
-    return WeightedGraph(n, tuple(edges), directed=header.group(2).lower() == "general")
+    return WeightedGraph(n, tuple(edges))
 
 
 def _parse_mesh_off(source: TextFile) -> WeightedGraph:

@@ -1,4 +1,5 @@
-"""Weighted graphs, Laplacian variants, custom inner products, eigendecomposition.
+"""Weighted undirected graphs, Laplacian variants, diagonal inner products,
+eigendecomposition.
 
 A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
 ``w``; it is checked, filled into its adjacency matrix and perturbed
@@ -6,19 +7,14 @@ A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
 per edge.  The ``edges`` tuple of ``(u, v, w)`` triples is a view built on
 request, which the ConvNet's graph coarsening reads.
 
-Operators that are not symmetric matrices are handled as normal operators
-under a constructed inner product ``<u, v> = v^H B u``: for a diagonalizable
-matrix with eigenvector matrix G, ``B = G^{-H} G^{-1}`` makes the matrix
-normal, its adjoint is ``B^{-1} A^H B``, and eigenprojections are
-B-orthogonal.  Each operator caches its eigendecomposition as ``op.eig``,
-which every filter, bound and network layer on it reads.  All
-decompositions are dense and direct: time grows as n^3 and memory as n^2
-(one eigenbasis per operator, no per-eigenvalue projectors).  A diagonal B,
-the dot product included, is held as its n weights, and only a directed
-graph's B as a matrix: an operator of random-geometric(1000, 0.06) holds its
-8.0 MB matrix plus 26 kB (tracemalloc).  Every Hermitian eigenvalue solve is
-numpy's ``eigvalsh``; scipy.linalg loads only for a directed (non-Hermitian)
-operator's Schur form.
+Graphs are undirected only, as in the transferability theory this package
+certifies: every operator is self-adjoint under a diagonal positive inner
+product ``<u, v> = v^H B u``, the dot product for a graph and ``diag(1/w)``
+for a sampled Laplacian, held as its n weights.  Each operator caches its
+eigendecomposition as ``op.eig``, one numpy ``eigh`` of the Hermitian
+``B^{1/2} A B^{-1/2}``, which every filter, bound and network layer on it
+reads.  All decompositions are dense and direct: time grows as n^3 and
+memory as n^2 (one eigenbasis per operator, no per-eigenvalue projectors).
 """
 
 from __future__ import annotations
@@ -29,17 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DecompositionError,
     DegenerateDegreeError,
     GraphError,
     InvalidInnerProductError,
     NormalityError,
     ParameterError,
 )
-
-#: Condition-number ceiling for eigenvector matrices of directed Laplacians.
-#: Near-defective matrices are rejected rather than silently mishandled.
-MAX_EIGENVECTOR_CONDITION = 1e8
 
 #: Relative eigenvalue-grouping tolerance (times the spectral radius).
 #: Repeated eigenvalues must share one projection for a filter response to
@@ -153,9 +144,8 @@ class WeightedGraph:
     """A weighted graph: the discrete domain of all transfer settings.
 
     Edges are held as three read-only arrays in input order: endpoints ``u``
-    and ``v`` (int64) and weights ``w`` (float64).  Undirected graphs keep
-    each edge once with ``u < v``; directed graphs keep endpoints as given.
-    Self loops, duplicate edges (either orientation when undirected), and
+    and ``v`` (int64, each edge once with ``u < v``) and weights ``w``
+    (float64).  Self loops, duplicate edges in either orientation, and
     non-finite weights are rejected, naming the first bad edge.  ``edges``
     is the ``(u, v, w)`` tuple view, built on each access.
     """
@@ -164,36 +154,30 @@ class WeightedGraph:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    directed: bool
 
-    def __init__(self, n_vertices: int, edges=(), directed: bool = False):
+    def __init__(self, n_vertices: int, edges=()):
         """Graph of ``(u, v, w)`` triples."""
         rows = tuple(edges)
         u, v, w = zip(*rows) if rows else ((), (), ())
-        self._store(n_vertices, np.array(u), np.array(v), np.array(w, dtype=float),
-                    directed)
+        self._store(n_vertices, np.array(u), np.array(v), np.array(w, dtype=float))
 
     @classmethod
-    def from_arrays(cls, n_vertices: int, u, v, w,
-                    directed: bool = False) -> "WeightedGraph":
+    def from_arrays(cls, n_vertices: int, u, v, w) -> "WeightedGraph":
         """Graph of the edges ``(u[i], v[i], w[i])``, checked as triples are."""
         graph = cls.__new__(cls)
-        graph._store(n_vertices, np.asarray(u), np.asarray(v),
-                     np.array(w, dtype=float), directed)
+        graph._store(n_vertices, np.asarray(u), np.asarray(v), np.array(w, dtype=float))
         return graph
 
-    def _store(self, n_vertices, u, v, w, directed):
+    def _store(self, n_vertices, u, v, w):
         if n_vertices < 1:
             raise GraphError("graph must have at least one vertex")
         # an index beyond int64 stays a Python int (object array)
         u, v = (x if x.dtype == object else x.astype(np.int64) for x in (u, v))
-        message = _first_edge_error(n_vertices, u, v, w, directed)
+        message = _first_edge_error(n_vertices, u, v, w)
         if message:
             raise GraphError(message)
-        if not directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        for name, value in (("n_vertices", n_vertices), ("u", u), ("v", v),
-                            ("w", w), ("directed", directed)):
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        for name, value in (("n_vertices", n_vertices), ("u", u), ("v", v), ("w", w)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -207,7 +191,7 @@ class WeightedGraph:
         return self.w.shape[0]
 
     def adjacency(self) -> np.ndarray:
-        """Dense adjacency matrix W; symmetric when undirected."""
+        """Dense symmetric adjacency matrix W."""
         n = self.n_vertices
         try:
             w_mat = np.zeros((n, n))
@@ -217,12 +201,11 @@ class WeightedGraph:
                 f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
             ) from None
         w_mat[self.u, self.v] = self.w
-        if not self.directed:
-            w_mat[self.v, self.u] = self.w
+        w_mat[self.v, self.u] = self.w
         return w_mat
 
 
-def _first_edge_error(n: int, u, v, w, directed: bool) -> str | None:
+def _first_edge_error(n: int, u, v, w) -> str | None:
     """What is wrong with the first invalid edge, or None when all are valid.
 
     An edge is checked for its vertex range, a self loop, a non-finite
@@ -233,8 +216,7 @@ def _first_edge_error(n: int, u, v, w, directed: bool) -> str | None:
     # endpoints clipped into [-1, n] keep their range verdicts and int64 sorts
     top = min(n, 2**62)
     uc, vc = (np.clip(x, -1, top).astype(np.int64) for x in (u, v))
-    if not directed:
-        uc, vc = np.minimum(uc, vc), np.maximum(uc, vc)
+    uc, vc = np.minimum(uc, vc), np.maximum(uc, vc)
     order = np.lexsort((vc, uc))  # stable: a repeat sorts after its first
     repeat = np.zeros(u.size, dtype=bool)
     repeat[order[1:]] = (np.diff(uc[order]) == 0) & (np.diff(vc[order]) == 0)
@@ -288,11 +270,10 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """Hermitian positive-definite matrix B defining ``<u, v> = v^H B u``.
+    """Diagonal inner product ``<u, v> = v^H B u`` with ``B = diag(b)``.
 
-    ``b`` is a 1-D array of weights or a 2-D matrix.  A diagonal B is held as
-    its weights and acts by scaling rows; only a full B is held n x n, with
-    ``eigh`` square roots.  ``b_matrix`` builds the dense B on request.
+    ``b`` is a 1-D array of positive real weights; B and its square roots
+    act by scaling rows, and ``b_matrix`` builds the dense B on request.
     """
 
     b: np.ndarray
@@ -301,50 +282,19 @@ class InnerProduct:
 
     def __post_init__(self):
         b = np.asarray(self.b)
-        if b.ndim == 2 and b.shape[0] == b.shape[1]:
-            if np.count_nonzero(b) == np.count_nonzero(np.diag(b)):
-                b = np.diag(b)
-        elif b.ndim != 1:
-            raise InvalidInnerProductError("B must be square")
-        # A diagonal B is Hermitian exactly when its weights are real, so
-        # only a full B needs the O(n^2) comparison with its adjoint.
-        if not np.allclose(b, b.conj().T, atol=1e-10 * (1.0 + np.abs(b).max())):
-            raise InvalidInnerProductError("B must be Hermitian")
-        if b.ndim == 1:
-            if b.min() <= 0 or np.abs(b.imag).max() > 0:
-                raise InvalidInnerProductError(
-                    f"B must be positive definite (min diagonal {b.real.min():.3e})"
-                )
-            b = b.real
-            roots = np.sqrt(b), 1.0 / np.sqrt(b)
-        else:
-            vals, vecs = np.linalg.eigh(b)
-            if vals.min() <= 0:
-                raise InvalidInnerProductError(
-                    f"B must be positive definite (min eigenvalue {vals.min():.3e})"
-                )
-            roots = ((vecs * np.sqrt(vals)) @ vecs.conj().T,
-                     (vecs / np.sqrt(vals)) @ vecs.conj().T)
+        if b.ndim != 1:
+            raise InvalidInnerProductError("B must be given as a 1-D array of weights")
+        if np.iscomplexobj(b) or not np.all(b > 0):
+            raise InvalidInnerProductError(
+                f"B must have positive real weights (min weight {b.real.min():.3e})"
+            )
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_sqrt", roots[0])
-        object.__setattr__(self, "_inv_sqrt", roots[1])
+        object.__setattr__(self, "_sqrt", np.sqrt(b))
+        object.__setattr__(self, "_inv_sqrt", 1.0 / self._sqrt)
 
     @classmethod
     def standard(cls, n: int) -> "InnerProduct":
         return cls(np.ones(n))
-
-    @classmethod
-    def from_eigenvector_matrix(cls, gamma: np.ndarray) -> "InnerProduct":
-        """B = G^{-H} G^{-1} under which the decomposed operator is normal."""
-        cond = np.linalg.cond(gamma)
-        if not np.isfinite(cond) or cond > MAX_EIGENVECTOR_CONDITION:
-            raise DecompositionError(
-                f"eigenvector matrix condition {cond:.3e} exceeds "
-                f"{MAX_EIGENVECTOR_CONDITION:.0e}; operator treated as defective"
-            )
-        g_inv = np.linalg.inv(gamma)
-        b = g_inv.conj().T @ g_inv
-        return cls(0.5 * (b + b.conj().T))
 
     @property
     def dim(self) -> int:
@@ -353,11 +303,11 @@ class InnerProduct:
     @property
     def b_matrix(self) -> np.ndarray:
         """The dense n x n matrix B, built on each access."""
-        return np.diag(self.b) if self.b.ndim == 1 else self.b
+        return np.diag(self.b)
 
     @cached_property
     def is_standard(self) -> bool:
-        return self.b.ndim == 1 and bool(np.all(self.b == 1.0))
+        return bool(np.all(self.b == 1.0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``B x`` for a vector or matrix ``x``; ``x`` itself when B = I."""
@@ -367,13 +317,15 @@ class InnerProduct:
         """``B^{1/2} x``, whose Euclidean norms are the B-norms of ``x``."""
         return self._times(self._sqrt, x)
 
+    def apply_inv_sqrt(self, x: np.ndarray) -> np.ndarray:
+        """``B^{-1/2} x``, which maps orthonormal columns to B-orthonormal ones."""
+        return self._times(self._inv_sqrt, x)
+
     def _times(self, factor: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # factor is B or a root of B, held in the same form as B
+        # factor holds the diagonal of B or of a root of B
         if self.is_standard:
             return x
-        if factor.ndim == 1:
-            return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
-        return factor @ x
+        return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
 
     def norm(self, u: np.ndarray) -> float:
         """Norm of the vector ``u`` under this inner product."""
@@ -388,26 +340,17 @@ class InnerProduct:
         return column_norms(self.apply_sqrt(mat))
 
 
-def adjoint_wrt(a: np.ndarray, inner: InnerProduct) -> np.ndarray:
-    """Matrix of the adjoint under ``inner``: ``B^{-1} A^H B``."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1] or a.shape[0] != inner.dim:
-        raise InvalidInnerProductError("operator and inner product dimensions differ")
-    if inner.b.ndim == 1:
-        return (a.conj().T * inner.b) / inner.b[:, None]
-    return np.linalg.solve(inner.b, a.conj().T @ inner.b)
-
-
 @dataclass(frozen=True)
 class OperatorWithInnerProduct:
-    """A square matrix paired with the inner product making it normal."""
+    """A square matrix A paired with the inner product B under which it is
+    self-adjoint, that is ``B A`` is Hermitian."""
 
     matrix: np.ndarray
     inner: InnerProduct
 
-    #: Relative normality tolerance; the commutator defect is compared
-    #: against this times (1 + ||A||_F)^2.
-    _NORMALITY_RTOL = 1e-8
+    #: Relative self-adjointness tolerance: the largest entry of
+    #: ``B A - (B A)^H`` is compared against this times the largest of ``B A``.
+    _SYMMETRY_RTOL = 1e-10
 
     def __post_init__(self):
         a = np.asarray(self.matrix)
@@ -417,13 +360,15 @@ class OperatorWithInnerProduct:
             raise NormalityError("operator and inner product dimensions differ")
         object.__setattr__(self, "matrix", a)
         if self.inner.is_standard and np.array_equal(a, a.conj().T):
-            return  # a Hermitian matrix is normal
-        defect = normality_defect(self)
-        scale = (1.0 + np.linalg.norm(a, "fro")) ** 2
-        if defect > self._NORMALITY_RTOL * scale:
+            return
+        ba = self.inner.apply(a)
+        scale = np.abs(ba).max(initial=0.0)
+        diff = ba - ba.conj().T
+        defect = np.abs(diff, out=diff).max(initial=0.0).real  # no third n x n array
+        if defect > self._SYMMETRY_RTOL * scale:
             raise NormalityError(
-                f"operator is not normal under the given inner product "
-                f"(commutator defect {defect:.3e})"
+                f"operator is not self-adjoint under the given inner product "
+                f"(largest entry of B A - (B A)^H {defect:.3e})"
             )
 
     @classmethod
@@ -441,20 +386,12 @@ class OperatorWithInnerProduct:
         return eigendecompose(self)
 
 
-def normality_defect(op: OperatorWithInnerProduct) -> float:
-    """Frobenius norm of ``A A* - A* A`` with the B-adjoint; 0 when normal."""
-    a = op.matrix
-    a_star = adjoint_wrt(a, op.inner)
-    return float(np.linalg.norm(a @ a_star - a_star @ a, "fro"))
-
-
 def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct:
-    """Build a shift operator for ``graph``.
+    """Build a shift operator for ``graph``, symmetric under the dot product.
 
     ``kind`` selects the unnormalized Laplacian ``D - W``, the normalized
     Laplacian ``I - D^{-1/2} W D^{-1/2}``, or the adjacency matrix ``W``
-    itself.  Symmetric results use the dot product; directed results get the
-    inner product built from a numerically computed eigenvector matrix.
+    itself.
     """
     if kind not in ("unnormalized", "normalized", "adjacency"):
         raise ParameterError(f"unknown laplacian kind {kind!r}")
@@ -472,25 +409,14 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
         mat = np.eye(graph.n_vertices) - (d_inv_sqrt[:, None] * w_mat) * d_inv_sqrt[None, :]
     else:
         mat = w_mat
-    if not graph.directed:
-        return OperatorWithInnerProduct.symmetric(mat)
-    # Directed: construct B from the eigenvector matrix (complex in general).
-    _, gamma = np.linalg.eig(mat.astype(complex))
-    inner = InnerProduct.from_eigenvector_matrix(gamma)
-    return OperatorWithInnerProduct(mat.astype(complex), inner)
-
-
-def _real_if_possible(values: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(values) and np.all(values.imag == 0):
-        return values.real
-    return values
+    return OperatorWithInnerProduct.symmetric(mat)
 
 
 @dataclass(frozen=True)
 class EigenGroup:
     """One eigenvalue with the B-orthonormal basis columns of its eigenspace."""
 
-    eigenvalue: complex
+    eigenvalue: float
     columns: np.ndarray
     inner: InnerProduct
 
@@ -531,7 +457,7 @@ class EigenDecomposition:
         """One :class:`EigenGroup` per eigenvalue, viewing its basis columns."""
         ends = np.cumsum(self.multiplicities)
         return tuple(
-            EigenGroup(complex(self.values[end - 1]), self.basis[:, end - count:end], self.inner)
+            EigenGroup(float(self.values[end - 1]), self.basis[:, end - count:end], self.inner)
             for count, end in zip(self.multiplicities, ends)
         )
 
@@ -574,54 +500,31 @@ def _group_eigenvalues(values: np.ndarray, tol: float):
 
 
 def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
-    """Eigendecompose a normal-under-B operator into grouped eigenspaces.
+    """Eigendecompose an operator self-adjoint under B into grouped eigenspaces.
 
-    Eigenvalues closer than ``DEFAULT_GROUP_TOL`` times max(spectral
-    radius, 1) merge into a single eigenspace whose eigenvalue is their
-    mean.  Raises :class:`DecompositionError` when the operator is
-    defective to tolerance.  Callers read the cached ``op.eig`` instead.
+    One ``eigh`` of the Hermitian ``B^{1/2} A B^{-1/2}``, whose orthonormal
+    eigenvectors ``B^{-1/2}`` maps to B-orthonormal ones.  Eigenvalues
+    closer than ``DEFAULT_GROUP_TOL`` times max(spectral radius, 1) merge
+    into a single eigenspace whose eigenvalue is their mean.  Callers read
+    the cached ``op.eig`` instead.
     """
-    a = op.matrix
-    n = a.shape[0]
-    hermitian = op.inner.is_standard and np.allclose(
-        a, a.conj().T, atol=1e-12 * (1.0 + np.abs(a).max())
-    )
-    if hermitian:
-        vals, vecs = np.linalg.eigh(a)
-        vals = vals.astype(float)
-    else:
-        # Reweight into the Euclidean-normal B^{1/2} A B^{-1/2}, then use its
-        # Schur form: for a normal matrix the Schur factor is diagonal and
-        # the unitary columns are orthonormal eigenvectors.
-        import scipy.linalg
-
-        inner = op.inner
-        m = inner.apply_sqrt(a)
-        m = m * inner._inv_sqrt if inner.b.ndim == 1 else m @ inner._inv_sqrt
-        t, z = scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")
-        off = t - np.diag(np.diag(t))
-        scale = 1.0 + np.abs(np.diag(t)).max()
-        if np.linalg.norm(off, "fro") > 1e-7 * scale * n:
-            raise DecompositionError(
-                "operator is defective to tolerance; no eigendecomposition"
-            )
-        vals = np.diag(t)
-        vecs = inner._times(inner._inv_sqrt, z)
-
-    radius = float(np.abs(vals).max()) if n else 0.0
+    inner = op.inner
+    vals, vecs = np.linalg.eigh(inner.apply_inv_sqrt(inner.apply_sqrt(op.matrix).T).T)
+    radius = float(np.abs(vals).max()) if vals.size else 0.0
     group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)
 
-    vals = np.asarray(vals, dtype=complex)
     index_groups = _group_eigenvalues(vals, group_tol)
     counts = np.array([len(idxs) for idxs in index_groups])
     order = np.concatenate(index_groups)
-    # a singleton's mean is its value; only a merged group needs np.mean
+    # a singleton's mean is its value; only a merged group needs np.mean.
+    # Its complex accumulator keeps the summation order that every report
+    # was written with; a real one moves some group means by an ulp
     means = vals[order[np.cumsum(counts) - counts]]
     for j in np.flatnonzero(counts > 1):
-        means[j] = np.mean(vals[index_groups[j]])
+        means[j] = np.mean(vals[index_groups[j]], dtype=complex).real
     return EigenDecomposition(
-        values=np.repeat(means.real if hermitian else _real_if_possible(means), counts),
+        values=np.repeat(means, counts),
         multiplicities=counts,
-        inner=op.inner,
-        basis=vecs[:, order],
+        inner=inner,
+        basis=inner.apply_inv_sqrt(vecs)[:, order],
     )

@@ -200,8 +200,6 @@ def coarsen_matching(graph: WeightedGraph) -> CoarseningMap:
     become singletons.  The visit order makes the heuristic fully
     deterministic.
     """
-    if graph.directed:
-        raise GraphError("coarsening requires an undirected graph")
     w = graph.adjacency()
     deg = w.sum(axis=1)
     order = sorted(range(graph.n_vertices), key=lambda u: (deg[u], u))
@@ -233,9 +231,7 @@ def coarsened_laplacian(
         raise GraphError("coarsening map and Laplacian dimensions differ")
     s = cmap.s_matrix
     mat = s @ fine_laplacian.matrix @ s.T
-    if not np.iscomplexobj(mat):
-        mat = 0.5 * (mat + mat.T)
-    return OperatorWithInnerProduct(mat, InnerProduct.standard(cmap.n_coarse))
+    return OperatorWithInnerProduct.symmetric(0.5 * (mat + mat.T))
 
 
 @dataclass(frozen=True)
@@ -321,8 +317,8 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
     """Apply a perturbation; deterministic under the given seed.
 
     Removed edges and vertices are drawn with one ``rng.choice`` each; added
-    edges are drawn among the absent ones in row-major (u, v) order, with
-    ``u < v`` when undirected, and appended in that order with weight 1.
+    edges are drawn among the absent pairs ``u < v`` in row-major order and
+    appended in that order with weight 1.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n, m = graph.n_vertices, graph.n_edges
@@ -332,21 +328,19 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
         keep = np.ones(m, dtype=bool)
         if k:
             keep[rng.choice(m, size=k, replace=False)] = False
-        return PerturbationResult(WeightedGraph.from_arrays(
-            n, u[keep], v[keep], w[keep], graph.directed
-        ))
+        return PerturbationResult(WeightedGraph.from_arrays(n, u[keep], v[keep], w[keep]))
     if spec.mode == "add_edges":
         k = int(np.floor(spec.fraction * m))
         absent = np.ones((n, n), dtype=bool)
         absent[u, v] = False
         np.fill_diagonal(absent, False)
-        candidates = np.flatnonzero(absent if graph.directed else np.triu(absent, 1))
+        candidates = np.flatnonzero(np.triu(absent, 1))
         k = min(k, candidates.size)
         pick = np.sort(rng.choice(candidates.size, size=k, replace=False)) if k else []
         new_u, new_v = divmod(candidates[pick], n)
         return PerturbationResult(WeightedGraph.from_arrays(
             n, np.concatenate([u, new_u]), np.concatenate([v, new_v]),
-            np.concatenate([w, np.ones(k)]), graph.directed,
+            np.concatenate([w, np.ones(k)]),
         ))
     # remove_vertices
     k = int(np.floor(spec.fraction * n))
@@ -360,9 +354,7 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
     index = np.cumsum(keep) - 1  # new index of each kept vertex
     kept_edge = keep[u] & keep[v]
     sub = WeightedGraph.from_arrays(
-        int(keep.sum()), index[u[kept_edge]], index[v[kept_edge]], w[kept_edge],
-        graph.directed,
-    )
+        int(keep.sum()), index[u[kept_edge]], index[v[kept_edge]], w[kept_edge])
     return PerturbationResult(sub, tuple(np.flatnonzero(keep).tolist()))
 
 

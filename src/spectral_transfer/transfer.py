@@ -9,24 +9,14 @@ setting through one cached matrix ``Q = V^H B S``, the band in the target's
 B-orthonormal eigenbasis V, and its responses ``g(mu)`` on the target
 eigenvalues and ``g(lambda)`` on the source ones: ``g(Delta) S = V (g(mu) Q)``
 and ``R g(Delta) S = Q^H diag(g(mu)) Q``.  The graph-side lhs are B-norms of
-``V (g(mu) Q) - S g(Lambda)`` on the graph, never norms of
-``g(mu) Q - Q g(Lambda)``: a directed target's V is B-orthonormal only to
-about cond(B) times machine epsilon.
+``V (g(mu) Q) - S g(Lambda)`` on the graph.
 
 The five bound variants relate the filter transfer error to the Laplacian
 transfer error and the consistency error: per source Fourier mode, for a
 fixed signal (evaluated on the graph or back on the source space), and in
 operator norm over the whole band (again on either side).  Each is an exact
-inequality for any normal target operator, so a violation beyond roundoff
-slack indicates a broken build, never an unlucky input.
-
-Every term is taken at the source eigenvalues as stored, complex ones too.
-``S L e_m = lambda_m S e_m``, and with P_j the B-orthogonal eigenprojections
-of Delta, ``(g(Delta) - g(lambda_m)) S e_m = sum_j (g(mu_j) - g(lambda_m)) P_j S e_m``
-and ``(Delta - lambda_m) S e_m = sum_j (mu_j - lambda_m) P_j S e_m``.  So the
-per-mode bound with quotients at lambda_m is exact, and a target equal to its
-source gives 0 on both sides; at Re lambda_m both would gain a spurious
-``lambda_m - Re lambda_m`` part.  Only a mode row's ``eigenvalue`` is Re lambda_m.
+inequality for a target operator self-adjoint under B, so a violation
+beyond roundoff slack indicates a broken build, never an unlucky input.
 """
 
 from __future__ import annotations
@@ -146,7 +136,7 @@ class TransferSetting:
         ``Y = B^{1/2} S``, the Gram matrix that ``operator_norm(Y)`` forms,
         from numpy's ``eigvalsh`` at any order; empty for an empty band."""
         y = self.target.inner.apply_sqrt(self.s_pw)
-        return np.linalg.eigvalsh((y.conj().T if np.iscomplexobj(y) else y.T) @ y)
+        return np.linalg.eigvalsh(y.T @ y)
 
     @cached_property
     def interpolation_norm(self) -> float:
@@ -241,7 +231,7 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     mismatch -= setting.s_pw[:, modes] * filt.evaluate(lams)
     lhs = setting.target.inner.column_norms(mismatch)
     rows = tuple(
-        ModeRow(int(mode), float(lam.real), float(left), float(q * err), float(q), float(err))
+        ModeRow(int(mode), float(lam), float(left), float(q * err), float(q), float(err))
         for mode, lam, left, q, err in zip(
             np.arange(setting.dim_pw)[modes], lams, lhs, constants.vg_per_eig, lap
         )
@@ -348,11 +338,8 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     # the graph-side mismatch is formed.
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
     g_vals = filt.evaluate(setting.source_eigenvalues)
-    worst_m = np.diag(g_vals) - setting.filtered_transfer_matrix(filt)
-    # Hermitian, so no Gram product is needed, when g is real on both spectra
-    hermitian = not any(np.iscomplexobj(g) and np.any(g.imag)
-                        for g in (g_vals, setting.target_response(filt)))
-    lhs_worst_m = hermitian_norm(worst_m) if hermitian else operator_norm(worst_m)
+    # Hermitian, so its norm needs no Gram product
+    lhs_worst_m = hermitian_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
 
     per_mode, constants, mismatch = _mode_bounds(setting, filt, slice(None))
     lhs_point_g = setting.target.inner.norm(mismatch @ coeffs)

@@ -451,91 +451,23 @@ def test_undecodable_graph_file_exits_two_naming_it(graph_format, tmp_path, caps
     assert len(err) == 1 and f"cannot read graph file {graph_file}" in err[0]
 
 
-def assert_directed_perturb_files(out_dir, perturbations):
-    """Transfer rows of every perturbation and no Frobenius stability rows,
-    whose absence the summary explains."""
-    assert sorted(p.name for p in out_dir.iterdir()) == ["bounds.csv", "modes.csv",
-                                                         "summary.txt"]
-    for table in ("modes.csv", "bounds.csv"):
-        with open(out_dir / table, newline="") as fh:
-            assert {row["setting"] for row in csv.DictReader(fh)} == set(perturbations)
-    summary = json.loads((out_dir / "summary.txt").read_text())
-    assert summary["stability"].startswith("no Frobenius stability rows")
-
-
-def test_shipped_directed_config_certifies(tmp_path, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    code = cli.main([
-        "perturb-stability", "--config", "configs/perturb_directed.txt",
-        "--out", str(tmp_path / "out"), "--svg",
-    ])
-    assert code == 0
-    assert_directed_perturb_files(tmp_path / "out",
-                                  {"remove_edges(0.1)", "add_edges(0.1)", "remove_edges(0)"})
-    assert_noop_rows_are_roundoff(tmp_path / "out", {"remove_edges(0)"})
-
-
-def assert_noop_rows_are_roundoff(out_dir, perturbations):
-    """Every lhs, rhs and Laplacian mode error of a perturbation that changed
-    nothing is roundoff: both sides of each bound are 0 in exact arithmetic."""
-    for table, columns in (("bounds.csv", ("lhs", "rhs")),
-                           ("modes.csv", ("lhs", "rhs", "laplacian_mode_error"))):
-        with open(out_dir / table, newline="") as fh:
-            rows = [row for row in csv.DictReader(fh) if row["setting"] in perturbations]
-        assert {row["setting"] for row in rows} == set(perturbations)
-        for row in rows:
-            assert all(float(row[col]) <= 1e-12 for col in columns), (table, row)
-
-
-def test_noop_perturbations_of_a_directed_graph_certify(tmp_path):
-    # at 5 % of 16 edges and 12 vertices none of the three default
-    # perturbations changes the graph, so every row is roundoff; with g and
-    # the Laplacian mismatch taken at Re lambda the aggregate rows read lhs
-    # 0.276 against a rhs of 4.4e-14
+@pytest.mark.parametrize("experiment",
+                         ["perturb-stability", "coarsen-transfer", "convnet-transfer"])
+def test_a_directed_graph_exits_two_with_one_message(experiment, tmp_path, capsys):
+    # a directed 4-cycle, written with the header of a directed graph
+    ring = tmp_path / "ring.mtx"
+    ring.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "4 4 4\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 1 1.0\n")
     path = tmp_path / "cfg.txt"
-    ring = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
-    path.write_text(f"graph_file = {ring}\ngraph_format = matrix_market\n"
-                    "filters = heat(0.5)\nseed = 3\n")
-    out_dir = tmp_path / "out"
-    assert cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)]) == 0
-    assert_noop_rows_are_roundoff(
-        out_dir, {"remove_edges(0.05)", "add_edges(0.05)", "remove_vertices(0.05)"})
-
-
-def test_convnet_transfer_on_a_directed_graph_exits_two(tmp_path, capsys):
-    # pooling-free, so no coarsening refuses the graph first; a network run
-    # on the complex spectrum would cast its channels to float
-    net = tmp_path / "net.ini"
-    net.write_text(
-        "[net]\nbands = 1.0, 1.5, 2.0\n\n"
-        "[layer 1]\nfilters = heat(0.5) ; poly(1,-0.1)\nmix = 0.5 ; 0.5\n\n"
-        "[layer 2]\nfilters = heat(0.5), heat(1) ; poly(1,-0.1), heat(0.5)\n"
-        "mix = 0.5, 0.5 ; 0.5, -0.5\n"
-    )
-    ring = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
-    path = tmp_path / "cfg.txt"
-    path.write_text(f"graph_file = {ring}\ngraph_format = matrix_market\nnet = {net}\n"
-                    "net_perturbation = add_edges(0.1)\nseed = 3\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # numpy's ComplexWarning included
-        code = cli.main(["convnet-transfer", "--config", str(path),
-                         "--out", str(tmp_path / "out")])
+    path.write_text(f"graph_file = {ring}\ngraph_format = matrix_market\nseed = 3\n")
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "undirected graph" in err and "Traceback" not in err
-
-
-def test_directed_vertex_removal_writes_transfer_rows(tmp_path):
-    # the exit code is left open: a per-mode row of this run fails on
-    # roundoff alone (ROADMAP item 2)
-    path = tmp_path / "cfg.txt"
-    ring = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
-    path.write_text(f"graph_file = {ring}\ngraph_format = matrix_market\n"
-                    "filters = heat(0.5)\nperturbations = remove_vertices(0.1)\nseed = 1\n")
-    code = cli.main(["perturb-stability", "--config", str(path),
-                     "--out", str(tmp_path / "out"), "--svg"])
-    assert code in (0, 1)
-    assert_directed_perturb_files(tmp_path / "out", {"remove_vertices(0.1)"})
+    assert capsys.readouterr().err.splitlines() == [
+        f"spectral-transfer: error: {ring}: line 1: a 'general' Matrix Market header "
+        "declares a directed graph, and only undirected graphs are supported; write "
+        "the file with a 'symmetric' header"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 _REFERENCE_NET = (Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini").read_text()

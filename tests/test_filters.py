@@ -327,10 +327,6 @@ class TestTableAndParsing:
             renamed = dataclasses.replace(filt, name="renamed")
             np.testing.assert_array_equal(renamed.evaluate(xs), filt.evaluate(xs))
 
-    def test_real_only_filter_rejects_complex(self):
-        with pytest.raises(FilterEvaluationError, match="imaginary"):
-            Filter.lowpass(1.0).evaluate(np.array([1.0 + 0.5j]))
-
     def test_normalization(self):
         filt = Filter.polynomial((0.0, 2.0))  # g(x) = 2x, sup on {0,1,3} = 6
         normed, factor = filt.normalized_on([0.0, 1.0, 3.0])

@@ -18,7 +18,7 @@ from spectral_transfer.graphs import WeightedGraph, random_geometric_graph
 from spectral_transfer.sampling import PerturbationSpec, perturb_graph_detailed
 
 
-def reference_edges(n_vertices, edges, directed):
+def reference_edges(n_vertices, edges):
     """Canonical edge tuple, or the GraphError message of the first bad edge."""
     if n_vertices < 1:
         raise GraphError("graph must have at least one vertex")
@@ -31,7 +31,7 @@ def reference_edges(n_vertices, edges, directed):
             raise GraphError(f"self loop at vertex {u}")
         if not np.isfinite(w):
             raise GraphError(f"non-finite weight on edge ({u}, {v})")
-        key = (u, v) if directed else (min(u, v), max(u, v))
+        key = (min(u, v), max(u, v))
         if key in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(key)
@@ -39,12 +39,11 @@ def reference_edges(n_vertices, edges, directed):
     return tuple(canonical)
 
 
-def reference_adjacency(n_vertices, edges, directed):
+def reference_adjacency(n_vertices, edges):
     w_mat = np.zeros((n_vertices, n_vertices))
     for u, v, w in edges:
         w_mat[u, v] = w
-        if not directed:
-            w_mat[v, u] = w
+        w_mat[v, u] = w
     return w_mat
 
 
@@ -57,7 +56,7 @@ def reference_geometric_edges(n, radius, seed):
                  if dist[i, j] <= radius)
 
 
-def reference_perturb(n, edges, directed, spec):
+def reference_perturb(n, edges, spec):
     """``(n, edges, kept_vertices)`` of the perturbed graph."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     edges = list(edges)
@@ -68,9 +67,8 @@ def reference_perturb(n, edges, directed, spec):
     if spec.mode == "add_edges":
         k = int(np.floor(spec.fraction * len(edges)))
         existing = {(u, v) for u, v, _ in edges}
-        candidates = [(u, v) for u in range(n)
-                      for v in (range(n) if directed else range(u + 1, n))
-                      if u != v and (u, v) not in existing]
+        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if (u, v) not in existing]
         k = min(k, len(candidates))
         pick = rng.choice(len(candidates), size=k, replace=False) if k else []
         added = [(candidates[i][0], candidates[i][1], 1.0) for i in sorted(pick)]
@@ -90,42 +88,39 @@ WEIGHTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, np.inf, -np.inf,
 
 @st.composite
 def edge_lists(draw, valid: bool):
-    """``(n, edges, directed)``; unless ``valid``, indices run one past each
-    end of the vertex range and weights may be non-finite."""
+    """``(n, edges)``; unless ``valid``, indices run one past each end of
+    the vertex range and weights may be non-finite."""
     n = draw(st.integers(1, 7))
-    directed = draw(st.booleans())
     low, high = (0, n - 1) if valid else (-1, n)
     pairs = st.tuples(st.integers(low, high), st.integers(low, high))
     if valid:
         pairs = pairs.filter(lambda p: p[0] != p[1])
-    key = (lambda p: p) if directed else (lambda p: (min(p), max(p)))
-    raw = draw(st.lists(pairs, max_size=12, unique_by=key if valid else None))
+    key = (lambda p: (min(p), max(p))) if valid else None
+    raw = draw(st.lists(pairs, max_size=12, unique_by=key))
     weight = st.floats(0.1, 3.0) if valid else WEIGHTS
-    return n, tuple((u, v, draw(weight)) for u, v in raw), directed
+    return n, tuple((u, v, draw(weight)) for u, v in raw)
 
 
 @settings(deadline=None)
 @given(case=edge_lists(valid=False))
-@example(case=(3, ((0, 1, 1.0), (1, 0, 2.0)), False))
-@example(case=(3, ((0, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)), True))
-@example(case=(3, ((0, 2, 1.0), (1, 1, np.nan), (5, 0, 1.0)), False))
-@example(case=(2, ((0, 1, np.inf), (0, 2, 1.0)), True))
+@example(case=(3, ((0, 1, 1.0), (1, 0, 2.0))))
+@example(case=(3, ((0, 2, 1.0), (1, 1, np.nan), (5, 0, 1.0))))
+@example(case=(2, ((0, 1, np.inf), (0, 2, 1.0))))
 def test_graph_matches_the_per_edge_reference(case):
-    n, edges, directed = case
+    n, edges = case
     try:
-        expected = reference_edges(n, edges, directed)
+        expected = reference_edges(n, edges)
     except GraphError as exc:
         with pytest.raises(GraphError) as info:
-            WeightedGraph(n, edges, directed)
+            WeightedGraph(n, edges)
         assert str(info.value) == str(exc)
         return
-    graph = WeightedGraph(n, edges, directed)
+    graph = WeightedGraph(n, edges)
     assert graph.edges == expected
     assert graph.n_edges == len(expected)
-    np.testing.assert_array_equal(graph.adjacency(),
-                                  reference_adjacency(n, expected, directed))
-    same = WeightedGraph.from_arrays(n, graph.u, graph.v, graph.w, directed)
-    assert (same.n_vertices, same.edges, same.directed) == (n, expected, directed)
+    np.testing.assert_array_equal(graph.adjacency(), reference_adjacency(n, expected))
+    same = WeightedGraph.from_arrays(n, graph.u, graph.v, graph.w)
+    assert (same.n_vertices, same.edges) == (n, expected)
 
 
 @settings(deadline=None)
@@ -143,17 +138,16 @@ def test_random_geometric_graph_matches_the_per_pair_reference(n, radius, seed):
     seed=st.integers(0, 2**32),
 )
 def test_perturbation_matches_the_per_edge_reference(case, mode, fraction, seed):
-    n, edges, directed = case
-    graph = WeightedGraph(n, edges, directed)
+    n, edges = case
+    graph = WeightedGraph(n, edges)
     spec = PerturbationSpec(mode, fraction, seed)
     try:
-        n_out, edges_out, kept = reference_perturb(n, graph.edges, directed, spec)
+        n_out, edges_out, kept = reference_perturb(n, graph.edges, spec)
     except DegeneratePerturbationError as exc:
         with pytest.raises(DegeneratePerturbationError, match=str(exc)):
             perturb_graph_detailed(graph, spec)
         return
     result = perturb_graph_detailed(graph, spec)
     assert result.graph.n_vertices == n_out
-    assert result.graph.directed == directed
     assert result.graph.edges == edges_out
     assert result.kept_vertices == kept

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spectral_transfer.errors import ConfigError, ParseError
+from spectral_transfer.errors import ConfigError, GraphError, ParseError
 from spectral_transfer.graph_io import parse_graph, synthetic_graph
 from spectral_transfer.graphs import path_graph
 from spectral_transfer.reports import (
@@ -58,18 +58,30 @@ class TestMatrixMarket:
             "2 2 1\n1 2 1.0\n"
         )
         graph = parse_graph(path, "matrix_market")
-        assert not graph.directed
         assert graph.edges == ((0, 1, 1.0),)
 
-    def test_general_is_directed(self, tmp_path):
+    def test_general_is_rejected_naming_the_header(self, tmp_path):
         path = tmp_path / "d.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real general\n"
             "2 2 2\n1 2 1.0\n2 1 3.0\n"
         )
-        graph = parse_graph(path, "matrix_market")
-        assert graph.directed
-        np.testing.assert_array_equal(graph.adjacency(), [[0, 1], [3, 0]])
+        with pytest.raises(GraphError) as info:
+            parse_graph(path, "matrix_market")
+        assert str(info.value) == (
+            f"{path}: line 1: a 'general' Matrix Market header declares a directed graph, "
+            "and only undirected graphs are supported; write the file with a 'symmetric' "
+            "header"
+        )
+
+    @pytest.mark.parametrize("entries", ["3 3 2\n2 1 2.0\n1 3 0.5\n", "3 3 0\n", "oops\n"],
+                             ids=["two-edges", "no-edges", "malformed"])
+    def test_general_is_rejected_whatever_its_entries(self, tmp_path, entries):
+        # the header decides, before any entry is read
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate integer General\n" + entries)
+        with pytest.raises(GraphError, match="'general' Matrix Market header.*'symmetric'"):
+            parse_graph(path, "matrix_market")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.mtx"
@@ -141,18 +153,8 @@ class TestExactParse:
         path = tmp_path / "g.txt"
         path.write_text(self.TEXT[format])
         graph = parse_graph(path, format)
-        assert not graph.directed
         assert graph.n_vertices == 5
         assert graph.edges == self.EDGES
-
-    def test_general_keeps_direction_and_order(self, tmp_path):
-        path = tmp_path / "g.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n3 3 2\n2 1 2.0\n1 3 0.5\n"
-        )
-        graph = parse_graph(path, "matrix_market")
-        assert graph.directed
-        assert graph.edges == ((1, 0, 2.0), (0, 2, 0.5))
 
 
 class TestSynthetic:

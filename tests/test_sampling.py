@@ -6,13 +6,13 @@ import pytest
 from spectral_transfer.errors import (
     DegeneratePerturbationError,
     GraphError,
+    NormalityError,
     ParameterError,
     WeightError,
 )
 from spectral_transfer.graphs import (
     OperatorWithInnerProduct,
     WeightedGraph,
-    adjoint_wrt,
     build_laplacian,
     path_graph,
 )
@@ -215,8 +215,27 @@ class TestRandomSampledLaplacian:
         w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
         ss = SampleSet.weighted_random(30, w, seed=9)
         op = random_sampled_laplacian(BandlimitedKernel(CIRCLE, 4.0), ss)
-        defect = np.abs(op.matrix - adjoint_wrt(op.matrix, op.inner)).max()
+        b = op.inner.b
+        adjoint = (op.matrix.T * b) / b[:, None]  # B^{-1} A^T B
+        defect = np.abs(op.matrix - adjoint).max()
         assert defect <= 1e-12
+
+    def test_eigensolve_under_non_uniform_weights_at_256_samples(self):
+        # reference check of the one eigh path under B = diag(1/w): A V = V
+        # diag(mu) and V^T B V = I, against the dense matrix built here
+        w = lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
+        ss = SampleSet.weighted_random(256, w, seed=4)
+        kernel = BandlimitedKernel(CIRCLE, 4.0)
+        op = random_sampled_laplacian(kernel, ss)
+        phi = CIRCLE.basis_matrix(ss.points, 4.0)
+        dense = phi @ np.diag(kernel.eigenvalues) @ phi.T / ss.w_values / 256
+        np.testing.assert_allclose(op.matrix, dense, rtol=0, atol=1e-12)
+        v, mu = op.eig.basis, op.eig.values
+        assert np.abs(dense @ v - v * mu).max() <= 1e-10
+        assert np.abs(v.T @ (v / ss.w_values[:, None]) - np.eye(256)).max() <= 1e-10
+        # its transpose is not self-adjoint under diag(1/w)
+        with pytest.raises(NormalityError, match="not self-adjoint"):
+            OperatorWithInnerProduct(dense.T, op.inner)
 
     def test_nonpositive_weight_rejected(self):
         # the sample set holds the weights the Laplacian divides by

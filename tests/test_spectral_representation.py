@@ -20,6 +20,8 @@ from spectral_transfer.filters import (
     max_difference_quotient,
 )
 from spectral_transfer.graphs import (
+    InnerProduct,
+    OperatorWithInnerProduct,
     WeightedGraph,
     build_laplacian,
     eigendecompose,
@@ -48,22 +50,22 @@ def group_values(eig):
     return np.array([group.eigenvalue for group in eig.groups])
 
 
-def directed_laplacian():
+def random_walk_laplacian():
+    """``D^{-1} L`` of a weighted graph, self-adjoint under ``B = D``."""
     graph = WeightedGraph(
-        4,
-        ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (2, 3, 1.0), (3, 1, 0.5)),
-        directed=True,
+        4, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (2, 3, 1.0), (3, 1, 0.5))
     )
-    return build_laplacian(graph, "unnormalized")
+    lap = build_laplacian(graph, "unnormalized").matrix
+    deg = np.diag(lap).copy()
+    return OperatorWithInnerProduct(lap / deg[:, None], InnerProduct(deg))
 
 
 OPERATORS = {
     "distinct": lambda: build_laplacian(path_graph(7), "unnormalized"),
     "repeated": lambda: build_laplacian(grid_graph(4, 4), "unnormalized"),
-    "directed": directed_laplacian,
+    "weighted": random_walk_laplacian,
 }
 
-# heat extends to complex eigenvalues; the polynomial is exact everywhere.
 FILTERS = (Filter.heat(0.7), Filter.polynomial((0.5, -0.3, 0.1)))
 
 
@@ -81,8 +83,7 @@ def decomposed(request):
 def test_operators_cover_the_three_cases(decomposed):
     name, op, eig = decomposed
     assert eig.grouped == (name == "repeated")
-    assert op.inner.is_standard == (name != "directed")
-    assert np.iscomplexobj(eig.basis) == (name == "directed")
+    assert op.inner.is_standard == (name != "weighted")
     assert eig.basis.shape == (op.dim, op.dim)
     assert int(eig.multiplicities.sum()) == op.dim
 

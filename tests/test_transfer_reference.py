@@ -8,8 +8,6 @@ agree with it to 1e-12 (1 + |ref|).  The Frobenius stability cells of
 perturb-stability are checked against dense ``filter_matrix`` differences.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -18,10 +16,8 @@ from hypothesis import strategies as st
 from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.experiments import ExperimentConfig, run_experiment
 from spectral_transfer.filters import Filter, apply_exact, filter_matrix
-from spectral_transfer.graph_io import parse_graph
 from spectral_transfer.graphs import (
     OperatorWithInnerProduct,
-    WeightedGraph,
     build_laplacian,
     frobenius_norm,
     operator_norm,
@@ -30,32 +26,23 @@ from spectral_transfer.graphs import (
 )
 from spectral_transfer.sampling import (
     PerturbationSpec,
+    SampleSet,
     coarsen_matching,
+    evaluation_operator,
     perturb_graph_detailed,
+    random_sampled_laplacian,
 )
-from spectral_transfer.spaces import GraphSpace
+from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 from spectral_transfer.transfer import (
     coarsening_setting,
     evaluate_transfer,
     perturbation_setting,
+    sampling_setting,
     transfer_errors,
     two_graph_error,
 )
 
 TOL = 1e-12
-
-
-def directed_ring(seed: int, chords: int, n: int = 12) -> WeightedGraph:
-    """The ring i -> i+1 (mod n) plus ``chords`` other ordered pairs, drawn
-    in row-major order, with U(0.5, 1.5) weights from one generator."""
-    rng = np.random.default_rng(seed)
-    ring = [(i, (i + 1) % n) for i in range(n)]
-    others = [(u, v) for u in range(n) for v in range(n)
-              if u != v and (u, v) not in ring]
-    pairs = ring + [others[k] for k in rng.choice(len(others), chords, replace=False)]
-    weights = rng.uniform(0.5, 1.5, len(pairs))
-    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)),
-                         directed=True)
 
 
 def reference_report(setting, filt, coeffs):
@@ -211,62 +198,6 @@ def test_stability_cells_match_dense_filter_matrices(graph, laplacian, filters,
             tol / max(fine_norm, 1e-30)), cell
 
 
-def directed_ring_setting():
-    """The seed-10 ring after remove_edges(0.1) with the perturbation seed
-    perturb-stability derives from master seed 3: cond(B) is about 3.5e6."""
-    graph = directed_ring(10, 10)
-    space = GraphSpace.from_graph(graph)
-    res = perturb_graph_detailed(
-        graph, PerturbationSpec("remove_edges", 0.1, seed=12380980892751719788)
-    )
-    return perturbation_setting(space, build_laplacian(res.graph, "unnormalized"))
-
-
-def test_shipped_directed_ring_follows_its_recipe():
-    path = Path(__file__).resolve().parents[1] / "configs" / "directed_ring.mtx"
-    graph, ring = parse_graph(path, "matrix_market"), directed_ring(7, 4)
-    assert (graph.n_vertices, graph.edges, graph.directed) == (
-        ring.n_vertices, ring.edges, ring.directed)
-
-
-def test_ill_conditioned_directed_target_matches_reference():
-    setting = directed_ring_setting()
-    assert np.linalg.cond(setting.target.inner.b_matrix) > 1e6
-    assert np.iscomplexobj(setting.source_eigenvalues)
-    report = check_against_reference(setting, Filter.heat(0.5))
-    # the known roundoff failure of this target: a mode-0 lhs of about
-    # 3e-11 against a rhs of about 1e-13
-    assert report.per_mode[0].lhs > 1e-11 and not report.per_mode[0].satisfied
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    chords=st.integers(4, 12),
-    laplacian=st.sampled_from(("unnormalized", "normalized", "adjacency")),
-    filt=st.one_of(
-        st.floats(0.1, 2.0).map(Filter.heat),
-        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(Filter.polynomial),
-    ),
-)
-def test_identity_setting_of_a_directed_graph_has_roundoff_lhs(seed, chords, laplacian, filt):
-    # S = I and Delta = L: every lhs is 0 in exact arithmetic when g and the
-    # Laplacian mismatch are taken at the complex source eigenvalues.  Both
-    # sides are roundoff here, so no verdict is asserted.
-    try:
-        space = GraphSpace.from_graph(directed_ring(seed, chords), laplacian)
-        if np.linalg.cond(space.operator.inner.b_matrix) > 1e8:
-            reject()
-        report = evaluate_transfer(perturbation_setting(space, space.operator), filt)
-    except SpectralTransferError:
-        reject()
-    tol = 1e-9 * (1.0 + np.abs(filt.evaluate(space.eig.values)).max())
-    lhs = [row.lhs for row in report.per_mode]
-    lhs += [row.laplacian_mode_error for row in report.per_mode]
-    lhs += [bound.lhs for bound in report.bounds]
-    assert max(lhs) <= tol, (max(lhs), tol)
-
-
 def test_two_graph_error_matches_reference():
     graph = random_geometric_graph(14, 0.5, seed=3)
     space = GraphSpace.from_graph(graph)
@@ -307,11 +238,14 @@ def test_large_and_small_filters_scale_every_lhs(factor):
 
 
 def band_setting(kind: str):
-    """A setting of each shape the band norms meet: undirected with S a
-    coarsening or the identity, a vertex restriction, a directed target
-    with a full B, and an empty band."""
-    if kind == "directed":
-        return directed_ring_setting()
+    """A setting of each shape the band norms meet: S a coarsening or the
+    identity, a vertex restriction, circle sampling at weighted points
+    against a target under ``B = diag(1/w)``, and an empty band."""
+    if kind == "weighted":
+        sample = SampleSet.weighted_random(
+            40, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x), seed=5)
+        delta = random_sampled_laplacian(BandlimitedKernel(CircleSpace(), 4.0), sample)
+        return sampling_setting(evaluation_operator(CircleSpace(), sample, 4.0), delta)
     graph = random_geometric_graph(24, 0.4, seed=11)
     space = GraphSpace.from_graph(graph)
     if kind == "coarsening":
@@ -327,11 +261,11 @@ def band_setting(kind: str):
 
 
 @pytest.mark.parametrize("kind", ["coarsening", "add_edges", "remove_vertices",
-                                  "directed", "empty"])
+                                  "weighted", "empty"])
 def test_band_norms_from_the_gram_spectrum_match_operator_norm(kind):
     setting = band_setting(kind)
-    if kind == "directed":
-        assert setting.target.inner.b.ndim == 2
+    if kind == "weighted":
+        assert not setting.target.inner.is_standard
     if kind == "empty":
         assert setting.dim_pw == 0
     if kind == "remove_vertices":
