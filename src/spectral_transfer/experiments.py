@@ -302,10 +302,7 @@ def _collect_transfer_rows(setting, config: ExperimentConfig):
     for filt in config.parsed_filters:
         report = evaluate_transfer(setting, filt, signal_seed=config.seed)
         for row in report.per_mode:
-            mode_rows.append((
-                filt.name, setting.name, row.mode, row.eigenvalue, row.lhs,
-                row.rhs, row.quotient, row.laplacian_mode_error, row.satisfied,
-            ))
+            mode_rows.append((filt.name, setting.name, *row))
             scatter_points.append((row.laplacian_mode_error, row.lhs, filt.name))
         for bound in report.bounds:
             bound_rows.append((
@@ -413,7 +410,7 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     # U (W o (g(l_i) - g(m_j))) V^H (Hoffman & Wielandt, 1953).
     fine_mat, fine_eig = space.operator.matrix, space.eig
     if restriction is not None:
-        fine_mat = restriction @ fine_mat @ restriction.T
+        fine_mat = fine_mat[np.ix_(result.kept_vertices, result.kept_vertices)]
         fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
     lap_abs = frobenius_norm(fine_mat - delta_op.matrix)
     lap_rel = lap_abs / max(frobenius_norm(fine_mat), 1e-30)

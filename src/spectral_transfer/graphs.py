@@ -327,10 +327,6 @@ class InnerProduct:
             return x
         return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
 
-    def norm(self, u: np.ndarray) -> float:
-        """Norm of the vector ``u`` under this inner product."""
-        return float(self.column_norms(np.asarray(u)[:, None])[0])
-
     def weighted_operator_norm(self, mat: np.ndarray) -> float:
         """Operator norm of ``mat``, Euclidean norm in and B-norm out."""
         return operator_norm(self.apply_sqrt(mat))

@@ -43,9 +43,7 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):  # includes numpy float64
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return str(value)  # an int, Python or numpy, or a str
 
 
 def emit_reports(bundle: ReportBundle, out_dir, svg: bool = False) -> list:
@@ -63,7 +61,11 @@ def emit_reports(bundle: ReportBundle, out_dir, svg: bool = False) -> list:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_format_cell(c) for c in row] for row in rows)
+        # csv writes a str or int cell as it is and a float as its repr; only a
+        # column holding something else (a bool, a numpy scalar) is formatted
+        columns = [col if set(map(type, col)) <= {float, int, str} else map(_format_cell, col)
+                   for col in zip(*rows)]
+        writer.writerows(zip(*columns))
         texts[f"{name}.csv"] = buffer.getvalue()
     if svg:
         for name, scatter in sorted(bundle.scatters.items()):

@@ -8,8 +8,12 @@ adjoint of sampling, so its matrix is ``R = S^H B``.  A filter g reaches a
 setting through one cached matrix ``Q = V^H B S``, the band in the target's
 B-orthonormal eigenbasis V, and its responses ``g(mu)`` on the target
 eigenvalues and ``g(lambda)`` on the source ones: ``g(Delta) S = V (g(mu) Q)``
-and ``R g(Delta) S = Q^H diag(g(mu)) Q``.  The graph-side lhs are B-norms of
-``V (g(mu) Q) - S g(Lambda)`` on the graph.
+and ``R g(Delta) S = Q^H diag(g(mu)) Q``.  V is complete and B-orthonormal
+(``V^H B V = I``, as ``eigendecompose`` gives it), so ``S = V Q`` and ``V^H B``
+maps B-norms to equal Euclidean ones: each graph-side lhs, a B-norm of
+``V (g(mu) Q) - S g(Lambda)``, is the norm of the array
+``Q o (g(mu_i) - g(lambda_j))``, formed elementwise.  Every rhs stays
+measured on Delta itself, through ``Delta S - S Lambda``.
 
 The five bound variants relate the filter transfer error to the Laplacian
 transfer error and the consistency error: per source Fourier mode, for a
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +121,8 @@ class TransferSetting:
         """Interpolation as the adjoint of sampling: ``S^H B``."""
         return self.target.inner.apply(self.s_pw).conj().T
 
-    # Q, the per-mode Laplacian errors and the band norms below do not depend
-    # on the filter; each is measured once per setting.
+    # Q, the Laplacian errors and the band norms below do not depend on the
+    # filter; each is measured once per setting.
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -125,10 +130,15 @@ class TransferSetting:
         return self.target.eig.basis.conj().T @ self.target.inner.apply(self.s_pw)
 
     @cached_property
+    def _laplacian_errors(self) -> tuple:
+        # both norms of Delta S - S Lambda from one product, not kept (peak RSS)
+        diff = self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues
+        return self.target.inner.column_norms(diff), self.target.inner.weighted_operator_norm(diff)
+
+    @property
     def laplacian_mode_errors(self) -> np.ndarray:
         """Graph norm of ``Delta S e_m - S e_m lambda_m`` for each mode m."""
-        diff = self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues
-        return self.target.inner.column_norms(diff)
+        return self._laplacian_errors[0]
 
     @cached_property
     def band_gram_spectrum(self) -> np.ndarray:
@@ -143,11 +153,10 @@ class TransferSetting:
         """Measured ||R||; equals ||S|| since R is the adjoint of S."""
         return float(np.sqrt(self.band_gram_spectrum.max(initial=0.0)))
 
-    @cached_property
+    @property
     def laplacian_operator_error(self) -> float:
         """``|| S L P - Delta S P ||`` in operator norm over the band."""
-        diff = self.s_pw * self.source_eigenvalues - self.target.matrix @ self.s_pw
-        return self.target.inner.weighted_operator_norm(diff)
+        return self._laplacian_errors[1]
 
     @cached_property
     def consistency_operator_error(self) -> float:
@@ -192,9 +201,8 @@ def perturbation_setting(space: GraphSpace, delta: OperatorWithInnerProduct,
     return TransferSetting(name, band, space.eigenvalues_up_to(band), s_pw, delta)
 
 
-@dataclass(frozen=True)
-class ModeRow:
-    """One per-mode certified inequality."""
+class ModeRow(NamedTuple):
+    """One per-mode certified inequality, its fields in ``modes.csv`` order."""
 
     mode: int
     eigenvalue: float
@@ -202,10 +210,7 @@ class ModeRow:
     rhs: float
     quotient: float
     laplacian_mode_error: float
-
-    @property
-    def satisfied(self) -> bool:
-        return certified(self.lhs, self.rhs)
+    satisfied: bool
 
 
 def bound_fourier_mode(setting: TransferSetting, filt: Filter,
@@ -218,24 +223,24 @@ def bound_fourier_mode(setting: TransferSetting, filt: Filter,
 def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     """Per-mode rows for the source modes ``modes`` (any column index).
 
-    Works on all the modes at once: the lhs are the graph-norm column
-    norms of the mismatch ``V (g(mu) Q) - S g(Lambda)``.  Also returns
-    the modes' filter constants and the mismatch, for the aggregate bounds.
+    Works on all the modes at once.  With V complete and B-orthonormal, the
+    mismatch ``V (g(mu) Q) - S g(Lambda)`` is ``V C`` for the elementwise
+    ``C = Q o (g(mu_i) - g(lambda_j))``, and ``V^H B`` is an isometry, so the
+    lhs, its columns' B-norms, are C's column norms; the rhs stay measured on
+    Delta.  Also returns the modes' filter constants and C, for the
+    aggregate bounds.
     """
     lams = setting.source_eigenvalues[modes]
     constants = filter_constants(filt, lams, setting.target.eig.values)
     lap = setting.laplacian_mode_errors[modes]
-    mismatch = setting.target.eig.basis @ (
-        setting.target_response(filt) * setting.q[:, modes]
-    )
-    mismatch -= setting.s_pw[:, modes] * filt.evaluate(lams)
-    lhs = setting.target.inner.column_norms(mismatch)
-    rows = tuple(
-        ModeRow(int(mode), float(lam), float(left), float(q * err), float(q), float(err))
-        for mode, lam, left, q, err in zip(
-            np.arange(setting.dim_pw)[modes], lams, lhs, constants.vg_per_eig, lap
-        )
-    )
+    # a response or rhs beyond the float range is inf, with no warning
+    with np.errstate(over="ignore"):
+        rhs = constants.vg_per_eig * lap
+        mismatch = setting.q[:, modes] * (setting.target_response(filt) - filt.evaluate(lams))
+        lhs = column_norms(mismatch)
+        passed = certified(lhs, rhs)
+    columns = (np.arange(setting.dim_pw)[modes], lams, lhs, rhs, constants.vg_per_eig, lap, passed)
+    rows = tuple(map(ModeRow._make, zip(*(column.tolist() for column in columns))))
     return rows, constants, mismatch
 
 
@@ -342,8 +347,8 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     lhs_worst_m = hermitian_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
 
     per_mode, constants, mismatch = _mode_bounds(setting, filt, slice(None))
-    lhs_point_g = setting.target.inner.norm(mismatch @ coeffs)
-    lhs_worst_g = setting.target.inner.weighted_operator_norm(mismatch)
+    lhs_point_g = float(column_norms((mismatch @ coeffs)[:, None])[0])
+    lhs_worst_g = operator_norm(mismatch)
     del mismatch
 
     c_norm = setting.interpolation_norm

@@ -12,6 +12,7 @@ from spectral_transfer import cli, experiments
 from spectral_transfer.graphs import path_graph
 from spectral_transfer.reports import ReportBundle
 from spectral_transfer.spaces import GraphSpace
+from spectral_transfer.transfer import certified
 
 
 @pytest.fixture()
@@ -417,6 +418,34 @@ def test_filter_relative_of_a_filter_near_the_float_limit_equals_laplacian_relat
     with open(out_dir / "stability.csv", newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert abs(float(row["filter_relative"]) - float(row["laplacian_relative"])) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [
+    "configs/coarsen_transfer.txt",
+    "configs/perturb_stability.txt",
+    # its remove_edges(0.2) mode-0 row fails on roundoff alone
+    "experiment = perturb-stability\ngraph = path(6)\nfilters = poly(0,1e160)\n"
+    "perturbations = remove_edges(0.2)\nseed = 1\n",
+], ids=["coarsen_transfer", "perturb_stability", "path6-poly1e160"])
+def test_every_pass_cell_is_certified_of_its_lhs_and_rhs(config, tmp_path):
+    # the per-mode verdicts come from one vectorised certified() call; each
+    # must equal the scalar call on the numbers the row prints
+    if config.startswith("configs/"):
+        path = Path(__file__).resolve().parents[1] / config
+    else:
+        path = tmp_path / "cfg.txt"
+        path.write_text(config)
+    experiment = experiments.ExperimentConfig.from_file(path).experiment
+    out_dir = tmp_path / "out"
+    code = cli.main([experiment, "--config", str(path), "--out", str(out_dir)])
+    verdicts = []
+    for table in ("modes.csv", "bounds.csv"):
+        with open(out_dir / table, newline="") as fh:
+            for row in csv.DictReader(fh):
+                passed = certified(float(row["lhs"]), float(row["rhs"]))
+                assert row["pass"] == ("true" if passed else "false"), (table, row)
+                verdicts.append(passed)
+    assert code == (0 if all(verdicts) else 1)
 
 
 @pytest.mark.xfail(

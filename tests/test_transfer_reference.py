@@ -17,9 +17,11 @@ from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.experiments import ExperimentConfig, run_experiment
 from spectral_transfer.filters import Filter, apply_exact, filter_matrix
 from spectral_transfer.graphs import (
+    InnerProduct,
     OperatorWithInnerProduct,
     build_laplacian,
     frobenius_norm,
+    grid_graph,
     operator_norm,
     path_graph,
     random_geometric_graph,
@@ -196,6 +198,74 @@ def test_stability_cells_match_dense_filter_matrices(graph, laplacian, filters,
         assert abs(cell["filter_frobenius"] - filt_abs) <= tol, cell
         assert abs(cell["filter_relative"] - filt_abs / max(fine_norm, 1e-30)) <= (
             tol / max(fine_norm, 1e-30)), cell
+
+
+def dense_graph_side_lhs(setting, filt, coeffs):
+    """Graph-side lhs from the mismatch ``V g(mu) V^H B S - S g(Lambda)``
+    formed on the graph, and the scale of its roundoff."""
+    eig, b = setting.target.eig, setting.target.inner.b
+    s, g_lam = setting.s_pw, filt.evaluate(setting.source_eigenvalues)
+    g_mu = filt.evaluate(eig.values)
+    mismatch = eig.basis @ (g_mu[:, None] * (eig.basis.conj().T @ (b[:, None] * s)))
+    mismatch -= s * g_lam
+    weighted = np.sqrt(b)[:, None] * mismatch
+    sup_g = np.abs(np.concatenate([g_mu, g_lam])).max(initial=0.0)
+    return {
+        "mode_lhs": np.linalg.norm(weighted, axis=0),
+        "pointwise_in_G": np.linalg.norm(weighted @ coeffs),
+        "worstcase_in_G": np.linalg.norm(weighted, 2) if weighted.size else 0.0,
+    }, sup_g * np.linalg.norm(np.sqrt(b)[:, None] * s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=st.one_of(
+        st.integers(2, 16).map(path_graph),
+        st.builds(grid_graph, st.integers(2, 4), st.integers(2, 4)),
+        st.builds(random_geometric_graph, st.integers(3, 16), st.floats(0.3, 0.9),
+                  st.integers(0, 10_000)),
+    ),
+    laplacian=st.sampled_from(("unnormalized", "normalized", "adjacency")),
+    perturbation=st.sampled_from(("remove_vertices", "add_edges", "remove_edges")),
+    fraction=st.floats(0.0, 0.5),
+    band_frac=st.sampled_from([1.0, 0.6, 0.3]),
+    family=st.sampled_from(sorted(FILTER_MAKERS)),
+    arg=st.floats(0.2, 3.0),
+    weight_seed=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+def test_coordinate_lhs_match_the_dense_mismatch(graph, laplacian, perturbation, fraction,
+                                                 band_frac, family, arg, weight_seed):
+    # V complete and B-orthonormal makes V^H B an isometry, so the lhs from
+    # Q o (g(mu_i) - g(lambda_j)) are the B-norms of the mismatch on the graph
+    try:
+        space = GraphSpace.from_graph(graph, laplacian)
+        res = perturb_graph_detailed(graph, PerturbationSpec(perturbation, fraction, seed=1))
+        delta = build_laplacian(res.graph, laplacian)
+    except SpectralTransferError:
+        reject()  # a vertex of degree 0 under the normalized Laplacian
+    if weight_seed is not None:
+        # diag(1/b) L is self-adjoint under B = diag(b)
+        b = np.random.default_rng(weight_seed).uniform(0.25, 4.0, size=delta.dim)
+        delta = OperatorWithInnerProduct(delta.matrix / b[:, None], InnerProduct(b))
+    restriction = None
+    if res.kept_vertices is not None:
+        restriction = res.restriction_matrix(graph.n_vertices)
+    setting = perturbation_setting(space, delta, restriction=restriction,
+                                   band=band_frac * space.full_band())
+    filt = FILTER_MAKERS[family](arg)
+    try:
+        report = evaluate_transfer(setting, filt, signal_seed=5)
+    except SpectralTransferError:
+        reject()  # a declared Lipschitz constant that a signed spectrum breaks
+    rng = np.random.default_rng(np.random.SeedSequence((5, setting.dim_pw)))
+    coeffs = rng.normal(size=setting.dim_pw)
+    coeffs /= np.linalg.norm(coeffs)
+    ref, scale = dense_graph_side_lhs(setting, filt, coeffs)
+    got = {"mode_lhs": np.array([row.lhs for row in report.per_mode])}
+    got.update((bound.name, bound.lhs) for bound in report.bounds)
+    for name, want in ref.items():
+        assert np.all(np.abs(got[name] - want) <= 1e-12 * np.abs(want) + 1e-14 * scale), (
+            name, got[name], want, scale)
 
 
 def test_two_graph_error_matches_reference():
