@@ -397,11 +397,8 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     """
     result = perturb_graph_detailed(graph, spec)
     delta_op = build_laplacian(result.graph, config.laplacian)
-    restriction = None
-    if result.kept_vertices is not None:
-        restriction = result.restriction_matrix(graph.n_vertices)
     setting = perturbation_setting(
-        space, delta_op, restriction=restriction, band=config.band, name=desc
+        space, delta_op, kept=result.kept_vertices, band=config.band, name=desc
     )
     modes, bounds, _, summary, lipschitz, ok = _collect_transfer_rows(setting, config)
     # Frobenius stability, the fine operator restricted first when vertices
@@ -409,7 +406,7 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     # orthonormal eigenbases U, V and W = U^H V, g(L) - g(L') =
     # U (W o (g(l_i) - g(m_j))) V^H (Hoffman & Wielandt, 1953).
     fine_mat, fine_eig = space.operator.matrix, space.eig
-    if restriction is not None:
+    if result.kept_vertices is not None:
         fine_mat = fine_mat[np.ix_(result.kept_vertices, result.kept_vertices)]
         fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
     lap_abs = frobenius_norm(fine_mat - delta_op.matrix)
@@ -532,8 +529,9 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
     """The reference 2-layer network: channels 1 -> 2 -> 2, unit mixing,
     bias-free, relu, max pooling after the first layer, bands covering 4,
     6, and 8 modes of the input graph.  A band keeps the modes with
-    ``|lambda|`` up to it, so the bands fall between sorted ``|lambda|``."""
-    lams = np.sort(np.abs(space.eig.values))
+    ``|lambda|`` up to it, so the bands fall between consecutive entries
+    of ``|values|``, which the decomposition orders by ``|lambda|``."""
+    lams = np.abs(space.eig.values)
     if lams.shape[0] < 9:
         raise ConfigError("the default network needs a graph with >= 9 modes")
     bands = (

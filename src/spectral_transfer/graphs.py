@@ -13,8 +13,10 @@ product ``<u, v> = v^H B u``, the dot product for a graph and ``diag(1/w)``
 for a sampled Laplacian, held as its n weights.  Each operator caches its
 eigendecomposition as ``op.eig``, one numpy ``eigh`` of the Hermitian
 ``B^{1/2} A B^{-1/2}``, which every filter, bound and network layer on it
-reads.  All decompositions are dense and direct: time grows as n^3 and
-memory as n^2 (one eigenbasis per operator, no per-eigenvalue projectors).
+reads: each eigenvector column keeps its own eigenvalue, as ``eigh`` returns
+it, so a filter acts on the operator itself.  All decompositions are dense
+and direct: time grows as n^3 and memory as n^2 (one eigenbasis per
+operator, no per-eigenvalue projectors).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .errors import (
     ParameterError,
 )
 
-#: Relative eigenvalue-grouping tolerance (times the spectral radius).
-#: Repeated eigenvalues must share one projection for a filter response to
-#: be well defined on the eigenspace.
+#: Relative eigenvalue-cluster tolerance (times the spectral radius).  It
+#: only labels clusters of near-equal eigenvalues, for ``grouped`` and
+#: ``groups``; it changes no eigenvalue.
 DEFAULT_GROUP_TOL = 1e-8
 
 #: Range of the largest squared column norm inside which the Gram matrix
@@ -378,7 +380,7 @@ class OperatorWithInnerProduct:
 
     @cached_property
     def eig(self) -> "EigenDecomposition":
-        """The grouped eigendecomposition, computed once per operator."""
+        """The eigendecomposition, computed once per operator."""
         return eigendecompose(self)
 
 
@@ -410,7 +412,8 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
 
 @dataclass(frozen=True)
 class EigenGroup:
-    """One eigenvalue with the B-orthonormal basis columns of its eigenspace."""
+    """One cluster of eigenvalues with its B-orthonormal basis columns;
+    ``eigenvalue`` is the value of its last column."""
 
     eigenvalue: float
     columns: np.ndarray
@@ -424,11 +427,12 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues grouped into eigenspaces, ordered by increasing ``|lambda|``.
+    """Eigenvalues and eigenvectors, ordered by increasing ``|lambda|``.
 
-    ``basis`` holds B-orthonormal eigenvector columns, group by group, and
-    ``values`` one eigenvalue per column: group j spans the next
-    ``multiplicities[j]`` columns, each holding its group's mean eigenvalue.
+    ``basis`` holds B-orthonormal eigenvector columns and ``values`` the
+    eigenvalue of each column, nondecreasing in ``|lambda|`` (ties by
+    lambda), so ``A V = V diag(values)``.  Cluster j of near-equal
+    eigenvalues spans the next ``multiplicities[j]`` columns.
     A spectral function g acts as ``V g(Lambda) V^H B``, so the
     decomposition stores one n x n matrix in all, and no eigenprojection is
     formed unless asked for.
@@ -445,12 +449,12 @@ class EigenDecomposition:
 
     @property
     def grouped(self) -> bool:
-        """True when some eigenvalue is repeated (to the grouping tolerance)."""
+        """True when some eigenvalue is repeated (to the cluster tolerance)."""
         return bool(np.any(self.multiplicities > 1))
 
     @property
     def groups(self) -> tuple:
-        """One :class:`EigenGroup` per eigenvalue, viewing its basis columns."""
+        """One :class:`EigenGroup` per cluster, viewing its basis columns."""
         ends = np.cumsum(self.multiplicities)
         return tuple(
             EigenGroup(float(self.values[end - 1]), self.basis[:, end - count:end], self.inner)
@@ -473,54 +477,25 @@ class EigenDecomposition:
         return self.basis @ (scale.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
 
 
-def _group_eigenvalues(values: np.ndarray, tol: float):
-    """Cluster |lambda|-sorted eigenvalues; indices of each merged group."""
-    order = np.lexsort((values.imag, values.real, np.abs(values)))
-    groups = []
-    total = mean = 0.0
-    for idx, value in zip(order.tolist(), values[order].tolist()):
-        if groups:
-            current = groups[-1]
-            gap = abs(value - mean)
-            if abs(gap - tol) <= 1e-12 * (1.0 + abs(value)):
-                # near tol, decide with np.mean: the running mean may be an ulp off
-                gap = abs(values[idx] - np.mean(values[current]))
-            if gap <= tol:
-                current.append(idx)
-                total += value
-                mean = total / len(current)
-                continue
-        groups.append([idx])
-        total = mean = value
-    return groups
-
-
 def eigendecompose(op: OperatorWithInnerProduct) -> EigenDecomposition:
-    """Eigendecompose an operator self-adjoint under B into grouped eigenspaces.
+    """Eigendecompose an operator self-adjoint under B.
 
     One ``eigh`` of the Hermitian ``B^{1/2} A B^{-1/2}``, whose orthonormal
-    eigenvectors ``B^{-1/2}`` maps to B-orthonormal ones.  Eigenvalues
-    closer than ``DEFAULT_GROUP_TOL`` times max(spectral radius, 1) merge
-    into a single eigenspace whose eigenvalue is their mean.  Callers read
-    the cached ``op.eig`` instead.
+    eigenvectors ``B^{-1/2}`` maps to B-orthonormal ones, ordered by
+    ``|lambda|`` and then by lambda; every column keeps the eigenvalue
+    ``eigh`` gave it.  ``multiplicities`` counts the runs of consecutive
+    eigenvalues at most ``DEFAULT_GROUP_TOL`` times max(spectral radius, 1)
+    apart.  Callers read the cached ``op.eig`` instead.
     """
     inner = op.inner
     vals, vecs = np.linalg.eigh(inner.apply_inv_sqrt(inner.apply_sqrt(op.matrix).T).T)
-    radius = float(np.abs(vals).max()) if vals.size else 0.0
-    group_tol = DEFAULT_GROUP_TOL * max(radius, 1.0)
-
-    index_groups = _group_eigenvalues(vals, group_tol)
-    counts = np.array([len(idxs) for idxs in index_groups])
-    order = np.concatenate(index_groups)
-    # a singleton's mean is its value; only a merged group needs np.mean.
-    # Its complex accumulator keeps the summation order that every report
-    # was written with; a real one moves some group means by an ulp
-    means = vals[order[np.cumsum(counts) - counts]]
-    for j in np.flatnonzero(counts > 1):
-        means[j] = np.mean(vals[index_groups[j]], dtype=complex).real
+    order = np.lexsort((vals, np.abs(vals)))
+    values = vals[order]
+    tol = DEFAULT_GROUP_TOL * max(np.abs(values).max(initial=0.0), 1.0)
+    starts = np.flatnonzero(np.r_[True, np.abs(np.diff(values)) > tol])
     return EigenDecomposition(
-        values=np.repeat(means, counts),
-        multiplicities=counts,
+        values=values,
+        multiplicities=np.diff(np.r_[starts, values.size]),
         inner=inner,
         basis=inner.apply_inv_sqrt(vecs)[:, order],
     )

@@ -306,12 +306,6 @@ class PerturbationResult:
     graph: WeightedGraph
     kept_vertices: tuple | None = None
 
-    def restriction_matrix(self, n_fine: int) -> np.ndarray:
-        """Selector rows mapping fine signals to surviving vertices."""
-        s = np.zeros((len(self.kept_vertices), n_fine))
-        s[np.arange(len(self.kept_vertices)), self.kept_vertices] = 1.0
-        return s
-
 
 def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> PerturbationResult:
     """Apply a perturbation; deterministic under the given seed.

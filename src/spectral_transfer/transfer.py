@@ -68,10 +68,7 @@ def filter_constants(filt: Filter, source_eigenvalues,
     the largest quotient when the filter declares none.
     """
     source = np.asarray(source_eigenvalues)
-    # a repeated target eigenvalue adds no quotient; np.unique would import numpy.ma (+1.5 MB RSS)
-    target = np.sort(np.asarray(target_spectrum))
-    distinct = np.concatenate([target[:1], target[1:][target[1:] != target[:-1]]])
-    vg = max_difference_quotient(filt, source, distinct)
+    vg = max_difference_quotient(filt, source, target_spectrum)
     lip = filt.lipschitz_constant
     if lip is not None and vg.size and not certified(float(vg.max()), lip):
         raise ParameterError(
@@ -184,20 +181,22 @@ def coarsening_setting(space: GraphSpace, cmap: CoarseningMap,
                        name: str = "coarsening") -> TransferSetting:
     """Coarsening setting, S the coarsening map on the band, with the
     collapsed operator ``S L S^T``."""
-    delta = coarsened_laplacian(cmap, space.operator)
-    return perturbation_setting(space, delta, cmap.s_matrix, band, name)
+    if band is None:
+        band = space.full_band()
+    return TransferSetting(name, band, space.eigenvalues_up_to(band),
+                           cmap.s_matrix @ space.pw_basis(band),
+                           coarsened_laplacian(cmap, space.operator))
 
 
 def perturbation_setting(space: GraphSpace, delta: OperatorWithInnerProduct,
-                         restriction: np.ndarray | None = None,
-                         band: float | None = None,
+                         kept: tuple | None = None, band: float | None = None,
                          name: str = "perturbation") -> TransferSetting:
-    """Perturbation setting, S = R = I (or ``restriction``, such as a
-    vertex selection, on the band)."""
+    """Perturbation setting, S = R = I on the band, or S the band's rows at
+    the ``kept`` vertex indices when vertices were removed."""
     if band is None:
         band = space.full_band()
     basis = space.pw_basis(band)
-    s_pw = basis if restriction is None else restriction @ basis
+    s_pw = basis if kept is None else basis[np.asarray(kept)]
     return TransferSetting(name, band, space.eigenvalues_up_to(band), s_pw, delta)
 
 

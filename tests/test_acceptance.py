@@ -110,11 +110,8 @@ def criterion1_settings():
                                 seed=_substream(SEED, "perturb", index))
         res = perturb_graph_detailed(graph, spec)
         delta = build_laplacian(res.graph, "unnormalized")
-        restriction = None
-        if res.kept_vertices is not None:
-            restriction = res.restriction_matrix(graph.n_vertices)
         settings.append(perturbation_setting(space, delta,
-                                             restriction=restriction,
+                                             kept=res.kept_vertices,
                                              name=descriptor))
     return settings
 

@@ -11,7 +11,7 @@ from spectral_transfer.errors import (
     InvalidInnerProductError,
     NormalityError,
 )
-from spectral_transfer import graphs
+from spectral_transfer.filters import Filter, apply_exact, apply_rational
 from spectral_transfer.graphs import (
     InnerProduct,
     OperatorWithInnerProduct,
@@ -225,85 +225,41 @@ class TestNormalityCheck:
         assert not _accepts(a + 1e-6 * np.triu(np.ones_like(a), 1), InnerProduct.standard(20))
 
 
-def _group_eigenvalues_reference(values, tol):
-    """The grouping as first written: ``np.mean`` of the group each step."""
-    order = np.lexsort((values.imag, values.real, np.abs(values)))
-    groups = []
-    for idx in order:
-        if groups:
-            current = groups[-1]
-            if abs(values[idx] - np.mean(values[current])) <= tol:
-                current.append(idx)
-                continue
-        groups.append([idx])
-    return groups
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=12),
-    st.booleans(),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_grouping_matches_reference_on_clustered_spectra(cluster_sizes, complex_, seed):
-    rng = np.random.default_rng(seed)
-    tol = 1e-8
-    values = []
-    for size in cluster_sizes:
-        centre = rng.uniform(-3.0, 3.0) + (1j * rng.uniform(-3.0, 3.0) if complex_ else 0)
-        # members lie within half the tolerance of the centre; some repeat it
-        spread = rng.choice([0.0, 0.1, 0.5]) * tol
-        values.extend(centre + spread * rng.uniform(-1.0, 1.0, size=size))
-    values = np.asarray(values, dtype=complex)
-    got = graphs._group_eigenvalues(values, tol)
-    expected = _group_eigenvalues_reference(values, tol)
-    assert [list(map(int, g)) for g in got] == [list(map(int, g)) for g in expected]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.floats(min_value=0.4, max_value=0.9), min_size=0, max_size=8),
-        min_size=1, max_size=6,
+    clusters=st.lists(
+        st.tuples(
+            st.floats(-3.0, 3.0),
+            # the spread, relative to the radius, is inside DEFAULT_GROUP_TOL
+            st.one_of(st.just(0.0), st.floats(1e-14, 1e-9)),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        ),
+        min_size=1, max_size=4,
     ),
-    st.integers(min_value=0, max_value=10**6),
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    seed=st.integers(0, 10**6),
 )
-# a running mean one ulp off np.mean puts this gap on the other side of tol
-@example(chains=[[], [0.546875, 0.4375, 0.5625, 0.5, 0.5, 0.5]], seed=0)
-def test_grouping_matches_reference_on_chained_spectra(chains, seed):
-    # Successive gaps of 0.4-0.9 tol put members within tol of the last
-    # member but not always of the first or of the group mean, so only the
-    # running mean reproduces the reference's groups.
-    rng = np.random.default_rng(seed)
-    tol = 1e-8
-    values = []
-    for gaps in chains:
-        start = rng.uniform(0.5, 3.0)
-        values.extend(start + tol * np.concatenate([[0.0], np.cumsum(gaps)]))
-    values = np.asarray(values, dtype=complex)
-    got = graphs._group_eigenvalues(values, tol)
-    expected = _group_eigenvalues_reference(values, tol)
-    assert [list(map(int, g)) for g in got] == [list(map(int, g)) for g in expected]
-
-
-@pytest.mark.parametrize(
-    "offsets, expected",
-    [
-        # beyond tol of the first member, just inside tol of the mean
-        ([0.0, 0.8, 1.39], [[0, 1, 2]]),
-        # just outside tol of the mean
-        ([0.0, 0.8, 1.41], [[0, 1], [2]]),
-        # within tol of the last member, not of the mean
-        ([0.0, 0.9, 1.8], [[0, 1], [2]]),
-        ([0.0, 0.6, 1.2, 1.8, 2.4], [[0, 1, 2], [3, 4]]),
-    ],
-)
-def test_grouping_compares_with_the_running_mean(offsets, expected):
-    tol = 1e-8
-    values = 1.0 + tol * np.asarray(offsets, dtype=complex)
-    got = graphs._group_eigenvalues(values, tol)
-    assert [list(map(int, g)) for g in got] == expected
-    assert [list(map(int, g)) for g in _group_eigenvalues_reference(values, tol)] == expected
+# a cluster 1, 1 + 1e-10, 1 + 3e-10 whose mean would be off by 1e-10
+@example(clusters=[(0.0, 0.0, [0.0]), (1.0, 1.5e-10, [0.0, 1 / 3, 1.0]), (2.0, 0.0, [0.0])],
+         coeffs=[0.5, -1.0, 1.0], seed=0)
+def test_clustered_spectra_keep_each_eigenvalue(clusters, coeffs, seed):
+    radius = max(max(abs(centre) for centre, _, _ in clusters), 1.0)
+    lams = np.array([centre + spread * radius * offset
+                     for centre, spread, offsets in clusters for offset in offsets])
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(lams.size, lams.size)))
+    a = (q * lams) @ q.T
+    op = OperatorWithInnerProduct.symmetric(0.5 * (a + a.T))
+    eig = eigendecompose(op)
+    v = eig.basis
+    scale = max(np.linalg.norm(op.matrix, 2), 1.0)
+    assert np.linalg.norm(op.matrix @ v - v * eig.values, 2) <= 1e-12 * scale
+    assert np.all(np.diff(np.abs(eig.values)) >= 0)
+    # a polynomial through the eigenbasis against Horner on the matrix
+    filt = Filter.polynomial(tuple(coeffs))
+    signal = np.random.default_rng(seed + 1).normal(size=lams.size)
+    exact = apply_exact(filt, eig, signal)
+    size = sum(abs(c) * scale**k for k, c in enumerate(coeffs)) * np.linalg.norm(signal)
+    assert np.linalg.norm(exact - apply_rational(filt, op, signal)) <= 1e-12 * size
 
 
 class TestEigendecompose:

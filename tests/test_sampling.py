@@ -271,9 +271,14 @@ class TestPerturbation:
         res = perturb_graph_detailed(g, PerturbationSpec("remove_vertices", 0.2, seed=5))
         assert res.graph.n_vertices == 8
         assert len(res.kept_vertices) == 8
-        s = res.restriction_matrix(10)
-        assert s.shape == (8, 10)
-        np.testing.assert_allclose(s @ s.T, np.eye(8), atol=1e-15)
+        # distinct fine vertices in increasing order: new vertex i is kept_vertices[i]
+        assert list(res.kept_vertices) == sorted(set(res.kept_vertices))
+        assert set(res.kept_vertices) <= set(range(10))
+        # the surviving path edges, renumbered
+        kept = res.kept_vertices
+        assert {(u, v) for u, v, _ in res.graph.edges} == {
+            (i, i + 1) for i in range(7) if kept[i + 1] == kept[i] + 1
+        }
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DegeneratePerturbationError):

@@ -1,10 +1,10 @@
 """The eigenbasis representation against explicit group projectors.
 
 A decomposition stores the B-orthonormal basis, one eigenvalue per basis
-column and the multiplicity of each grouped eigenvalue; spectral functions
-act as ``V g V^H B``.  These tests compare every spectral route with the
-definition it replaced: a sum over the eigenvalue groups of
-``g(lambda_j) C_j C_j^H B``, where ``C_j`` are the group's basis columns.
+column and the size of each cluster of near-equal eigenvalues; spectral
+functions act as ``V g V^H B``.  These tests compare every spectral route
+with the definition it replaced: a sum over the eigenvalue clusters of
+``g(lambda_j) C_j C_j^H B``, where ``C_j`` are the cluster's basis columns.
 """
 
 import numpy as np
@@ -89,12 +89,11 @@ def test_operators_cover_the_three_cases(decomposed):
 
 
 def test_values_hold_each_group_eigenvalue_once_per_column(decomposed):
+    # values is nondecreasing in |lambda|, and each column is an
+    # eigenvector for its own value, not for a value shared by its cluster
     _, op, eig = decomposed
     assert eig.values.shape == (op.dim,)
-    np.testing.assert_array_equal(
-        eig.values, np.repeat(group_values(eig), eig.multiplicities)
-    )
-    # each column is an eigenvector for its value
+    assert np.all(np.diff(np.abs(eig.values)) >= 0)
     assert_matches(op.matrix @ eig.basis, eig.basis * eig.values)
 
 

@@ -128,11 +128,8 @@ def test_q_route_matches_reference(n, radius, graph_seed, family, arg,
         res = perturb_graph_detailed(
             graph, PerturbationSpec(setting_kind, 0.3, seed=graph_seed)
         )
-        restriction = None
-        if res.kept_vertices is not None:
-            restriction = res.restriction_matrix(n)
         setting = perturbation_setting(space, build_laplacian(res.graph, "unnormalized"),
-                                       restriction=restriction, band=band)
+                                       kept=res.kept_vertices, band=band)
     check_against_reference(setting, FILTER_MAKERS[family](arg))
 
 
@@ -180,8 +177,7 @@ def test_stability_cells_match_dense_filter_matrices(graph, laplacian, filters,
         result = perturb_graph_detailed(source, spec)
         fine_mat = fine
         if result.kept_vertices is not None:
-            restriction = result.restriction_matrix(source.n_vertices)
-            fine_mat = restriction @ fine @ restriction.T
+            fine_mat = fine[np.ix_(result.kept_vertices, result.kept_vertices)]
         delta = build_laplacian(result.graph, laplacian)
         fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
         for filt in config.parsed_filters:
@@ -247,10 +243,7 @@ def test_coordinate_lhs_match_the_dense_mismatch(graph, laplacian, perturbation,
         # diag(1/b) L is self-adjoint under B = diag(b)
         b = np.random.default_rng(weight_seed).uniform(0.25, 4.0, size=delta.dim)
         delta = OperatorWithInnerProduct(delta.matrix / b[:, None], InnerProduct(b))
-    restriction = None
-    if res.kept_vertices is not None:
-        restriction = res.restriction_matrix(graph.n_vertices)
-    setting = perturbation_setting(space, delta, restriction=restriction,
+    setting = perturbation_setting(space, delta, kept=res.kept_vertices,
                                    band=band_frac * space.full_band())
     filt = FILTER_MAKERS[family](arg)
     try:
@@ -323,11 +316,8 @@ def band_setting(kind: str):
     if kind == "empty":
         return perturbation_setting(space, space.operator, band=-1.0)
     res = perturb_graph_detailed(graph, PerturbationSpec(kind, 0.2, seed=4))
-    restriction = None
-    if res.kept_vertices is not None:
-        restriction = res.restriction_matrix(graph.n_vertices)
     return perturbation_setting(space, build_laplacian(res.graph, "unnormalized"),
-                                restriction=restriction)
+                                kept=res.kept_vertices)
 
 
 @pytest.mark.parametrize("kind", ["coarsening", "add_edges", "remove_vertices",
