@@ -193,6 +193,12 @@ class ExperimentConfig:
         object.__setattr__(self, "parsed_filters", parsed)
         perturbations = ()
         if self.experiment == "perturb-stability":
+            for index, desc in enumerate(self.perturbations):
+                # each draw is a setting named, and summarised, by its descriptor
+                if desc in self.perturbations[:index]:
+                    first = self.perturbations.index(desc) + 1
+                    raise ConfigError(f"perturbations {first} and {index + 1} are both "
+                                      f"{desc!r}: each needs its own setting name")
             perturbations = tuple(
                 _parse_perturbation(desc, _substream(self.seed, "perturb", index))
                 for index, desc in enumerate(self.perturbations)
@@ -304,11 +310,7 @@ def _collect_transfer_rows(setting, config: ExperimentConfig):
         for row in report.per_mode:
             mode_rows.append((filt.name, setting.name, *row))
             scatter_points.append((row.laplacian_mode_error, row.lhs, filt.name))
-        for bound in report.bounds:
-            bound_rows.append((
-                filt.name, setting.name, bound.name, bound.lhs, bound.rhs,
-                bound.satisfied,
-            ))
+        bound_rows.extend((filt.name, setting.name, *row) for row in report.bounds)
         all_ok &= report.all_satisfied
         lipschitz.append(report.lipschitz_constant)
         summaries[filt.name] = {key: getattr(report, key) for key in (
@@ -344,7 +346,7 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
             "scatter": ScatterData(
                 "per-mode laplacian transfer error",
                 "per-mode filter transfer error",
-                tuple(points), d_max, f"y = {d_max:g} x",
+                tuple(points), d_max,
             )
         },
         all_certified=ok,
@@ -383,7 +385,7 @@ def _run_perturb_stability(config: ExperimentConfig) -> ReportBundle:
     scatters = {"scatter": ScatterData(
         "Laplacian Frobenius error", "filter Frobenius error",
         tuple((lap, filt_abs, name) for _, name, lap, filt_abs, *_ in stability_rows),
-        d_max, f"y = {d_max:g} x",
+        d_max,
     )}
     return ReportBundle("perturb-stability", summary, tables, scatters, all_certified=ok)
 

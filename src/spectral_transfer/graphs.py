@@ -329,14 +329,6 @@ class InnerProduct:
             return x
         return factor.reshape(factor.shape + (1,) * (np.ndim(x) - 1)) * x
 
-    def weighted_operator_norm(self, mat: np.ndarray) -> float:
-        """Operator norm of ``mat``, Euclidean norm in and B-norm out."""
-        return operator_norm(self.apply_sqrt(mat))
-
-    def column_norms(self, mat: np.ndarray) -> np.ndarray:
-        """Norm under this inner product of each column of ``mat``."""
-        return column_norms(self.apply_sqrt(mat))
-
 
 @dataclass(frozen=True)
 class OperatorWithInnerProduct:

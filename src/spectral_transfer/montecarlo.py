@@ -27,16 +27,7 @@ eigensolves and activation tails are each one stacked call, not one small
 call per trial.  The row budget bounds the block's temporaries, of which
 the kernel-band basis, the sampled Laplacian's factors and the
 activation-tail buffers are the only N-row ones: one block of 8192 rows
-peaks at about 4.6 arrays of N K doubles (tracemalloc), where the N-row
-mismatch and band-sampling products took 9.6.  Measured in-process with
-one BLAS thread on one core of a 2-core host, a warm run of the shipped
-mc-verify config (800 trials of N = 256) takes no minor page faults and
-about 2 ms of system time, where those products, which glibc handed back
-between blocks, cost about 18.8 k faults and 45 ms; the CLI process peaks
-at 40 MB RSS (42 MB before).  The benchmark's host-normalised mc-verify
-median fell from 0.123 to 0.093 s with the Gram route, and from 0.150 s
-(blocks of 8 trials drawn one trial at a time) to 0.111 s with 8192-row
-blocks before it.
+peaks at about 4.6 arrays of N K doubles (tracemalloc).
 """
 
 from __future__ import annotations

@@ -18,13 +18,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScatterData:
-    """Points plus a reference line through the origin."""
+    """Points plus the reference line ``y = reference_slope x``."""
 
     x_label: str
     y_label: str
     points: tuple  # (x, y, series label)
     reference_slope: float
-    reference_label: str
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def render_scatter_svg(scatter: ScatterData) -> str:
     )
     parts.append(
         f'<text x="{_SVG_W - _MARGIN}" y="{_MARGIN - 8}" text-anchor="end" '
-        f'fill="red" font-size="12">{scatter.reference_label}</text>'
+        f'fill="red" font-size="12">y = {scatter.reference_slope:g} x</text>'
     )
     for x, y, _label in scatter.points:
         px, py = to_px(x, y)

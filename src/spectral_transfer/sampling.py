@@ -136,7 +136,6 @@ class SamplingPair:
     """
 
     space: CircleSpace
-    sample_set: SampleSet
     band: float
     s_matrix: np.ndarray
     inner: InnerProduct
@@ -152,7 +151,7 @@ def evaluation_operator(
     """Point-evaluation sampling of PW(band) at the sample set."""
     phi = space.basis_matrix(sample_set.points, band)
     s = phi / np.sqrt(sample_set.size)
-    return SamplingPair(space, sample_set, band, s, sample_set.inner_product())
+    return SamplingPair(space, band, s, sample_set.inner_product())
 
 
 def gram(pair: SamplingPair) -> np.ndarray:

@@ -105,9 +105,16 @@ class GraphSpace:
     def n_vertices(self) -> int:
         return self.graph.n_vertices
 
+    def _in_band(self, band: float) -> np.ndarray:
+        """Mask of the eigenvalues with ``|lambda| <= band``, allowing 1e-12
+        relative and ``eigh``'s roundoff ``n eps max|lambda|`` absolute, so
+        band 0 keeps the null space: one mode per connected component."""
+        mags = np.abs(self.eig.values)
+        floor = mags.size * np.finfo(float).eps * mags.max(initial=0.0)
+        return mags <= band * (1.0 + 1e-12) + floor
+
     def eigenvalues_up_to(self, band: float) -> np.ndarray:
-        vals = self.eig.values
-        return vals[np.abs(vals) <= band * (1.0 + 1e-12)]
+        return self.eig.values[self._in_band(band)]
 
     def dim_pw(self, band: float) -> int:
         return int(self.eigenvalues_up_to(band).shape[0])
@@ -117,8 +124,7 @@ class GraphSpace:
 
     def pw_basis(self, band: float) -> np.ndarray:
         """B-orthonormal eigenvector columns with |lambda| <= band."""
-        keep = np.abs(self.eig.values) <= band * (1.0 + 1e-12)
-        return self.eig.basis[:, keep]
+        return self.eig.basis[:, self._in_band(band)]
 
     def project_pw(self, band: float, signal: np.ndarray) -> np.ndarray:
         """Coefficients <s, phi_m>_B for the eigenvectors inside the band."""

@@ -113,11 +113,6 @@ class TransferSetting:
     def dim_pw(self) -> int:
         return int(self.source_eigenvalues.shape[0])
 
-    @cached_property
-    def r_pw(self) -> np.ndarray:
-        """Interpolation as the adjoint of sampling: ``S^H B``."""
-        return self.target.inner.apply(self.s_pw).conj().T
-
     # Q, the Laplacian errors and the band norms below do not depend on the
     # filter; each is measured once per setting.
 
@@ -128,9 +123,10 @@ class TransferSetting:
 
     @cached_property
     def _laplacian_errors(self) -> tuple:
-        # both norms of Delta S - S Lambda from one product, not kept (peak RSS)
-        diff = self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues
-        return self.target.inner.column_norms(diff), self.target.inner.weighted_operator_norm(diff)
+        # both B-norms of Delta S - S Lambda from one product, not kept (peak RSS)
+        diff = self.target.inner.apply_sqrt(
+            self.target.matrix @ self.s_pw - self.s_pw * self.source_eigenvalues)
+        return column_norms(diff), operator_norm(diff)
 
     @property
     def laplacian_mode_errors(self) -> np.ndarray:
@@ -243,21 +239,6 @@ def _mode_bounds(setting: TransferSetting, filt: Filter, modes) -> tuple:
     return rows, constants, mismatch
 
 
-def bound_pointwise(vg_values, coeffs, mode_errors, c_norm: float,
-                    g_sup: float, consistency: float) -> tuple:
-    """Right-hand sides ``(in_G, in_M)`` of the fixed-signal bounds.
-
-    Evaluated in the graph: ``sum_m V_m |c_m| err_m``.  Evaluated back in
-    the source space: the same sum scaled by the interpolation norm, plus
-    the sup-norm of the filter times the signal's consistency error.
-    """
-    vg_values = np.asarray(vg_values, dtype=float)
-    coeffs = np.asarray(coeffs)
-    mode_errors = np.asarray(mode_errors, dtype=float)
-    core = float(np.sum(vg_values * np.abs(coeffs) * mode_errors))
-    return core, c_norm * core + g_sup * consistency
-
-
 def bound_worstcase(setting: TransferSetting, constants: FilterConstants) -> tuple:
     """Right-hand sides ``(in_G, in_M)`` of the operator-norm bounds over
     the band: ``D sqrt(dim PW) ||L-error||``, and that scaled by the
@@ -281,38 +262,34 @@ def transfer_errors(setting: TransferSetting, filt: Filter,
         raise BandError(
             f"signal has {coeffs.shape[0]} coefficients, band holds {setting.dim_pw}"
         )
-    lams = setting.source_eigenvalues
+    lams, s, inner = setting.source_eigenvalues, setting.s_pw, setting.target.inner
     # R g(Delta) S c, as Q^H diag(g(mu)) Q applied from the right
     filtered_back = setting.q.conj().T @ (
         setting.target_response(filt)[:, 0] * (setting.q @ coeffs)
     )
-    graph_signal = setting.s_pw @ coeffs
+    graph_signal = s @ coeffs
+    # R = S^H B applied to each of the two graph vectors
     errors = np.stack([
         filt.evaluate(lams) * coeffs - filtered_back,
-        lams * coeffs - setting.r_pw @ (setting.target.matrix @ graph_signal),
-        coeffs - setting.r_pw @ graph_signal,
+        lams * coeffs - s.conj().T @ inner.apply(setting.target.matrix @ graph_signal),
+        coeffs - s.conj().T @ inner.apply(graph_signal),
     ], axis=1)
     return tuple(float(err) for err in column_norms(errors))
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    name: str
+class BoundRow(NamedTuple):
+    """One aggregate certified inequality, its fields in ``bounds.csv`` order."""
+
+    bound: str
     lhs: float
     rhs: float
-
-    @property
-    def satisfied(self) -> bool:
-        return certified(self.lhs, self.rhs)
+    satisfied: bool
 
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Measured errors, every bound value, and pass/fail flags."""
+    """Measured errors, every bound row, and the per-mode rows."""
 
-    setting_name: str
-    filter_name: str
-    band: float
     filter_error: float
     laplacian_error: float
     consistency_error: float
@@ -350,23 +327,22 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     lhs_worst_g = operator_norm(mismatch)
     del mismatch
 
+    # The fixed-signal rhs: in the graph ``sum_m V_m |c_m| err_m``, back in
+    # the source space that sum times ||R|| plus sup|g| times the signal's
+    # consistency error; the operator-norm rhs likewise over the band.
     c_norm = setting.interpolation_norm
-    rhs_point_g, rhs_point_m = bound_pointwise(
-        constants.vg_per_eig, coeffs, setting.laplacian_mode_errors, c_norm,
-        constants.sup_norm, cons_err,
-    )
+    rhs_point_g = float(np.sum(constants.vg_per_eig * np.abs(coeffs)
+                               * setting.laplacian_mode_errors))
+    rhs_point_m = c_norm * rhs_point_g + constants.sup_norm * cons_err
     rhs_worst_g, rhs_worst_m = bound_worstcase(setting, constants)
 
-    bounds = (
-        BoundResult("pointwise_in_G", lhs_point_g, rhs_point_g),
-        BoundResult("worstcase_in_G", lhs_worst_g, rhs_worst_g),
-        BoundResult("pointwise_in_M", filter_err, rhs_point_m),
-        BoundResult("worstcase_in_M", lhs_worst_m, rhs_worst_m),
-    )
+    bounds = tuple(BoundRow(name, lhs, rhs, certified(lhs, rhs)) for name, lhs, rhs in (
+        ("pointwise_in_G", lhs_point_g, rhs_point_g),
+        ("worstcase_in_G", lhs_worst_g, rhs_worst_g),
+        ("pointwise_in_M", filter_err, rhs_point_m),
+        ("worstcase_in_M", lhs_worst_m, rhs_worst_m),
+    ))
     return TransferReport(
-        setting_name=setting.name,
-        filter_name=filt.name,
-        band=setting.band,
         filter_error=filter_err,
         laplacian_error=lap_err,
         consistency_error=cons_err,

@@ -263,6 +263,36 @@ def test_table_filters_keep_their_own_summaries(tmp_path):
         assert lipschitz == pytest.approx([0.1, 0.3])
 
 
+def test_band_zero_coarsen_transfer_writes_one_mode_row_per_filter(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(5)\nband = 0\nfilters = lowpass(1.0), heat(1.0)\nseed = 2\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["coarsen-transfer", "--config", str(path), "--out", str(out_dir)]) == 0
+    with open(out_dir / "modes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["filter"], row["mode"]) for row in rows] == [("lowpass(1)", "0"), ("heat(1)", "0")]
+
+
+def test_repeated_perturbations_exit_two_naming_both(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(8)\nperturbations = remove_edges(0.1), add_edges(0.1), "
+                    "remove_edges(0.1)\nseed = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: perturbations 1 and 3 are both 'remove_edges(0.1)': "
+        "each needs its own setting name"
+    ]
+    assert not out_dir.exists()
+    # distinct descriptors still run, each under its own setting name
+    path.write_text("graph = path(8)\nperturbations = remove_edges(0.1), add_edges(0.1), "
+                    "remove_edges(0.2)\nseed = 1\n")
+    assert cli.main(["perturb-stability", "--config", str(path), "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.txt").read_text())
+    assert sorted(summary["perturbations"]) == [
+        "add_edges(0.1)", "remove_edges(0.1)", "remove_edges(0.2)"]
+
+
 def test_filters_with_one_report_name_exit_two_naming_both(tmp_path, capsys):
     code, out_dir = run_perturb_stability_on_path8(tmp_path, "heat(1), lowpass(2), heat(1.0)")
     assert code == 2

@@ -196,7 +196,7 @@ class TestReports:
         assert lines[1].endswith("true")
 
     def test_svg_written_only_on_request(self, tmp_path):
-        scatter = ScatterData("x", "y", ((1.0, 0.5, "f"),), 1.0, "y = x")
+        scatter = ScatterData("x", "y", ((1.0, 0.5, "f"),), 1.0)
         bundle = ReportBundle("perturb-stability", {}, scatters={"scatter": scatter})
         emit_reports(bundle, tmp_path / "plain")
         assert not (tmp_path / "plain" / "scatter.svg").exists()
@@ -205,7 +205,7 @@ class TestReports:
         assert "<circle" in text and "stroke=\"red\"" in text
 
     def test_svg_handles_empty_points(self):
-        text = render_scatter_svg(ScatterData("x", "y", (), 2.0, "y = 2x"))
+        text = render_scatter_svg(ScatterData("x", "y", (), 2.0))
         assert text.startswith("<svg")
 
 

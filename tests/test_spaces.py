@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_transfer.errors import BandError
-from spectral_transfer.graphs import path_graph
+from spectral_transfer.graphs import WeightedGraph, grid_graph, path_graph
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 
 CIRCLE = CircleSpace()
@@ -133,6 +133,18 @@ class TestGraphSpace:
     def test_full_band_counts_all(self):
         space = GraphSpace.from_graph(path_graph(5))
         assert space.dim_pw(space.full_band()) == 5
+
+    @pytest.mark.parametrize("kind", ["unnormalized", "normalized"])
+    def test_band_zero_keeps_one_mode_per_component(self, kind):
+        # eigh returns the null eigenvalue as about +-1e-16, not 0
+        for graph in (path_graph(5), grid_graph(5, 5)):
+            space = GraphSpace.from_graph(graph, kind)
+            assert space.dim_pw(0.0) == 1
+            assert space.pw_basis(0.0).shape == (graph.n_vertices, 1)
+        # three components: a triangle, a path on three vertices, an edge
+        three = WeightedGraph(8, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 2.0),
+                                  (4, 5, 0.5), (6, 7, 1.0)))
+        assert GraphSpace.from_graph(three, kind).dim_pw(0.0) == 3
 
     def test_laplacian_action_matches_matrix(self):
         space = GraphSpace.from_graph(path_graph(4))

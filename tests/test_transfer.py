@@ -1,5 +1,6 @@
 """The transfer-error measurements and the five certified bounds."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from spectral_transfer.errors import BandError
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import (
+    OperatorWithInnerProduct,
     build_laplacian,
     path_graph,
     random_geometric_graph,
@@ -25,11 +27,13 @@ from spectral_transfer.sampling import (
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 from spectral_transfer.transfer import (
     FilterConstants,
+    TransferSetting,
     bound_fourier_mode,
-    bound_pointwise,
     bound_worstcase,
+    certified,
     coarsening_setting,
     evaluate_transfer,
+    filter_constants,
     perturbation_setting,
     sampling_setting,
     transfer_errors,
@@ -48,6 +52,21 @@ def uniform_sample(n, seed):
 def identity_setting(n=6, seed=0, name="identity"):
     space = GraphSpace.from_graph(random_geometric_graph(n, 0.7, seed=seed))
     return space, perturbation_setting(space, space.operator, name=name)
+
+
+def diagonal_setting(source_eigenvalues, s_pw, target_eigenvalues):
+    """Source modes ``source_eigenvalues`` sampled by ``s_pw`` onto the
+    diagonal operator ``diag(target_eigenvalues)``."""
+    target = OperatorWithInnerProduct.symmetric(np.diag(target_eigenvalues))
+    return TransferSetting("diagonal", 1.0, np.asarray(source_eigenvalues, dtype=float),
+                           np.asarray(s_pw, dtype=float), target)
+
+
+def unit_signal(setting, seed=0):
+    """The unit-norm signal ``evaluate_transfer`` probes for ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, setting.dim_pw)))
+    coeffs = rng.normal(size=setting.dim_pw)
+    return coeffs / np.linalg.norm(coeffs)
 
 
 class TestTransferErrors:
@@ -115,16 +134,36 @@ class TestModeBound:
 
 class TestRawBoundFormulas:
     def test_pointwise_zero(self):
-        assert bound_pointwise([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], 1.0, 1.0, 0.0) == (0.0, 0.0)
+        # S = I onto Delta = Lambda: no Laplacian or consistency error
+        setting = diagonal_setting([0.0, 1.0], np.eye(2), [0.0, 1.0])
+        report = evaluate_transfer(setting, Filter.polynomial((0.0, 1.0)))
+        rows = {row.bound: row for row in report.bounds}
+        assert (rows["pointwise_in_G"].rhs, rows["pointwise_in_M"].rhs) == (0.0, 0.0)
+        assert rows["pointwise_in_G"].satisfied and rows["pointwise_in_M"].satisfied
 
     def test_pointwise_two_mode_sum(self):
-        in_g, in_m = bound_pointwise([1.0, 1.0], [3.0, 4.0], [0.1, 0.2], 2.0, 0.5, 0.4)
-        assert in_g == pytest.approx(1.1)
-        assert in_m == pytest.approx(2.0 * 1.1 + 0.5 * 0.4)
+        # S = 2 I, so ||R|| = 2, and Delta - Lambda = diag(0.05, 0.1) gives
+        # mode errors 0.1 and 0.2; g(x) = x - 0.5 has quotients 1 and sup 0.5
+        setting = diagonal_setting([0.0, 1.0], 2.0 * np.eye(2), [0.05, 1.1])
+        assert setting.interpolation_norm == pytest.approx(2.0)
+        np.testing.assert_allclose(setting.laplacian_mode_errors, [0.1, 0.2])
+        report = evaluate_transfer(setting, Filter.polynomial((-0.5, 1.0)))
+        rows = {row.bound: row for row in report.bounds}
+        c = np.abs(unit_signal(setting))
+        in_g = 1.0 * c[0] * 0.1 + 1.0 * c[1] * 0.2
+        assert rows["pointwise_in_G"].rhs == pytest.approx(in_g)
+        # K = S^H S = 4 I, so the signal's consistency error is 3
+        assert report.consistency_error == pytest.approx(3.0)
+        assert rows["pointwise_in_M"].rhs == pytest.approx(2.0 * in_g + 0.5 * 3.0)
 
     def test_single_mode_reduces_to_mode_bound(self):
-        in_g, _ = bound_pointwise([0.7], [1.0], [0.3], 1.0, 1.0, 0.0)
-        assert in_g == pytest.approx(0.7 * 0.3)
+        # one mode, so |c| = 1: the mode bound 0.7 * 0.3 of g(x) = 0.7 x
+        setting = diagonal_setting([0.0], [[1.0], [0.0]], [0.3, 2.0])
+        report = evaluate_transfer(setting, Filter.polynomial((0.0, 0.7)))
+        in_g = report.bounds[0]
+        assert in_g.bound == "pointwise_in_G"
+        assert in_g.rhs == pytest.approx(0.7 * 0.3)
+        assert in_g.rhs == pytest.approx(report.per_mode[0].rhs)
 
     def test_worstcase_substitution(self):
         def rhs(lap_err, consistency):
@@ -138,6 +177,51 @@ class TestRawBoundFormulas:
         in_g, in_m = rhs(0.05, 0.02)
         assert in_g == pytest.approx(0.1)
         assert in_m == pytest.approx(0.12)
+
+
+@pytest.mark.parametrize("kind", ["coarsening", "add_edges", "remove_vertices", "sampling"])
+def test_bound_rows_certify_the_paper_formulas(kind):
+    """Each bound row is ``(bound, lhs, rhs, satisfied)`` with ``satisfied``
+    its lhs certified against its rhs, and each rhs the paper's formula
+    from the filter constants and the setting's measured norms."""
+    if kind == "sampling":
+        sample = uniform_sample(48, seed=6)
+        setting = sampling_setting(
+            evaluation_operator(CIRCLE, sample, 4.0),
+            random_sampled_laplacian(BandlimitedKernel(CIRCLE, 9.0), sample),
+        )
+    else:
+        graph = random_geometric_graph(20, 0.4, seed=9)
+        space = GraphSpace.from_graph(graph)
+        if kind == "coarsening":
+            setting = coarsening_setting(space, coarsen_matching(graph))
+        else:
+            res = perturb_graph_detailed(graph, PerturbationSpec(kind, 0.1, seed=3))
+            setting = perturbation_setting(space, build_laplacian(res.graph, "unnormalized"),
+                                           kept=res.kept_vertices)
+    for filt in FILTERS + [Filter.polynomial((0.2, -1.0, 0.3))]:
+        report = evaluate_transfer(setting, filt, signal_seed=4)
+        constants = filter_constants(filt, setting.source_eigenvalues,
+                                     setting.target.eig.values)
+        coeffs = unit_signal(setting, seed=4)
+        consistency = transfer_errors(setting, filt, coeffs)[2]
+        point_g = np.sum(constants.vg_per_eig * np.abs(coeffs) * setting.laplacian_mode_errors)
+        worst_g = (constants.lipschitz * math.sqrt(setting.dim_pw)
+                   * setting.laplacian_operator_error)
+        norm_r = setting.interpolation_norm
+        want = {
+            "pointwise_in_G": point_g,
+            "worstcase_in_G": worst_g,
+            "pointwise_in_M": norm_r * point_g + constants.sup_norm * consistency,
+            "worstcase_in_M": (norm_r * worst_g
+                               + constants.sup_norm * setting.consistency_operator_error),
+        }
+        assert [row.bound for row in report.bounds] == list(want)
+        for row in report.bounds:
+            assert row._fields == ("bound", "lhs", "rhs", "satisfied")
+            assert row.satisfied == certified(row.lhs, row.rhs)
+            assert row.rhs == pytest.approx(want[row.bound], rel=1e-12, abs=1e-15), row
+        assert report.bounds[2].lhs == report.filter_error
 
 
 class TestCertification:

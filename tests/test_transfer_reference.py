@@ -2,7 +2,7 @@
 
 The reference below applies each filter to the sampling matrix with
 ``apply_exact`` (or builds ``filter_matrix``) and interpolates with
-``r_pw = S^H B``, exactly as the certified terms are written; every number
+``R = S^H B``, built here, exactly as the certified terms are written; every number
 of ``evaluate_transfer``, ``transfer_errors`` and ``two_graph_error`` must
 agree with it to 1e-12 (1 + |ref|).  The Frobenius stability cells of
 perturb-stability are checked against dense ``filter_matrix`` differences.
@@ -47,10 +47,15 @@ from spectral_transfer.transfer import (
 TOL = 1e-12
 
 
+def interpolation(setting):
+    """``R = S^H B``, the adjoint of the setting's sampling matrix."""
+    return setting.target.inner.apply(setting.s_pw).conj().T
+
+
 def reference_report(setting, filt, coeffs):
-    """Every number of a transfer report, from ``apply_exact`` and ``r_pw``."""
+    """Every number of a transfer report, from ``apply_exact`` and ``R``."""
     eig, inner = setting.target.eig, setting.target.inner
-    s, r = setting.s_pw, setting.r_pw
+    s, r = setting.s_pw, interpolation(setting)
     lams = setting.source_eigenvalues
     g_s = apply_exact(filt, eig, s)
     mismatch = g_s - s * filt.evaluate(lams)
@@ -86,7 +91,7 @@ def check_against_reference(setting, filt):
     assert_close([row.lhs for row in report.per_mode], ref["mode_lhs"], "mode lhs")
     assert_close([row.laplacian_mode_error for row in report.per_mode],
                  ref["mode_lap"], "mode laplacian errors")
-    lhs = {bound.name: bound.lhs for bound in report.bounds}
+    lhs = {bound.bound: bound.lhs for bound in report.bounds}
     for name in ("pointwise_in_G", "worstcase_in_G", "pointwise_in_M", "worstcase_in_M"):
         assert_close(lhs[name], ref[name], name)
     assert_close(report.filter_error, ref["pointwise_in_M"], "filter error")
@@ -255,7 +260,7 @@ def test_coordinate_lhs_match_the_dense_mismatch(graph, laplacian, perturbation,
     coeffs /= np.linalg.norm(coeffs)
     ref, scale = dense_graph_side_lhs(setting, filt, coeffs)
     got = {"mode_lhs": np.array([row.lhs for row in report.per_mode])}
-    got.update((bound.name, bound.lhs) for bound in report.bounds)
+    got.update((bound.bound, bound.lhs) for bound in report.bounds)
     for name, want in ref.items():
         assert np.all(np.abs(got[name] - want) <= 1e-12 * np.abs(want) + 1e-14 * scale), (
             name, got[name], want, scale)
@@ -268,7 +273,8 @@ def test_two_graph_error_matches_reference():
     res = perturb_graph_detailed(graph, PerturbationSpec("add_edges", 0.2, seed=1))
     s2 = perturbation_setting(space, build_laplacian(res.graph, "unnormalized"))
     for filt in (Filter.heat(1.0), Filter.polynomial((0.0, 1.0, -0.2))):
-        mats = [s.r_pw @ filter_matrix(filt, s.target.eig) @ s.s_pw for s in (s1, s2)]
+        mats = [interpolation(s) @ filter_matrix(filt, s.target.eig) @ s.s_pw
+                for s in (s1, s2)]
         bound = sum(evaluate_transfer(s, filt).bounds[3].rhs for s in (s1, s2))
         err, got_bound = two_graph_error(s1, s2, filt)
         assert_close(err, operator_norm(mats[0] - mats[1]), "two-graph error")
@@ -330,9 +336,9 @@ def test_band_norms_from_the_gram_spectrum_match_operator_norm(kind):
         assert setting.dim_pw == 0
     if kind == "remove_vertices":
         assert setting.s_pw.shape[0] < setting.s_pw.shape[1]
-    s, r = setting.s_pw, setting.r_pw
+    s, r = setting.s_pw, interpolation(setting)
     refs = {
-        "interpolation": setting.target.inner.weighted_operator_norm(s),
+        "interpolation": operator_norm(setting.target.inner.apply_sqrt(s)),
         "consistency": operator_norm(np.eye(setting.dim_pw) - r @ s),
     }
     got = {"interpolation": setting.interpolation_norm,
