@@ -3,7 +3,9 @@
 ``spectral-transfer <experiment> --config <path> [--seed N] [--out DIR]
 [--svg]`` runs one experiment and writes its report files.  Exit status 0
 means every certified inequality held, 1 flags a certification failure,
-and 2 covers usage, configuration, and IO problems.
+and 2 covers usage errors, every library error (one type for configs,
+inputs and numerical domains), IO problems and a failed allocation, each
+reported on one ``spectral-transfer: error:`` line.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def main(argv=None) -> int:
         )
         bundle = run_experiment(config)
         written = emit_reports(bundle, config.out_dir, svg=config.svg)
-    except (SpectralTransferError, OSError) as exc:
-        print(f"spectral-transfer: error: {exc}", file=sys.stderr)
+    except (SpectralTransferError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
+        print(f"spectral-transfer: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     for path in written:
         print(path)

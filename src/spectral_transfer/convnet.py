@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, TopologyError, TruncationError
+from .errors import SpectralTransferError, TruncationError
 from .filters import apply_exact, make_filter
 from .graphs import OperatorWithInnerProduct, WeightedGraph, column_norms, operator_norm
 from .sampling import CoarseningMap, coarsen_matching, coarsened_laplacian, unit_probes
@@ -45,7 +45,7 @@ class Activation:
 
     def __post_init__(self):
         if self.kind not in ("relu", "abs"):
-            raise ParameterError(f"unknown activation {self.kind!r}")
+            raise SpectralTransferError(f"unknown activation {self.kind!r}")
 
     def apply(self, x):
         x = np.asarray(x)
@@ -61,7 +61,7 @@ def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     through unchanged under both kinds.
     """
     if kind not in ("max", "l2avg"):
-        raise ParameterError(f"unknown pooling kind {kind!r}")
+        raise SpectralTransferError(f"unknown pooling kind {kind!r}")
     # the groups, concatenated, list every fine vertex once
     parents = np.asarray(signal, dtype=float)[np.concatenate(cmap.groups)]
     sizes = np.array([len(grp) for grp in cmap.groups])
@@ -86,16 +86,16 @@ class LayerSpec:
         biases = np.asarray(self.biases, dtype=float)
         k_out = len(self.filters)
         if k_out == 0 or any(len(row) != len(self.filters[0]) for row in self.filters):
-            raise TopologyError("filter grid must be rectangular and nonempty")
+            raise SpectralTransferError("filter grid must be rectangular and nonempty")
         k_in = len(self.filters[0])
         if mix.shape != (k_out, k_in):
-            raise TopologyError(
+            raise SpectralTransferError(
                 f"mix matrix {mix.shape} does not match filter grid ({k_out}, {k_in})"
             )
         if biases.shape != (k_out,):
-            raise TopologyError(f"need {k_out} biases, got {biases.shape}")
+            raise SpectralTransferError(f"need {k_out} biases, got {biases.shape}")
         if self.pooling not in ("none", "max", "l2avg"):
-            raise ParameterError(f"unknown pooling kind {self.pooling!r}")
+            raise SpectralTransferError(f"unknown pooling kind {self.pooling!r}")
         object.__setattr__(self, "filters", tuple(tuple(row) for row in self.filters))
         object.__setattr__(self, "mix", mix)
         object.__setattr__(self, "biases", biases)
@@ -119,16 +119,16 @@ class ConvNetSpec:
 
     def __post_init__(self):
         if not self.layers:
-            raise TopologyError("network needs at least one layer")
+            raise SpectralTransferError("network needs at least one layer")
         if len(self.bands) != len(self.layers) + 1:
-            raise TopologyError(
+            raise SpectralTransferError(
                 f"need {len(self.layers) + 1} bands for {len(self.layers)} layers"
             )
         if any(b2 < b1 for b1, b2 in zip(self.bands, self.bands[1:])):
-            raise TopologyError("bands must be nondecreasing")
+            raise SpectralTransferError("bands must be nondecreasing")
         for l, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):
             if layer.k_in != prev.k_out:
-                raise TopologyError(
+                raise SpectralTransferError(
                     f"layer {l + 1} expects {layer.k_in} channels, "
                     f"layer {l} outputs {prev.k_out}"
                 )
@@ -193,10 +193,9 @@ def load_convnet_spec(path) -> ConvNetSpec:
     none).  ``filters`` and ``mix`` list one output channel per
     ';'-separated row and one input channel per ','-separated column, and
     every number is finite (README, "Network description files").  Errors
-    are :class:`ConfigError` naming the file and, when known, the line and
-    the section.
+    name the file and, when known, the line and the section.
     """
-    source = TextFile(path, ConfigError, "network file")
+    source = TextFile(path, "network file")
     entries = {}  # section -> {key: (line, value)}, the header line under None
     for line, section, key, value in config_entries(source, sections=True):
         if key is None and not _NET_SECTION.fullmatch(section):
@@ -236,11 +235,11 @@ def _input_channels(spec: ConvNetSpec, inputs) -> tuple:
     """The K_0 input channels as float arrays, and their common column
     shape: ``()`` for vectors, ``(P,)`` for matrices of P columns."""
     if len(inputs) != spec.k_input:
-        raise TopologyError(f"network expects {spec.k_input} input channels")
+        raise SpectralTransferError(f"network expects {spec.k_input} input channels")
     signals = [np.asarray(ch, dtype=float) for ch in inputs]
     columns = {ch.shape[1:] for ch in signals}
     if len(columns) > 1:
-        raise TopologyError("input channels must all be vectors or equal-width matrices")
+        raise SpectralTransferError("input channels must all be vectors or equal-width matrices")
     return signals, columns.pop() if columns else ()
 
 
@@ -253,13 +252,13 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
     vector or a matrix of column signals.
     """
     if len(operators) != spec.n_layers or len(pooling_maps) != spec.n_layers:
-        raise TopologyError("need one operator and one pooling map per layer")
+        raise SpectralTransferError("need one operator and one pooling map per layer")
     signals, columns = _input_channels(spec, inputs)
     outputs = []
     for l, layer in enumerate(spec.layers):
         dim = operators[l].dim
         if any(ch.shape[0] != dim for ch in signals):
-            raise TopologyError(
+            raise SpectralTransferError(
                 f"layer {l + 1}: channel length does not match its graph ({dim})"
             )
         mixed = []
@@ -272,7 +271,7 @@ def forward_graph(spec: ConvNetSpec, operators, pooling_maps, inputs):
         if layer.pooling != "none":
             cmap = pooling_maps[l]
             if cmap is None:
-                raise TopologyError(f"layer {l + 1} pools but has no coarsening map")
+                raise SpectralTransferError(f"layer {l + 1} pools but has no coarsening map")
             mixed = [pool(ch, cmap, layer.pooling) for ch in mixed]
         signals = mixed
         outputs.append(tuple(signals))
@@ -324,7 +323,7 @@ def forward_continuous(spec: ConvNetSpec, space, inputs):
     dim0 = space.dim_pw(spec.bands[0])
     for ch in signals:
         if ch.shape[0] != dim0:
-            raise TopologyError(
+            raise SpectralTransferError(
                 f"input channel has {ch.shape[0]} coefficients, band holds {dim0}"
             )
     # coefficient-wise factors act on every column alike
@@ -360,11 +359,11 @@ def convnet_transfer_bound(n_layers: int, d_lipschitz: float, a_bound: float,
     case reduces to ``(L D sqrt(count) + 2L + 2) delta``.
     """
     if not 0.0 <= delta < 1.0:
-        raise ParameterError(f"hypothesis tolerance {delta:g} outside [0, 1)")
+        raise SpectralTransferError(f"hypothesis tolerance {delta:g} outside [0, 1)")
     if a_bound <= 0:
-        raise ParameterError("mixing bound must be positive")
+        raise SpectralTransferError("mixing bound must be positive")
     if count < 0 or n_layers < 1:
-        raise ParameterError("need a nonnegative count and at least one layer")
+        raise SpectralTransferError("need a nonnegative count and at least one layer")
     front = n_layers * d_lipschitz * np.sqrt(count) + 2 * n_layers + 2
     if a_bound > 1.0:
         growth = a_bound**n_layers + b_bound * (
@@ -550,7 +549,7 @@ def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
     probes = np.asarray(probes, dtype=float)
     norms = np.linalg.norm(probes, axis=0)
     if np.any(norms == 0.0):
-        raise ParameterError("probe inputs must be nonzero")
+        raise SpectralTransferError("probe inputs must be nonzero")
     f_space = space.synthesize(probes, spec.bands[0])
     cont = [
         space.synthesize(ch, spec.bands[-1])
@@ -588,9 +587,9 @@ def spectral_decay_check(activation: Activation, band: float, probes,
     circle = CircleSpace()
     m_freq = circle.max_frequency(band)
     if truncation < m_freq:
-        raise ParameterError("truncation must cover the probe band")
+        raise SpectralTransferError("truncation must cover the probe band")
     if truncation >= grid // 4:
-        raise ParameterError("grid must oversample the truncation frequency")
+        raise SpectralTransferError("grid must oversample the truncation frequency")
     xs = np.arange(grid) / grid
     basis = circle.basis_matrix(xs, band)
     weights = np.arange(1, truncation + 1, dtype=float) ** 2
@@ -599,7 +598,7 @@ def spectral_decay_check(activation: Activation, band: float, probes,
         coeffs = np.asarray(coeffs, dtype=float)
         norm2 = float(coeffs @ coeffs)
         if norm2 == 0.0:
-            raise ParameterError("probes must be nonzero")
+            raise SpectralTransferError("probes must be nonzero")
         rho_vals = activation.apply(basis @ coeffs)
         total_energy = float(rho_vals @ rho_vals) / grid
         if total_energy <= 1e-30:  # activation annihilated the probe

@@ -40,7 +40,7 @@ from .convnet import (
     network_lipschitz,
     output_errors,
 )
-from .errors import ConfigError, SpectralTransferError
+from .errors import SpectralTransferError
 from .filters import Filter, make_filter
 from .graphs import (
     OperatorWithInnerProduct,
@@ -92,13 +92,13 @@ _BOUNDS_HEADER = ("filter", "setting", "bound", "lhs", "rhs", "pass")
 
 
 def _parse_perturbation(descriptor: str, seed: int) -> PerturbationSpec:
-    mode, args = parse_descriptor(descriptor, ConfigError)
+    mode, args = parse_descriptor(descriptor)
     try:
         if len(args) != 1:
             raise ValueError(f"takes 1 argument, got {len(args)}")
         return PerturbationSpec(mode, finite_float(args[0]), seed=seed)
     except (ValueError, SpectralTransferError) as exc:
-        raise ConfigError(f"{descriptor.strip()}: {exc}") from None
+        raise SpectralTransferError(f"{descriptor.strip()}: {exc}") from None
 
 
 def _substream(master_seed: int, *key) -> int:
@@ -112,6 +112,14 @@ def _substream(master_seed: int, *key) -> int:
         spawn_key=tuple(zlib.crc32(str(k).encode()) for k in key),
     )
     return int(mixed.generate_state(1, dtype=np.uint64)[0])
+
+
+def _reject_repeats(key: str, entries: tuple, each_needs: str) -> None:
+    """Raise naming the first two positions of an entry repeated in ``key``."""
+    for index, entry in enumerate(entries):
+        if entry in entries[:index]:
+            raise SpectralTransferError(f"{key} {entries.index(entry) + 1} and {index + 1} "
+                                        f"are both {entry!r}: each needs its own {each_needs}")
 
 
 @dataclass(frozen=True)
@@ -152,32 +160,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
+            raise SpectralTransferError(
                 f"unknown experiment {self.experiment!r}; pick one of "
                 + ", ".join(EXPERIMENTS)
             )
         if self.seed is None:
-            raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
+            raise SpectralTransferError("a seed is mandatory (config 'seed' or --seed)")
         if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+            raise SpectralTransferError(f"seed must be nonnegative, got {self.seed}")
         sources = (self.graph is not None) + (self.graph_file is not None)
         if self.experiment in ("circle-sampling", "mc-verify"):
             if sources:
-                raise ConfigError(f"{self.experiment} takes no graph input")
+                raise SpectralTransferError(f"{self.experiment} takes no graph input")
         elif sources != 1:
-            raise ConfigError(
+            raise SpectralTransferError(
                 "exactly one graph source is required: 'graph' or 'graph_file'"
             )
         for path in (self.graph_file, self.net_file):
             if path is not None and not os.path.exists(path):
-                raise ConfigError(f"referenced file does not exist: {path}")
+                raise SpectralTransferError(f"referenced file does not exist: {path}")
         if self.probes < 1:
-            raise ConfigError(f"probes must be at least 1, got {self.probes}")
+            raise SpectralTransferError(f"probes must be at least 1, got {self.probes}")
         if self.band is not None and not self.band >= 0:
-            raise ConfigError(f"band must be nonnegative, got {self.band:g}")
+            raise SpectralTransferError(f"band must be nonnegative, got {self.band:g}")
         for name in ("filters", "perturbations", "sizes", "weights"):
             if not getattr(self, name):
-                raise ConfigError(f"{name} needs at least one entry")
+                raise SpectralTransferError(f"{name} needs at least one entry")
         if self.laplacian is None:
             kind = "normalized" if self.experiment == "convnet-transfer" else "unnormalized"
             object.__setattr__(self, "laplacian", kind)
@@ -187,18 +195,14 @@ class ExperimentConfig:
             named = {}  # report name -> descriptor; the summary is keyed by name
             for desc, filt in zip(self.filters, parsed):
                 if filt.name in named:
-                    raise ConfigError(f"filters {named[filt.name]!r} and {desc!r} share "
-                                      f"the report name {filt.name!r}")
+                    raise SpectralTransferError(f"filters {named[filt.name]!r} and {desc!r} "
+                                                f"share the report name {filt.name!r}")
                 named[filt.name] = desc
         object.__setattr__(self, "parsed_filters", parsed)
         perturbations = ()
         if self.experiment == "perturb-stability":
-            for index, desc in enumerate(self.perturbations):
-                # each draw is a setting named, and summarised, by its descriptor
-                if desc in self.perturbations[:index]:
-                    first = self.perturbations.index(desc) + 1
-                    raise ConfigError(f"perturbations {first} and {index + 1} are both "
-                                      f"{desc!r}: each needs its own setting name")
+            # each draw is a setting named, and summarised, by its descriptor
+            _reject_repeats("perturbations", self.perturbations, "setting name")
             perturbations = tuple(
                 _parse_perturbation(desc, _substream(self.seed, "perturb", index))
                 for index, desc in enumerate(self.perturbations)
@@ -208,8 +212,8 @@ class ExperimentConfig:
                 self.net_perturbation, _substream(self.seed, "net-perturb")
             ),)
             if perturbations[0].mode == "remove_vertices":
-                raise ConfigError("the network comparison needs equal-size graphs; "
-                                  "use edge perturbations")
+                raise SpectralTransferError("the network comparison needs equal-size "
+                                            "graphs; use edge perturbations")
         object.__setattr__(self, "parsed_perturbations", perturbations)
         trial_configs = ()
         if self.experiment in ("circle-sampling", "mc-verify"):
@@ -225,6 +229,8 @@ class ExperimentConfig:
                 )
                 for weight in self.weights
             )
+            # each weight's campaign is drawn from, and summarised by, its name
+            _reject_repeats("weights", self.weights, "campaign")
             check = check_slope_fit_inputs if sampling else check_failure_rate_inputs
             check(trial_configs[0])
         object.__setattr__(self, "trial_configs", trial_configs)
@@ -238,7 +244,7 @@ class ExperimentConfig:
         Lines are blank, ``#``/``;`` comments or unindented ``key = value``
         with a known, unrepeated key (any case) and a literal nonempty value.
         """
-        source = TextFile(path, ConfigError, "config")
+        source = TextFile(path, "config")
         values = {}
         for lineno, _, key, value in config_entries(source):
             if key not in _FIELD_OF_KEY:
@@ -247,14 +253,14 @@ class ExperimentConfig:
                 values[_FIELD_OF_KEY[key]] = _PARSERS.get(key, str)(value)
         file_experiment = values.get("experiment")
         if None not in (experiment, file_experiment) and experiment != file_experiment:
-            raise ConfigError(
+            raise SpectralTransferError(
                 f"config says experiment = {file_experiment}, "
                 f"command line says {experiment}"
             )
         overrides = {"experiment": experiment, "seed": seed, "out_dir": out_dir, "svg": svg}
         values.update((k, v) for k, v in overrides.items() if v is not None)
         if "experiment" not in values:
-            raise ConfigError("no experiment named (config key or argument)")
+            raise SpectralTransferError("no experiment named (config key or argument)")
         return cls(**values)
 
     def load_graph(self) -> WeightedGraph:
@@ -535,7 +541,7 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
     of ``|values|``, which the decomposition orders by ``|lambda|``."""
     lams = np.abs(space.eig.values)
     if lams.shape[0] < 9:
-        raise ConfigError("the default network needs a graph with >= 9 modes")
+        raise SpectralTransferError("the default network needs a graph with >= 9 modes")
     bands = (
         float((lams[3] + lams[4]) / 2),
         float((lams[5] + lams[6]) / 2),

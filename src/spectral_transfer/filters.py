@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import (
-    FilterEvaluationError,
-    ParameterError,
-    SingularFilterError,
-    SpectralIntervalError,
-)
+from .errors import SpectralTransferError
 from .graphs import EigenDecomposition, OperatorWithInnerProduct
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .textio import TextFile, finite_float, parse_descriptor
@@ -63,7 +58,7 @@ class Filter:
     def heat(cls, t: float) -> "Filter":
         # |d/dx e^{-tx}| <= t on x >= 0
         if not float(t) >= 0.0:
-            raise ParameterError(f"heat time must be nonnegative, got {t:g}")
+            raise SpectralTransferError(f"heat time must be nonnegative, got {t:g}")
         return cls("heat", f"heat({_exact(t)})", {"t": float(t)},
                    lipschitz_constant=float(t))
 
@@ -98,7 +93,7 @@ class Filter:
         num = tuple(float(c) for c in numerator)
         den = tuple(float(c) for c in denominator)
         if not any(den):
-            raise SingularFilterError("rational filter denominator is zero")
+            raise SpectralTransferError("rational filter denominator is zero")
         return cls("rational", f"rational({num},{den})",
                    {"numerator": num, "denominator": den})
 
@@ -111,7 +106,7 @@ class Filter:
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 1:
-            raise FilterEvaluationError("table filter needs matching 1-D knot arrays")
+            raise SpectralTransferError("table filter needs matching 1-D knot arrays")
         order = np.argsort(knots)
         return cls("table", "table",
                    {"knots": tuple(knots[order]), "values": tuple(values[order])})
@@ -119,7 +114,7 @@ class Filter:
     @classmethod
     def from_table_file(cls, path) -> "Filter":
         """Load a (lambda, g(lambda)) two-column text table; '#' comments."""
-        source = TextFile(path, FilterEvaluationError, "filter table")
+        source = TextFile(path, "filter table")
         knots, values = [], []
         for lineno, fields in source.records("#"):
             with source.at(lineno):
@@ -141,7 +136,7 @@ class Filter:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = self._evaluate_raw(x) * self.scale
         if not np.isfinite(out).all():
-            raise FilterEvaluationError(f"{self.name} is not finite on the spectrum")
+            raise SpectralTransferError(f"{self.name} is not finite on the spectrum")
         return out[0] if scalar else out
 
     def _evaluate_raw(self, x: np.ndarray) -> np.ndarray:
@@ -155,7 +150,7 @@ class Filter:
             num = np.polynomial.polynomial.polyval(x, self.params["numerator"])
             den = np.polynomial.polynomial.polyval(x, self.params["denominator"])
             if np.any(np.abs(den) < 1e-14 * (1.0 + np.abs(num))):
-                raise FilterEvaluationError(
+                raise SpectralTransferError(
                     "rational filter denominator vanishes on the spectrum"
                 )
             return num / den
@@ -168,7 +163,7 @@ class Filter:
         if self.variant == "midpass":
             c, sigma = self.params["c"], self.params["sigma"]
             return np.exp(-((x - c) ** 2) / (2.0 * sigma * sigma))
-        raise FilterEvaluationError(f"unknown filter variant {self.variant!r}")
+        raise SpectralTransferError(f"unknown filter variant {self.variant!r}")
 
     # -- helpers --------------------------------------------------------
 
@@ -186,7 +181,7 @@ class Filter:
         """
         sup = sup_norm_on_spectrum(self, spectrum)
         if sup == 0.0:
-            raise FilterEvaluationError("cannot normalize a filter that vanishes on the spectrum")
+            raise SpectralTransferError("cannot normalize a filter that vanishes on the spectrum")
         return self.scaled(1.0 / sup), sup
 
 
@@ -198,14 +193,14 @@ def _exact(value: float) -> str:
 
 def _require_positive(what: str, value: float) -> None:
     if not float(value) > 0.0:
-        raise ParameterError(f"{what} must be positive, got {value:g}")
+        raise SpectralTransferError(f"{what} must be positive, got {value:g}")
 
 
 def make_filter(descriptor: str) -> Filter:
     """Parse ``identity``, ``heat(t)``, ``lowpass(c)``, ``highpass(c)``,
     ``midpass(c,sigma)``, ``poly(c0,c1,...)`` (one coefficient or more),
-    ``table(path)``; a wrong argument count is a FilterEvaluationError."""
-    base, args = parse_descriptor(descriptor, FilterEvaluationError)
+    ``table(path)``; a wrong argument count is an error."""
+    base, args = parse_descriptor(descriptor)
     makers = {  # family -> (constructor, number of arguments; None: one or more)
         "identity": (Filter.identity, 0),
         "heat": (Filter.heat, 1),
@@ -216,17 +211,17 @@ def make_filter(descriptor: str) -> Filter:
         "table": (Filter.from_table_file, 1),
     }
     if base not in makers:
-        raise FilterEvaluationError(f"unknown filter family {base!r}")
+        raise SpectralTransferError(f"unknown filter family {base!r}")
     maker, arity = makers[base]
     if len(args) != arity and not (arity is None and args):
         wanted = "at least 1" if arity is None else arity
-        raise FilterEvaluationError(
+        raise SpectralTransferError(
             f"{descriptor.strip()!r}: {base} takes {wanted} argument(s), got {len(args)}"
         )
     try:  # a table takes a path, every other family numbers
         return maker(*(a if base == "table" else finite_float(a) for a in args))
     except ValueError as exc:
-        raise FilterEvaluationError(f"{descriptor.strip()!r}: {exc}") from None
+        raise SpectralTransferError(f"{descriptor.strip()!r}: {exc}") from None
 
 
 def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> np.ndarray:
@@ -238,7 +233,7 @@ def apply_exact(filter: Filter, eig: EigenDecomposition, signal: np.ndarray) -> 
     """
     signal = np.asarray(signal)
     if signal.shape[0] != eig.dim:
-        raise FilterEvaluationError(
+        raise SpectralTransferError(
             f"signal dimension {signal.shape[0]} != operator dimension {eig.dim}"
         )
     return eig.apply_function_to(filter.evaluate(eig.values), signal)
@@ -264,13 +259,13 @@ def apply_rational(
         num = filter.params["numerator"]
         den = filter.params["denominator"]
     else:
-        raise FilterEvaluationError("apply_rational needs a polynomial or rational filter")
+        raise SpectralTransferError("apply_rational needs a polynomial or rational filter")
     t = op.matrix
     num_mat = _matrix_polynomial(num, t)
     den_mat = _matrix_polynomial(den, t)
     cond = np.linalg.cond(den_mat)
     if not np.isfinite(cond) or cond > 1e10:
-        raise SingularFilterError(
+        raise SpectralTransferError(
             f"denominator operator condition {cond:.3e} exceeds 1e10"
         )
     return filter.scale * (num_mat @ np.linalg.solve(den_mat, np.asarray(signal)))
@@ -291,7 +286,7 @@ def chebyshev_coefficients(filter: Filter, degree: int, interval) -> np.ndarray:
     points of the first kind (degree+1 nodes)."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
-        raise SpectralIntervalError(f"empty spectral interval [{a}, {b}]")
+        raise SpectralTransferError(f"empty spectral interval [{a}, {b}]")
 
     def on_unit(x):
         return np.asarray(filter.evaluate(0.5 * (a + b) + 0.5 * (b - a) * x), dtype=float)
@@ -316,14 +311,14 @@ def apply_chebyshev(
     normalized Laplacians sits inside [0, 2].
     """
     if degree < 0:
-        raise SpectralIntervalError("degree must be nonnegative")
+        raise SpectralTransferError("degree must be nonnegative")
     spectrum = op.eig.values
     if interval is None:
         interval = _containing_interval(spectrum)
     a, b = float(interval[0]), float(interval[1])
     lo, hi = spectrum.min(), spectrum.max()
     if lo < a - 1e-9 or hi > b + 1e-9:
-        raise SpectralIntervalError(
+        raise SpectralTransferError(
             f"spectrum [{lo:g}, {hi:g}] escapes interval [{a:g}, {b:g}]"
         )
     coeffs = chebyshev_coefficients(filter, degree, (a, b))
@@ -376,7 +371,7 @@ def max_difference_quotient(filter: Filter, lambda_m, target_spectrum):
     """
     target = np.asarray(target_spectrum)
     if target.size == 0:
-        raise FilterEvaluationError("target spectrum is empty")
+        raise SpectralTransferError("target spectrum is empty")
     source = np.asarray(lambda_m)
     lams = source.reshape(-1)
     dist = np.abs(target[None, :] - lams[:, None])

@@ -3,9 +3,9 @@
 Three text formats load, each as an undirected graph: whitespace edge
 lists ("u v w" with 0-based indices and '#' comments), Matrix Market
 coordinate files with a ``symmetric`` header (a ``general`` header, which
-declares a directed graph, is a :class:`GraphError`), and OFF meshes as
-unit-weight graphs with one edge per polygon side, deduplicated.  Every
-reading or parsing error names the file.
+declares a directed graph, is an error), and OFF meshes as unit-weight
+graphs with one edge per polygon side, deduplicated.  Every reading or
+parsing error names the file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .errors import GraphError, ParseError
+from .errors import SpectralTransferError
 from .graphs import (
     WeightedGraph,
     grid_graph,
@@ -28,14 +28,14 @@ def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
     """Read a graph file; ``format`` is ``edge_list``, ``matrix_market`` or
     ``off``.
 
-    A file that cannot be read as text, or does not parse, raises
-    :class:`ParseError` with a message that names ``path``.
+    A file that cannot be read as text, or does not parse, raises an error
+    that names ``path``.
     """
     parsers = {"edge_list": _parse_edge_list, "matrix_market": _parse_matrix_market,
                "off": _parse_mesh_off}
     if format not in parsers:
-        raise ParseError(f"unknown graph format {format!r}")
-    return parsers[format](TextFile(path, ParseError, "graph file"))
+        raise SpectralTransferError(f"unknown graph format {format!r}")
+    return parsers[format](TextFile(path, "graph file"))
 
 
 def _parse_edge_list(source: TextFile) -> WeightedGraph:
@@ -68,7 +68,7 @@ def _parse_matrix_market(source: TextFile) -> WeightedGraph:
             1, "expected '%%MatrixMarket matrix coordinate real symmetric' header"
         )
     if header.group(2).lower() == "general":
-        raise GraphError(
+        raise SpectralTransferError(
             f"{source.path}: line 1: a 'general' Matrix Market header declares a directed "
             "graph, and only undirected graphs are supported; write the file with a "
             "'symmetric' header"
@@ -127,7 +127,7 @@ def synthetic_graph(descriptor: str, default_seed: int | None = None) -> Weighte
     The geometric generator falls back to ``default_seed`` when the
     descriptor omits its own.
     """
-    name, args = parse_descriptor(descriptor, ParseError)
+    name, args = parse_descriptor(descriptor)
     try:
         if name == "path" and len(args) == 1:
             return path_graph(int(args[0]))
@@ -136,11 +136,11 @@ def synthetic_graph(descriptor: str, default_seed: int | None = None) -> Weighte
         if name == "random-geometric" and len(args) in (2, 3):
             seed = int(args[2]) if len(args) == 3 else default_seed
             if seed is None:
-                raise ParseError(
+                raise SpectralTransferError(
                     f"{descriptor}: random-geometric needs a seed "
                     "(third argument or the experiment seed)"
                 )
             return random_geometric_graph(int(args[0]), finite_float(args[1]), seed)
     except ValueError as exc:
-        raise ParseError(f"{descriptor}: {exc}") from None
-    raise ParseError(f"unknown graph descriptor {descriptor!r}")
+        raise SpectralTransferError(f"{descriptor}: {exc}") from None
+    raise SpectralTransferError(f"unknown graph descriptor {descriptor!r}")

@@ -26,13 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDegreeError,
-    GraphError,
-    InvalidInnerProductError,
-    NormalityError,
-    ParameterError,
-)
+from .errors import SpectralTransferError
 
 #: Relative eigenvalue-cluster tolerance (times the spectral radius).  It
 #: only labels clusters of near-equal eigenvalues, for ``grouped`` and
@@ -172,12 +166,12 @@ class WeightedGraph:
 
     def _store(self, n_vertices, u, v, w):
         if n_vertices < 1:
-            raise GraphError("graph must have at least one vertex")
+            raise SpectralTransferError("graph must have at least one vertex")
         # an index beyond int64 stays a Python int (object array)
         u, v = (x if x.dtype == object else x.astype(np.int64) for x in (u, v))
         message = _first_edge_error(n_vertices, u, v, w)
         if message:
-            raise GraphError(message)
+            raise SpectralTransferError(message)
         u, v = np.minimum(u, v), np.maximum(u, v)
         for name, value in (("n_vertices", n_vertices), ("u", u), ("v", v), ("w", w)):
             if isinstance(value, np.ndarray):
@@ -198,7 +192,7 @@ class WeightedGraph:
         try:
             w_mat = np.zeros((n, n))
         except (MemoryError, ValueError):
-            raise GraphError(
+            raise SpectralTransferError(
                 f"graph of {n} vertices needs a dense {n}x{n} matrix of "
                 f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
             ) from None
@@ -285,9 +279,9 @@ class InnerProduct:
     def __post_init__(self):
         b = np.asarray(self.b)
         if b.ndim != 1:
-            raise InvalidInnerProductError("B must be given as a 1-D array of weights")
+            raise SpectralTransferError("B must be given as a 1-D array of weights")
         if np.iscomplexobj(b) or not np.all(b > 0):
-            raise InvalidInnerProductError(
+            raise SpectralTransferError(
                 f"B must have positive real weights (min weight {b.real.min():.3e})"
             )
         object.__setattr__(self, "b", b)
@@ -345,9 +339,9 @@ class OperatorWithInnerProduct:
     def __post_init__(self):
         a = np.asarray(self.matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NormalityError("operator matrix must be square")
+            raise SpectralTransferError("operator matrix must be square")
         if a.shape[0] != self.inner.dim:
-            raise NormalityError("operator and inner product dimensions differ")
+            raise SpectralTransferError("operator and inner product dimensions differ")
         object.__setattr__(self, "matrix", a)
         if self.inner.is_standard and np.array_equal(a, a.conj().T):
             return
@@ -356,7 +350,7 @@ class OperatorWithInnerProduct:
         diff = ba - ba.conj().T
         defect = np.abs(diff, out=diff).max(initial=0.0).real  # no third n x n array
         if defect > self._SYMMETRY_RTOL * scale:
-            raise NormalityError(
+            raise SpectralTransferError(
                 f"operator is not self-adjoint under the given inner product "
                 f"(largest entry of B A - (B A)^H {defect:.3e})"
             )
@@ -384,7 +378,7 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
     itself.
     """
     if kind not in ("unnormalized", "normalized", "adjacency"):
-        raise ParameterError(f"unknown laplacian kind {kind!r}")
+        raise SpectralTransferError(f"unknown laplacian kind {kind!r}")
     w_mat = graph.adjacency()
     deg = w_mat.sum(axis=1)
     if kind == "unnormalized":
@@ -392,7 +386,7 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
     elif kind == "normalized":
         if np.any(deg <= 0):
             bad = int(np.argmin(deg))
-            raise DegenerateDegreeError(
+            raise SpectralTransferError(
                 f"vertex {bad} has degree {deg[bad]:g}; normalized Laplacian undefined"
             )
         d_inv_sqrt = 1.0 / np.sqrt(deg)

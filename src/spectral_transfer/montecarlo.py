@@ -15,19 +15,19 @@ convergence slopes, and evaluates the non-asymptotic filter transfer bound.
 
 Each trial derives its generator from (master seed, size index, trial
 index), so results are bitwise reproducible.  A trial costs O(N K^2) time
-and O(N K) memory for K = dim PW(kernel band): both quadrature errors are
-read from one K x K weighted Gram of the kernel-band basis (see
+and O((N + K) K) memory for K = dim PW(kernel band): both quadrature
+errors are read from one K x K weighted Gram of the kernel-band basis (see
 :func:`mc_trial`), and the activation probes of a size, whose seed depends
 on the size alone, are built once and shared by all its trials.
 
-The trials of one size run in blocks of ``max(1, _TRIAL_ROWS // N)``: a
-block's sample sets are drawn in one pass and stacked as (trials, N)
-points, so its rejection rounds, weights, kernel-band basis, Grams,
+The trials of one size run in blocks of ``max(1, _TRIAL_ROWS // max(N,
+K))``: a block's sample sets are drawn in one pass and stacked as (trials,
+N) points, so its rejection rounds, weights, kernel-band basis, Grams,
 eigensolves and activation tails are each one stacked call, not one small
-call per trial.  The row budget bounds the block's temporaries, of which
+call per trial.  The row budget bounds the block's temporaries: per trial,
 the kernel-band basis, the sampled Laplacian's factors and the
-activation-tail buffers are the only N-row ones: one block of 8192 rows
-peaks at about 4.6 arrays of N K doubles (tracemalloc).
+activation-tail buffers are N x K, the Grams K x K.  With K <= N, one
+block of 8192 rows peaks at about 4.6 arrays of N K doubles (tracemalloc).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SlopeUndefinedError
+from .errors import SpectralTransferError
 from .sampling import (
     SampleSet,
     rejection_sample,
@@ -55,7 +55,7 @@ _GRID = 4096
 #: (4096 x 16 doubles = 0.5 MB each); blocks of 64 raised the peak RSS of
 #: the shipped mc-verify run by 6 MB.
 _PROBE_BLOCK = 16
-#: Sample rows of one block of trials (trials times N); a size above it
+#: Rows of one block of trials (trials times max(N, K)); a size above it
 #: runs one trial per block.
 _TRIAL_ROWS = 8192
 #: The sphere-sampling estimate of the activation-tail constant is inflated
@@ -86,27 +86,24 @@ class TrialConfig:
     delta: float
     master_seed: int
     weight: str = "uniform"
-    sampler: str = "random"  # random | equispaced
     activation_probes: int = 8
 
     def __post_init__(self):
         if not self.band < self.kernel_band:
-            raise ParameterError("band must be below the kernel band")
+            raise SpectralTransferError("band must be below the kernel band")
         if not 0.0 < self.delta < 1.0:
-            raise ParameterError(f"delta {self.delta} outside (0, 1)")
+            raise SpectralTransferError(f"delta {self.delta} outside (0, 1)")
         if self.weight not in _WEIGHTS:
-            raise ParameterError(f"unknown weight {self.weight!r}")
-        if self.sampler not in ("random", "equispaced"):
-            raise ParameterError(f"unknown sampler {self.sampler!r}")
+            raise SpectralTransferError(f"unknown weight {self.weight!r}")
         if self.space.max_frequency(self.kernel_band) >= _GRID // 2:
             # sin(pi k) = 0 at every grid point: the tail's grid basis is rank-deficient
-            raise ParameterError(
+            raise SpectralTransferError(
                 f"kernel band {self.kernel_band:.12g} must be below {(_GRID // 2) ** 2}: the "
                 f"{_GRID}-point activation grid resolves frequencies below {_GRID // 2}"
             )
         min_dim = self.space.dim_pw(self.band)
         if any(n < min_dim for n in self.sizes):
-            raise ParameterError(
+            raise SpectralTransferError(
                 f"every sample size must be at least dim PW = {min_dim}"
             )
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
@@ -127,15 +124,11 @@ class TrialConfig:
 
         Trial t draws from its own generator, seeded by (master seed,
         size index, t), so a trial's points do not depend on its block.
-        Random blocks draw all their trials in one pass: uniform points
-        fill the rows in place, and weighted ones come from one stacked
+        A block draws all its trials in one pass: uniform points fill the
+        rows in place, and weighted ones come from one stacked
         :func:`rejection_sample`, which also gives their weights.
-        Equispaced rows carry the configured weight at their points.
         """
         n = self.sizes[size_index]
-        if self.sampler == "equispaced":
-            points = np.tile(SampleSet.equispaced(n).points, (len(trial_indices), 1))
-            return SampleSet(points, self.weight_fn()(points))
         rngs = [
             np.random.default_rng(np.random.SeedSequence(
                 entropy=self.master_seed, spawn_key=(size_index, t)
@@ -368,11 +361,13 @@ def run_trials(config: TrialConfig, constants: MCBoundConstants):
     """All (size, trial) results, size-major and bitwise reproducible.
 
     The trials of a size of N points run in blocks of ``max(1,
-    _TRIAL_ROWS // N)``, one :func:`mc_trial` call each.
+    _TRIAL_ROWS // max(N, K))``, one :func:`mc_trial` call each; each trial
+    holds N-row arrays and K x K Grams, K = dim PW(kernel band).
     """
     results = []
+    k = len(config.kernel.eigenvalues)
     for size_index, n in enumerate(config.sizes):
-        step = max(1, _TRIAL_ROWS // n)
+        step = max(1, _TRIAL_ROWS // max(n, k))
         for start in range(0, config.trials, step):
             block = range(start, min(start + step, config.trials))
             results.extend(mc_trial(config, size_index, block, constants))
@@ -393,10 +388,10 @@ class FailureRates:
 
 
 def check_failure_rate_inputs(config: TrialConfig) -> None:
-    """Raise :class:`ParameterError` unless the campaign has the trials
-    that :func:`failure_rate` needs."""
+    """Raise unless the campaign has the trials that :func:`failure_rate`
+    needs."""
     if config.trials * len(config.sizes) < 100:
-        raise ParameterError("failure rates need at least 100 trials")
+        raise SpectralTransferError("failure rates need at least 100 trials")
 
 
 def failure_rate(config: TrialConfig, results) -> FailureRates:
@@ -414,23 +409,23 @@ class SlopeFit:
 
 
 def check_slope_fit_inputs(config: TrialConfig) -> None:
-    """Raise :class:`ParameterError` unless the campaign has the sizes and
-    trials that :func:`slope_fit` needs."""
+    """Raise unless the campaign has the sizes and trials that
+    :func:`slope_fit` needs."""
     if len(config.sizes) < 3:
-        raise ParameterError("slope fit needs at least 3 sample sizes")
+        raise SpectralTransferError("slope fit needs at least 3 sample sizes")
     if len(set(config.sizes)) < 3:
         # a repeated size adds no point to the log-log fit
-        raise ParameterError("slope fit needs at least 3 distinct sample sizes")
+        raise SpectralTransferError("slope fit needs at least 3 distinct sample sizes")
     if config.trials < 30:
-        raise ParameterError("slope fit needs at least 30 trials per size")
+        raise SpectralTransferError("slope fit needs at least 30 trials per size")
 
 
 def slope_fit(config: TrialConfig, results) -> SlopeFit:
     """Least-squares slope of log(median error) against log(N).
 
     Medians are used because the Markov-style tails are heavy.  Raises
-    :class:`SlopeUndefinedError` when a quantity's medians all vanish (as
-    with exact-quadrature point sets).
+    when a quantity's medians all vanish (as with exact-quadrature point
+    sets).
     """
     check_slope_fit_inputs(config)
     by_size = {n: [] for n in config.sizes}
@@ -442,7 +437,7 @@ def slope_fit(config: TrialConfig, results) -> SlopeFit:
             [np.median([getattr(r, attr) for r in by_size[n]]) for n in config.sizes]
         )
         if np.all(med <= 1e-14):  # vanishes up to roundoff
-            raise SlopeUndefinedError(
+            raise SpectralTransferError(
                 f"all {attr} medians vanish; no rate to fit"
             )
         slopes[attr] = float(
@@ -463,11 +458,11 @@ def nonasymptotic_filter_bound(
     holding with probability more than 1 - 2 delta.
     """
     if not 0.0 < alpha <= 0.5:
-        raise ParameterError(f"alpha {alpha} outside (0, 1/2]")
+        raise SpectralTransferError(f"alpha {alpha} outside (0, 1/2]")
     if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta {delta} outside (0, 1)")
+        raise SpectralTransferError(f"delta {delta} outside (0, 1)")
     if n < 1 or dim_pw < 0 or w_min <= 0:
-        raise ParameterError("need n >= 1, dim_pw >= 0, w_min > 0")
+        raise SpectralTransferError("need n >= 1, dim_pw >= 0, w_min > 0")
     term1 = 2.0 * d_lipschitz * b_const * max_phi_inf / w_min * n ** (-alpha)
     term2 = g_sup * max_phi_inf**2 / np.sqrt(w_min) * n ** (-0.5)
     return float(dim_pw * (term1 + term2) / np.sqrt(delta))

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePerturbationError,
-    GraphError,
-    ParameterError,
-    WeightError,
-)
+from .errors import SpectralTransferError
 from .graphs import InnerProduct, OperatorWithInnerProduct, WeightedGraph
 from .spaces import BandlimitedKernel, CircleSpace
 
@@ -54,13 +49,13 @@ class SampleSet:
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.size < 1:
-            raise ParameterError("sample set needs at least one point")
+            raise SpectralTransferError("sample set needs at least one point")
         object.__setattr__(self, "points", pts)
         w = np.ones(pts.shape) if self.w_values is None else np.asarray(self.w_values, dtype=float)
         if w.shape != pts.shape:
-            raise WeightError("weight values must align with sample points")
+            raise SpectralTransferError("weight values must align with sample points")
         if np.any(w <= 0):
-            raise WeightError(f"nonpositive sampling weight {w.min():g}")
+            raise SpectralTransferError(f"nonpositive sampling weight {w.min():g}")
         object.__setattr__(self, "w_values", w)
 
     @property
@@ -70,7 +65,7 @@ class SampleSet:
     def inner_product(self) -> InnerProduct:
         """B = diag(1/w); the dot product for uniformly drawn points."""
         if self.points.ndim > 1:
-            raise ParameterError(
+            raise SpectralTransferError(
                 f"a stack of sample sets {self.points.shape} has no single "
                 "inner product; take one row"
             )
@@ -178,7 +173,7 @@ class CoarseningMap:
     def __post_init__(self):
         groups = sorted((tuple(sorted(grp)) for grp in self.groups), key=min)
         if sorted(v for grp in groups for v in grp) != list(range(self.n_fine)):
-            raise GraphError("matching must cover every fine vertex exactly once")
+            raise SpectralTransferError("matching must cover every fine vertex exactly once")
         s = np.zeros((len(groups), self.n_fine))
         for row, grp in enumerate(groups):
             s[row, list(grp)] = 1.0 / np.sqrt(len(grp))
@@ -227,7 +222,7 @@ def coarsened_laplacian(
 ) -> OperatorWithInnerProduct:
     """``S L S^T`` on the coarse vertex set, with the dot product."""
     if fine_laplacian.dim != cmap.n_fine:
-        raise GraphError("coarsening map and Laplacian dimensions differ")
+        raise SpectralTransferError("coarsening map and Laplacian dimensions differ")
     s = cmap.s_matrix
     mat = s @ fine_laplacian.matrix @ s.T
     return OperatorWithInnerProduct.symmetric(0.5 * (mat + mat.T))
@@ -293,9 +288,9 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.mode not in ("remove_edges", "add_edges", "remove_vertices"):
-            raise ParameterError(f"unknown perturbation mode {self.mode!r}")
+            raise SpectralTransferError(f"unknown perturbation mode {self.mode!r}")
         if not 0.0 <= self.fraction <= 1.0:
-            raise ParameterError(f"fraction {self.fraction} outside [0, 1]")
+            raise SpectralTransferError(f"fraction {self.fraction} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -338,7 +333,7 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
     # remove_vertices
     k = int(np.floor(spec.fraction * n))
     if k >= n:
-        raise DegeneratePerturbationError(
+        raise SpectralTransferError(
             f"removing {k} of {n} vertices empties the graph"
         )
     keep = np.ones(n, dtype=bool)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandError
+from .errors import SpectralTransferError
 from .graphs import EigenDecomposition, OperatorWithInnerProduct, WeightedGraph, build_laplacian
 
 
@@ -34,7 +34,7 @@ class CircleSpace:
     def max_frequency(band: float) -> int:
         """Largest n with n^2 <= band."""
         if band < 0:
-            raise BandError("band must be nonnegative")
+            raise SpectralTransferError("band must be nonnegative")
         n = int(np.floor(np.sqrt(band * (1.0 + 1e-12))))
         while (n + 1) ** 2 <= band * (1.0 + 1e-12):
             n += 1
@@ -150,7 +150,7 @@ class BandlimitedKernel:
 
     def __post_init__(self):
         if self.band < 0:
-            raise BandError("kernel band must be nonnegative")
+            raise SpectralTransferError("kernel band must be nonnegative")
         object.__setattr__(
             self, "eigenvalues", self.space.eigenvalues_up_to(self.band)
         )

@@ -1,8 +1,8 @@
 """What every text input shares: one file reader, the config line grammar,
 finite numbers, top-level comma splitting and the ``name(arg, ...)``
-descriptor grammar.  Each format keeps its own comment rule, record shape
-and error type; this module opens the file, numbers its lines and words
-every ``path: line N: ...`` message.
+descriptor grammar.  Each format keeps its own comment rule and record
+shape; this module opens the file, numbers its lines and words every
+``path: line N: ...`` message as a :class:`SpectralTransferError`.
 """
 
 from __future__ import annotations
@@ -15,24 +15,23 @@ from .errors import SpectralTransferError
 
 
 class TextFile:
-    """The lines of one UTF-8 text file, and errors of the caller's type
-    ``error`` that name it; an unreadable file raises ``cannot read <what>
-    <path>: <reason>``."""
+    """The lines of one UTF-8 text file, and errors that name it; an
+    unreadable file raises ``cannot read <what> <path>: <reason>``."""
 
-    def __init__(self, path, error, what: str):
-        self.path, self.error = path, error
+    def __init__(self, path, what: str):
+        self.path = path
         try:
             with open(path, encoding="utf-8") as fh:
                 self.lines = fh.read().split("\n")
         except (OSError, UnicodeDecodeError) as exc:
-            raise error(f"cannot read {what} {path}: {exc}") from None
+            raise SpectralTransferError(f"cannot read {what} {path}: {exc}") from None
 
     def fail(self, line: int | None, message: str, section: str | None = None):
         """The error naming the file and, when known, the line and section."""
         where = str(self.path) if line is None else f"{self.path}: line {line}"
         if section is not None:
             where += f": [{section}]"
-        return self.error(f"{where}: {message}")
+        return SpectralTransferError(f"{where}: {message}")
 
     @contextmanager
     def at(self, line: int | None, section: str | None = None, prefix: str = ""):
@@ -124,14 +123,14 @@ def split_top_level(text: str) -> list:
 _DESCRIPTOR = re.compile(r"([a-z_-]+)\s*(?:\((.*)\))?")
 
 
-def parse_descriptor(text: str, error) -> tuple:
+def parse_descriptor(text: str) -> tuple:
     """The name and the top-level comma-separated arguments of
     ``name(arg, ...)`` or a bare ``name``, the name in lower case letters,
-    ``_`` and ``-``; anything else raises ``error`` naming ``text``."""
+    ``_`` and ``-``; anything else raises an error naming ``text``."""
     match = _DESCRIPTOR.fullmatch(text.strip())
     try:
         if match is None:
             raise ValueError("expected name(arg, ...)")
         return match.group(1), split_top_level(match.group(2) or "")
     except ValueError as exc:
-        raise error(f"cannot parse descriptor {text.strip()!r}: {exc}") from None
+        raise SpectralTransferError(f"cannot parse descriptor {text.strip()!r}: {exc}") from None

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BandError, ParameterError
+from .errors import SpectralTransferError
 from .filters import Filter, max_difference_quotient, sup_norm_on_spectrum
 from .graphs import OperatorWithInnerProduct, column_norms, hermitian_norm, operator_norm
 from .sampling import CoarseningMap, SamplingPair, coarsened_laplacian
@@ -64,14 +64,14 @@ def filter_constants(filt: Filter, source_eigenvalues,
     The one rule for D, the Lipschitz constant of every filter, stability
     and network bound: the filter's declared constant, checked against the
     quotients between the two spectra under the same slack as every
-    certified inequality (a violation raises :class:`ParameterError`), or
-    the largest quotient when the filter declares none.
+    certified inequality (a violation raises), or the largest quotient when
+    the filter declares none.
     """
     source = np.asarray(source_eigenvalues)
     vg = max_difference_quotient(filt, source, target_spectrum)
     lip = filt.lipschitz_constant
     if lip is not None and vg.size and not certified(float(vg.max()), lip):
-        raise ParameterError(
+        raise SpectralTransferError(
             f"declared Lipschitz constant {lip:g} is violated on the "
             f"spectra (observed quotient {vg.max():g})"
         )
@@ -102,7 +102,7 @@ class TransferSetting:
         lams = np.asarray(self.source_eigenvalues)
         s = np.asarray(self.s_pw)
         if s.shape != (self.target.dim, lams.shape[0]):
-            raise BandError(
+            raise SpectralTransferError(
                 f"sampling matrix {s.shape} inconsistent with "
                 f"{lams.shape[0]} source modes and {self.target.dim} target vertices"
             )
@@ -259,7 +259,7 @@ def transfer_errors(setting: TransferSetting, filt: Filter,
     all measured back in the source space."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[0] != setting.dim_pw:
-        raise BandError(
+        raise SpectralTransferError(
             f"signal has {coeffs.shape[0]} coefficients, band holds {setting.dim_pw}"
         )
     lams, s, inner = setting.source_eigenvalues, setting.s_pw, setting.target.inner
@@ -362,7 +362,7 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
     if setting1.dim_pw != setting2.dim_pw or not np.allclose(
         setting1.source_eigenvalues, setting2.source_eigenvalues
     ):
-        raise BandError("the two settings must share one source space and band")
+        raise SpectralTransferError("the two settings must share one source space and band")
     error = operator_norm(
         setting1.filtered_transfer_matrix(filt) - setting2.filtered_transfer_matrix(filt)
     )

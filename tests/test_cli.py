@@ -293,6 +293,23 @@ def test_repeated_perturbations_exit_two_naming_both(tmp_path, capsys):
         "add_edges(0.1)", "remove_edges(0.1)", "remove_edges(0.2)"]
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 53.6 GiB for an array"),
+     "Unable to allocate 53.6 GiB for an array"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_a_failed_allocation_exits_two_with_one_line(config_file, tmp_path, capsys,
+                                                     monkeypatch, error, line):
+    def run_experiment(config):
+        raise error
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    out_dir = tmp_path / "out"
+    assert cli.main(["coarsen-transfer", "--config", str(config_file),
+                     "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"spectral-transfer: error: {line}"]
+    assert not out_dir.exists()
+
+
 def test_filters_with_one_report_name_exit_two_naming_both(tmp_path, capsys):
     code, out_dir = run_perturb_stability_on_path8(tmp_path, "heat(1), lowpass(2), heat(1.0)")
     assert code == 2
@@ -333,6 +350,11 @@ def test_bad_perturbation_exits_before_any_graph_work(
     ("circle-sampling", "sizes = 64, 128, 256\ntrials = 29",
      "slope fit needs at least 30 trials per size"),
     ("circle-sampling", "weights = uniform, bogus", "unknown weight 'bogus'"),
+    # both entries would draw one campaign from one seed substream
+    ("mc-verify", "sizes = 256\ntrials = 100\nweights = cosine, cosine",
+     "weights 1 and 2 are both 'cosine': each needs its own campaign"),
+    ("circle-sampling", "weights = uniform, cosine, uniform",
+     "weights 1 and 3 are both 'uniform': each needs its own campaign"),
     ("mc-verify", "kernel_band = 1e12",
      "kernel band 1e+12 must be below 4194304: the 4096-point activation grid "
      "resolves frequencies below 2048"),
@@ -349,6 +371,7 @@ def test_bad_campaign_exits_before_any_trial(
     code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"spectral-transfer: error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_kernel_band_just_below_the_grid_limit_is_accepted(tmp_path):

@@ -21,7 +21,7 @@ from spectral_transfer.convnet import (
     pool,
     spectral_decay_check,
 )
-from spectral_transfer.errors import ParameterError, TopologyError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import WeightedGraph, build_laplacian, grid_graph, path_graph
 from spectral_transfer.sampling import (
@@ -52,7 +52,7 @@ class TestActivation:
         np.testing.assert_array_equal(Activation("abs").apply(x), [2.0, 0.0, 3.0])
 
     def test_unknown_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SpectralTransferError, match="unknown activation 'tanh'"):
             Activation("tanh")
 
     @settings(max_examples=50, deadline=None)
@@ -91,7 +91,7 @@ class TestPool:
         )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError, match="pooling kind"):
+        with pytest.raises(SpectralTransferError, match="pooling kind"):
             pool(np.array([1.0, 2.0]), CoarseningMap(2, ((0, 1),)), "mean")
 
     def test_pooling_reduces_norm(self):
@@ -138,7 +138,7 @@ class TestForwardGraph:
         spec = ConvNetSpec(
             (one_channel_layer(Filter.identity()),), Activation("relu"), (4.0, 4.0)
         )
-        with pytest.raises(TopologyError):
+        with pytest.raises(SpectralTransferError, match="network expects 1 input channels"):
             forward_graph(spec, [op], [None], [np.ones(3), np.ones(3)])
 
     def test_permutation_equivariance(self):
@@ -270,7 +270,7 @@ class TestTransferBound:
         assert val == pytest.approx(front * growth * 0.1)
 
     def test_delta_range_enforced(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SpectralTransferError, match=r"hypothesis tolerance 1.5 outside \[0, 1\)"):
             convnet_transfer_bound(1, 1.0, 1.0, 0.0, 1.5, 4)
 
 
@@ -488,7 +488,7 @@ pooling = none
         assert spec.mixing_bound() == pytest.approx(1.0)
 
     def test_band_monotonicity_enforced(self):
-        with pytest.raises(TopologyError, match="nondecreasing"):
+        with pytest.raises(SpectralTransferError, match="nondecreasing"):
             ConvNetSpec(
                 (one_channel_layer(Filter.identity()),), Activation("relu"), (4.0, 1.0)
             )
@@ -499,7 +499,7 @@ pooling = none
             np.ones((2, 1)), np.zeros(2), "none",
         )  # outputs 2 channels
         l2 = one_channel_layer(Filter.identity())  # expects 1
-        with pytest.raises(TopologyError, match="channels"):
+        with pytest.raises(SpectralTransferError, match="channels"):
             ConvNetSpec((l1, l2), Activation("relu"), (1.0, 1.0, 1.0))
 
     def test_normalization_preserves_network(self):

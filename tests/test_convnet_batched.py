@@ -22,7 +22,7 @@ from spectral_transfer.convnet import (
     output_errors,
     pool,
 )
-from spectral_transfer.errors import ParameterError, TopologyError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.experiments import _contraction_check
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import build_laplacian, grid_graph, path_graph
@@ -234,7 +234,7 @@ class TestBatchedForwards:
         space = GraphSpace.from_graph(path_graph(9), "normalized")
         spec = two_layer_spec(graph_bands(space, 3), "none", "relu", k_input=2)
         setting = graph_setting(path_graph(9), spec)
-        with pytest.raises(TopologyError, match="channels"):
+        with pytest.raises(SpectralTransferError, match="channels"):
             forward_graph(spec, setting.operators[:2], setting.pooling_maps,
                           [np.ones(9), np.ones((9, 3))])
 
@@ -295,7 +295,7 @@ class TestBatchedMeasurements:
         setting = graph_setting(path_graph(12), spec)
         probes = np.zeros((space.dim_pw(spec.bands[0]), 2))
         probes[0, 0] = 1.0
-        with pytest.raises(ParameterError, match="nonzero"):
+        with pytest.raises(SpectralTransferError, match="nonzero"):
             output_errors(spec, setting, setting, probes)
 
     @settings(max_examples=25, deadline=None)

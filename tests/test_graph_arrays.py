@@ -13,27 +13,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_transfer.errors import DegeneratePerturbationError, GraphError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.graphs import WeightedGraph, random_geometric_graph
 from spectral_transfer.sampling import PerturbationSpec, perturb_graph_detailed
 
 
 def reference_edges(n_vertices, edges):
-    """Canonical edge tuple, or the GraphError message of the first bad edge."""
+    """Canonical edge tuple, or the error message of the first bad edge."""
     if n_vertices < 1:
-        raise GraphError("graph must have at least one vertex")
+        raise SpectralTransferError("graph must have at least one vertex")
     seen, canonical = set(), []
     for u, v, w in edges:
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise GraphError(f"edge ({u}, {v}) outside vertex range")
+            raise SpectralTransferError(f"edge ({u}, {v}) outside vertex range")
         if u == v:
-            raise GraphError(f"self loop at vertex {u}")
+            raise SpectralTransferError(f"self loop at vertex {u}")
         if not np.isfinite(w):
-            raise GraphError(f"non-finite weight on edge ({u}, {v})")
+            raise SpectralTransferError(f"non-finite weight on edge ({u}, {v})")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
+            raise SpectralTransferError(f"duplicate edge ({u}, {v})")
         seen.add(key)
         canonical.append((key[0], key[1], w))
     return tuple(canonical)
@@ -75,7 +75,7 @@ def reference_perturb(n, edges, spec):
         return n, tuple(edges + added), None
     k = int(np.floor(spec.fraction * n))
     if k >= n:
-        raise DegeneratePerturbationError(f"removing {k} of {n} vertices empties the graph")
+        raise SpectralTransferError(f"removing {k} of {n} vertices empties the graph")
     drop = set(rng.choice(n, size=k, replace=False)) if k else set()
     kept = tuple(v for v in range(n) if v not in drop)
     index = {v: i for i, v in enumerate(kept)}
@@ -110,8 +110,8 @@ def test_graph_matches_the_per_edge_reference(case):
     n, edges = case
     try:
         expected = reference_edges(n, edges)
-    except GraphError as exc:
-        with pytest.raises(GraphError) as info:
+    except SpectralTransferError as exc:
+        with pytest.raises(SpectralTransferError) as info:
             WeightedGraph(n, edges)
         assert str(info.value) == str(exc)
         return
@@ -143,8 +143,8 @@ def test_perturbation_matches_the_per_edge_reference(case, mode, fraction, seed)
     spec = PerturbationSpec(mode, fraction, seed)
     try:
         n_out, edges_out, kept = reference_perturb(n, graph.edges, spec)
-    except DegeneratePerturbationError as exc:
-        with pytest.raises(DegeneratePerturbationError, match=str(exc)):
+    except SpectralTransferError as exc:
+        with pytest.raises(SpectralTransferError, match=str(exc)):
             perturb_graph_detailed(graph, spec)
         return
     result = perturb_graph_detailed(graph, spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_transfer import montecarlo
-from spectral_transfer.errors import ParameterError, SlopeUndefinedError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.montecarlo import (
     TrialConfig,
     bound_constants,
@@ -33,17 +33,28 @@ def all_trials(cfg):
     return run_trials(cfg, bound_constants(cfg))
 
 
+@pytest.fixture
+def equispaced(monkeypatch):
+    """Trials drawn at the N equispaced points, carrying the configured
+    weight there: the exact quadrature of every band below N / 2."""
+    def draw_block(self, size_index, trial_indices):
+        points = SampleSet.equispaced(self.sizes[size_index]).points
+        points = np.tile(points, (len(trial_indices), 1))
+        return SampleSet(points, self.weight_fn()(points))
+    monkeypatch.setattr(TrialConfig, "draw_block", draw_block)
+
+
 class TestConfigValidation:
     def test_band_ordering(self):
-        with pytest.raises(ParameterError, match="below the kernel band"):
+        with pytest.raises(SpectralTransferError, match="below the kernel band"):
             small_config(band=4.0, kernel_band=4.0)
 
     def test_delta_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SpectralTransferError, match=r"delta 1.0 outside \(0, 1\)"):
             small_config(delta=1.0)
 
     def test_sizes_cover_band(self):
-        with pytest.raises(ParameterError, match="dim PW"):
+        with pytest.raises(SpectralTransferError, match="dim PW"):
             small_config(sizes=(2,))
 
 
@@ -97,8 +108,8 @@ class TestConstants:
 
 
 class TestMcTrial:
-    def test_equispaced_band1_exact(self):
-        cfg = small_config(sizes=(8,), sampler="equispaced", trials=1)
+    def test_equispaced_band1_exact(self, equispaced):
+        cfg = small_config(sizes=(8,), trials=1)
         (r,) = mc_trial(cfg, 0, [0], bound_constants(cfg))
         assert r.laplacian_err <= 1e-12
         assert r.gram_err <= 1e-12
@@ -142,14 +153,13 @@ class TestFailureRates:
         for rate in rates.as_tuple():
             assert rate <= 0.25
 
-    def test_equispaced_rate_zero(self):
-        cfg = small_config(sizes=(16,), trials=100, sampler="equispaced",
-                           activation_probes=0)
+    def test_equispaced_rate_zero(self, equispaced):
+        cfg = small_config(sizes=(16,), trials=100, activation_probes=0)
         rates = failure_rate(cfg, all_trials(cfg))
         assert rates.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_needs_100_trials(self):
-        with pytest.raises(ParameterError, match="100"):
+        with pytest.raises(SpectralTransferError, match="100"):
             failure_rate(small_config(trials=5), [])
 
 
@@ -162,16 +172,15 @@ class TestSlopes:
         assert -0.65 <= fit.laplacian <= -0.35
         assert -0.65 <= fit.gram <= -0.35
 
-    def test_exact_points_raise_slope_undefined(self):
+    def test_exact_points_raise_slope_undefined(self, equispaced):
         cfg = TrialConfig(band=1.0, kernel_band=4.0, sizes=(8, 16, 32),
-                          trials=30, delta=0.25, master_seed=0,
-                          sampler="equispaced", activation_probes=0)
-        with pytest.raises(SlopeUndefinedError):
+                          trials=30, delta=0.25, master_seed=0, activation_probes=0)
+        with pytest.raises(SpectralTransferError, match="medians vanish"):
             slope_fit(cfg, all_trials(cfg))
 
     def test_needs_three_sizes(self):
         cfg = small_config(sizes=(64, 256), trials=30)
-        with pytest.raises(ParameterError, match="3 sample sizes"):
+        with pytest.raises(SpectralTransferError, match="3 sample sizes"):
             slope_fit(cfg, [])
 
 
@@ -195,7 +204,7 @@ class TestNonasymptoticBound:
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SpectralTransferError, match=r"alpha 0.9 outside \(0, 1/2\]"):
             nonasymptotic_filter_bound(1.0, 1.0, 3, 1.0, 1.0, 64, 0.9, 1.0, 0.1)
 
 

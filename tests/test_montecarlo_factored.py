@@ -207,19 +207,16 @@ def test_trial_matches_dense_reference(n, bands, weight, probes):
     trials=st.integers(min_value=1, max_value=40),
     bands=st.sampled_from([(0.0, 1.0), (1.0, 4.0), (4.0, 9.0)]),
     weight=st.sampled_from(["uniform", "cosine"]),
-    sampler=st.sampled_from(["random", "equispaced"]),
     probes=st.sampled_from([0, 3]),
 )
 # blocks of 8192 // 300 = 27 trials: the last block holds 3
-@example(sizes=[300], trials=30, bands=(1.0, 4.0), weight="cosine",
-         sampler="random", probes=3)
+@example(sizes=[300], trials=30, bands=(1.0, 4.0), weight="cosine", probes=3)
 # blocks of 8192 // 2049 = 3 trials at a large N: the last block holds 2
-@example(sizes=[2049], trials=5, bands=(1.0, 4.0), weight="uniform",
-         sampler="random", probes=3)
-def test_run_trials_match_dense_reference(sizes, trials, bands, weight, sampler, probes):
+@example(sizes=[2049], trials=5, bands=(1.0, 4.0), weight="uniform", probes=3)
+def test_run_trials_match_dense_reference(sizes, trials, bands, weight, probes):
     config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=tuple(sizes),
                          trials=trials, delta=0.25, master_seed=sum(sizes),
-                         weight=weight, sampler=sampler, activation_probes=probes)
+                         weight=weight, activation_probes=probes)
     results = run_trials(config, bound_constants(config))
     order = [(si, t) for si in range(len(sizes)) for t in range(trials)]
     assert [(r.size, r.trial) for r in results] == [(sizes[si], t) for si, t in order]
@@ -247,6 +244,24 @@ def test_run_trials_memory_stays_linear_in_n():
     assert peak < 16 * n * len(config.kernel.eigenvalues) * 8
 
 
+def test_run_trials_memory_counts_the_gram_rows():
+    # K = 401 > N = 16: blocks of 8192 // 401 = 20 trials, whose K x K Grams
+    # take 26 MB; one block of all 100 trials would hold 129 MB of them
+    config = TrialConfig(band=1.0, kernel_band=40000.0, sizes=(16,), trials=100,
+                         delta=0.25, master_seed=1, weight="cosine")
+    k = len(config.kernel.eigenvalues)
+    constants = bound_constants(config)
+    run_trials(config, constants)  # fills the per-size probe cache
+    tracemalloc.start()
+    try:
+        run_trials(config, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 401
+    assert peak < 3 * montecarlo._TRIAL_ROWS * k * 8
+
+
 def per_set_rejection(rng, n, weight, w_max):
     """The per-set rejection loop that drew each trial before blocks: the
     points, their weights and the number of rounds."""
@@ -265,11 +280,8 @@ def per_set_rejection(rng, n, weight, w_max):
 def per_trial_draw(config, size_index, trial_index):
     """``TrialConfig.draw`` before blocks: one generator and one draw per
     trial.  Returns the points, the weights at them and the rounds;
-    equispaced points carry the configured weight, uniform ones ones."""
+    uniform points carry ones."""
     n = config.sizes[size_index]
-    if config.sampler == "equispaced":
-        points = np.arange(n) / n
-        return points, config.weight_fn()(points), 0
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=config.master_seed, spawn_key=(size_index, trial_index)
     ))
@@ -286,21 +298,17 @@ def assert_block_matches_per_trial(config, size_index, trials):
     return max(rounds for _, _, rounds in refs)
 
 
-@pytest.mark.parametrize("weight, sampler", [
-    ("uniform", "random"), ("cosine", "random"),
-    ("uniform", "equispaced"), ("cosine", "equispaced"),
-])
-def test_draw_block_matches_per_trial_draw(weight, sampler):
+@pytest.mark.parametrize("weight", ["uniform", "cosine"], ids="{}-random".format)
+def test_draw_block_matches_per_trial_draw(weight):
     config = TrialConfig(band=0.0, kernel_band=1.0, sizes=(1, 2, 3, 4, 5, 256),
-                         trials=40, delta=0.25, master_seed=0, weight=weight,
-                         sampler=sampler)
+                         trials=40, delta=0.25, master_seed=0, weight=weight)
     for size_index in range(len(config.sizes)):
         for trials in ([0], [7], range(40), range(32), range(32, 40)):
             assert_block_matches_per_trial(config, size_index, trials)
     # trial 351 of N = 4 at seed 0 falls short in its first round
     for trials in ([351], range(345, 360)):
         rounds = assert_block_matches_per_trial(config, 3, trials)
-        if (weight, sampler) == ("cosine", "random"):
+        if weight == "cosine":
             assert rounds == 2
 
 
@@ -320,13 +328,10 @@ def test_rejection_rounds_of_every_shortfall_match_per_set_loop():
     assert np.array_equal(single.w_values, refs[0][1])
 
 
-@pytest.mark.parametrize("weight, sampler", [
-    ("uniform", "random"), ("cosine", "random"), ("cosine", "equispaced"),
-])
-def test_run_trials_do_not_depend_on_the_row_budget(monkeypatch, weight, sampler):
+@pytest.mark.parametrize("weight", ["uniform", "cosine"], ids="{}-random".format)
+def test_run_trials_do_not_depend_on_the_row_budget(monkeypatch, weight):
     config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(300, 9, 64), trials=30,
-                         delta=0.25, master_seed=3, weight=weight, sampler=sampler,
-                         activation_probes=3)
+                         delta=0.25, master_seed=3, weight=weight, activation_probes=3)
     constants = bound_constants(config)
     results = []
     for rows in (1, 2048, 8192):  # one trial per block, then 6 and 27 at N = 300

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spectral_transfer.errors import BandError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.graphs import WeightedGraph, grid_graph, path_graph
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
 
@@ -165,7 +165,7 @@ class TestGraphSpace:
 
 class TestBandlimitedKernel:
     def test_negative_band_rejected(self):
-        with pytest.raises(BandError, match="^kernel band must be nonnegative$"):
+        with pytest.raises(SpectralTransferError, match="^kernel band must be nonnegative$"):
             BandlimitedKernel(CIRCLE, -1.0)
 
     def test_zero_band_kernel_vanishes(self):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spectral_transfer.errors import BandError
+from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.filters import Filter
 from spectral_transfer.graphs import (
     OperatorWithInnerProduct,
@@ -100,7 +100,7 @@ class TestTransferErrors:
 
     def test_band_mismatch_raises(self):
         _, setting = identity_setting()
-        with pytest.raises(BandError):
+        with pytest.raises(SpectralTransferError, match="coefficients, band holds"):
             transfer_errors(setting, Filter.identity(), np.ones(setting.dim_pw + 1))
 
 
