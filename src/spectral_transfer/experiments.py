@@ -419,7 +419,10 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
         fine_eig = OperatorWithInnerProduct.symmetric(fine_mat).eig
     lap_abs = frobenius_norm(fine_mat - delta_op.matrix)
     lap_rel = lap_abs / max(frobenius_norm(fine_mat), 1e-30)
-    overlap = np.abs(fine_eig.basis.T @ delta_op.eig.basis)
+    if setting.complete:
+        overlap = np.abs(setting.q.T)  # S = U, so the bounds' Q = V^H U is W^H
+    else:
+        overlap = np.abs(fine_eig.basis.T @ delta_op.eig.basis)
     stability = []
     for filt, d_lip in zip(config.parsed_filters, lipschitz):  # D of its bounds
         g_fine = filt.evaluate(fine_eig.values)

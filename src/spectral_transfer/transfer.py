@@ -15,6 +15,15 @@ maps B-norms to equal Euclidean ones: each graph-side lhs, a B-norm of
 ``Q o (g(mu_i) - g(lambda_j))``, formed elementwise.  Every rhs stays
 measured on Delta itself, through ``Delta S - S Lambda``.
 
+The band-side operator-norm lhs follows from the same C: with
+``K = Q^H Q = S^H B S``,
+``Q^H diag(g(mu)) Q - diag(g(lambda)) = Q^H C + (K - I) diag(g(lambda))``.
+A setting is *complete* when it is a perturbation that removes no vertex,
+takes the whole band and keeps the source's B.  S is then the source's
+whole B-orthonormal eigenbasis, so K = I and Q is unitary, and that lhs is
+``||Q^H C|| = ||C||``, the graph-side operator-norm lhs: it needs no
+band x band matrix and no second Hermitian solve.
+
 The five bound variants relate the filter transfer error to the Laplacian
 transfer error and the consistency error: per source Fourier mode, for a
 fixed signal (evaluated on the graph or back on the source space), and in
@@ -90,6 +99,10 @@ class TransferSetting:
     because K is the Gram matrix of ``B^{1/2} S``, and ``||P - R S|| =
     max |1 - lambda(K)|``, because ``P - R S = I - K`` is Hermitian with
     eigenvalues ``1 - lambda(K)``.
+
+    ``complete`` marks S as the source's whole B-orthonormal eigenbasis
+    under the target's own B, so that ``K = I`` and Q is unitary; only
+    :func:`perturbation_setting` sets it, from the structure of the setting.
     """
 
     name: str
@@ -97,6 +110,7 @@ class TransferSetting:
     source_eigenvalues: np.ndarray
     s_pw: np.ndarray
     target: OperatorWithInnerProduct
+    complete: bool = False
 
     def __post_init__(self):
         lams = np.asarray(self.source_eigenvalues)
@@ -188,12 +202,17 @@ def perturbation_setting(space: GraphSpace, delta: OperatorWithInnerProduct,
                          kept: tuple | None = None, band: float | None = None,
                          name: str = "perturbation") -> TransferSetting:
     """Perturbation setting, S = R = I on the band, or S the band's rows at
-    the ``kept`` vertex indices when vertices were removed."""
+    the ``kept`` vertex indices when vertices were removed; complete when no
+    vertex was removed, the band holds every mode and ``delta`` keeps the
+    source's B."""
     if band is None:
         band = space.full_band()
     basis = space.pw_basis(band)
     s_pw = basis if kept is None else basis[np.asarray(kept)]
-    return TransferSetting(name, band, space.eigenvalues_up_to(band), s_pw, delta)
+    complete = (kept is None and basis.shape[1] == space.n_vertices
+                and np.array_equal(delta.inner.b, space.operator.inner.b))
+    return TransferSetting(name, band, space.eigenvalues_up_to(band), s_pw, delta,
+                           complete)
 
 
 class ModeRow(NamedTuple):
@@ -318,14 +337,18 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
     # The source side first, so that its band x band matrix is freed before
     # the graph-side mismatch is formed.
     filter_err, lap_err, cons_err = transfer_errors(setting, filt, coeffs)
-    g_vals = filt.evaluate(setting.source_eigenvalues)
-    # Hermitian, so its norm needs no Gram product
-    lhs_worst_m = hermitian_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
+    lhs_worst_m = None
+    if not setting.complete:
+        g_vals = filt.evaluate(setting.source_eigenvalues)
+        # Hermitian, so its norm needs no Gram product
+        lhs_worst_m = hermitian_norm(np.diag(g_vals) - setting.filtered_transfer_matrix(filt))
 
     per_mode, constants, mismatch = _mode_bounds(setting, filt, slice(None))
     lhs_point_g = float(column_norms((mismatch @ coeffs)[:, None])[0])
     lhs_worst_g = operator_norm(mismatch)
     del mismatch
+    if setting.complete:
+        lhs_worst_m = lhs_worst_g  # ||Q^H C|| = ||C|| for a unitary Q
 
     # The fixed-signal rhs: in the graph ``sum_m V_m |c_m| err_m``, back in
     # the source space that sum times ||R|| plus sup|g| times the signal's
@@ -363,7 +386,8 @@ def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,
         setting1.source_eigenvalues, setting2.source_eigenvalues
     ):
         raise SpectralTransferError("the two settings must share one source space and band")
-    error = operator_norm(
+    # a difference of two Hermitian matrices, so its norm needs no Gram product
+    error = hermitian_norm(
         setting1.filtered_transfer_matrix(filt) - setting2.filtered_transfer_matrix(filt)
     )
     bound = 0.0

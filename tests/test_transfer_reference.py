@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from spectral_transfer import transfer
 from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.experiments import ExperimentConfig, run_experiment
 from spectral_transfer.filters import Filter, apply_exact, filter_matrix
@@ -22,11 +23,13 @@ from spectral_transfer.graphs import (
     build_laplacian,
     frobenius_norm,
     grid_graph,
+    hermitian_norm,
     operator_norm,
     path_graph,
     random_geometric_graph,
 )
 from spectral_transfer.sampling import (
+    CoarseningMap,
     PerturbationSpec,
     SampleSet,
     coarsen_matching,
@@ -281,6 +284,28 @@ def test_two_graph_error_matches_reference():
         assert_close(got_bound, bound, "two-graph bound")
 
 
+@pytest.mark.parametrize("kind", ["perturbation", "coarsening"])
+def test_two_graph_error_is_the_spectral_norm_of_the_gap(kind):
+    if kind == "perturbation":
+        graph = random_geometric_graph(14, 0.5, seed=3)
+        space = GraphSpace.from_graph(graph)
+        pair = [perturbation_setting(space, build_laplacian(
+                    perturb_graph_detailed(graph, PerturbationSpec(p, 0.2, seed=1)).graph,
+                    "unnormalized"))
+                for p in ("remove_edges", "add_edges")]
+    else:
+        graph = path_graph(8)
+        space = GraphSpace.from_graph(graph)
+        shifted = CoarseningMap(8, ((0,), (1, 2), (3, 4), (5, 6), (7,)))
+        pair = [coarsening_setting(space, cmap) for cmap in (coarsen_matching(graph), shifted)]
+    for filt in (Filter.heat(1.0), Filter.lowpass(1.0), Filter.polynomial((0.0, 1.0, -0.2))):
+        gap = pair[0].filtered_transfer_matrix(filt) - pair[1].filtered_transfer_matrix(filt)
+        want = np.linalg.norm(gap, 2)
+        err, _ = two_graph_error(*pair, filt)
+        assert want > 1e-3
+        assert abs(err - want) <= 1e-12 * want, (filt.name, err, want)
+
+
 def test_q_is_computed_once_per_setting():
     graph = random_geometric_graph(10, 0.6, seed=2)
     setting = coarsening_setting(GraphSpace.from_graph(graph), coarsen_matching(graph))
@@ -347,3 +372,85 @@ def test_band_norms_from_the_gram_spectrum_match_operator_norm(kind):
         assert abs(got[name] - ref) <= 1e-13 * ref + 1e-15, (name, got[name], ref)
     if kind == "empty":
         assert got == {"interpolation": 0.0, "consistency": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=st.one_of(
+        st.integers(2, 10).map(path_graph),
+        st.builds(grid_graph, st.integers(2, 3), st.integers(2, 3)),
+        st.builds(random_geometric_graph, st.integers(3, 10), st.floats(0.3, 0.9),
+                  st.integers(0, 10_000)),
+    ),
+    laplacian=st.sampled_from(("unnormalized", "normalized", "adjacency")),
+    perturbation=st.sampled_from(("remove_edges", "add_edges")),
+    fraction=st.floats(0.0, 0.5),
+    family=st.sampled_from(("lowpass", "highpass", "heat", "poly")),
+    arg=st.floats(0.2, 3.0),
+)
+def test_complete_setting_lhs_and_overlap_match_the_dense_route(
+        graph, laplacian, perturbation, fraction, family, arg):
+    # with Q unitary, Q^H g(mu) Q - g(lambda) = Q^H C: the reported
+    # worstcase_in_M lhs is ||C||, and |Q^T| is the overlap |U^T V|
+    try:
+        space = GraphSpace.from_graph(graph, laplacian)
+        res = perturb_graph_detailed(graph, PerturbationSpec(perturbation, fraction, seed=1))
+        delta = build_laplacian(res.graph, laplacian)
+    except SpectralTransferError:
+        reject()  # a vertex of degree 0 under the normalized Laplacian
+    setting = perturbation_setting(space, delta)
+    assert setting.complete
+    filt = FILTER_MAKERS[family](arg)
+    try:
+        report = evaluate_transfer(setting, filt)
+    except SpectralTransferError:
+        reject()  # a declared Lipschitz constant that a signed spectrum breaks
+    n, eps = space.n_vertices, np.finfo(float).eps
+    g_lam = filt.evaluate(setting.source_eigenvalues)
+    sup_g = np.abs(np.concatenate([g_lam, filt.evaluate(delta.eig.values)])).max()
+    want = hermitian_norm(np.diag(g_lam) - setting.filtered_transfer_matrix(filt))
+    got = {bound.bound: bound.lhs for bound in report.bounds}["worstcase_in_M"]
+    assert abs(got - want) <= 1e-12 * want + 64 * n * eps * sup_g, (got, want, sup_g)
+    # entries of an orthogonal matrix, so the absolute scale is 1
+    overlap = np.abs(space.eig.basis.T @ delta.eig.basis)
+    assert np.all(np.abs(np.abs(setting.q.T) - overlap) <= 1e-12 * overlap + 64 * n * eps)
+
+
+def complete_or_not_setting(kind: str):
+    """A complete perturbation setting, or one that each part of the key
+    rules out: a removed vertex, a partial band, another B, a coarsening
+    and circle sampling."""
+    if kind == "sampling":
+        return band_setting("weighted")
+    graph = random_geometric_graph(16, 0.5, seed=3)
+    space = GraphSpace.from_graph(graph)
+    if kind == "coarsening":
+        return coarsening_setting(space, coarsen_matching(graph))
+    perturbation = "remove_vertices" if kind == "remove_vertices" else "add_edges"
+    res = perturb_graph_detailed(graph, PerturbationSpec(perturbation, 0.2, seed=4))
+    delta = build_laplacian(res.graph, "unnormalized")
+    if kind == "reweighted":
+        b = np.random.default_rng(2).uniform(0.25, 4.0, size=delta.dim)
+        delta = OperatorWithInnerProduct(delta.matrix / b[:, None], InnerProduct(b))
+    band = 0.5 * space.full_band() if kind == "partial_band" else None
+    return perturbation_setting(space, delta, kept=res.kept_vertices, band=band)
+
+
+@pytest.mark.parametrize("kind, solves", [
+    ("complete", 0), ("remove_vertices", 1), ("partial_band", 1), ("reweighted", 1),
+    ("coarsening", 1), ("sampling", 1),
+])
+def test_worstcase_in_m_solves_only_off_a_complete_setting(monkeypatch, kind, solves):
+    calls = []
+
+    def counting_norm(mat):
+        calls.append(mat.shape)
+        return hermitian_norm(mat)
+
+    monkeypatch.setattr(transfer, "hermitian_norm", counting_norm)
+    setting = complete_or_not_setting(kind)
+    assert setting.complete == (kind == "complete")
+    filters = (Filter.lowpass(1.0), Filter.polynomial((0.3, -1.0, 0.1)))
+    for filt in filters:
+        evaluate_transfer(setting, filt)
+    assert len(calls) == solves * len(filters)
