@@ -25,7 +25,7 @@ K))``: a block's sample sets are drawn in one pass and stacked as (trials,
 N) points, so its rejection rounds, weights, kernel-band basis, Grams,
 eigensolves and activation tails are each one stacked call, not one small
 call per trial.  The row budget bounds the block's temporaries: per trial,
-the kernel-band basis, the sampled Laplacian's factors and the
+the kernel-band basis, the sampled Laplacian's right factor and the
 activation-tail buffers are N x K, the Grams K x K.  With K <= N, one
 block of 8192 rows peaks at about 4.6 arrays of N K doubles (tracemalloc).
 """

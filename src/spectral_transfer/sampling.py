@@ -17,13 +17,15 @@ quadrature of the kernel integral operator,
 ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``,
 self-adjoint under ``B = diag(1/w(x_k))``.  The band-limited kernel
 ``H = Phi Lambda Phi^T`` has rank K = dim PW(kernel band), so D is kept as
-its rank-K factors and applied in O(N K) time and memory; the dense N x N
-matrix is formed only on request (``np.asarray``).
+its rank-K factors and applied in O(N K) time and memory; the left factor
+``Phi Lambda / N`` is built on first use, and the dense N x N matrix only
+on request (``np.asarray``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -230,20 +232,31 @@ def coarsened_laplacian(
 
 @dataclass(frozen=True)
 class LowRankOperator:
-    """The N x N matrix ``left @ right`` kept as its thin factors.
+    """The N x N matrix ``left @ right`` kept as its thin factors, with
+    ``left = basis * scale``.
 
-    ``op @ x`` costs O(N K) per column and never forms the product;
-    ``np.asarray(op)`` gives the dense matrix.  Factors of shapes
-    (..., N, K) and (..., K, N) hold a stack of such matrices.
+    ``left`` is built on first use and kept; a caller that reads only
+    ``right`` never forms it.  ``op @ x`` costs O(N K) per column and never
+    forms the product; ``np.asarray(op)`` gives the dense matrix, always a
+    new array.  Factors of shapes (..., N, K) and (..., K, N) hold a stack
+    of such matrices; ``scale`` has shape (K,).
     """
 
-    left: np.ndarray
+    basis: np.ndarray
+    scale: np.ndarray
     right: np.ndarray
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self.basis * self.scale
 
     def __matmul__(self, x):
         return self.left @ (self.right @ x)
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a LowRankOperator has no dense array to share; "
+                             "np.asarray builds a new one")
         return np.asarray(self.left @ self.right, dtype=dtype)
 
 
@@ -255,16 +268,16 @@ def sampled_laplacian_matrix(
     ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})`` with w the
     sample set's ``w_values``.  With ``H = Phi Lambda Phi^T`` over the kernel
     band, it is the :class:`LowRankOperator` with factors ``Phi Lambda / N``
-    (N x K) and ``(Phi / w)^T`` (K x N); a stack of sample sets gives
-    stacked factors.  ``basis`` is ``Phi``, the kernel-band basis at the
-    points, when the caller has already evaluated it.  ``right @ Phi / N``
-    is the K x K weighted Gram ``Phi^T B Phi / N`` from which the
-    Monte-Carlo trials read both quadrature errors (``montecarlo.mc_trial``)
-    without forming an N-row product.
+    (N x K, built on first use) and ``(Phi / w)^T`` (K x N); a stack of
+    sample sets gives stacked factors.  ``basis`` is ``Phi``, the
+    kernel-band basis at the points, when the caller has already evaluated
+    it.  ``right @ Phi / N`` is the K x K weighted Gram ``Phi^T B Phi / N``
+    from which the Monte-Carlo trials read both quadrature errors
+    (``montecarlo.mc_trial``) without forming an N-row product.
     """
     phi = kernel.space.basis_matrix(sample_set.points, kernel.band) if basis is None else basis
-    left = phi * (kernel.eigenvalues / sample_set.size)
-    return LowRankOperator(left, (phi / sample_set.w_values[..., None]).swapaxes(-1, -2))
+    right = (phi / sample_set.w_values[..., None]).swapaxes(-1, -2)
+    return LowRankOperator(phi, kernel.eigenvalues / sample_set.size, right)
 
 
 def random_sampled_laplacian(

@@ -54,19 +54,30 @@ class CircleSpace:
         """Eigenfunction evaluations, shape ``points.shape + (dim PW(band),)``
         for points of any shape (a scalar counts as one point).
 
-        The columns are written into one preallocated array through two
-        points-shaped scratch arrays.
+        ``cos(2 pi x)`` and ``sin(2 pi x)`` are evaluated once per point;
+        frequency n + 1 follows from n by angle addition, ``c' = c c1 - s
+        s1`` and ``s' = s c1 + c s1``, so a point costs two transcendentals
+        and O(dim PW) multiply-adds.  The error of frequency n grows as
+        ``n eps``, as it does for ``cos(2 pi n x)`` with its rounded
+        argument.  Each column depends only on the lower ones, so a lower
+        band's basis is bitwise the leading columns of a higher band's.
         """
         x = np.atleast_1d(np.asarray(points, dtype=float))
         n_max = self.max_frequency(band)
         out = np.empty(x.shape + (1 + 2 * n_max,))
         out[..., 0] = 1.0
+        arg = 2.0 * np.pi * x
+        c1, s1 = np.cos(arg), np.sin(arg, out=arg)
+        c, s = c1.copy(), s1.copy()
+        t, u = np.empty_like(x), np.empty_like(x)
         root2 = np.sqrt(2.0)
-        arg, val = np.empty_like(x), np.empty_like(x)
         for n in range(1, n_max + 1):
-            np.multiply(2.0 * np.pi * n, x, out=arg)
-            np.multiply(root2, np.cos(arg, out=val), out=out[..., 2 * n - 1])
-            np.multiply(root2, np.sin(arg, out=val), out=out[..., 2 * n])
+            if n > 1:
+                np.subtract(np.multiply(c, c1, out=t), np.multiply(s, s1, out=u), out=t)
+                np.add(np.multiply(s, c1, out=u), np.multiply(c, s1, out=s), out=s)
+                c, t = t, c
+            np.multiply(root2, c, out=out[..., 2 * n - 1])
+            np.multiply(root2, s, out=out[..., 2 * n])
         return out
 
     def analyze_grid(self, grid_values: np.ndarray, band: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from spectral_transfer.montecarlo import (
     run_trials,
 )
 from spectral_transfer.sampling import (
+    LowRankOperator,
     SampleSet,
     rejection_sample,
     sampled_laplacian_matrix,
@@ -120,6 +121,27 @@ def test_factored_kernel_matches_dense(kind):
     assert_close(op @ mat, dense @ mat)
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.asarray passes copy= to __array__ from numpy 2 on")
+def test_dense_kernel_is_always_a_new_array():
+    op = sampled_laplacian_matrix(BandlimitedKernel(CIRCLE, 4.0), uniform_sample(8, seed=1))
+    with pytest.raises(ValueError, match="no dense array to share"):
+        np.asarray(op, copy=False)
+    assert_close(np.asarray(op, copy=True), np.asarray(op))
+
+
+@pytest.mark.parametrize("weight", ["uniform", "cosine"])
+def test_trial_never_reads_the_left_factor(monkeypatch, weight):
+    def unread(self):
+        raise AssertionError("mc_trial read the sampled Laplacian's left factor")
+
+    monkeypatch.setattr(LowRankOperator, "left", property(unread))
+    config = TrialConfig(band=1.0, kernel_band=9.0, sizes=(64,), trials=3,
+                         delta=0.25, master_seed=2, weight=weight, activation_probes=4)
+    results = mc_trial(config, 0, range(3), bound_constants(config))
+    assert [r.trial for r in results] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("weight", ["uniform", "cosine"])
 def test_activation_excess_matches_per_probe_loop(weight):
     config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(32, 200), trials=2,
@@ -174,7 +196,7 @@ def test_trial_block_peak_stays_within_six_basis_arrays(n, trials, weight):
     finally:
         tracemalloc.stop()
     # the block's kernel-band basis is one rows x K array; the sampled
-    # Laplacian's factors and the probe tails add a few more, and no N-row
+    # Laplacian's right factor and the probe tails add a few more, and no N-row
     # mismatch, band sampling matrix or their products are formed
     assert peak <= 6 * n * trials * len(config.kernel.eigenvalues) * 8
 
