@@ -124,6 +124,8 @@ class ConvNetSpec:
             raise SpectralTransferError(
                 f"need {len(self.layers) + 1} bands for {len(self.layers)} layers"
             )
+        if min(self.bands) < 0:
+            raise SpectralTransferError(f"bands must be nonnegative, got {min(self.bands):g}")
         if any(b2 < b1 for b1, b2 in zip(self.bands, self.bands[1:])):
             raise SpectralTransferError("bands must be nondecreasing")
         for l, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), start=1):

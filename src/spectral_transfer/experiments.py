@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .graphs import (
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
 from .graph_io import parse_graph, synthetic_graph
 from .montecarlo import (
+    QUANTITIES,
     TrialConfig,
     bound_constants,
     check_failure_rate_inputs,
@@ -446,6 +448,13 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
 
 # an empirical window around the predicted rate -1/2, not a bound: no slack
 _SLOPE_WINDOW = (-0.65, -0.35)
+# the columns of trials.csv after ``weight``, named as in the trial results;
+# ``tolist`` gives their cells as Python scalars
+_SAMPLING_COLUMNS = ("n", "trial", "laplacian_error", "gram_error",
+                     "laplacian_bound", "gram_bound")
+_MC_VERIFY_COLUMNS = ("n", "trial", "laplacian_error", "gram_error", "activation_error",
+                      "laplacian_bound", "gram_bound", "activation_bound",
+                      "laplacian_violation", "gram_violation", "activation_violation")
 
 
 def _run_circle_sampling(config: ExperimentConfig) -> ReportBundle:
@@ -455,15 +464,9 @@ def _run_circle_sampling(config: ExperimentConfig) -> ReportBundle:
     for trial_cfg in config.trial_configs:
         weight = trial_cfg.weight
         results = run_trials(trial_cfg, bound_constants(trial_cfg))
-        fit = slope_fit(trial_cfg, results)
-        slopes[weight] = {"laplacian": fit.laplacian, "gram": fit.gram}
-        for quantity in ("laplacian", "gram"):
-            ok &= _SLOPE_WINDOW[0] <= slopes[weight][quantity] <= _SLOPE_WINDOW[1]
-        for r in results:
-            rows.append((
-                weight, r.size, r.trial, r.laplacian_err, r.gram_err,
-                r.laplacian_bound, r.gram_bound,
-            ))
+        slopes[weight] = slope_fit(trial_cfg, results)
+        ok &= all(_SLOPE_WINDOW[0] <= s <= _SLOPE_WINDOW[1] for s in slopes[weight].values())
+        rows.extend(zip(repeat(weight), *(results[c].tolist() for c in _SAMPLING_COLUMNS)))
     return ReportBundle(
         experiment="circle-sampling",
         summary={
@@ -475,13 +478,7 @@ def _run_circle_sampling(config: ExperimentConfig) -> ReportBundle:
             "slope_window": list(_SLOPE_WINDOW),
             "slopes": slopes,
         },
-        tables={
-            "trials": (
-                ("weight", "n", "trial", "laplacian_error", "gram_error",
-                 "laplacian_bound", "gram_bound"),
-                tuple(rows),
-            )
-        },
+        tables={"trials": (("weight", *_SAMPLING_COLUMNS), tuple(rows))},
         all_certified=ok,
     )
 
@@ -495,22 +492,12 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
         weight = trial_cfg.weight
         constants = bound_constants(trial_cfg)
         results = run_trials(trial_cfg, constants)
-        rate = failure_rate(trial_cfg, results)
-        rates[weight] = {
-            "laplacian": rate.laplacian, "gram": rate.gram,
-            "activation": rate.activation, "trials": rate.trials,
-        }
-        ok &= all(certified(r, config.delta) for r in rate.as_tuple())
+        rates[weight] = failure_rate(trial_cfg, results)
+        ok &= all(certified(rates[weight][q], config.delta) for q in QUANTITIES)
         chain_ok = certified(constants.kernel_l2, constants.lambda_l1)
         ok &= chain_ok
         constants_out[weight] = {**asdict(constants), "norm_chain_ok": chain_ok}
-        for r in results:
-            v = r.violations
-            rows.append((
-                weight, r.size, r.trial, r.laplacian_err, r.gram_err,
-                r.activation_err, r.laplacian_bound, r.gram_bound,
-                r.activation_bound, v[0], v[1], v[2],
-            ))
+        rows.extend(zip(repeat(weight), *(results[c].tolist() for c in _MC_VERIFY_COLUMNS)))
     return ReportBundle(
         experiment="mc-verify",
         summary={
@@ -523,15 +510,7 @@ def _run_mc_verify(config: ExperimentConfig) -> ReportBundle:
             "failure_rates": rates,
             "constants": constants_out,
         },
-        tables={
-            "trials": (
-                ("weight", "n", "trial", "laplacian_error", "gram_error",
-                 "activation_error", "laplacian_bound", "gram_bound",
-                 "activation_bound", "laplacian_violation", "gram_violation",
-                 "activation_violation"),
-                tuple(rows),
-            )
-        },
+        tables={"trials": (("weight", *_MC_VERIFY_COLUMNS), tuple(rows))},
         all_certified=ok,
     )
 

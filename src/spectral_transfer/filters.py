@@ -64,24 +64,22 @@ class Filter:
 
     @classmethod
     def lowpass(cls, c: float) -> "Filter":
-        _require_positive("lowpass cutoff", c)
         return cls("lowpass", f"lowpass({_exact(c)})", {"c": float(c)},
-                   lipschitz_constant=1.0 / float(c))
+                   lipschitz_constant=_declared_lipschitz("lowpass cutoff", c, 1.0))
 
     @classmethod
     def highpass(cls, c: float) -> "Filter":
-        _require_positive("highpass cutoff", c)
         return cls("highpass", f"highpass({_exact(c)})", {"c": float(c)},
-                   lipschitz_constant=1.0 / float(c))
+                   lipschitz_constant=_declared_lipschitz("highpass cutoff", c, 1.0))
 
     @classmethod
     def midpass(cls, c: float, sigma: float) -> "Filter":
         # Gaussian bump; max slope of exp(-(x-c)^2 / (2 sigma^2)) is
         # exp(-1/2)/sigma, attained one sigma away from the centre.
-        _require_positive("midpass width", sigma)
         return cls("midpass", f"midpass({_exact(c)},{_exact(sigma)})",
                    {"c": float(c), "sigma": float(sigma)},
-                   lipschitz_constant=math.exp(-0.5) / float(sigma))
+                   lipschitz_constant=_declared_lipschitz("midpass width", sigma,
+                                                          math.exp(-0.5)))
 
     @classmethod
     def polynomial(cls, coeffs) -> "Filter":
@@ -191,9 +189,18 @@ def _exact(value: float) -> str:
     return repr(float(value)).removesuffix(".0")
 
 
-def _require_positive(what: str, value: float) -> None:
+def _declared_lipschitz(what: str, value: float, slope: float) -> float:
+    """``slope / value``, the declared Lipschitz constant of a filter whose
+    argument ``what`` is ``value``; the argument must be positive and the
+    constant finite."""
     if not float(value) > 0.0:
         raise SpectralTransferError(f"{what} must be positive, got {value:g}")
+    constant = slope / float(value)
+    if not math.isfinite(constant):
+        raise SpectralTransferError(
+            f"{what} {_exact(value)} is too small: its Lipschitz constant overflows"
+        )
+    return constant
 
 
 def make_filter(descriptor: str) -> Filter:

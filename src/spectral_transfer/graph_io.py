@@ -137,10 +137,9 @@ def synthetic_graph(descriptor: str, default_seed: int | None = None) -> Weighte
             seed = int(args[2]) if len(args) == 3 else default_seed
             if seed is None:
                 raise SpectralTransferError(
-                    f"{descriptor}: random-geometric needs a seed "
-                    "(third argument or the experiment seed)"
+                    "random-geometric needs a seed (third argument or the experiment seed)"
                 )
             return random_geometric_graph(int(args[0]), finite_float(args[1]), seed)
-    except ValueError as exc:
+    except (ValueError, SpectralTransferError) as exc:
         raise SpectralTransferError(f"{descriptor}: {exc}") from None
     raise SpectralTransferError(f"unknown graph descriptor {descriptor!r}")

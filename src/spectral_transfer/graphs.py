@@ -238,6 +238,8 @@ def path_graph(n: int) -> WeightedGraph:
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
     """4-neighbour grid on ``rows x cols`` vertices with unit weights."""
+    if rows < 1 or cols < 1:
+        raise SpectralTransferError(f"grid needs rows and cols >= 1, got {rows} x {cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -255,6 +257,8 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
     Vertices are connected when their Euclidean distance is at most
     ``radius``.  The same seed produces the identical graph.
     """
+    if radius < 0:
+        raise SpectralTransferError(f"radius must be nonnegative, got {radius:g}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = rng.uniform(size=(n, 2))
     diff = pts[:, None, :] - pts[None, :, :]

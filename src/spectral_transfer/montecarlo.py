@@ -12,6 +12,9 @@ each in probability at least 1 - delta, with fully explicit constants.
 This module draws seeded trials, measures the three errors, evaluates the
 constants, checks empirical failure rates against delta, fits log-log
 convergence slopes, and evaluates the non-asymptotic filter transfer bound.
+A campaign's results are named columns with one entry per trial (see
+:func:`mc_trial`); the rates, the slopes and the experiments' trials.csv
+are read from them.
 
 Each trial derives its generator from (master seed, size index, trial
 index), so results are bitwise reproducible.  A trial costs O(N K^2) time
@@ -47,6 +50,10 @@ from .sampling import (
 from .spaces import BandlimitedKernel, CircleSpace
 from .transfer import certified
 
+#: The quantities of a trial, each with an error, a bound and a violation
+#: column (:func:`mc_trial`).
+QUANTITIES = ("laplacian", "gram", "activation")
+#: Unit probes of the activation-tail constant estimate.
 _C_SPHERE_PROBES = 500
 #: Size of the uniform grid for the constants and the activation tails.
 _GRID = 4096
@@ -177,22 +184,21 @@ def exact_c_lambda(space: CircleSpace, band: float) -> float:
     return float(np.sqrt(space.dim_pw(band)))
 
 
-def estimate_activation_tail_constant(
-    config: TrialConfig, probes: int = _C_SPHERE_PROBES,
-) -> float:
+def estimate_activation_tail_constant(config: TrialConfig) -> float:
     """Sphere-sampling surrogate for the worst sup-norm activation tail.
 
-    Measures ``max ||(I - P(band')) rho(f)||_inf`` over seeded unit-sphere
-    band-limited probes and inflates the maximum; the inflation factor is
-    carried in the constants so reports show the estimate's provenance.
+    Measures ``max ||(I - P(band')) rho(f)||_inf`` over ``_C_SPHERE_PROBES``
+    seeded unit-sphere band-limited probes and inflates the maximum; the
+    inflation factor is carried in the constants so reports show the
+    estimate's provenance.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xAC7)))
     dim = config.space.dim_pw(config.band)
     basis_hi = _grid_basis(config)
     buffers = np.empty((2, _GRID * _PROBE_BLOCK))
     worst = 0.0
-    for start in range(0, probes, _PROBE_BLOCK):
-        block = unit_probes(rng, dim, min(_PROBE_BLOCK, probes - start))
+    for start in range(0, _C_SPHERE_PROBES, _PROBE_BLOCK):
+        block = unit_probes(rng, dim, min(_PROBE_BLOCK, _C_SPHERE_PROBES - start))
         # contiguous (_GRID, probes) views, so a short last block is laid
         # out as a fresh array would be
         out = buffers[:, : _GRID * block.shape[1]].reshape(2, _GRID, -1)
@@ -249,38 +255,23 @@ def bound_constants(config: TrialConfig) -> MCBoundConstants:
     )
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    size: int
-    trial: int
-    laplacian_err: float
-    gram_err: float
-    activation_err: float
-    laplacian_bound: float
-    gram_bound: float
-    activation_bound: float
-
-    @property
-    def violations(self) -> tuple:
-        return (
-            not certified(self.laplacian_err, self.laplacian_bound),
-            not certified(self.gram_err, self.gram_bound),
-            not certified(self.activation_err, self.activation_bound),
-        )
-
-
 def mc_trial(config: TrialConfig, size_index: int, trial_indices,
-             constants: MCBoundConstants) -> list:
+             constants: MCBoundConstants) -> dict:
     """Draw the sample sets of a block of trials of one size and measure
-    the three errors of each, with their bounds, in trial order.
+    the three errors of each, with their bounds.
+
+    Returns the block as columns, one entry per trial in trial order:
+    ``n``, ``trial`` and, for each q of :data:`QUANTITIES`,
+    ``<q>_error``, ``<q>_bound`` and ``<q>_violation``, the trials whose
+    error the bound does not certify.
 
     Both quadrature errors are read from one K x K weighted Gram per
     trial, ``G = Phi^T B Phi / N`` with ``B = diag(1/w)`` and ``Phi`` the
     kernel-band basis at the N points (K = dim PW(kernel band)); it is the
-    sampled Laplacian's right factor times ``Phi / N``.  With ``S = Phi
-    E_k / sqrt(N)`` the band's sampling matrix (its k leading columns),
-    ``Lambda_K`` the kernel-band eigenvalues and ``Delta`` the sampled
-    Laplacian:
+    sampled Laplacian's right factor times its ``basis`` over N.  With
+    ``S = Phi E_k / sqrt(N)`` the band's sampling matrix (its k leading
+    columns), ``Lambda_K`` the kernel-band eigenvalues and ``Delta`` the
+    sampled Laplacian:
 
     * ``Delta S = Phi Lambda_K G[:, :k] / sqrt(N)`` and ``S Lambda = Phi
       E_k Lambda_k / sqrt(N)``, so the mismatch is ``Phi C / sqrt(N)``
@@ -293,32 +284,33 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     stacked: one kernel-band basis evaluation, one stack of Grams and one
     batched eigensolve.
     """
-    space = config.space
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
-    k = space.dim_pw(config.band)
-    phi = space.basis_matrix(sample.points, config.kernel_band)
-    gram = sampled_laplacian_matrix(config.kernel, sample, basis=phi).right @ phi / n
+    k = config.space.dim_pw(config.band)
+    laplacian = sampled_laplacian_matrix(config.kernel, sample)
+    phi = laplacian.basis
+    gram = laplacian.right @ phi / n
 
     lams = config.kernel.eigenvalues
     # C = E_k Lambda_k - Lambda_K G[:, :k]; the mismatch is Phi C / sqrt(N)
     mismatch = np.eye(len(lams), k) * lams[:k] - lams[:, None] * gram[..., :k]
     squared = np.linalg.eigvalsh(mismatch.swapaxes(-1, -2) @ gram @ mismatch)
-    laplacian_errs = np.sqrt(np.maximum(squared[..., -1], 0.0))
-    gram_errs = np.linalg.norm(gram[..., :k, :k] - np.eye(k), "fro", axis=(-2, -1))
-
-    activation_errs = _activation_excess(config, phi, sample.w_values)
-    bounds = (
-        constants.laplacian_bound(n, config.delta),
-        constants.gram_bound(n, config.delta),
-        constants.activation_bound(n, config.delta),
-    )
-    return [
-        TrialResult(n, t, float(lap), float(defect), float(act), *bounds)
-        for t, lap, defect, act in zip(
-            trial_indices, laplacian_errs, gram_errs, activation_errs
-        )
-    ]
+    delta = config.delta
+    measured = {  # quantity: (errors, bound)
+        "laplacian": (np.sqrt(np.maximum(squared[..., -1], 0.0)),
+                      constants.laplacian_bound(n, delta)),
+        "gram": (np.linalg.norm(gram[..., :k, :k] - np.eye(k), "fro", axis=(-2, -1)),
+                 constants.gram_bound(n, delta)),
+        "activation": (_activation_excess(config, phi, sample.w_values),
+                       constants.activation_bound(n, delta)),
+    }
+    trials = np.asarray(trial_indices)
+    columns = {"n": np.full(trials.shape, n), "trial": trials}
+    for q, (errors, bound) in measured.items():
+        bounds = np.full(trials.shape, bound)
+        columns |= {f"{q}_error": errors, f"{q}_bound": bounds,
+                    f"{q}_violation": ~certified(errors, bounds)}
+    return columns
 
 
 @lru_cache(maxsize=64)
@@ -357,34 +349,24 @@ def _activation_excess(config: TrialConfig, phi_hi: np.ndarray,
     return np.max(np.sqrt(weighted[..., 0, :]) - cont_tail, axis=-1)
 
 
-def run_trials(config: TrialConfig, constants: MCBoundConstants):
-    """All (size, trial) results, size-major and bitwise reproducible.
+def run_trials(config: TrialConfig, constants: MCBoundConstants) -> dict:
+    """The columns of every (size, trial) result (see :func:`mc_trial`),
+    size-major and bitwise reproducible.
 
     The trials of a size of N points run in blocks of ``max(1,
     _TRIAL_ROWS // max(N, K))``, one :func:`mc_trial` call each; each trial
     holds N-row arrays and K x K Grams, K = dim PW(kernel band).
     """
-    results = []
+    blocks = []
     k = len(config.kernel.eigenvalues)
     for size_index, n in enumerate(config.sizes):
         step = max(1, _TRIAL_ROWS // max(n, k))
         for start in range(0, config.trials, step):
             block = range(start, min(start + step, config.trials))
-            results.extend(mc_trial(config, size_index, block, constants))
-    return results
-
-
-@dataclass(frozen=True)
-class FailureRates:
-    """Observed fraction of trials violating each bound."""
-
-    laplacian: float
-    gram: float
-    activation: float
-    trials: int
-
-    def as_tuple(self):
-        return (self.laplacian, self.gram, self.activation)
+            blocks.append(mc_trial(config, size_index, block, constants))
+    if not blocks:
+        raise SpectralTransferError("a campaign needs at least one size and one trial")
+    return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
 
 def check_failure_rate_inputs(config: TrialConfig) -> None:
@@ -394,18 +376,13 @@ def check_failure_rate_inputs(config: TrialConfig) -> None:
         raise SpectralTransferError("failure rates need at least 100 trials")
 
 
-def failure_rate(config: TrialConfig, results) -> FailureRates:
-    """Violation fractions of ``results``; each must stay at or below delta."""
+def failure_rate(config: TrialConfig, results) -> dict:
+    """The fraction of the trials in the columns ``results`` that violate
+    each bound, by quantity, with the trial count; each fraction must stay
+    at or below delta."""
     check_failure_rate_inputs(config)
-    flags = np.array([r.violations for r in results], dtype=float)
-    rates = flags.mean(axis=0)
-    return FailureRates(float(rates[0]), float(rates[1]), float(rates[2]), len(results))
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    laplacian: float
-    gram: float
+    rates = {q: float(np.mean(results[f"{q}_violation"])) for q in QUANTITIES}
+    return {**rates, "trials": len(results["trial"])}
 
 
 def check_slope_fit_inputs(config: TrialConfig) -> None:
@@ -420,30 +397,24 @@ def check_slope_fit_inputs(config: TrialConfig) -> None:
         raise SpectralTransferError("slope fit needs at least 30 trials per size")
 
 
-def slope_fit(config: TrialConfig, results) -> SlopeFit:
-    """Least-squares slope of log(median error) against log(N).
+def slope_fit(config: TrialConfig, results) -> dict:
+    """Least-squares slope of log(median error) against log(N) for the
+    Laplacian and Gram errors of the columns ``results``.
 
     Medians are used because the Markov-style tails are heavy.  Raises
     when a quantity's medians all vanish (as with exact-quadrature point
     sets).
     """
     check_slope_fit_inputs(config)
-    by_size = {n: [] for n in config.sizes}
-    for r in results:
-        by_size[r.size].append(r)
+    log_sizes = np.log(np.asarray(config.sizes, dtype=float))
     slopes = {}
-    for attr in ("laplacian_err", "gram_err"):
-        med = np.array(
-            [np.median([getattr(r, attr) for r in by_size[n]]) for n in config.sizes]
-        )
+    for q in ("laplacian", "gram"):
+        errors = results[f"{q}_error"]
+        med = np.array([np.median(errors[results["n"] == n]) for n in config.sizes])
         if np.all(med <= 1e-14):  # vanishes up to roundoff
-            raise SpectralTransferError(
-                f"all {attr} medians vanish; no rate to fit"
-            )
-        slopes[attr] = float(
-            np.polyfit(np.log(np.asarray(config.sizes, dtype=float)), np.log(med), 1)[0]
-        )
-    return SlopeFit(laplacian=slopes["laplacian_err"], gram=slopes["gram_err"])
+            raise SpectralTransferError(f"all {q}_err medians vanish; no rate to fit")
+        slopes[q] = float(np.polyfit(log_sizes, np.log(med), 1)[0])
+    return slopes
 
 
 def nonasymptotic_filter_bound(

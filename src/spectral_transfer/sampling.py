@@ -260,22 +260,20 @@ class LowRankOperator:
         return np.asarray(self.left @ self.right, dtype=dtype)
 
 
-def sampled_laplacian_matrix(
-    kernel: BandlimitedKernel, sample_set: SampleSet, basis=None
-) -> LowRankOperator:
+def sampled_laplacian_matrix(kernel: BandlimitedKernel, sample_set: SampleSet) -> LowRankOperator:
     """The Monte-Carlo kernel discretization at the sample set's points.
 
     ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})`` with w the
     sample set's ``w_values``.  With ``H = Phi Lambda Phi^T`` over the kernel
-    band, it is the :class:`LowRankOperator` with factors ``Phi Lambda / N``
-    (N x K, built on first use) and ``(Phi / w)^T`` (K x N); a stack of
-    sample sets gives stacked factors.  ``basis`` is ``Phi``, the
-    kernel-band basis at the points, when the caller has already evaluated
-    it.  ``right @ Phi / N`` is the K x K weighted Gram ``Phi^T B Phi / N``
-    from which the Monte-Carlo trials read both quadrature errors
-    (``montecarlo.mc_trial``) without forming an N-row product.
+    band, it is the :class:`LowRankOperator` with ``basis`` ``Phi``, the
+    kernel-band basis at the points, and factors ``Phi Lambda / N`` (N x K,
+    built on first use) and ``(Phi / w)^T`` (K x N); a stack of sample sets
+    gives stacked factors.  ``right @ basis / N`` is the K x K weighted
+    Gram ``Phi^T B Phi / N`` from which the Monte-Carlo trials read both
+    quadrature errors (``montecarlo.mc_trial``) without forming an N-row
+    product.
     """
-    phi = kernel.space.basis_matrix(sample_set.points, kernel.band) if basis is None else basis
+    phi = kernel.space.basis_matrix(sample_set.points, kernel.band)
     right = (phi / sample_set.w_values[..., None]).swapaxes(-1, -2)
     return LowRankOperator(phi, kernel.eigenvalues / sample_set.size, right)
 

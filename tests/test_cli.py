@@ -154,6 +154,9 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("filters = lowpass(inf)", None),
     ("filters = midpass(inf,1)", None),
     ("filters = poly(1,nan)", None),
+    ("filters = lowpass(1e-320)", None),
+    ("filters = highpass(1e-310)", None),
+    ("filters = midpass(0,1e-320)", None),
     ("filters = ,", None),
     ("garbage line", None),
     ("", "filters = lowpass(2.0)\nmix = 1.0\n"),
@@ -164,16 +167,21 @@ _LAYER_ONE = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
     ("", _NET_HEAD + _LAYER_ONE + "poolng = max\n"),
     ("", _NET_HEAD + "activaton = abs\n" + _LAYER_ONE),
     ("", _NET_HEAD + _LAYER_ONE + "[pooling]\nkind = max\n"),
+    ("", _NET_HEAD.replace("0.1, 0.2", "-1, -1") + _LAYER_ONE),
     ("graph = random-geometric(10,nan)", None),
+    ("graph = random-geometric(30,-0.5)", None),
+    ("graph = grid(-2,-3)", None),
 ], ids=[
     "lowpass-zero", "highpass-zero", "midpass-zero-width", "lowpass-no-argument",
     "lowpass-two-arguments", "poly-empty", "negative-band", "heat-negative-time",
     "heat-infinite-time", "lowpass-infinite-cutoff", "midpass-infinite-centre",
-    "poly-nan-coefficient", "no-filters",
+    "poly-nan-coefficient", "lowpass-overflowing-constant",
+    "highpass-overflowing-constant", "midpass-overflowing-constant", "no-filters",
     "line-without-equals", "net-no-section-header",
     "net-layer-without-filters", "net-non-numeric-mix", "net-non-numeric-biases",
     "net-layer-name-not-a-number", "net-misspelt-layer-key", "net-misspelt-net-key",
-    "net-unknown-section", "graph-nan-radius",
+    "net-unknown-section", "net-negative-bands", "graph-nan-radius",
+    "graph-negative-radius", "graph-negative-grid",
 ])
 def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_text):
     if net_text is None:
@@ -202,10 +210,16 @@ def test_bad_filter_band_and_net_inputs_exit_two(tmp_path, capsys, keys, net_tex
             assert f"[{section}]: unknown key '{misspelt}'" in err
     if keys.startswith("filters = heat"):
         assert "heat" in err
+    for family, argument in (("lowpass", "cutoff"), ("highpass", "cutoff"),
+                             ("midpass", "width")):
+        if keys.startswith(f"filters = {family}(") and "e-3" in keys:
+            assert f"{family} {argument}" in err and "Lipschitz constant overflows" in err
+    if net_text is not None and "bands = -1" in net_text:
+        assert "[net]: bands must be nonnegative, got -1" in err
     if keys == "garbage line":
         assert "line 3" in err
     if keys.startswith("graph"):
-        assert "random-geometric(10,nan)" in err
+        assert keys.split(" = ")[1] in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,15 @@
 """Monte-Carlo quadrature bounds: constants, rates, slopes, reproducibility."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from spectral_transfer import montecarlo
+from spectral_transfer import cli, montecarlo
 from spectral_transfer.errors import SpectralTransferError
+from spectral_transfer.experiments import ExperimentConfig
 from spectral_transfer.montecarlo import (
+    QUANTITIES,
     TrialConfig,
     bound_constants,
     cosine_weight,
@@ -18,6 +22,7 @@ from spectral_transfer.montecarlo import (
 )
 from spectral_transfer.sampling import SampleSet
 from spectral_transfer.spaces import CircleSpace
+from spectral_transfer.transfer import certified
 
 CIRCLE = CircleSpace()
 
@@ -103,31 +108,40 @@ class TestConstants:
         monkeypatch.setattr(montecarlo, "estimate_activation_tail_constant", no_estimate)
         cons = bound_constants(small_config(activation_probes=0))
         assert cons.c_quad3 == 0.0
-        result = run_trials(small_config(activation_probes=0), cons)[0]
-        assert result.activation_bound == 0.0 and not result.violations[2]
+        results = run_trials(small_config(activation_probes=0), cons)
+        assert np.all(results["activation_bound"] == 0.0)
+        assert not results["activation_violation"].any()
 
 
 class TestMcTrial:
     def test_equispaced_band1_exact(self, equispaced):
         cfg = small_config(sizes=(8,), trials=1)
-        (r,) = mc_trial(cfg, 0, [0], bound_constants(cfg))
-        assert r.laplacian_err <= 1e-12
-        assert r.gram_err <= 1e-12
+        r = mc_trial(cfg, 0, [0], bound_constants(cfg))
+        assert r["trial"].tolist() == [0]
+        assert r["laplacian_error"][0] <= 1e-12
+        assert r["gram_error"][0] <= 1e-12
 
     def test_bounds_attached(self):
         cfg = small_config()
         cons = bound_constants(cfg)
-        (r,) = mc_trial(cfg, 0, [0], cons)
-        assert r.laplacian_bound == pytest.approx(cons.laplacian_bound(64, 0.25))
-        assert r.gram_bound == pytest.approx(cons.gram_bound(64, 0.25))
-        assert r.activation_bound == pytest.approx(cons.activation_bound(64, 0.25))
+        r = mc_trial(cfg, 0, [0], cons)
+        assert r["trial"].tolist() == [0] and r["n"].tolist() == [64]
+        assert r["laplacian_bound"][0] == pytest.approx(cons.laplacian_bound(64, 0.25))
+        assert r["gram_bound"][0] == pytest.approx(cons.gram_bound(64, 0.25))
+        assert r["activation_bound"][0] == pytest.approx(cons.activation_bound(64, 0.25))
+
+    def test_an_empty_campaign_has_no_columns(self):
+        cfg = small_config(trials=0)
+        with pytest.raises(SpectralTransferError, match="at least one size and one trial"):
+            run_trials(cfg, bound_constants(cfg))
 
     def test_bitwise_reproducible(self):
         cfg = small_config(trials=3)
         a = all_trials(cfg)
         b = all_trials(cfg)
-        for r1, r2 in zip(a, b):
-            assert r1 == r2
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
 
 
 class TestFailureRates:
@@ -136,31 +150,67 @@ class TestFailureRates:
         # huge and the observed rate collapses to zero.
         cfg = small_config(sizes=(16,), trials=100, delta=0.01)
         rates = failure_rate(cfg, all_trials(cfg))
-        assert rates.laplacian == 0.0
-        assert rates.gram == 0.0
+        assert rates["laplacian"] == 0.0
+        assert rates["gram"] == 0.0
 
     def test_weak_guarantee_delta_near_one_still_markov(self):
         # delta = 0.99 gives the tightest bound with the weakest guarantee;
         # the observed rate can be large but never beyond delta.
         cfg = small_config(sizes=(16,), trials=100, delta=0.99)
         rates = failure_rate(cfg, all_trials(cfg))
-        for rate in rates.as_tuple():
-            assert rate <= 0.99
+        for q in QUANTITIES:
+            assert rates[q] <= 0.99
 
     def test_markov_guarantee_holds(self):
         cfg = small_config(sizes=(64,), trials=120, delta=0.25, weight="cosine")
         rates = failure_rate(cfg, all_trials(cfg))
-        for rate in rates.as_tuple():
-            assert rate <= 0.25
+        for q in QUANTITIES:
+            assert rates[q] <= 0.25
 
     def test_equispaced_rate_zero(self, equispaced):
         cfg = small_config(sizes=(16,), trials=100, activation_probes=0)
         rates = failure_rate(cfg, all_trials(cfg))
-        assert rates.as_tuple() == (0.0, 0.0, 0.0)
+        assert rates == {"laplacian": 0.0, "gram": 0.0, "activation": 0.0, "trials": 100}
+
+    def test_rates_are_the_mean_violations_of_the_columns(self):
+        cfg = small_config(sizes=(16, 32), trials=60, delta=0.9)
+        results = all_trials(cfg)
+        rates = failure_rate(cfg, results)
+        assert rates["trials"] == 120
+        for q in QUANTITIES:
+            flags = [not certified(e, b) for e, b in
+                     zip(results[f"{q}_error"].tolist(), results[f"{q}_bound"].tolist())]
+            assert rates[q] == np.mean(flags), q
+        # the campaign has violations to count, and trials without them
+        assert 0.0 < rates["laplacian"] < 1.0
 
     def test_needs_100_trials(self):
         with pytest.raises(SpectralTransferError, match="100"):
-            failure_rate(small_config(trials=5), [])
+            failure_rate(small_config(trials=5), {})
+
+
+def csv_cell(value) -> str:
+    """A cell of trials.csv: a bool as true or false, a number as its repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def test_mc_verify_trials_csv_rows_are_the_run_trials_columns(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("sizes = 16, 32\ntrials = 60\nseed = 5\n")
+    code = cli.main(["mc-verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "trials.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[0] == "weight" and set(header[1:]) == set(all_trials(small_config()))
+    expected = []
+    for trial_cfg in ExperimentConfig.from_file(path, "mc-verify").trial_configs:
+        results = all_trials(trial_cfg)
+        columns = [results[name].tolist() for name in header[1:]]
+        expected += [[trial_cfg.weight, *map(csv_cell, cells)] for cells in zip(*columns)]
+    assert len(expected) == 2 * 120
+    assert rows == expected
 
 
 class TestSlopes:
@@ -169,8 +219,9 @@ class TestSlopes:
                           trials=50, delta=0.25, master_seed=42,
                           activation_probes=0)
         fit = slope_fit(cfg, all_trials(cfg))
-        assert -0.65 <= fit.laplacian <= -0.35
-        assert -0.65 <= fit.gram <= -0.35
+        assert fit.keys() == {"laplacian", "gram"}
+        assert -0.65 <= fit["laplacian"] <= -0.35
+        assert -0.65 <= fit["gram"] <= -0.35
 
     def test_exact_points_raise_slope_undefined(self, equispaced):
         cfg = TrialConfig(band=1.0, kernel_band=4.0, sizes=(8, 16, 32),
@@ -181,7 +232,7 @@ class TestSlopes:
     def test_needs_three_sizes(self):
         cfg = small_config(sizes=(64, 256), trials=30)
         with pytest.raises(SpectralTransferError, match="3 sample sizes"):
-            slope_fit(cfg, [])
+            slope_fit(cfg, {})
 
 
 class TestNonasymptoticBound:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spectral_transfer import montecarlo
 from spectral_transfer.montecarlo import (
+    QUANTITIES,
     TrialConfig,
     _activation_excess,
     bound_constants,
@@ -139,7 +140,7 @@ def test_trial_never_reads_the_left_factor(monkeypatch, weight):
     config = TrialConfig(band=1.0, kernel_band=9.0, sizes=(64,), trials=3,
                          delta=0.25, master_seed=2, weight=weight, activation_probes=4)
     results = mc_trial(config, 0, range(3), bound_constants(config))
-    assert [r.trial for r in results] == [0, 1, 2]
+    assert results["trial"].tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("weight", ["uniform", "cosine"])
@@ -157,13 +158,14 @@ def test_activation_excess_matches_per_probe_loop(weight):
 
 
 @pytest.mark.parametrize("probes", [40, 500])
-def test_tail_constant_matches_per_probe_loop(probes):
+def test_tail_constant_matches_per_probe_loop(monkeypatch, probes):
     # 40 probes end in a partial block; 500 is the shipped count.
+    monkeypatch.setattr(montecarlo, "_C_SPHERE_PROBES", probes)
     config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(16,), trials=1,
                          delta=0.25, master_seed=11)
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0xAC7)))
     worst = max(np.abs(tail).max() for _, _, tail in per_probe_tail(config, rng, probes, 4096))
-    assert_close(estimate_activation_tail_constant(config, probes=probes), 1.5 * worst)
+    assert_close(estimate_activation_tail_constant(config), 1.5 * worst)
 
 
 def test_trial_allocates_no_dense_kernel():
@@ -215,9 +217,10 @@ def test_trial_matches_dense_reference(n, bands, weight, probes):
     config = TrialConfig(band=bands[0], kernel_band=bands[1], sizes=(n,), trials=1,
                          delta=0.25, master_seed=n, weight=weight,
                          activation_probes=probes)
-    (result,) = mc_trial(config, 0, [0], bound_constants(config))
+    result = mc_trial(config, 0, [0], bound_constants(config))
+    assert result["trial"].tolist() == [0]
     assert_close(
-        (result.laplacian_err, result.gram_err, result.activation_err),
+        [result[f"{q}_error"][0] for q in QUANTITIES],
         dense_trial_errors(config, 0, 0),
     )
 
@@ -241,12 +244,14 @@ def test_run_trials_match_dense_reference(sizes, trials, bands, weight, probes):
                          weight=weight, activation_probes=probes)
     results = run_trials(config, bound_constants(config))
     order = [(si, t) for si in range(len(sizes)) for t in range(trials)]
-    assert [(r.size, r.trial) for r in results] == [(sizes[si], t) for si, t in order]
-    for r, (si, t) in zip(results, order):
+    assert (list(zip(results["n"].tolist(), results["trial"].tolist()))
+            == [(sizes[si], t) for si, t in order])
+    for row, (si, t) in enumerate(order):
         ref = dense_trial_errors(config, si, t)
-        assert_close((r.laplacian_err, r.gram_err, r.activation_err), ref)
-        bounds = (r.laplacian_bound, r.gram_bound, r.activation_bound)
-        assert r.violations == tuple(e > b for e, b in zip(ref, bounds))
+        assert_close([results[f"{q}_error"][row] for q in QUANTITIES], ref)
+        bounds = [results[f"{q}_bound"][row] for q in QUANTITIES]
+        violations = [results[f"{q}_violation"][row] for q in QUANTITIES]
+        assert violations == [e > b for e, b in zip(ref, bounds)]
 
 
 def test_run_trials_memory_stays_linear_in_n():
@@ -359,10 +364,14 @@ def test_run_trials_do_not_depend_on_the_row_budget(monkeypatch, weight):
     for rows in (1, 2048, 8192):  # one trial per block, then 6 and 27 at N = 300
         monkeypatch.setattr(montecarlo, "_TRIAL_ROWS", rows)
         results.append(run_trials(config, constants))
-    assert results[0] == results[1] == results[2]
+    for other in results[1:]:
+        assert other.keys() == results[0].keys()
+        for name in results[0]:
+            assert np.array_equal(other[name], results[0][name]), name
     order = [(si, t) for si in range(len(config.sizes)) for t in range(config.trials)]
-    for r, (si, t) in zip(results[0], order, strict=True):
-        assert_close((r.laplacian_err, r.gram_err, r.activation_err),
+    assert len(results[0]["trial"]) == len(order)
+    for row, (si, t) in enumerate(order):
+        assert_close([results[0][f"{q}_error"][row] for q in QUANTITIES],
                      dense_trial_errors(config, si, t))
 
 
@@ -383,8 +392,9 @@ def allocating_tail_constant(config, probes):
 
 @pytest.mark.parametrize("seed", [1, 7, 11])
 @pytest.mark.parametrize("probes", [40, 500])
-def test_tail_constant_matches_allocating_loop_bitwise(seed, probes):
+def test_tail_constant_matches_allocating_loop_bitwise(monkeypatch, seed, probes):
+    monkeypatch.setattr(montecarlo, "_C_SPHERE_PROBES", probes)
     config = TrialConfig(band=1.0, kernel_band=4.0, sizes=(16,), trials=1,
                          delta=0.25, master_seed=seed)
-    assert (estimate_activation_tail_constant(config, probes=probes)
+    assert (estimate_activation_tail_constant(config)
             == allocating_tail_constant(config, probes))
