@@ -62,11 +62,9 @@ def pool(signal: np.ndarray, cmap: CoarseningMap, kind: str) -> np.ndarray:
     """
     if kind not in ("max", "l2avg"):
         raise SpectralTransferError(f"unknown pooling kind {kind!r}")
-    # the groups, concatenated, list every fine vertex once
-    parents = np.asarray(signal, dtype=float)[np.concatenate(cmap.groups)]
-    sizes = np.array([len(grp) for grp in cmap.groups])
-    starts = np.cumsum(sizes) - sizes
-    sizes = sizes.reshape((-1,) + (1,) * (parents.ndim - 1))
+    parents = np.asarray(signal, dtype=float)[cmap.members]
+    starts = np.cumsum(cmap.sizes) - cmap.sizes
+    sizes = cmap.sizes.reshape((-1,) + (1,) * (parents.ndim - 1))
     if kind == "max":
         return np.maximum.reduceat(parents, starts) / np.sqrt(sizes)
     return np.sqrt(np.add.reduceat(parents * parents, starts) / sizes)
@@ -432,17 +430,17 @@ class ConvNetGraphSetting:
 
 
 def _collapse_graph(graph: WeightedGraph, cmap: CoarseningMap) -> WeightedGraph:
-    """Coarse graph whose edges aggregate the fine weights between groups."""
-    weights = {}
-    group_of = {v: row for row, grp in enumerate(cmap.groups) for v in grp}
-    for u, v, w in graph.edges:
-        gu, gv = group_of[u], group_of[v]
-        if gu == gv:
-            continue
-        key = (min(gu, gv), max(gu, gv))
-        weights[key] = weights.get(key, 0.0) + w
-    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedGraph(cmap.n_coarse, edges)
+    """Coarse graph whose edges aggregate the fine weights between groups,
+    summed in edge order and listed by coarse pair."""
+    n = cmap.n_coarse
+    group_of = np.empty(cmap.n_fine, dtype=np.int64)
+    group_of[cmap.members] = np.repeat(np.arange(n), cmap.sizes)
+    gu, gv = group_of[graph.u], group_of[graph.v]
+    cross = gu != gv
+    pairs, slot = np.unique(np.minimum(gu, gv)[cross] * n + np.maximum(gu, gv)[cross],
+                            return_inverse=True)
+    weights = np.bincount(slot, graph.w[cross], minlength=pairs.size)
+    return WeightedGraph.from_arrays(n, pairs // n, pairs % n, weights)
 
 
 def network_lipschitz(spec: ConvNetSpec, settings) -> float:

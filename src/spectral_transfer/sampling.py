@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -166,20 +167,35 @@ class CoarseningMap:
     Each group is sorted and the groups are ordered by their smallest fine
     vertex; coarse row k carries 1/sqrt(|group k|) on group k, so the rows
     are orthonormal and interpolation S^T is an isometry onto its range.
+    ``members`` lists the fine vertices group by group in that order and
+    ``sizes`` holds the group sizes.
     """
 
     n_fine: int
     groups: tuple
+    members: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
     s_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups = sorted((tuple(sorted(grp)) for grp in self.groups), key=min)
-        if sorted(v for grp in groups for v in grp) != list(range(self.n_fine)):
+        given = np.fromiter(map(len, self.groups), dtype=np.int64, count=len(self.groups))
+        fine = np.fromiter(chain.from_iterable(self.groups), dtype=np.int64,
+                           count=int(given.sum()))
+        if (given == 0).any() or not np.array_equal(np.sort(fine), np.arange(self.n_fine)):
             raise SpectralTransferError("matching must cover every fine vertex exactly once")
-        s = np.zeros((len(groups), self.n_fine))
-        for row, grp in enumerate(groups):
-            s[row, list(grp)] = 1.0 / np.sqrt(len(grp))
-        object.__setattr__(self, "groups", tuple(groups))
+        # sort each group, then order the groups by their smallest member
+        lead = np.minimum.reduceat(fine, np.cumsum(given) - given)
+        members = fine[np.lexsort((fine, np.repeat(lead, given)))]
+        sizes = given[np.argsort(lead)]
+        rows = np.repeat(np.arange(sizes.size), sizes)
+        s = np.zeros((sizes.size, self.n_fine))
+        s[rows, members] = (1.0 / np.sqrt(sizes))[rows]
+        # the groups as tuples of ints: consecutive slices of the member list
+        flat, ends = members.tolist(), np.cumsum(sizes).tolist()
+        cuts = map(slice, [0, *ends[:-1]], ends)
+        object.__setattr__(self, "groups", tuple(map(tuple, map(flat.__getitem__, cuts))))
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "s_matrix", s)
 
     @property
@@ -194,29 +210,41 @@ def coarsen_matching(graph: WeightedGraph) -> CoarseningMap:
     vertex pairs with the unmatched neighbour maximizing
     ``w_uv (1/d_u + 1/d_v)``, ties broken by the smaller index; leftovers
     become singletons.  The visit order makes the heuristic fully
-    deterministic.
+    deterministic.  Neighbours are the endpoints of nonzero-weight edges,
+    and degrees are the edge weights summed in edge order; a vertex with
+    such edges but degree 0 is rejected.
     """
-    w = graph.adjacency()
-    deg = w.sum(axis=1)
-    order = sorted(range(graph.n_vertices), key=lambda u: (deg[u], u))
-    matched = np.zeros(graph.n_vertices, dtype=bool)
-    groups = []
-    for u in order:
-        if matched[u]:
-            continue
-        matched[u] = True
-        neighbors = [v for v in np.nonzero(w[u])[0] if not matched[v]]
-        if not neighbors:
-            groups.append((u,))
-            continue
-        inv_du = 1.0 / deg[u]
-        best = max(
-            neighbors,
-            key=lambda v: (w[u, v] * (inv_du + 1.0 / deg[v]), -v),
+    n = graph.n_vertices
+    nonzero = graph.w != 0
+    u, v, w = graph.u[nonzero], graph.v[nonzero], graph.w[nonzero]
+    # each edge as two half-edges: end -> other
+    end, other, weight = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
+    deg = np.bincount(end, weight, minlength=n)
+    count = np.bincount(end, minlength=n)
+    stuck = (deg == 0) & (count > 0)
+    if stuck.any():
+        raise SpectralTransferError(
+            f"vertex {int(np.argmax(stuck))} has edges but degree 0; heavy-edge "
+            "matching scores an edge by the inverse degrees of its ends"
         )
-        matched[best] = True
-        groups.append((u, best))
-    return CoarseningMap(graph.n_vertices, tuple(groups))
+    score = weight * (1.0 / deg[end] + 1.0 / deg[other])
+    # each vertex's neighbours, best first: by score, then smaller index
+    by_rank = np.lexsort((other, -score, end))
+    ranked, bounds = other[by_rank].tolist(), np.cumsum(count).tolist()
+    firsts = [0, *bounds[:-1]]
+    matched = [False] * n
+    groups = []
+    for x in np.argsort(deg, kind="stable").tolist():
+        if matched[x]:
+            continue
+        matched[x] = True
+        best = next((y for y in ranked[firsts[x]:bounds[x]] if not matched[y]), None)
+        if best is None:
+            groups.append((x,))
+        else:
+            matched[best] = True
+            groups.append((x, best))
+    return CoarseningMap(n, tuple(groups))
 
 
 def coarsened_laplacian(

@@ -566,6 +566,23 @@ def test_a_directed_graph_exits_two_with_one_message(experiment, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_vertex_whose_weights_cancel_exits_two_before_matching(tmp_path, capsys):
+    # vertex 1 has edges of weight 1 and -1: degree 0, which the heavy-edge
+    # score divides by
+    edges = tmp_path / "signed.txt"
+    edges.write_text("0 1 1.0\n1 2 -1.0\n2 3 2.0\n")
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph_file = {edges}\nlaplacian = unnormalized\nseed = 1\n")
+    code = cli.main(["coarsen-transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: vertex 1 has edges but degree 0; heavy-edge "
+        "matching scores an edge by the inverse degrees of its ends"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 _REFERENCE_NET = (Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini").read_text()
 
 

@@ -35,6 +35,8 @@ from spectral_transfer.sampling import (
 )
 from spectral_transfer.spaces import CircleSpace, GraphSpace
 
+from coarsening_references import pool_per_row
+
 CIRCLE = CircleSpace()
 
 graphs = st.one_of(
@@ -89,19 +91,6 @@ def graph_setting(graph, spec, perturb_seed=None):
 
 
 # --- per-probe references: the loops the batched code replaced -------------
-
-
-def pool_per_row(signal, cmap, kind):
-    out = np.empty(cmap.n_coarse, dtype=float)
-    for row in range(cmap.n_coarse):
-        parents = list(cmap.groups[row])
-        vals = signal[parents]
-        k = len(parents)
-        if kind == "max":
-            out[row] = vals.max() / np.sqrt(k)
-        else:
-            out[row] = np.sqrt(float(vals @ vals) / k)
-    return out
 
 
 def listed_unit_probes(dim, n_random, rng, with_basis=True):
