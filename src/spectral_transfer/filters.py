@@ -305,23 +305,20 @@ def apply_chebyshev(
     filter: Filter,
     op: OperatorWithInnerProduct,
     degree: int,
-    interval=None,
-    signal: np.ndarray = None,
+    interval,
+    signal: np.ndarray,
 ) -> np.ndarray:
     """Apply the degree-k Chebyshev interpolant of g through the three-term
     recurrence on matrix-vector products.
 
     The operator spectrum must lie inside ``interval`` (checked to 1e-9);
     the operator-norm error is then bounded by the scalar sup-norm
-    interpolation error of g on the interval.  When no interval is given,
-    ``[min(0, lambda_min), lambda_max (1 + 1e-6)]`` is used, which for
-    normalized Laplacians sits inside [0, 2].
+    interpolation error of g on the interval; for normalized Laplacians
+    [0, 2] holds the spectrum.
     """
     if degree < 0:
         raise SpectralTransferError("degree must be nonnegative")
     spectrum = op.eig.values
-    if interval is None:
-        interval = _containing_interval(spectrum)
     a, b = float(interval[0]), float(interval[1])
     lo, hi = spectrum.min(), spectrum.max()
     if lo < a - 1e-9 or hi > b + 1e-9:
@@ -347,12 +344,6 @@ def apply_chebyshev(
             w_prev, w_curr = w_curr, w_next
             out = out + coeffs[j] * w_curr
     return out
-
-
-def _containing_interval(spectrum: np.ndarray) -> tuple:
-    lo = min(0.0, float(spectrum.min()))
-    hi = max(0.0, float(spectrum.max()))
-    return (lo - abs(lo) * 1e-6 - 1e-12, hi + abs(hi) * 1e-6 + 1e-12)
 
 
 def chebyshev_sup_error(filter: Filter, degree: int, interval) -> float:

@@ -2,10 +2,10 @@
 eigendecomposition.
 
 A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
-``w``; it is checked, filled into its adjacency matrix and perturbed
-(``sampling.perturb_graph_detailed``) as whole arrays, with no Python loop
-per edge.  The ``edges`` tuple of ``(u, v, w)`` triples is a view built on
-request, which the ConvNet's graph coarsening reads.
+``w``; it is checked, filled into its adjacency matrix, perturbed
+(``sampling.perturb_graph_detailed``) and coarsened
+(``sampling.coarsen_matching``) as whole arrays, with no Python loop per
+edge.
 
 Graphs are undirected only, as in the transferability theory this package
 certifies: every operator is self-adjoint under a diagonal positive inner
@@ -142,8 +142,7 @@ class WeightedGraph:
     Edges are held as three read-only arrays in input order: endpoints ``u``
     and ``v`` (int64, each edge once with ``u < v``) and weights ``w``
     (float64).  Self loops, duplicate edges in either orientation, and
-    non-finite weights are rejected, naming the first bad edge.  ``edges``
-    is the ``(u, v, w)`` tuple view, built on each access.
+    non-finite weights are rejected, naming the first bad edge.
     """
 
     n_vertices: int
@@ -177,10 +176,6 @@ class WeightedGraph:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
-
-    @property
-    def edges(self) -> tuple:
-        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def n_edges(self) -> int:

@@ -267,8 +267,8 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
 
     Both quadrature errors are read from one K x K weighted Gram per
     trial, ``G = Phi^T B Phi / N`` with ``B = diag(1/w)`` and ``Phi`` the
-    kernel-band basis at the N points (K = dim PW(kernel band)); it is the
-    sampled Laplacian's right factor times its ``basis`` over N.  With
+    kernel-band basis at the N points (K = dim PW(kernel band)); it is
+    ``right @ phi / N`` for the two arrays of the sampled Laplacian.  With
     ``S = Phi E_k / sqrt(N)`` the band's sampling matrix (its k leading
     columns), ``Lambda_K`` the kernel-band eigenvalues and ``Delta`` the
     sampled Laplacian:
@@ -287,9 +287,8 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     sample = config.draw_block(size_index, trial_indices)
     n = sample.size
     k = config.space.dim_pw(config.band)
-    laplacian = sampled_laplacian_matrix(config.kernel, sample)
-    phi = laplacian.basis
-    gram = laplacian.right @ phi / n
+    phi, right = sampled_laplacian_matrix(config.kernel, sample)
+    gram = right @ phi / n
 
     lams = config.kernel.eigenvalues
     # C = E_k Lambda_k - Lambda_K G[:, :k]; the mismatch is Phi C / sqrt(N)

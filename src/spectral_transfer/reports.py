@@ -13,8 +13,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ScatterData:
@@ -37,12 +35,10 @@ class ReportBundle:
     all_certified: bool = True
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+def _format_cell(value):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):  # includes numpy float64
-        return repr(float(value))
-    return str(value)  # an int, Python or numpy, or a str
+    return value
 
 
 def emit_reports(bundle: ReportBundle, out_dir, svg: bool = False) -> list:
@@ -53,15 +49,13 @@ def emit_reports(bundle: ReportBundle, out_dir, svg: bool = False) -> list:
     """
     payload = {"experiment": bundle.experiment, "certified": bundle.all_certified,
                **bundle.summary}
-    # numpy scalars are written as the Python numbers they hold
-    texts = {"summary.txt": json.dumps(payload, indent=2, sort_keys=True,
-                                       default=lambda v: v.item()) + "\n"}
+    texts = {"summary.txt": json.dumps(payload, indent=2, sort_keys=True) + "\n"}
     for name, (header, rows) in sorted(bundle.tables.items()):
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         # csv writes a str or int cell as it is and a float as its repr; only a
-        # column holding something else (a bool, a numpy scalar) is formatted
+        # column holding a bool is formatted, its bools in lower case
         columns = [col if set(map(type, col)) <= {float, int, str} else map(_format_cell, col)
                    for col in zip(*rows)]
         writer.writerows(zip(*columns))

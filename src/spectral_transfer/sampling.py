@@ -16,16 +16,16 @@ For randomly sampled graphs the discrete Laplacian is the Monte-Carlo
 quadrature of the kernel integral operator,
 ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})``,
 self-adjoint under ``B = diag(1/w(x_k))``.  The band-limited kernel
-``H = Phi Lambda Phi^T`` has rank K = dim PW(kernel band), so D is kept as
-its rank-K factors and applied in O(N K) time and memory; the left factor
-``Phi Lambda / N`` is built on first use, and the dense N x N matrix only
-on request (``np.asarray``).
+``H = Phi Lambda Phi^T`` has rank K = dim PW(kernel band), so D is
+``Phi (Lambda / N) (Phi / w)^T``, and a Monte-Carlo trial reads only its
+factors, the N x K ``Phi`` and the K x N ``(Phi / w)^T``; the dense N x N
+matrix is formed only for a paired operator
+(:func:`random_sampled_laplacian`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -43,7 +43,7 @@ class SampleSet:
     induces the graph inner product, and is all ones when none is given
     (uniformly drawn points).  Points of shape (..., N) are a stack of
     sample sets of one size N, which :func:`sampled_laplacian_matrix`
-    turns into a stack of operators.
+    turns into stacked factors.
     """
 
     points: np.ndarray
@@ -258,52 +258,21 @@ def coarsened_laplacian(
     return OperatorWithInnerProduct.symmetric(0.5 * (mat + mat.T))
 
 
-@dataclass(frozen=True)
-class LowRankOperator:
-    """The N x N matrix ``left @ right`` kept as its thin factors, with
-    ``left = basis * scale``.
-
-    ``left`` is built on first use and kept; a caller that reads only
-    ``right`` never forms it.  ``op @ x`` costs O(N K) per column and never
-    forms the product; ``np.asarray(op)`` gives the dense matrix, always a
-    new array.  Factors of shapes (..., N, K) and (..., K, N) hold a stack
-    of such matrices; ``scale`` has shape (K,).
-    """
-
-    basis: np.ndarray
-    scale: np.ndarray
-    right: np.ndarray
-
-    @cached_property
-    def left(self) -> np.ndarray:
-        return self.basis * self.scale
-
-    def __matmul__(self, x):
-        return self.left @ (self.right @ x)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a LowRankOperator has no dense array to share; "
-                             "np.asarray builds a new one")
-        return np.asarray(self.left @ self.right, dtype=dtype)
-
-
-def sampled_laplacian_matrix(kernel: BandlimitedKernel, sample_set: SampleSet) -> LowRankOperator:
-    """The Monte-Carlo kernel discretization at the sample set's points.
+def sampled_laplacian_matrix(kernel: BandlimitedKernel, sample_set: SampleSet) -> tuple:
+    """The Monte-Carlo kernel discretization at the sample set's points, as
+    its two factors ``(phi, right)``.
 
     ``[D q]_k = N^{-1} sum_{k'} H(x_k, x_{k'}) q_{k'} / w(x_{k'})`` with w the
     sample set's ``w_values``.  With ``H = Phi Lambda Phi^T`` over the kernel
-    band, it is the :class:`LowRankOperator` with ``basis`` ``Phi``, the
-    kernel-band basis at the points, and factors ``Phi Lambda / N`` (N x K,
-    built on first use) and ``(Phi / w)^T`` (K x N); a stack of sample sets
-    gives stacked factors.  ``right @ basis / N`` is the K x K weighted
-    Gram ``Phi^T B Phi / N`` from which the Monte-Carlo trials read both
-    quadrature errors (``montecarlo.mc_trial``) without forming an N-row
-    product.
+    band, ``D = (phi * Lambda / N) @ right`` with ``phi = Phi`` (N x K), the
+    kernel-band basis at the points, and ``right = (Phi / w)^T`` (K x N); a
+    stack of sample sets gives stacked factors.  ``right @ phi / N`` is the
+    K x K weighted Gram ``Phi^T B Phi / N`` from which the Monte-Carlo
+    trials read both quadrature errors (``montecarlo.mc_trial``) without
+    forming an N-row product.
     """
     phi = kernel.space.basis_matrix(sample_set.points, kernel.band)
-    right = (phi / sample_set.w_values[..., None]).swapaxes(-1, -2)
-    return LowRankOperator(phi, kernel.eigenvalues / sample_set.size, right)
+    return phi, (phi / sample_set.w_values[..., None]).swapaxes(-1, -2)
 
 
 def random_sampled_laplacian(
@@ -312,9 +281,9 @@ def random_sampled_laplacian(
     """Monte-Carlo discretization of the kernel integral operator, paired
     with the inner product ``B = diag(1/w(x_k))`` under which it is
     self-adjoint for symmetric kernels."""
-    return OperatorWithInnerProduct(
-        sampled_laplacian_matrix(kernel, sample_set), sample_set.inner_product()
-    )
+    phi, right = sampled_laplacian_matrix(kernel, sample_set)
+    matrix = (phi * (kernel.eigenvalues / sample_set.size)) @ right
+    return OperatorWithInnerProduct(matrix, sample_set.inner_product())
 
 
 @dataclass(frozen=True)

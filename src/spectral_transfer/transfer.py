@@ -81,8 +81,8 @@ def filter_constants(filt: Filter, source_eigenvalues,
     lip = filt.lipschitz_constant
     if lip is not None and vg.size and not certified(float(vg.max()), lip):
         raise SpectralTransferError(
-            f"declared Lipschitz constant {lip:g} is violated on the "
-            f"spectra (observed quotient {vg.max():g})"
+            f"{filt.name}: declared Lipschitz constant {lip:g} is violated "
+            f"on the spectra (observed quotient {vg.max():g})"
         )
     if lip is None:
         lip = float(vg.max()) if vg.size else 0.0

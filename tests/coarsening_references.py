@@ -52,7 +52,7 @@ def collapse_per_edge(graph, cmap):
     time."""
     weights = {}
     group_of = {v: row for row, grp in enumerate(cmap.groups) for v in grp}
-    for u, v, w in graph.edges:
+    for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
         gu, gv = group_of[u], group_of[v]
         if gu == gv:
             continue

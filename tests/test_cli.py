@@ -419,7 +419,7 @@ def test_convnet_transfer_default_bands_hold_modes_of_a_signed_spectrum(tmp_path
     out_dir = tmp_path / "out"
     assert cli.main(["convnet-transfer", "--config", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "spectral-transfer: error: declared Lipschitz constant 0.187098 is violated "
+        "spectral-transfer: error: heat(0.5): declared Lipschitz constant 0.187098 is violated "
         "on the spectra (observed quotient 0.358106)"
     ]
 
@@ -643,3 +643,69 @@ def test_graph_too_large_for_a_dense_matrix_exits_two(graph_format, text, tmp_pa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spectral-transfer: error: graph of 1000000")
     assert "dense" in err[0] and "GiB" in err[0]
+
+
+_MM = "%%MatrixMarket matrix coordinate real symmetric\n"
+_NET_LAYER = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
+
+
+@pytest.mark.parametrize("experiment, keys, text, message", [
+    ("coarsen-transfer", "graph_file = {file}", "0 1\n",
+     "{file}: line 1: expected 'u v w', got 2 tokens"),
+    ("coarsen-transfer", "graph_file = {file}", "0 -1 1.0\n",
+     "{file}: line 1: negative vertex index (0, -1)"),
+    ("coarsen-transfer", "graph_file = {file}", "# no edges\n", "{file}: no edges found"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = bogus", "0 1 1.0\n",
+     "unknown graph format 'bogus'"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market", _MM + "3 3\n",
+     "{file}: line 2: expected 'rows cols nnz'"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market", _MM + "3 4 1\n",
+     "{file}: line 2: adjacency must be square, got 3x4"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market",
+     _MM + "3 3 1\n2 1 nan\n", "{file}: line 3: non-finite value nan"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market",
+     _MM + "% no size line\n", "{file}: missing size line"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = off", "OFF\n",
+     "{file}: expected 'n_vertices n_faces n_edges' after header"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = off",
+     "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "{file}: declared 2 faces, found 1"),
+    ("coarsen-transfer", "graph_file = {file}\ngraph_format = off",
+     "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+     "{file}: line 6: face lists 3 vertices but has 2"),
+    ("convnet-transfer", "graph = path(16)\nnet = {file}",
+     "[net]\nbands = 0.1, 0.2\n[layer 1]\nfilters = lowpass(2.0), heat(0.5) ; heat(0.5)\n"
+     "mix = 1.0 ; 1.0\n",
+     "{file}: line 3: [layer 1]: filter grid must be rectangular and nonempty"),
+    ("convnet-transfer", "graph = path(16)\nnet = {file}",
+     "[net]\nbands = 0.1, 0.2\n" + _NET_LAYER + "biases = 0.0, 0.0\n",
+     "{file}: line 3: [layer 1]: need 1 biases, got (2,)"),
+    ("convnet-transfer", "graph = path(16)\nnet = {file}", "[net]\nbands = 0.1\n",
+     "{file}: line 1: [net]: network needs at least one layer"),
+    ("convnet-transfer", "graph = path(16)\nnet = {file}", _NET_LAYER,
+     "{file}: missing [net] section"),
+    ("convnet-transfer", "graph = path(16)\nnet = {file}",
+     "[net]\nbands = 0.1, 0.2, 0.3\n" + _NET_LAYER,
+     "{file}: line 1: [net]: need 2 bands for 1 layers"),
+    ("coarsen-transfer", "graph = path(8)\nfilters = table({file})", "# no knots\n",
+     "{file}: empty filter table"),
+    ("coarsen-transfer", "graph = path(8)", None,
+     "cannot write {out}/summary.txt: [Errno 21] Is a directory: '{out}/summary.txt'"),
+], ids=["edge-list-two-tokens", "edge-list-negative-index", "edge-list-empty",
+        "unknown-graph-format", "matrix-market-short-size-line", "matrix-market-not-square",
+        "matrix-market-nan", "matrix-market-no-size-line", "off-no-counts",
+        "off-missing-face", "off-short-face", "net-ragged-filter-grid", "net-extra-bias",
+        "net-no-layer", "net-no-net-section", "net-band-count", "empty-filter-table",
+        "summary-path-is-a-directory"])
+def test_an_input_or_output_error_exits_two_with_one_line(tmp_path, capsys, experiment, keys,
+                                                          text, message):
+    file, out = tmp_path / "input.txt", tmp_path / "out"
+    if text is None:
+        (out / "summary.txt").mkdir(parents=True)
+    else:
+        file.write_text(text)
+    path = tmp_path / "cfg.txt"
+    path.write_text(keys.format(file=file) + "\nseed = 4\n")
+    assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: " + message.format(file=file, out=out)
+    ]

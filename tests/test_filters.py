@@ -181,23 +181,6 @@ class TestApplyChebyshev:
         with pytest.raises(SpectralTransferError, match="escapes"):
             apply_chebyshev(Filter.identity(), op, 4, (0.0, 1.0), np.ones(2))
 
-    def test_default_interval_contains_bipartite_top(self):
-        # A path graph is bipartite, so the normalized Laplacian tops out at
-        # exactly 2; the default interval must still contain it, and tightly.
-        from spectral_transfer.filters import _containing_interval
-        from spectral_transfer.graphs import path_graph
-
-        op = build_laplacian(path_graph(6), "normalized")
-        a, b = _containing_interval(op.eig.values.real)
-        assert a <= 0.0 < 2.0 <= b <= 2.001
-        s = np.random.default_rng(1).normal(size=6)
-        out = apply_chebyshev(Filter.heat(1.0), op, 16, signal=s)
-        np.testing.assert_array_equal(
-            out, apply_chebyshev(Filter.heat(1.0), op, 16, (a, b), s)
-        )
-        exact = apply_exact(Filter.heat(1.0), eigendecompose(op), s)
-        assert np.linalg.norm(out - exact) <= 1e-12
-
 
 class TestPermutationEquivariance:
     def test_filter_commutes_with_relabeling(self):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,19 +24,21 @@ from spectral_transfer.experiments import (
 )
 from spectral_transfer.textio import TextFile, config_entries, parse_descriptor
 
+from edge_arrays import edge_arrays, triple_arrays
+
 
 class TestEdgeList:
     def test_p3(self, tmp_path):
         path = tmp_path / "p3.txt"
         path.write_text("0 1 1.0\n1 2 1.0\n")
         graph = parse_graph(path, "edge_list")
-        assert graph.edges == path_graph(3).edges
+        assert edge_arrays(graph) == edge_arrays(path_graph(3))
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# header\n\n0 1 2.5  # inline\n")
         graph = parse_graph(path)
-        assert graph.edges == ((0, 1, 2.5),)
+        assert edge_arrays(graph) == ([0], [1], [2.5])
 
     def test_malformed_token_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -58,7 +61,7 @@ class TestMatrixMarket:
             "2 2 1\n1 2 1.0\n"
         )
         graph = parse_graph(path, "matrix_market")
-        assert graph.edges == ((0, 1, 1.0),)
+        assert edge_arrays(graph) == ([0], [1], [1.0])
 
     def test_general_is_rejected_naming_the_header(self, tmp_path):
         path = tmp_path / "d.mtx"
@@ -105,7 +108,7 @@ class TestOff:
         graph = parse_graph(path, "off")
         assert graph.n_vertices == 3
         assert graph.n_edges == 3
-        assert all(w == 1.0 for _, _, w in graph.edges)
+        assert graph.w.tolist() == [1.0] * 3
 
     def test_shared_edge_deduplicated(self, tmp_path):
         path = tmp_path / "two.off"
@@ -154,7 +157,7 @@ class TestExactParse:
         path.write_text(self.TEXT[format])
         graph = parse_graph(path, format)
         assert graph.n_vertices == 5
-        assert graph.edges == self.EDGES
+        assert edge_arrays(graph) == triple_arrays(self.EDGES)
 
 
 class TestSynthetic:
@@ -167,7 +170,7 @@ class TestSynthetic:
     def test_geometric_uses_default_seed(self):
         g1 = synthetic_graph("random-geometric(20,0.4)", default_seed=3)
         g2 = synthetic_graph("random-geometric(20,0.4,3)")
-        assert g1.edges == g2.edges
+        assert edge_arrays(g1) == edge_arrays(g2)
 
     def test_bad_descriptor(self):
         with pytest.raises(SpectralTransferError, match=r"unknown graph descriptor 'torus\(5\)'"):
@@ -385,6 +388,46 @@ def quick_config(**kw):
                     graph="path(8)", filters=("lowpass(1.0)",))
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+_REFERENCE_NET = str(Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini")
+# the table cells emit_reports writes; a summary value may also be None
+_CELL = (bool, int, float, str)
+
+
+def assert_native(value, where):
+    """``value`` is None, a bool, int, float or str, or a list, tuple or
+    dict of these at any depth: what json writes with no fallback."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, (where, key)
+            assert_native(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            assert_native(item, f"{where}[{index}]")
+    else:
+        # type(), not isinstance: a numpy float64 is a float subclass
+        assert value is None or type(value) in _CELL, (where, type(value))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(experiment="perturb-stability", graph="random-geometric(20,0.4)",
+         perturbations=("remove_edges(0.1)", "add_edges(0.1)", "remove_vertices(0.1)")),
+    dict(experiment="coarsen-transfer", graph="grid(4,4)",
+         filters=("lowpass(1.0)", "heat(1.0)", "poly(1,-0.1)")),
+    dict(experiment="convnet-transfer", graph="path(16)", net_file=_REFERENCE_NET, probes=3),
+    dict(experiment="circle-sampling", graph=None, sizes=(32, 64, 128), trials=30),
+    dict(experiment="mc-verify", graph=None, sizes=(32,), trials=100),
+], ids=lambda kw: kw["experiment"])
+def test_reports_hold_only_values_json_and_csv_write_as_they_are(kw):
+    bundle = run_experiment(quick_config(**kw))
+    assert_native(bundle.summary, "summary")
+    for name, (header, rows) in bundle.tables.items():
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), name
+            for column, cell in zip(header, row):
+                assert type(cell) in _CELL, (name, column, type(cell))
 
 
 class TestRunExperiment:

@@ -21,7 +21,6 @@ from spectral_transfer.montecarlo import (
     run_trials,
 )
 from spectral_transfer.sampling import (
-    LowRankOperator,
     SampleSet,
     rejection_sample,
     sampled_laplacian_matrix,
@@ -111,36 +110,11 @@ SAMPLE_SETS = {
 def test_factored_kernel_matches_dense(kind):
     sample = SAMPLE_SETS[kind]()
     kernel = BandlimitedKernel(CIRCLE, 9.0)
-    op = sampled_laplacian_matrix(kernel, sample)
+    phi, right = sampled_laplacian_matrix(kernel, sample)
     dense = dense_kernel_matrix(kernel, sample.points, sample.w_values)
-    rng = np.random.default_rng(0)
-    vec, mat = rng.normal(size=40), rng.normal(size=(40, 3))
-    assert op.left.shape == (40, len(kernel.eigenvalues))
-    assert op.right.shape == (len(kernel.eigenvalues), 40)
-    assert_close(np.asarray(op), dense)
-    assert_close(op @ vec, dense @ vec)
-    assert_close(op @ mat, dense @ mat)
-
-
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                    reason="np.asarray passes copy= to __array__ from numpy 2 on")
-def test_dense_kernel_is_always_a_new_array():
-    op = sampled_laplacian_matrix(BandlimitedKernel(CIRCLE, 4.0), uniform_sample(8, seed=1))
-    with pytest.raises(ValueError, match="no dense array to share"):
-        np.asarray(op, copy=False)
-    assert_close(np.asarray(op, copy=True), np.asarray(op))
-
-
-@pytest.mark.parametrize("weight", ["uniform", "cosine"])
-def test_trial_never_reads_the_left_factor(monkeypatch, weight):
-    def unread(self):
-        raise AssertionError("mc_trial read the sampled Laplacian's left factor")
-
-    monkeypatch.setattr(LowRankOperator, "left", property(unread))
-    config = TrialConfig(band=1.0, kernel_band=9.0, sizes=(64,), trials=3,
-                         delta=0.25, master_seed=2, weight=weight, activation_probes=4)
-    results = mc_trial(config, 0, range(3), bound_constants(config))
-    assert results["trial"].tolist() == [0, 1, 2]
+    assert phi.shape == (40, len(kernel.eigenvalues))
+    assert right.shape == (len(kernel.eigenvalues), 40)
+    assert_close((phi * (kernel.eigenvalues / 40)) @ right, dense)
 
 
 @pytest.mark.parametrize("weight", ["uniform", "cosine"])

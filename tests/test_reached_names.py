@@ -1,13 +1,15 @@
 """Every public name in the package is reached by something besides unit tests.
 
-A public top-level function or class, or a public method, property, nested
-class or class attribute, has to appear as a name token in the package
-outside its own definition, in the benchmark scripts (``bench/*.py``, the
-traced ``TARGETS`` strings of ``bench/tracer.py`` included) or in the
-acceptance suite.  Dataclass fields are left out: ``asdict`` and f-strings
-read them, which a token scan does not see.  A name that only unit tests
-reach is dead weight; the names a planned ROADMAP item will wire in are
-reserved below.
+A public top-level function or class has to appear as a name token, and a
+public method, property, nested class or class attribute as an attribute
+access ``.name``, in the package outside its own definition, in the
+benchmark scripts (``bench/*.py``) or in the acceptance suite; the traced
+``TARGETS`` strings of ``bench/tracer.py`` reach every name they spell.
+A member's bare name does not reach it: a local variable or argument of
+the same name is no use of the member.  Dataclass fields are left out:
+``asdict`` and f-strings read them, which a token scan does not see.  A
+name that only unit tests reach is dead weight; the names a planned
+ROADMAP item will wire in are reserved below.
 """
 
 from __future__ import annotations
@@ -30,9 +32,14 @@ RESERVED = {
 
 
 def _name_tokens(path: Path) -> list:
-    """``(name, line)`` of every NAME token of a Python file."""
-    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-    return [(t.string, t.start[0]) for t in tokens if t.type == tokenize.NAME]
+    """``(name, line, attribute)`` of every NAME token of a Python file,
+    ``attribute`` when a ``.`` comes right before it."""
+    found, previous = [], None
+    for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if token.type == tokenize.NAME:
+            found.append((token.string, token.start[0], previous == "."))
+        previous = token.string
+    return found
 
 
 def _definitions(path: Path) -> list:
@@ -68,18 +75,20 @@ def _traced_names() -> set:
 
 def unreached_names() -> list:
     """Public names of the package that nothing but unit tests reaches."""
-    outside = _traced_names()
-    for path in [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
-        outside.update(name for name, _ in _name_tokens(path))
     sources = sorted(SRC.glob("*.py"))
-    tokens = {path: _name_tokens(path) for path in sources}
+    uses = {}  # name -> [(path, line, attribute)]
+    for path in [*sources, *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        for name, line, attribute in _name_tokens(path):
+            uses.setdefault(name, []).append((path, line, attribute))
+    for name in _traced_names():
+        uses.setdefault(name, []).append((None, 0, True))
     return [
         f"{path.name}: {qualname}"
         for path in sources
         for qualname, name, first, last in _definitions(path)
-        if name not in outside and not any(
-            token == name and (other != path or not first <= line <= last)
-            for other in sources for token, line in tokens[other]
+        if not any(
+            (attribute or "." not in qualname) and (other != path or not first <= line <= last)
+            for other, line, attribute in uses.get(name, ())
         )
     ]
 

@@ -24,6 +24,8 @@ from spectral_transfer.sampling import (
 )
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace
 
+from edge_arrays import edge_arrays
+
 CIRCLE = CircleSpace()
 
 
@@ -243,7 +245,7 @@ class TestPerturbation:
     def test_zero_fraction_identity(self):
         g = path_graph(5)
         out = perturb_graph_detailed(g, PerturbationSpec("remove_edges", 0.0, seed=1)).graph
-        assert out.edges == g.edges
+        assert edge_arrays(out) == edge_arrays(g)
 
     def test_p3_removes_exactly_one_edge(self):
         g = path_graph(3)
@@ -254,7 +256,7 @@ class TestPerturbation:
     def test_complete_graph_add_edges_unchanged(self):
         triangle = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
         out = perturb_graph_detailed(triangle, PerturbationSpec("add_edges", 1.0, seed=3)).graph
-        assert out.edges == triangle.edges
+        assert edge_arrays(out) == edge_arrays(triangle)
 
     def test_add_edges_count(self):
         g = path_graph(6)
@@ -271,7 +273,7 @@ class TestPerturbation:
         assert set(res.kept_vertices) <= set(range(10))
         # the surviving path edges, renumbered
         kept = res.kept_vertices
-        assert {(u, v) for u, v, _ in res.graph.edges} == {
+        assert set(zip(res.graph.u.tolist(), res.graph.v.tolist())) == {
             (i, i + 1) for i in range(7) if kept[i + 1] == kept[i] + 1
         }
 
@@ -283,7 +285,7 @@ class TestPerturbation:
         g = path_graph(30)
         spec = PerturbationSpec("remove_edges", 0.3, seed=77)
         first, second = (perturb_graph_detailed(g, spec).graph for _ in range(2))
-        assert first.edges == second.edges
+        assert edge_arrays(first) == edge_arrays(second)
 
     def test_bad_mode_and_fraction(self):
         with pytest.raises(SpectralTransferError, match="unknown perturbation mode 'rewire'"):

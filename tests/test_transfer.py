@@ -281,8 +281,9 @@ class TestRefinementMonotonicity:
             for seed in range(50):
                 ss = uniform_sample(n, seed=seed * 7 + n)
                 pair = evaluation_operator(CIRCLE, ss, 1.0)
-                delta_mat = sampled_laplacian_matrix(kernel, ss)
-                diff = pair.s_matrix * lams - delta_mat @ pair.s_matrix
+                phi, right = sampled_laplacian_matrix(kernel, ss)
+                delta_s = (phi * (kernel.eigenvalues / n)) @ (right @ pair.s_matrix)
+                diff = pair.s_matrix * lams - delta_s
                 errs[n].append(np.linalg.norm(diff, 2))
         assert np.median(errs[1024]) < np.median(errs[64])
 
