@@ -124,153 +124,6 @@ def _reject_repeats(key: str, entries: tuple, each_needs: str) -> None:
                                         f"are both {entry!r}: each needs its own {each_needs}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed and validated experiment description: one field, and one
-    default, per config key.  What the experiment runs is parsed with the
-    config, before any graph work or trial: ``parsed_filters`` holds the
-    ``Filter``s of the experiments that run ``filters``,
-    ``parsed_perturbations`` the ``PerturbationSpec``s of
-    ``perturbations`` (perturb-stability) or of ``net_perturbation``
-    (convnet-transfer), and ``trial_configs`` one ``TrialConfig`` per
-    weight of the Monte-Carlo experiments."""
-
-    experiment: str
-    seed: int | None = None
-    out_dir: str = "spectral_transfer_out"
-    svg: bool = False
-    graph: str | None = None
-    graph_file: str | None = None
-    graph_format: str = "edge_list"
-    laplacian: str | None = None  # normalized for convnet-transfer, else unnormalized
-    filters: tuple = ("lowpass(1.0)", "highpass(1.0)", "heat(1.0)")
-    band: float | None = None
-    perturbations: tuple = ("remove_edges(0.05)", "remove_edges(0.1)", "add_edges(0.05)",
-                            "add_edges(0.1)", "remove_vertices(0.05)")
-    sizes: tuple = (64, 256, 1024)
-    trials: int = 50
-    delta: float = 0.25
-    kernel_band: float = 4.0
-    circle_band: float = 1.0
-    weights: tuple = ("uniform", "cosine")
-    net_file: str | None = None
-    net_perturbation: str = "remove_edges(0.1)"
-    probes: int = 10
-    parsed_filters: tuple = field(init=False, repr=False, compare=False)
-    parsed_perturbations: tuple = field(init=False, repr=False, compare=False)
-    trial_configs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise SpectralTransferError(
-                f"unknown experiment {self.experiment!r}; pick one of "
-                + ", ".join(EXPERIMENTS)
-            )
-        if self.seed is None:
-            raise SpectralTransferError("a seed is mandatory (config 'seed' or --seed)")
-        if self.seed < 0:
-            raise SpectralTransferError(f"seed must be nonnegative, got {self.seed}")
-        sources = (self.graph is not None) + (self.graph_file is not None)
-        if self.experiment in ("circle-sampling", "mc-verify"):
-            if sources:
-                raise SpectralTransferError(f"{self.experiment} takes no graph input")
-        elif sources != 1:
-            raise SpectralTransferError(
-                "exactly one graph source is required: 'graph' or 'graph_file'"
-            )
-        for path in (self.graph_file, self.net_file):
-            if path is not None and not os.path.exists(path):
-                raise SpectralTransferError(f"referenced file does not exist: {path}")
-        if self.probes < 1:
-            raise SpectralTransferError(f"probes must be at least 1, got {self.probes}")
-        if self.band is not None and not self.band >= 0:
-            raise SpectralTransferError(f"band must be nonnegative, got {self.band:g}")
-        for name in ("filters", "perturbations", "sizes", "weights"):
-            if not getattr(self, name):
-                raise SpectralTransferError(f"{name} needs at least one entry")
-        if self.laplacian is None:
-            kind = "normalized" if self.experiment == "convnet-transfer" else "unnormalized"
-            object.__setattr__(self, "laplacian", kind)
-        parsed = ()
-        if self.experiment in ("coarsen-transfer", "perturb-stability"):
-            parsed = tuple(make_filter(desc) for desc in self.filters)
-            named = {}  # report name -> descriptor; the summary is keyed by name
-            for desc, filt in zip(self.filters, parsed):
-                if filt.name in named:
-                    raise SpectralTransferError(f"filters {named[filt.name]!r} and {desc!r} "
-                                                f"share the report name {filt.name!r}")
-                named[filt.name] = desc
-        object.__setattr__(self, "parsed_filters", parsed)
-        perturbations = ()
-        if self.experiment == "perturb-stability":
-            # each draw is a setting named, and summarised, by its descriptor
-            _reject_repeats("perturbations", self.perturbations, "setting name")
-            perturbations = tuple(
-                _parse_perturbation(desc, _substream(self.seed, "perturb", index))
-                for index, desc in enumerate(self.perturbations)
-            )
-        elif self.experiment == "convnet-transfer":
-            perturbations = (_parse_perturbation(
-                self.net_perturbation, _substream(self.seed, "net-perturb")
-            ),)
-            if perturbations[0].mode == "remove_vertices":
-                raise SpectralTransferError("the network comparison needs equal-size "
-                                            "graphs; use edge perturbations")
-        object.__setattr__(self, "parsed_perturbations", perturbations)
-        trial_configs = ()
-        if self.experiment in ("circle-sampling", "mc-verify"):
-            sampling = self.experiment == "circle-sampling"
-            trial_configs = tuple(
-                TrialConfig(
-                    band=self.circle_band, kernel_band=self.kernel_band,
-                    sizes=self.sizes, trials=self.trials, delta=self.delta,
-                    master_seed=_substream(
-                        self.seed, "circle" if sampling else "verify", weight
-                    ),
-                    weight=weight, **({"activation_probes": 0} if sampling else {}),
-                )
-                for weight in self.weights
-            )
-            # each weight's campaign is drawn from, and summarised by, its name
-            _reject_repeats("weights", self.weights, "campaign")
-            check = check_slope_fit_inputs if sampling else check_failure_rate_inputs
-            check(trial_configs[0])
-        object.__setattr__(self, "trial_configs", trial_configs)
-
-    @classmethod
-    def from_file(cls, path, experiment: str | None = None,
-                  seed: int | None = None, out_dir: str | None = None,
-                  svg: bool | None = None) -> "ExperimentConfig":
-        """Read a flat ``key = value`` file; CLI arguments override file keys.
-
-        Lines are blank, ``#``/``;`` comments or unindented ``key = value``
-        with a known, unrepeated key (any case) and a literal nonempty value.
-        """
-        source = TextFile(path, "config")
-        values = {}
-        for lineno, _, key, value in config_entries(source):
-            if key not in _FIELD_OF_KEY:
-                raise source.fail(lineno, f"unknown key, got {source.lines[lineno - 1].strip()!r}")
-            with source.at(lineno, prefix=f"bad value for {key}: "):
-                values[_FIELD_OF_KEY[key]] = _PARSERS.get(key, str)(value)
-        file_experiment = values.get("experiment")
-        if None not in (experiment, file_experiment) and experiment != file_experiment:
-            raise SpectralTransferError(
-                f"config says experiment = {file_experiment}, "
-                f"command line says {experiment}"
-            )
-        overrides = {"experiment": experiment, "seed": seed, "out_dir": out_dir, "svg": svg}
-        values.update((k, v) for k, v in overrides.items() if v is not None)
-        if "experiment" not in values:
-            raise SpectralTransferError("no experiment named (config key or argument)")
-        return cls(**values)
-
-    def load_graph(self) -> WeightedGraph:
-        if self.graph is not None:
-            return synthetic_graph(self.graph, default_seed=self.seed)
-        return parse_graph(self.graph_file, self.graph_format)
-
-
 def _tuple_of(cast):
     return lambda text: tuple(cast(part) for part in split_top_level(text))
 
@@ -281,19 +134,174 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
-# config key -> field; only 'out' and 'net' differ from their field names
-_FIELD_OF_KEY = {
-    {"out_dir": "out", "net_file": "net"}.get(f.name, f.name): f.name
-    for f in fields(ExperimentConfig) if f.init
-}
-# config key -> parser of its value; every other key is text
-_PARSERS = {
-    "seed": int, "trials": int, "probes": int, "svg": _true_or_false,
-    "band": finite_float, "delta": finite_float,
-    "kernel_band": finite_float, "circle_band": finite_float,
-    "filters": _tuple_of(str), "perturbations": _tuple_of(str),
-    "weights": _tuple_of(str), "sizes": _tuple_of(int),
-}
+def _key(read_by, default=None, parse=str, key=None):
+    """A config key's field, None until given or defaulted: the experiments
+    that read it (a dict gives each its own default), its parser, and its
+    config name where that is not the field's."""
+    defaults = read_by if isinstance(read_by, dict) else dict.fromkeys(read_by, default)
+    return field(default=None, metadata={"read_by": defaults, "parse": parse, "key": key})
+
+
+_GRAPHS = ("coarsen-transfer", "perturb-stability", "convnet-transfer")
+_FILTERS = ("coarsen-transfer", "perturb-stability")
+_CAMPAIGNS = ("circle-sampling", "mc-verify")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Parsed and validated experiment description: one field per config
+    key, whose ``_key`` names the experiments that read it and its default
+    there.  Giving a key the experiment does not read is an error, as is
+    ``graph_format`` without ``graph_file``; an unread key's field stays
+    None.  What the experiment runs is parsed with the config, before any
+    graph work or trial: ``parsed_filters`` holds the ``Filter``s of
+    ``filters``, ``parsed_perturbations`` the ``PerturbationSpec``s of
+    ``perturbations`` or of ``net_perturbation``, and ``trial_configs``
+    one ``TrialConfig`` per weight."""
+
+    experiment: str = _key(EXPERIMENTS)
+    seed: int | None = _key(EXPERIMENTS, parse=int)
+    out_dir: str | None = _key(EXPERIMENTS, "spectral_transfer_out", key="out")
+    svg: bool | None = _key(EXPERIMENTS, False, _true_or_false)
+    graph: str | None = _key(_GRAPHS)
+    graph_file: str | None = _key(_GRAPHS)
+    graph_format: str | None = _key(_GRAPHS, "edge_list")
+    laplacian: str | None = _key({**dict.fromkeys(_FILTERS, "unnormalized"),
+                                  "convnet-transfer": "normalized"})
+    filters: tuple | None = _key(_FILTERS, ("lowpass(1.0)", "highpass(1.0)", "heat(1.0)"),
+                                 _tuple_of(str))
+    band: float | None = _key(_FILTERS, parse=finite_float)
+    perturbations: tuple | None = _key(
+        ("perturb-stability",), ("remove_edges(0.05)", "remove_edges(0.1)", "add_edges(0.05)",
+                                 "add_edges(0.1)", "remove_vertices(0.05)"), _tuple_of(str))
+    sizes: tuple | None = _key(_CAMPAIGNS, (64, 256, 1024), _tuple_of(int))
+    trials: int | None = _key(_CAMPAIGNS, 50, int)
+    delta: float | None = _key(_CAMPAIGNS, 0.25, finite_float)
+    kernel_band: float | None = _key(_CAMPAIGNS, 4.0, finite_float)
+    circle_band: float | None = _key(_CAMPAIGNS, 1.0, finite_float)
+    weights: tuple | None = _key(_CAMPAIGNS, ("uniform", "cosine"), _tuple_of(str))
+    net_file: str | None = _key(("convnet-transfer",), key="net")
+    net_perturbation: str | None = _key(("convnet-transfer",), "remove_edges(0.1)")
+    probes: int | None = _key(("convnet-transfer",), 10, int)
+    parsed_filters: tuple = field(default=(), init=False, repr=False, compare=False)
+    parsed_perturbations: tuple = field(default=(), init=False, repr=False, compare=False)
+    trial_configs: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise SpectralTransferError(f"unknown experiment {self.experiment!r}; "
+                                        f"pick one of {', '.join(EXPERIMENTS)}")
+        given = [key for key, f in CONFIG_KEYS.items() if getattr(self, f.name) is not None]
+        for _, message in _unread(self.experiment, given):
+            raise SpectralTransferError(message)
+        for f in CONFIG_KEYS.values():
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, f.metadata["read_by"].get(self.experiment))
+        if self.seed is None:
+            raise SpectralTransferError("a seed is mandatory (config 'seed' or --seed)")
+        if self.seed < 0:
+            raise SpectralTransferError(f"seed must be nonnegative, got {self.seed}")
+        if self.experiment in _GRAPHS and (self.graph is None) == (self.graph_file is None):
+            raise SpectralTransferError("exactly one graph source is required: "
+                                        "'graph' or 'graph_file'")
+        for path in (self.graph_file, self.net_file):
+            if path is not None and not os.path.exists(path):
+                raise SpectralTransferError(f"referenced file does not exist: {path} (relative "
+                                            "paths are taken from the working directory)")
+        if self.probes is not None and self.probes < 1:
+            raise SpectralTransferError(f"probes must be at least 1, got {self.probes}")
+        if self.band is not None and not self.band >= 0:
+            raise SpectralTransferError(f"band must be nonnegative, got {self.band:g}")
+        for name in ("filters", "perturbations", "sizes", "weights"):
+            if getattr(self, name) == ():
+                raise SpectralTransferError(f"{name} needs at least one entry")
+        if self.filters is not None:
+            parsed = tuple(make_filter(desc) for desc in self.filters)
+            named = {}  # report name -> descriptor; the summary is keyed by name
+            for desc, filt in zip(self.filters, parsed):
+                if filt.name in named:
+                    raise SpectralTransferError(f"filters {named[filt.name]!r} and {desc!r} "
+                                                f"share the report name {filt.name!r}")
+                named[filt.name] = desc
+            object.__setattr__(self, "parsed_filters", parsed)
+        if self.perturbations is not None:
+            # each draw is a setting named, and summarised, by its descriptor
+            _reject_repeats("perturbations", self.perturbations, "setting name")
+            object.__setattr__(self, "parsed_perturbations", tuple(
+                _parse_perturbation(desc, _substream(self.seed, "perturb", index))
+                for index, desc in enumerate(self.perturbations)
+            ))
+        if self.net_perturbation is not None:
+            spec = _parse_perturbation(self.net_perturbation, _substream(self.seed, "net-perturb"))
+            if spec.mode == "remove_vertices":
+                raise SpectralTransferError("the network comparison needs equal-size "
+                                            "graphs; use edge perturbations")
+            object.__setattr__(self, "parsed_perturbations", (spec,))
+        if self.weights is not None:
+            sampling = self.experiment == "circle-sampling"
+            trial_configs = tuple(
+                TrialConfig(
+                    band=self.circle_band, kernel_band=self.kernel_band,
+                    sizes=self.sizes, trials=self.trials, delta=self.delta,
+                    master_seed=_substream(self.seed, "circle" if sampling else "verify", weight),
+                    weight=weight, **({"activation_probes": 0} if sampling else {}),
+                )
+                for weight in self.weights
+            )
+            # each weight's campaign is drawn from, and summarised by, its name
+            _reject_repeats("weights", self.weights, "campaign")
+            (check_slope_fit_inputs if sampling else check_failure_rate_inputs)(trial_configs[0])
+            object.__setattr__(self, "trial_configs", trial_configs)
+
+    @classmethod
+    def from_file(cls, path, experiment: str | None = None,
+                  seed: int | None = None, out_dir: str | None = None,
+                  svg: bool | None = None) -> "ExperimentConfig":
+        """Read a flat ``key = value`` file; CLI arguments override file keys.
+
+        Lines are blank, ``#``/``;`` comments or unindented ``key = value``
+        with a known, unrepeated key (any case) and a literal nonempty value.
+        A key the experiment does not read is named with its line.
+        """
+        source = TextFile(path, "config")
+        values, lines = {}, {}
+        for lineno, _, key, value in config_entries(source):
+            if key not in CONFIG_KEYS:
+                raise source.fail(lineno, f"unknown key, got {source.lines[lineno - 1].strip()!r}")
+            with source.at(lineno, prefix=f"bad value for {key}: "):
+                values[CONFIG_KEYS[key].name] = CONFIG_KEYS[key].metadata["parse"](value)
+            lines[key] = lineno
+        file_experiment = values.get("experiment")
+        if None not in (experiment, file_experiment) and experiment != file_experiment:
+            raise SpectralTransferError(f"config says experiment = {file_experiment}, "
+                                        f"command line says {experiment}")
+        overrides = {"experiment": experiment, "seed": seed, "out_dir": out_dir, "svg": svg}
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+        if "experiment" not in values:
+            raise SpectralTransferError("no experiment named (config key or argument)")
+        if values["experiment"] in EXPERIMENTS:
+            for key, message in _unread(values["experiment"], lines):
+                raise source.fail(lines[key], message)
+        return cls(**values)
+
+    def load_graph(self) -> WeightedGraph:
+        if self.graph is not None:
+            return synthetic_graph(self.graph, default_seed=self.seed)
+        return parse_graph(self.graph_file, self.graph_format)
+
+
+# config key -> its field; only 'out' and 'net' differ from their field names
+CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig) if f.init}
+
+
+def _unread(experiment: str, given):
+    """``(key, message)`` of each ``given`` config key ``experiment`` does not read."""
+    for key in given:
+        read_by = CONFIG_KEYS[key].metadata["read_by"]
+        if experiment not in read_by:
+            yield key, f"key {key!r} is not read by {experiment} (read by {', '.join(read_by)})"
+        elif key == "graph_format" and "graph_file" not in given:
+            yield key, "key 'graph_format' is read only with graph_file"
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -350,13 +358,8 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
             "modes": (_MODES_HEADER, tuple(modes)),
             "bounds": (_BOUNDS_HEADER, tuple(bounds)),
         },
-        scatters={
-            "scatter": ScatterData(
-                "per-mode laplacian transfer error",
-                "per-mode filter transfer error",
-                tuple(points), d_max,
-            )
-        },
+        scatters={"scatter": ScatterData("per-mode laplacian transfer error",
+                                         "per-mode filter transfer error", tuple(points), d_max)},
         all_certified=ok,
     )
 
@@ -524,11 +527,7 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
     lams = np.abs(space.eig.values)
     if lams.shape[0] < 9:
         raise SpectralTransferError("the default network needs a graph with >= 9 modes")
-    bands = (
-        float((lams[3] + lams[4]) / 2),
-        float((lams[5] + lams[6]) / 2),
-        float((lams[7] + lams[8]) / 2),
-    )
+    bands = tuple(float((lams[k - 1] + lams[k]) / 2) for k in (4, 6, 8))
     layer1 = LayerSpec(
         ((Filter.lowpass(2.0),), (Filter.heat(0.5),)),
         np.array([[1.0], [1.0]]),
@@ -548,10 +547,8 @@ def default_convnet_spec(space: GraphSpace) -> ConvNetSpec:
 def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
     graph = config.load_graph()
     space = GraphSpace.from_graph(graph, config.laplacian)
-    if config.net_file is not None:
-        spec = load_convnet_spec(config.net_file)
-    else:
-        spec = default_convnet_spec(space)
+    spec = (default_convnet_spec(space) if config.net_file is None
+            else load_convnet_spec(config.net_file))
 
     other = perturb_graph_detailed(graph, config.parsed_perturbations[0]).graph
     other_op = build_laplacian(other, config.laplacian)
@@ -579,9 +576,7 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         spec.n_layers, d_lip, a_bound, b_bound, delta, count
     ) if ok else float("inf")
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence((_substream(config.seed, "net-probes"),))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((_substream(config.seed, "net-probes"),)))
     probes = unit_probes(rng, space.dim_pw(spec.bands[0]), config.probes)
     err1, err2, err12 = output_errors(spec, setting1, setting2, probes)
 

@@ -709,3 +709,87 @@ def test_an_input_or_output_error_exits_two_with_one_line(tmp_path, capsys, expe
     assert capsys.readouterr().err.splitlines() == [
         "spectral-transfer: error: " + message.format(file=file, out=out)
     ]
+
+
+# the keys each experiment's runner reads besides experiment, seed, out and
+# svg, which every experiment reads
+_GRAPH_KEYS = {"graph", "graph_file", "graph_format", "laplacian"}
+_CAMPAIGN_KEYS = {"sizes", "trials", "delta", "kernel_band", "circle_band", "weights"}
+_READ_BY = {
+    "coarsen-transfer": _GRAPH_KEYS | {"filters", "band"},
+    "perturb-stability": _GRAPH_KEYS | {"filters", "band", "perturbations"},
+    "circle-sampling": _CAMPAIGN_KEYS,
+    "mc-verify": _CAMPAIGN_KEYS,
+    "convnet-transfer": _GRAPH_KEYS | {"net", "net_perturbation", "probes"},
+}
+# a small config of each experiment that certifies, and a value for every
+# key that some experiment does not read
+_BASE_CONFIGS = {
+    "coarsen-transfer": "graph = path(8)\nfilters = lowpass(2.0)\n",
+    "perturb-stability": "graph = path(8)\nfilters = lowpass(2.0)\n"
+                         "perturbations = remove_edges(0.1)\n",
+    "circle-sampling": "sizes = 32, 64, 128\ntrials = 30\n",
+    "mc-verify": "sizes = 32\ntrials = 100\n",
+    "convnet-transfer": "graph = path(16)\nprobes = 2\n",
+}
+_REFERENCE_NET_PATH = Path(__file__).resolve().parents[1] / "configs" / "reference_net.ini"
+_KEY_VALUES = {
+    "graph": "path(8)", "graph_file": "{edges}", "graph_format": "edge_list",
+    "laplacian": "normalized", "filters": "heat(1)", "band": "0.5",
+    "perturbations": "remove_edges(0.5)", "sizes": "64", "trials": "50", "delta": "0.25",
+    "kernel_band": "4.0", "circle_band": "1.0", "weights": "uniform",
+    "net": str(_REFERENCE_NET_PATH), "net_perturbation": "remove_edges(0.1)", "probes": "3",
+}
+
+
+def _run_config(tmp_path, experiment, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "seed = 4\n")
+    return path, cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (experiment, key) for experiment, read in _READ_BY.items()
+    for key in _KEY_VALUES if key not in read
+])
+def test_a_key_the_experiment_does_not_read_exits_two_naming_its_readers(
+        tmp_path, capsys, experiment, key):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1.0\n")
+    value = _KEY_VALUES[key].format(edges=edges)
+    path, code = _run_config(tmp_path, experiment, f"{_BASE_CONFIGS[experiment]}{key} = {value}\n")
+    line = _BASE_CONFIGS[experiment].count("\n") + 1
+    readers = ", ".join(e for e in experiments.EXPERIMENTS if key in _READ_BY[e])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"spectral-transfer: error: {path}: line {line}: key {key!r} is not read by "
+        f"{experiment} (read by {readers})"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, text, line, key", [
+    ("circle-sampling", "filters = heat(1)\nband = 0.5\nnet = {net}\n"
+                        "perturbations = remove_edges(0.5)\n", 1, "filters"),
+    ("convnet-transfer", "graph = path(16)\nfilters = heat(1)\nband = 0.5\n", 2, "filters"),
+    ("coarsen-transfer", "graph = path(8)\nprobes = 3\ngraph_format = off\n", 2, "probes"),
+], ids=["circle-sampling", "convnet-transfer", "coarsen-transfer"])
+def test_configs_that_set_keys_their_experiment_ignores_exit_two(tmp_path, capsys, experiment,
+                                                                 text, line, key):
+    path, code = _run_config(tmp_path, experiment, text.format(net=_REFERENCE_NET_PATH))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"spectral-transfer: error: {path}: line {line}: key {key!r} "
+                             f"is not read by {experiment} (read by ")
+
+
+@pytest.mark.parametrize("experiment", ["coarsen-transfer", "perturb-stability",
+                                        "convnet-transfer"])
+def test_graph_format_without_graph_file_exits_two(tmp_path, capsys, experiment):
+    path, code = _run_config(tmp_path, experiment, "graph = path(16)\ngraph_format = off\n")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"spectral-transfer: error: {path}: line 2: key 'graph_format' is read only with "
+        "graph_file"
+    ]

@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 
 from spectral_transfer import cli
 from spectral_transfer.errors import SpectralTransferError
-from spectral_transfer.experiments import EXPERIMENTS, ExperimentConfig
+from spectral_transfer.experiments import CONFIG_KEYS, EXPERIMENTS, ExperimentConfig
 
-_KEYS = (
-    "experiment", "seed", "out", "svg", "graph", "graph_file", "graph_format",
-    "laplacian", "filters", "band", "perturbations", "sizes", "trials",
-    "delta", "kernel_band", "circle_band", "weights", "net",
-    "net_perturbation", "probes",
-)
+_KEYS = tuple(CONFIG_KEYS)
 _BAD_VALUES = ("inf", "-inf", "nan", "%", "%(seed)s", "", "-1", "0", "1e400", ",")
 _GOOD_VALUES = EXPERIMENTS + (
     "7", "2.5", "true", "false", "path(8)", "grid(3,3)", "edge_list",

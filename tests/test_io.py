@@ -18,6 +18,8 @@ from spectral_transfer.reports import (
     render_scatter_svg,
 )
 from spectral_transfer.experiments import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
     ExperimentConfig,
     run_experiment,
     split_top_level,
@@ -330,6 +332,13 @@ class TestExperimentConfig:
         assert laplacian("perturb-stability") == "unnormalized"
         assert laplacian("convnet-transfer", laplacian="unnormalized") == "unnormalized"
 
+    def test_a_key_the_experiment_does_not_read_stays_none(self):
+        cfg = ExperimentConfig(experiment="mc-verify", seed=1, sizes=(64,), trials=100)
+        assert (cfg.graph_format, cfg.laplacian, cfg.filters, cfg.probes) == (None,) * 4
+        assert (cfg.out_dir, cfg.svg, cfg.delta) == ("spectral_transfer_out", False, 0.25)
+        coarsen = ExperimentConfig(experiment="coarsen-transfer", seed=1, graph="path(8)")
+        assert coarsen.parsed_perturbations == () and coarsen.trial_configs == ()
+
     def test_filters_are_parsed_with_the_config(self):
         cfg = ExperimentConfig(experiment="perturb-stability", seed=1, graph="path(8)")
         assert [f.name for f in cfg.parsed_filters] == ["lowpass(1)", "highpass(1)", "heat(1)"]
@@ -337,9 +346,10 @@ class TestExperimentConfig:
             "remove_edges(0.05)", "remove_edges(0.1)",
             "add_edges(0.05)", "add_edges(0.1)", "remove_vertices(0.05)",
         )
-        # experiments that run no filter do not parse the key
-        assert ExperimentConfig(experiment="mc-verify", seed=1,
-                                filters=("bogus(1)",)).parsed_filters == ()
+        # an experiment that runs no filter rejects the key before parsing it
+        with pytest.raises(SpectralTransferError, match=r"^key 'filters' is not read by "
+                           r"mc-verify \(read by coarsen-transfer, perturb-stability\)$"):
+            ExperimentConfig(experiment="mc-verify", seed=1, filters=("bogus(1)",))
 
     def test_perturbations_and_campaigns_are_parsed_with_the_config(self):
         cfg = ExperimentConfig(experiment="perturb-stability", seed=1, graph="path(8)",
@@ -358,10 +368,13 @@ class TestExperimentConfig:
         circle = ExperimentConfig(experiment="circle-sampling", seed=1)
         assert [t.activation_probes for t in circle.trial_configs] == [0, 0]
         assert circle.trial_configs[0].master_seed != verify.trial_configs[0].master_seed
-        # experiments that run none of them do not parse the keys
-        coarsen = ExperimentConfig(experiment="coarsen-transfer", seed=1, graph="path(8)",
-                                   perturbations=("bogus(1)",), weights=("bogus",))
-        assert coarsen.parsed_perturbations == () and coarsen.trial_configs == ()
+        # an experiment that runs none of them rejects each key before parsing it
+        for key, read_by in (("perturbations", "perturb-stability"),
+                             ("weights", "circle-sampling, mc-verify")):
+            with pytest.raises(SpectralTransferError, match=rf"^key '{key}' is not read by "
+                               rf"coarsen-transfer \(read by {read_by}\)$"):
+                ExperimentConfig(experiment="coarsen-transfer", seed=1, graph="path(8)",
+                                 **{key: ("bogus(1)",)})
 
     @pytest.mark.parametrize("kw, message", [
         (dict(filters=()), "filters needs at least one entry"),
@@ -379,14 +392,36 @@ class TestExperimentConfig:
         path = self.write(
             tmp_path, "experiment = mc-verify\ngraph = path(8)\nseed = 1\n"
         )
-        with pytest.raises(SpectralTransferError, match="no graph input"):
+        with pytest.raises(SpectralTransferError, match=(
+            r": line 2: key 'graph' is not read by mc-verify \(read by coarsen-transfer, "
+            r"perturb-stability, convnet-transfer\)$"
+        )):
             ExperimentConfig.from_file(path)
 
 
+def test_readme_key_table_lists_each_config_key_once_with_its_readers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n###", 1)[0]
+    documented = []  # (key, experiments that read it) of each row's keys
+    for row in section.split("\n"):
+        if row.startswith("| `"):
+            keys, read_by = row.split(" | ")[:2]
+            read_by = EXPERIMENTS if read_by == "every experiment" else tuple(read_by.split(", "))
+            documented += [(key, read_by) for key in re.findall(r"`([a-z_]+)`", keys)]
+    assert len(dict(documented)) == len(documented)
+    assert dict(documented) == {key: tuple(f.metadata["read_by"])
+                                for key, f in CONFIG_KEYS.items()}
+
+
 def quick_config(**kw):
-    defaults = dict(experiment="coarsen-transfer", seed=3, out_dir="unused",
-                    graph="path(8)", filters=("lowpass(1.0)",))
+    """A small config of ``kw``'s experiment, coarsen-transfer if it names
+    none, with ``path(8)`` and one filter for the experiments that read them."""
+    defaults = dict(experiment="coarsen-transfer", seed=3, out_dir="unused")
     defaults.update(kw)
+    if defaults["experiment"] not in ("circle-sampling", "mc-verify"):
+        defaults.setdefault("graph", "path(8)")
+    if defaults["experiment"] in ("coarsen-transfer", "perturb-stability"):
+        defaults.setdefault("filters", ("lowpass(1.0)",))
     return ExperimentConfig(**defaults)
 
 
@@ -416,8 +451,8 @@ def assert_native(value, where):
     dict(experiment="coarsen-transfer", graph="grid(4,4)",
          filters=("lowpass(1.0)", "heat(1.0)", "poly(1,-0.1)")),
     dict(experiment="convnet-transfer", graph="path(16)", net_file=_REFERENCE_NET, probes=3),
-    dict(experiment="circle-sampling", graph=None, sizes=(32, 64, 128), trials=30),
-    dict(experiment="mc-verify", graph=None, sizes=(32,), trials=100),
+    dict(experiment="circle-sampling", sizes=(32, 64, 128), trials=30),
+    dict(experiment="mc-verify", sizes=(32,), trials=100),
 ], ids=lambda kw: kw["experiment"])
 def test_reports_hold_only_values_json_and_csv_write_as_they_are(kw):
     bundle = run_experiment(quick_config(**kw))
