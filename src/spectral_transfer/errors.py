@@ -5,7 +5,13 @@ the one a caller tells apart: an unconverged series truncation."""
 
 
 class SpectralTransferError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``key``, when given, names the
+    input (a config key or a dataclass field) whose value is at fault, so
+    that a config file's loader can name the line that set it."""
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class TruncationError(SpectralTransferError):

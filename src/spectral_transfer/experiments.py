@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
@@ -121,7 +122,23 @@ def _reject_repeats(key: str, entries: tuple, each_needs: str) -> None:
     for index, entry in enumerate(entries):
         if entry in entries[:index]:
             raise SpectralTransferError(f"{key} {entries.index(entry) + 1} and {index + 1} "
-                                        f"are both {entry!r}: each needs its own {each_needs}")
+                                        f"are both {entry!r}: each needs its own {each_needs}",
+                                        key)
+
+
+# TrialConfig field -> the config key that sets it, where the two differ
+_TRIAL_KEYS = {"band": "circle_band", "weight": "weights"}
+
+
+@contextmanager
+def _reading(key: str):
+    """Blame config key ``key`` for an error from the block that names no
+    input; one that names a TrialConfig field blames that field's key."""
+    try:
+        yield
+    except SpectralTransferError as exc:
+        exc.key = key if exc.key is None else _TRIAL_KEYS.get(exc.key, exc.key)
+        raise
 
 
 def _tuple_of(cast):
@@ -190,7 +207,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise SpectralTransferError(f"unknown experiment {self.experiment!r}; "
-                                        f"pick one of {', '.join(EXPERIMENTS)}")
+                                        f"pick one of {', '.join(EXPERIMENTS)}", "experiment")
         given = [key for key, f in CONFIG_KEYS.items() if getattr(self, f.name) is not None]
         for _, message in _unread(self.experiment, given):
             raise SpectralTransferError(message)
@@ -200,57 +217,64 @@ class ExperimentConfig:
         if self.seed is None:
             raise SpectralTransferError("a seed is mandatory (config 'seed' or --seed)")
         if self.seed < 0:
-            raise SpectralTransferError(f"seed must be nonnegative, got {self.seed}")
+            raise SpectralTransferError(f"seed must be nonnegative, got {self.seed}", "seed")
         if self.experiment in _GRAPHS and (self.graph is None) == (self.graph_file is None):
             raise SpectralTransferError("exactly one graph source is required: "
-                                        "'graph' or 'graph_file'")
-        for path in (self.graph_file, self.net_file):
+                                        "'graph' or 'graph_file'", "graph_file")
+        for key, path in (("graph_file", self.graph_file), ("net", self.net_file)):
             if path is not None and not os.path.exists(path):
                 raise SpectralTransferError(f"referenced file does not exist: {path} (relative "
-                                            "paths are taken from the working directory)")
+                                            "paths are taken from the working directory)", key)
         if self.probes is not None and self.probes < 1:
-            raise SpectralTransferError(f"probes must be at least 1, got {self.probes}")
+            raise SpectralTransferError(f"probes must be at least 1, got {self.probes}", "probes")
         if self.band is not None and not self.band >= 0:
-            raise SpectralTransferError(f"band must be nonnegative, got {self.band:g}")
+            raise SpectralTransferError(f"band must be nonnegative, got {self.band:g}", "band")
         for name in ("filters", "perturbations", "sizes", "weights"):
             if getattr(self, name) == ():
-                raise SpectralTransferError(f"{name} needs at least one entry")
+                raise SpectralTransferError(f"{name} needs at least one entry", name)
         if self.filters is not None:
-            parsed = tuple(make_filter(desc) for desc in self.filters)
+            with _reading("filters"):
+                parsed = tuple(make_filter(desc) for desc in self.filters)
             named = {}  # report name -> descriptor; the summary is keyed by name
             for desc, filt in zip(self.filters, parsed):
                 if filt.name in named:
                     raise SpectralTransferError(f"filters {named[filt.name]!r} and {desc!r} "
-                                                f"share the report name {filt.name!r}")
+                                                f"share the report name {filt.name!r}", "filters")
                 named[filt.name] = desc
             object.__setattr__(self, "parsed_filters", parsed)
         if self.perturbations is not None:
             # each draw is a setting named, and summarised, by its descriptor
             _reject_repeats("perturbations", self.perturbations, "setting name")
-            object.__setattr__(self, "parsed_perturbations", tuple(
-                _parse_perturbation(desc, _substream(self.seed, "perturb", index))
-                for index, desc in enumerate(self.perturbations)
-            ))
+            with _reading("perturbations"):
+                object.__setattr__(self, "parsed_perturbations", tuple(
+                    _parse_perturbation(desc, _substream(self.seed, "perturb", index))
+                    for index, desc in enumerate(self.perturbations)
+                ))
         if self.net_perturbation is not None:
-            spec = _parse_perturbation(self.net_perturbation, _substream(self.seed, "net-perturb"))
+            with _reading("net_perturbation"):
+                spec = _parse_perturbation(self.net_perturbation,
+                                           _substream(self.seed, "net-perturb"))
             if spec.mode == "remove_vertices":
                 raise SpectralTransferError("the network comparison needs equal-size "
-                                            "graphs; use edge perturbations")
+                                            "graphs; use edge perturbations", "net_perturbation")
             object.__setattr__(self, "parsed_perturbations", (spec,))
         if self.weights is not None:
             sampling = self.experiment == "circle-sampling"
-            trial_configs = tuple(
-                TrialConfig(
-                    band=self.circle_band, kernel_band=self.kernel_band,
-                    sizes=self.sizes, trials=self.trials, delta=self.delta,
-                    master_seed=_substream(self.seed, "circle" if sampling else "verify", weight),
-                    weight=weight, **({"activation_probes": 0} if sampling else {}),
+            with _reading("weights"):
+                trial_configs = tuple(
+                    TrialConfig(
+                        band=self.circle_band, kernel_band=self.kernel_band,
+                        sizes=self.sizes, trials=self.trials, delta=self.delta,
+                        master_seed=_substream(self.seed, "circle" if sampling else "verify",
+                                               weight),
+                        weight=weight, **({"activation_probes": 0} if sampling else {}),
+                    )
+                    for weight in self.weights
                 )
-                for weight in self.weights
-            )
-            # each weight's campaign is drawn from, and summarised by, its name
-            _reject_repeats("weights", self.weights, "campaign")
-            (check_slope_fit_inputs if sampling else check_failure_rate_inputs)(trial_configs[0])
+                # each weight's campaign is drawn from, and summarised by, its name
+                _reject_repeats("weights", self.weights, "campaign")
+                (check_slope_fit_inputs if sampling else check_failure_rate_inputs)(
+                    trial_configs[0])
             object.__setattr__(self, "trial_configs", trial_configs)
 
     @classmethod
@@ -261,7 +285,8 @@ class ExperimentConfig:
 
         Lines are blank, ``#``/``;`` comments or unindented ``key = value``
         with a known, unrepeated key (any case) and a literal nonempty value.
-        A key the experiment does not read is named with its line.
+        A key the experiment does not read, and a key whose value fails a
+        check, is named with its line.
         """
         source = TextFile(path, "config")
         values, lines = {}, {}
@@ -275,14 +300,22 @@ class ExperimentConfig:
         if None not in (experiment, file_experiment) and experiment != file_experiment:
             raise SpectralTransferError(f"config says experiment = {file_experiment}, "
                                         f"command line says {experiment}")
-        overrides = {"experiment": experiment, "seed": seed, "out_dir": out_dir, "svg": svg}
-        values.update((k, v) for k, v in overrides.items() if v is not None)
+        overrides = {"experiment": experiment, "seed": seed, "out": out_dir, "svg": svg}
+        for key, value in overrides.items():
+            if value is not None:
+                values[CONFIG_KEYS[key].name] = value
+                lines.pop(key, None)  # the value is not the file's
         if "experiment" not in values:
             raise SpectralTransferError("no experiment named (config key or argument)")
         if values["experiment"] in EXPERIMENTS:
             for key, message in _unread(values["experiment"], lines):
                 raise source.fail(lines[key], message)
-        return cls(**values)
+        try:
+            return cls(**values)
+        except SpectralTransferError as exc:
+            if exc.key not in lines:
+                raise
+            raise source.fail(lines[exc.key], str(exc)) from None
 
     def load_graph(self) -> WeightedGraph:
         if self.graph is not None:

@@ -97,21 +97,22 @@ class TrialConfig:
 
     def __post_init__(self):
         if not self.band < self.kernel_band:
-            raise SpectralTransferError("band must be below the kernel band")
+            raise SpectralTransferError("band must be below the kernel band", "band")
         if not 0.0 < self.delta < 1.0:
-            raise SpectralTransferError(f"delta {self.delta} outside (0, 1)")
+            raise SpectralTransferError(f"delta {self.delta} outside (0, 1)", "delta")
         if self.weight not in _WEIGHTS:
-            raise SpectralTransferError(f"unknown weight {self.weight!r}")
+            raise SpectralTransferError(f"unknown weight {self.weight!r}", "weight")
         if self.space.max_frequency(self.kernel_band) >= _GRID // 2:
             # sin(pi k) = 0 at every grid point: the tail's grid basis is rank-deficient
             raise SpectralTransferError(
                 f"kernel band {self.kernel_band:.12g} must be below {(_GRID // 2) ** 2}: the "
-                f"{_GRID}-point activation grid resolves frequencies below {_GRID // 2}"
+                f"{_GRID}-point activation grid resolves frequencies below {_GRID // 2}",
+                "kernel_band",
             )
         min_dim = self.space.dim_pw(self.band)
         if any(n < min_dim for n in self.sizes):
             raise SpectralTransferError(
-                f"every sample size must be at least dim PW = {min_dim}"
+                f"every sample size must be at least dim PW = {min_dim}", "sizes"
             )
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
 
@@ -372,7 +373,7 @@ def check_failure_rate_inputs(config: TrialConfig) -> None:
     """Raise unless the campaign has the trials that :func:`failure_rate`
     needs."""
     if config.trials * len(config.sizes) < 100:
-        raise SpectralTransferError("failure rates need at least 100 trials")
+        raise SpectralTransferError("failure rates need at least 100 trials", "trials")
 
 
 def failure_rate(config: TrialConfig, results) -> dict:
@@ -388,12 +389,13 @@ def check_slope_fit_inputs(config: TrialConfig) -> None:
     """Raise unless the campaign has the sizes and trials that
     :func:`slope_fit` needs."""
     if len(config.sizes) < 3:
-        raise SpectralTransferError("slope fit needs at least 3 sample sizes")
+        raise SpectralTransferError("slope fit needs at least 3 sample sizes", "sizes")
     if len(set(config.sizes)) < 3:
         # a repeated size adds no point to the log-log fit
-        raise SpectralTransferError("slope fit needs at least 3 distinct sample sizes")
+        raise SpectralTransferError("slope fit needs at least 3 distinct sample sizes",
+                                    "sizes")
     if config.trials < 30:
-        raise SpectralTransferError("slope fit needs at least 30 trials per size")
+        raise SpectralTransferError("slope fit needs at least 30 trials per size", "trials")
 
 
 def slope_fit(config: TrialConfig, results) -> dict:
