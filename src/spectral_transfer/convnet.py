@@ -440,7 +440,7 @@ def _collapse_graph(graph: WeightedGraph, cmap: CoarseningMap) -> WeightedGraph:
     pairs, slot = np.unique(np.minimum(gu, gv)[cross] * n + np.maximum(gu, gv)[cross],
                             return_inverse=True)
     weights = np.bincount(slot, graph.w[cross], minlength=pairs.size)
-    return WeightedGraph.from_arrays(n, pairs // n, pairs % n, weights)
+    return WeightedGraph(n, pairs // n, pairs % n, weights)
 
 
 def network_lipschitz(spec: ConvNetSpec, settings) -> float:

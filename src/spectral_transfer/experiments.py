@@ -45,6 +45,7 @@ from .convnet import (
 from .errors import SpectralTransferError
 from .filters import Filter, make_filter
 from .graphs import (
+    LAPLACIAN_KINDS,
     OperatorWithInnerProduct,
     WeightedGraph,
     build_laplacian,
@@ -52,7 +53,7 @@ from .graphs import (
     unit_scale,
 )
 from .graphs import eigendecompose  # noqa: F401  (uncalled; bench/test_bench.py reads it)
-from .graph_io import parse_graph, synthetic_graph
+from .graph_io import GRAPH_FORMATS, parse_graph, synthetic_graph
 from .montecarlo import (
     QUANTITIES,
     TrialConfig,
@@ -225,6 +226,10 @@ class ExperimentConfig:
             if path is not None and not os.path.exists(path):
                 raise SpectralTransferError(f"referenced file does not exist: {path} (relative "
                                             "paths are taken from the working directory)", key)
+        for key, kinds in (("laplacian", LAPLACIAN_KINDS), ("graph_format", GRAPH_FORMATS)):
+            if getattr(self, key) not in (None, *kinds):
+                raise SpectralTransferError(f"{key} must be one of {', '.join(kinds)}, "
+                                            f"got {getattr(self, key)!r}", key)
         if self.probes is not None and self.probes < 1:
             raise SpectralTransferError(f"probes must be at least 1, got {self.probes}", "probes")
         if self.band is not None and not self.band >= 0:

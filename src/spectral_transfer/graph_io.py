@@ -31,11 +31,9 @@ def parse_graph(path, format: str = "edge_list") -> WeightedGraph:
     A file that cannot be read as text, or does not parse, raises an error
     that names ``path``.
     """
-    parsers = {"edge_list": _parse_edge_list, "matrix_market": _parse_matrix_market,
-               "off": _parse_mesh_off}
-    if format not in parsers:
+    if format not in GRAPH_FORMATS:
         raise SpectralTransferError(f"unknown graph format {format!r}")
-    return parsers[format](TextFile(path, "graph file"))
+    return GRAPH_FORMATS[format](TextFile(path, "graph file"))
 
 
 def _parse_edge_list(source: TextFile) -> WeightedGraph:
@@ -52,7 +50,7 @@ def _parse_edge_list(source: TextFile) -> WeightedGraph:
         edges.append((u, v, w))
     if not edges:
         raise source.fail(None, "no edges found")
-    return WeightedGraph(1 + max(max(u, v) for u, v, _ in edges), tuple(edges))
+    return WeightedGraph(1 + max(max(u, v) for u, v, _ in edges), *zip(*edges))
 
 
 _MM_HEADER = re.compile(
@@ -94,7 +92,7 @@ def _parse_matrix_market(source: TextFile) -> WeightedGraph:
             edges.append((i, j, w))
     if n is None:
         raise source.fail(None, "missing size line")
-    return WeightedGraph(n, tuple(edges))
+    return WeightedGraph(n, *(zip(*edges) if edges else ((), (), ())))
 
 
 def _parse_mesh_off(source: TextFile) -> WeightedGraph:
@@ -118,7 +116,13 @@ def _parse_mesh_off(source: TextFile) -> WeightedGraph:
             if not all(0 <= a < n_vertices for a in idx):
                 raise ValueError(f"face index {max(idx)} overflows vertex count")
         edges.update((min(a, b), max(a, b)) for a, b in zip(idx, idx[1:] + idx[:1]) if a != b)
-    return WeightedGraph(n_vertices, tuple((a, b, 1.0) for a, b in sorted(edges)))
+    pairs = np.array(sorted(edges)).reshape(-1, 2)
+    return WeightedGraph(n_vertices, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
+
+
+#: The graph file parsers, by ``graph_format`` name.
+GRAPH_FORMATS = {"edge_list": _parse_edge_list, "matrix_market": _parse_matrix_market,
+                 "off": _parse_mesh_off}
 
 
 def synthetic_graph(descriptor: str, default_seed: int | None = None) -> WeightedGraph:

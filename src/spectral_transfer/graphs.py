@@ -1,11 +1,9 @@
 """Weighted undirected graphs, Laplacian variants, diagonal inner products,
 eigendecomposition.
 
-A graph holds its edges as three arrays, endpoints ``u``, ``v`` and weights
-``w``; it is checked, filled into its adjacency matrix, perturbed
-(``sampling.perturb_graph_detailed``) and coarsened
-(``sampling.coarsen_matching``) as whole arrays, with no Python loop per
-edge.
+A graph is built from, and held as, three edge arrays: endpoints ``u``,
+``v`` and weights ``w``.  It is checked, perturbed and coarsened as whole
+arrays, with no Python loop per edge, and its Laplacian is filled from them.
 
 Graphs are undirected only, as in the transferability theory this package
 certifies: every operator is self-adjoint under a diagonal positive inner
@@ -37,6 +35,9 @@ DEFAULT_GROUP_TOL = 1e-8
 #: neither overflows nor loses its top eigenvalue to underflow; likewise a
 #: squared column norm in it is summed without overflow or underflow.
 _GRAM_SAFE_RANGE = (2.0**-900, 2.0**900)
+
+#: The shift operators :func:`build_laplacian` builds, by config name.
+LAPLACIAN_KINDS = ("unnormalized", "normalized", "adjacency")
 
 
 def column_norms(mat: np.ndarray) -> np.ndarray:
@@ -139,10 +140,10 @@ def hermitian_norm(mat: np.ndarray) -> float:
 class WeightedGraph:
     """A weighted graph: the discrete domain of all transfer settings.
 
-    Edges are held as three read-only arrays in input order: endpoints ``u``
-    and ``v`` (int64, each edge once with ``u < v``) and weights ``w``
-    (float64).  Self loops, duplicate edges in either orientation, and
-    non-finite weights are rejected, naming the first bad edge.
+    Edge i joins ``u[i]`` and ``v[i]`` with weight ``w[i]``, held as three
+    read-only arrays in input order: ``u < v`` (int64) and ``w`` (float64).
+    Out-of-range endpoints, self loops, non-finite weights and duplicate
+    edges in either orientation are rejected, naming the first bad edge.
     """
 
     n_vertices: int
@@ -150,24 +151,12 @@ class WeightedGraph:
     v: np.ndarray
     w: np.ndarray
 
-    def __init__(self, n_vertices: int, edges=()):
-        """Graph of ``(u, v, w)`` triples."""
-        rows = tuple(edges)
-        u, v, w = zip(*rows) if rows else ((), (), ())
-        self._store(n_vertices, np.array(u), np.array(v), np.array(w, dtype=float))
-
-    @classmethod
-    def from_arrays(cls, n_vertices: int, u, v, w) -> "WeightedGraph":
-        """Graph of the edges ``(u[i], v[i], w[i])``, checked as triples are."""
-        graph = cls.__new__(cls)
-        graph._store(n_vertices, np.asarray(u), np.asarray(v), np.array(w, dtype=float))
-        return graph
-
-    def _store(self, n_vertices, u, v, w):
+    def __init__(self, n_vertices: int, u, v, w):
         if n_vertices < 1:
             raise SpectralTransferError("graph must have at least one vertex")
         # an index beyond int64 stays a Python int (object array)
-        u, v = (x if x.dtype == object else x.astype(np.int64) for x in (u, v))
+        u, v = (x if x.dtype == object else x.astype(np.int64) for x in map(np.asarray, (u, v)))
+        w = np.array(w, dtype=float)
         message = _first_edge_error(n_vertices, u, v, w)
         if message:
             raise SpectralTransferError(message)
@@ -180,20 +169,6 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         return self.w.shape[0]
-
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix W."""
-        n = self.n_vertices
-        try:
-            w_mat = np.zeros((n, n))
-        except (MemoryError, ValueError):
-            raise SpectralTransferError(
-                f"graph of {n} vertices needs a dense {n}x{n} matrix of "
-                f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
-            ) from None
-        w_mat[self.u, self.v] = self.w
-        w_mat[self.v, self.u] = self.w
-        return w_mat
 
 
 def _first_edge_error(n: int, u, v, w) -> str | None:
@@ -228,22 +203,20 @@ def _first_edge_error(n: int, u, v, w) -> str | None:
 
 def path_graph(n: int) -> WeightedGraph:
     """Path on ``n`` vertices with unit weights."""
-    return WeightedGraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
+    return WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(max(n - 1, 0)))
 
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
-    """4-neighbour grid on ``rows x cols`` vertices with unit weights."""
+    """4-neighbour grid on ``rows x cols`` vertices with unit weights; edges in
+    row-major vertex order, each vertex's right edge before its down edge."""
     if rows < 1 or cols < 1:
         raise SpectralTransferError(f"grid needs rows and cols >= 1, got {rows} x {cols}")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1, 1.0))
-            if r + 1 < rows:
-                edges.append((i, i + cols, 1.0))
-    return WeightedGraph(rows * cols, tuple(edges))
+    n = rows * cols
+    i = np.arange(n)
+    u = np.repeat(i, 2)
+    v = u + np.tile((1, cols), n)
+    has = np.stack((i % cols + 1 < cols, i + cols < n), axis=1).ravel()
+    return WeightedGraph(n, u[has], v[has], np.ones(np.count_nonzero(has)))
 
 
 def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
@@ -260,7 +233,7 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> WeightedGraph:
     dist = np.sqrt((diff**2).sum(axis=2))
     # row-major, so edges come in (i, j) order with i < j
     rows, cols = np.nonzero(np.triu(dist <= radius, 1))
-    return WeightedGraph.from_arrays(n, rows, cols, np.ones(rows.size))
+    return WeightedGraph(n, rows, cols, np.ones(rows.size))
 
 
 @dataclass(frozen=True)
@@ -374,24 +347,41 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
 
     ``kind`` selects the unnormalized Laplacian ``D - W``, the normalized
     Laplacian ``I - D^{-1/2} W D^{-1/2}``, or the adjacency matrix ``W``
-    itself.
+    itself, each formed in place in the one n x n matrix the edge arrays
+    fill.  A degree beyond the float range is an error for both Laplacians.
     """
-    if kind not in ("unnormalized", "normalized", "adjacency"):
+    if kind not in LAPLACIAN_KINDS:
         raise SpectralTransferError(f"unknown laplacian kind {kind!r}")
-    w_mat = graph.adjacency()
-    deg = w_mat.sum(axis=1)
-    if kind == "unnormalized":
-        mat = np.diag(deg) - w_mat
-    elif kind == "normalized":
+    n = graph.n_vertices
+    try:
+        mat = np.zeros((n, n))
+    except (MemoryError, ValueError):
+        raise SpectralTransferError(
+            f"graph of {n} vertices needs a dense {n}x{n} matrix of "
+            f"{8 * n * n / 2**30:.3g} GiB, which cannot be allocated"
+        ) from None
+    mat[graph.u, graph.v] = graph.w
+    mat[graph.v, graph.u] = graph.w
+    if kind == "adjacency":
+        return OperatorWithInnerProduct.symmetric(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deg = mat.sum(axis=1)
+    if not np.isfinite(deg).all():
+        bad = int(np.argmax(~np.isfinite(deg)))
+        raise SpectralTransferError(f"vertex {bad} has degree {deg[bad]:g}; its edge weights "
+                                    "sum beyond the float range")
+    if kind == "normalized":
         if np.any(deg <= 0):
             bad = int(np.argmin(deg))
-            raise SpectralTransferError(
-                f"vertex {bad} has degree {deg[bad]:g}; normalized Laplacian undefined"
-            )
+            raise SpectralTransferError(f"vertex {bad} has degree {deg[bad]:g}; normalized "
+                                        "Laplacian undefined")
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        mat = np.eye(graph.n_vertices) - (d_inv_sqrt[:, None] * w_mat) * d_inv_sqrt[None, :]
-    else:
-        mat = w_mat
+        mat *= d_inv_sqrt[:, None]
+        mat *= d_inv_sqrt
+        deg = 1.0  # the diagonal of I
+    # 0.0 - x, as in D - W, so a zero weight gives 0.0, never -0.0
+    np.subtract(0.0, mat, out=mat)
+    np.fill_diagonal(mat, deg)
     return OperatorWithInnerProduct.symmetric(mat)
 
 

@@ -324,7 +324,7 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
         keep = np.ones(m, dtype=bool)
         if k:
             keep[rng.choice(m, size=k, replace=False)] = False
-        return PerturbationResult(WeightedGraph.from_arrays(n, u[keep], v[keep], w[keep]))
+        return PerturbationResult(WeightedGraph(n, u[keep], v[keep], w[keep]))
     if spec.mode == "add_edges":
         k = int(np.floor(spec.fraction * m))
         absent = np.ones((n, n), dtype=bool)
@@ -334,7 +334,7 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
         k = min(k, candidates.size)
         pick = np.sort(rng.choice(candidates.size, size=k, replace=False)) if k else []
         new_u, new_v = divmod(candidates[pick], n)
-        return PerturbationResult(WeightedGraph.from_arrays(
+        return PerturbationResult(WeightedGraph(
             n, np.concatenate([u, new_u]), np.concatenate([v, new_v]),
             np.concatenate([w, np.ones(k)]),
         ))
@@ -349,7 +349,7 @@ def perturb_graph_detailed(graph: WeightedGraph, spec: PerturbationSpec) -> Pert
         keep[rng.choice(n, size=k, replace=False)] = False
     index = np.cumsum(keep) - 1  # new index of each kept vertex
     kept_edge = keep[u] & keep[v]
-    sub = WeightedGraph.from_arrays(
+    sub = WeightedGraph(
         int(keep.sum()), index[u[kept_edge]], index[v[kept_edge]], w[kept_edge])
     return PerturbationResult(sub, tuple(np.flatnonzero(keep).tolist()))
 

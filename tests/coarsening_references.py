@@ -8,7 +8,7 @@ floating-point expressions, so the results must be equal.
 
 import numpy as np
 
-from spectral_transfer.graphs import WeightedGraph
+from edge_arrays import graph_of, reference_adjacency
 
 
 def partition_per_group(n_fine, groups):
@@ -24,7 +24,7 @@ def partition_per_group(n_fine, groups):
 def coarsen_matching_dense(graph):
     """Heavy-edge matching over rows of the dense adjacency matrix:
     ``(groups, s_matrix)`` as :func:`partition_per_group` gives them."""
-    w = graph.adjacency()
+    w = reference_adjacency(graph)
     deg = w.sum(axis=1)
     order = sorted(range(graph.n_vertices), key=lambda u: (deg[u], u))
     matched = np.zeros(graph.n_vertices, dtype=bool)
@@ -59,7 +59,7 @@ def collapse_per_edge(graph, cmap):
         key = (min(gu, gv), max(gu, gv))
         weights[key] = weights.get(key, 0.0) + w
     edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedGraph(cmap.n_coarse, edges)
+    return graph_of(cmap.n_coarse, edges)
 
 
 def pool_per_row(signal, cmap, kind):

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -89,7 +92,10 @@ def test_unknown_laplacian_kind_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == ["spectral-transfer: error: unknown laplacian kind 'bogus'"]
+    assert err.splitlines() == [
+        f"spectral-transfer: error: {path}: line 2: laplacian must be one of unnormalized, "
+        "normalized, adjacency, got 'bogus'"
+    ]
 
 
 @pytest.mark.parametrize("probes", ["0", "-1"])
@@ -356,6 +362,61 @@ def test_bad_perturbation_exits_before_any_graph_work(
     assert capsys.readouterr().err.splitlines() == [
         f"spectral-transfer: error: {path}: line 2: {message}"
     ]
+
+
+@pytest.mark.parametrize("experiment, keys, message", [
+    ("coarsen-transfer", "graph = grid(40,40)\nlaplacian = bogus",
+     "laplacian must be one of unnormalized, normalized, adjacency, got 'bogus'"),
+    ("convnet-transfer", "graph = grid(40,40)\nlaplacian = Normalized",
+     "laplacian must be one of unnormalized, normalized, adjacency, got 'Normalized'"),
+    ("perturb-stability", "graph_file = {file}\ngraph_format = bogus",
+     "graph_format must be one of edge_list, matrix_market, off, got 'bogus'"),
+], ids=["laplacian", "laplacian-case", "graph-format"])
+def test_bad_laplacian_or_graph_format_exits_before_any_graph_work(
+    experiment, keys, message, tmp_path, monkeypatch, capsys
+):
+    def no_graph_work(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(experiments, "synthetic_graph", no_graph_work)
+    monkeypatch.setattr(experiments, "parse_graph", no_graph_work)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1.0\n")
+    path = tmp_path / "cfg.txt"
+    path.write_text(keys.format(file=edges) + "\nseed = 4\n")
+    code = cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"spectral-transfer: error: {path}: line 2: {message}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("warnings_env", [None, "error"])
+@pytest.mark.parametrize("kind", ["unnormalized", "normalized"])
+def test_a_degree_beyond_the_float_range_exits_two_with_one_line(kind, warnings_env, tmp_path):
+    # vertex 1's two weights of 1e308 sum to inf; a fresh interpreter, so
+    # that PYTHONWARNINGS takes effect, and stderr must hold no warning
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1e308\n1 2 1e308\n2 3 1\n")
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph_file = {edges}\nlaplacian = {kind}\nseed = 1\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    if warnings_env is not None:
+        env["PYTHONWARNINGS"] = warnings_env
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(experiments.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_transfer.cli", "coarsen-transfer", "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "spectral-transfer: error: vertex 1 has degree inf; its edge weights sum beyond "
+        "the float range"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment, keys, message", [
@@ -718,7 +779,7 @@ _NET_LAYER = "[layer 1]\nfilters = lowpass(2.0)\nmix = 1.0\n"
      "{file}: line 1: negative vertex index (0, -1)"),
     ("coarsen-transfer", "graph_file = {file}", "# no edges\n", "{file}: no edges found"),
     ("coarsen-transfer", "graph_file = {file}\ngraph_format = bogus", "0 1 1.0\n",
-     "unknown graph format 'bogus'"),
+     "{cfg}: line 2: graph_format must be one of edge_list, matrix_market, off, got 'bogus'"),
     ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market", _MM + "3 3\n",
      "{file}: line 2: expected 'rows cols nnz'"),
     ("coarsen-transfer", "graph_file = {file}\ngraph_format = matrix_market", _MM + "3 4 1\n",

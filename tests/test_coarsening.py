@@ -1,6 +1,8 @@
 """Heavy-edge coarsening from edge arrays against the dense and per-group
 loops it replaced (tests/coarsening_references.py)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from spectral_transfer.convnet import _collapse_graph, pool
 from spectral_transfer.errors import SpectralTransferError
-from spectral_transfer.graphs import WeightedGraph, grid_graph
+from spectral_transfer.graphs import grid_graph
 from spectral_transfer.sampling import (
     CoarseningMap,
     PerturbationSpec,
@@ -22,6 +24,7 @@ from coarsening_references import (
     partition_per_group,
     pool_per_row,
 )
+from edge_arrays import graph_of, reference_adjacency
 
 
 @st.composite
@@ -32,7 +35,7 @@ def random_graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
     weights = draw(st.lists(st.integers(-2, 4), min_size=len(chosen), max_size=len(chosen)))
-    return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(chosen, weights)])
+    return graph_of(n, [(u, v, float(w)) for (u, v), w in zip(chosen, weights)])
 
 
 grids = st.builds(grid_graph, st.integers(1, 7), st.integers(1, 7))
@@ -47,7 +50,7 @@ integer_weight_graphs = st.one_of(random_graphs(), grids, perturbed_grids)
 
 def stuck_vertex(graph):
     """A vertex with nonzero-weight edges whose degree is 0, or None."""
-    adjacency = graph.adjacency()
+    adjacency = reference_adjacency(graph)
     stuck = (adjacency.sum(axis=1) == 0) & (adjacency != 0).any(axis=1)
     return int(np.argmax(stuck)) if stuck.any() else None
 
@@ -107,16 +110,20 @@ def test_any_partition_equals_the_per_group_loops(graph_and_groups, seed):
     assert_collapse_and_pool_match_loops(graph, cmap, seed)
 
 
-def test_matching_and_collapse_never_read_the_dense_adjacency(monkeypatch):
-    graph = perturb_graph_detailed(grid_graph(8, 8), PerturbationSpec("add_edges", 0.1, seed=5)).graph
+def test_matching_and_collapse_never_read_the_dense_adjacency():
+    # S takes about half the bytes of the n x n adjacency, and the rest of
+    # the work is on edge arrays: a dense adjacency would lift the peak
+    # above 8 n^2 bytes
+    graph = perturb_graph_detailed(grid_graph(30, 30), PerturbationSpec("add_edges", 0.1, seed=5)).graph
     groups, s_matrix = coarsen_matching_dense(graph)
-
-    def refuse(self):
-        raise AssertionError("dense adjacency read")
-
-    monkeypatch.setattr(WeightedGraph, "adjacency", refuse)
-    cmap = coarsen_matching(graph)
-    coarse = _collapse_graph(graph, cmap)
+    tracemalloc.start()
+    try:
+        cmap = coarsen_matching(graph)
+        coarse = _collapse_graph(graph, cmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * graph.n_vertices**2
     assert cmap.groups == groups
     np.testing.assert_array_equal(cmap.s_matrix, s_matrix)
     assert coarse.n_vertices == cmap.n_coarse

@@ -1,9 +1,11 @@
 """The edge-array graph layer against a per-edge reference.
 
 The reference below is the loop form of the same rules: one Python tuple
-per edge, checked and canonicalised one at a time, with perturbations that
-walk edge lists and candidate lists.  Every graph, adjacency matrix,
-perturbation and error message of the array code must match it exactly.
+per edge, checked and canonicalised one at a time, generators that append
+one edge at a time, and perturbations that walk edge lists and candidate
+lists.  Every graph, perturbation and error message of the array code must
+match it exactly, and every Laplacian the dense formula on the adjacency
+matrix filled one edge at a time.
 The tests take their example counts from the hypothesis profile
 (``tests/conftest.py``).
 """
@@ -14,10 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_transfer.errors import SpectralTransferError
-from spectral_transfer.graphs import WeightedGraph, random_geometric_graph
+from spectral_transfer.graphs import (
+    WeightedGraph,
+    build_laplacian,
+    grid_graph,
+    path_graph,
+    random_geometric_graph,
+)
 from spectral_transfer.sampling import PerturbationSpec, perturb_graph_detailed
 
-from edge_arrays import edge_arrays, triple_arrays
+from edge_arrays import edge_arrays, graph_of, reference_adjacency, triple_arrays
 
 
 def reference_edges(n_vertices, edges):
@@ -39,14 +47,6 @@ def reference_edges(n_vertices, edges):
         seen.add(key)
         canonical.append((key[0], key[1], w))
     return tuple(canonical)
-
-
-def reference_adjacency(n_vertices, edges):
-    w_mat = np.zeros((n_vertices, n_vertices))
-    for u, v, w in edges:
-        w_mat[u, v] = w
-        w_mat[v, u] = w
-    return w_mat
 
 
 def reference_geometric_edges(n, radius, seed):
@@ -114,14 +114,13 @@ def test_graph_matches_the_per_edge_reference(case):
         expected = reference_edges(n, edges)
     except SpectralTransferError as exc:
         with pytest.raises(SpectralTransferError) as info:
-            WeightedGraph(n, edges)
+            graph_of(n, edges)
         assert str(info.value) == str(exc)
         return
-    graph = WeightedGraph(n, edges)
+    graph = graph_of(n, edges)
     assert edge_arrays(graph) == triple_arrays(expected)
     assert graph.n_edges == len(expected)
-    np.testing.assert_array_equal(graph.adjacency(), reference_adjacency(n, expected))
-    same = WeightedGraph.from_arrays(n, graph.u, graph.v, graph.w)
+    same = WeightedGraph(n, graph.u, graph.v, graph.w)
     assert (same.n_vertices, edge_arrays(same)) == (n, triple_arrays(expected))
 
 
@@ -141,7 +140,7 @@ def test_random_geometric_graph_matches_the_per_pair_reference(n, radius, seed):
 )
 def test_perturbation_matches_the_per_edge_reference(case, mode, fraction, seed):
     n, edges = case
-    graph = WeightedGraph(n, edges)
+    graph = graph_of(n, edges)
     spec = PerturbationSpec(mode, fraction, seed)
     try:
         n_out, edges_out, kept = reference_perturb(n, reference_edges(n, edges), spec)
@@ -153,3 +152,87 @@ def test_perturbation_matches_the_per_edge_reference(case, mode, fraction, seed)
     assert result.graph.n_vertices == n_out
     assert edge_arrays(result.graph) == triple_arrays(edges_out)
     assert result.kept_vertices == kept
+
+
+def reference_path_edges(n):
+    return tuple((i, i + 1, 1.0) for i in range(n - 1))
+
+
+def reference_grid_edges(rows, cols):
+    """Row-major, each vertex's right edge before its down edge."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if c + 1 < cols:
+                edges.append((i, i + 1, 1.0))
+            if r + 1 < rows:
+                edges.append((i, i + cols, 1.0))
+    return tuple(edges)
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 30))
+@example(n=1)
+def test_path_graph_matches_the_per_edge_loop(n):
+    graph = path_graph(n)
+    assert graph.n_vertices == n
+    assert edge_arrays(graph) == triple_arrays(reference_path_edges(n))
+
+
+@settings(deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9))
+@example(rows=1, cols=1)
+@example(rows=1, cols=5)
+@example(rows=5, cols=1)
+def test_grid_graph_matches_the_per_edge_loop(rows, cols):
+    graph = grid_graph(rows, cols)
+    assert graph.n_vertices == rows * cols
+    assert edge_arrays(graph) == triple_arrays(reference_grid_edges(rows, cols))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_path_without_vertices_is_an_error(n):
+    with pytest.raises(SpectralTransferError, match="graph must have at least one vertex"):
+        path_graph(n)
+
+
+def dense_laplacian(w_mat, kind):
+    """The shift operator by its dense formula on the adjacency matrix."""
+    deg = w_mat.sum(axis=1)
+    if kind == "unnormalized":
+        return np.diag(deg) - w_mat
+    if kind == "normalized":
+        d_inv_sqrt = 1.0 / np.sqrt(deg)
+        return np.eye(w_mat.shape[0]) - (d_inv_sqrt[:, None] * w_mat) * d_inv_sqrt[None, :]
+    return w_mat
+
+
+#: integer weights, float weights, and zeros of both signs
+LAPLACIAN_WEIGHTS = st.one_of(st.integers(-2, 4).map(float), st.floats(-3.0, 3.0),
+                              st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_of(n, [(u, v, draw(LAPLACIAN_WEIGHTS)) for u, v in chosen])
+
+
+@settings(deadline=None)
+@given(graph=weighted_graphs(), kind=st.sampled_from(["unnormalized", "normalized", "adjacency"]))
+@example(graph=graph_of(3, ((0, 1, 0.0), (1, 2, 2.0))), kind="unnormalized")
+@example(graph=graph_of(3, ((0, 1, 1.0), (1, 2, -0.0), (0, 2, 2.0))), kind="normalized")
+def test_laplacian_equals_the_dense_formula(graph, kind):
+    w_mat = reference_adjacency(graph)
+    if kind == "normalized" and np.any(w_mat.sum(axis=1) <= 0):
+        bad = int(np.argmin(w_mat.sum(axis=1)))
+        with pytest.raises(SpectralTransferError, match=f"vertex {bad} has degree"):
+            build_laplacian(graph, kind)
+        return
+    got, want = build_laplacian(graph, kind).matrix, dense_laplacian(w_mat, kind)
+    assert np.array_equal(got, want)
+    # array_equal takes -0.0 for 0.0; the signs must match too
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -10,7 +10,6 @@ from spectral_transfer.filters import Filter, apply_exact, apply_rational
 from spectral_transfer.graphs import (
     InnerProduct,
     OperatorWithInnerProduct,
-    WeightedGraph,
     build_laplacian,
     eigendecompose,
     grid_graph,
@@ -18,7 +17,7 @@ from spectral_transfer.graphs import (
     random_geometric_graph,
 )
 
-from edge_arrays import edge_arrays
+from edge_arrays import edge_arrays, graph_of, reference_adjacency
 
 
 def random_symmetric_op(n, rng):
@@ -31,20 +30,20 @@ class TestWeightedGraph:
         g = path_graph(3)
         assert g.n_vertices == 3
         np.testing.assert_array_equal(
-            g.adjacency(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+            reference_adjacency(g), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         )
 
     def test_rejects_self_loop(self):
         with pytest.raises(SpectralTransferError, match="self loop"):
-            WeightedGraph(2, ((0, 0, 1.0),))
+            graph_of(2, ((0, 0, 1.0),))
 
     def test_rejects_duplicate_edge_either_orientation(self):
         with pytest.raises(SpectralTransferError, match="duplicate"):
-            WeightedGraph(2, ((0, 1, 1.0), (1, 0, 2.0)))
+            graph_of(2, ((0, 1, 1.0), (1, 0, 2.0)))
 
     def test_rejects_nonfinite_weight(self):
         with pytest.raises(SpectralTransferError, match="non-finite"):
-            WeightedGraph(2, ((0, 1, np.inf),))
+            graph_of(2, ((0, 1, np.inf),))
 
     def test_grid_edge_count(self):
         g = grid_graph(3, 4)
@@ -68,7 +67,7 @@ class TestBuildLaplacian:
         assert op.inner.is_standard
 
     def test_isolated_vertex(self):
-        op = build_laplacian(WeightedGraph(1, ()), "unnormalized")
+        op = build_laplacian(graph_of(1, ()), "unnormalized")
         np.testing.assert_array_equal(op.matrix, [[0.0]])
 
     def test_k2_normalized(self):
@@ -77,11 +76,11 @@ class TestBuildLaplacian:
         d_is = np.diag(1.0 / np.sqrt(w.sum(axis=1)))
         expected = np.eye(2) - d_is @ w @ d_is
         np.testing.assert_allclose(expected, [[1, -1], [-1, 1]], atol=1e-15)
-        op = build_laplacian(WeightedGraph(2, ((0, 1, 1.0),)), "normalized")
+        op = build_laplacian(graph_of(2, ((0, 1, 1.0),)), "normalized")
         np.testing.assert_allclose(op.matrix, expected, atol=1e-15)
 
     def test_normalized_rejects_zero_degree(self):
-        g = WeightedGraph(3, ((0, 1, 1.0),))  # vertex 2 isolated
+        g = graph_of(3, ((0, 1, 1.0),))  # vertex 2 isolated
         with pytest.raises(SpectralTransferError, match="vertex 2"):
             build_laplacian(g, "normalized")
 

@@ -6,7 +6,6 @@ import pytest
 from spectral_transfer.errors import SpectralTransferError
 from spectral_transfer.graphs import (
     OperatorWithInnerProduct,
-    WeightedGraph,
     build_laplacian,
     column_norms,
     path_graph,
@@ -24,7 +23,7 @@ from spectral_transfer.sampling import (
 )
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace
 
-from edge_arrays import edge_arrays
+from edge_arrays import edge_arrays, graph_of
 
 CIRCLE = CircleSpace()
 
@@ -122,7 +121,7 @@ class TestCoarsening:
         assert cmap.groups == ((0, 1), (2,))
 
     def test_edgeless_all_singletons(self):
-        cmap = coarsen_matching(WeightedGraph(4, ()))
+        cmap = coarsen_matching(graph_of(4, ()))
         assert cmap.groups == ((0,), (1,), (2,), (3,))
 
     def test_rows_orthonormal(self):
@@ -134,14 +133,14 @@ class TestCoarsening:
         # Hand trace: degrees are d0=11, d1=15, d2=6, so vertex 2 is visited
         # first; its scores are w20 (1/6 + 1/11) = 0.258 for vertex 0 and
         # w21 (1/6 + 1/15) = 1.167 for vertex 1, so the heavier edge wins.
-        g = WeightedGraph(3, ((0, 1, 10.0), (1, 2, 5.0), (0, 2, 1.0)))
+        g = graph_of(3, ((0, 1, 10.0), (1, 2, 5.0), (0, 2, 1.0)))
         cmap = coarsen_matching(g)
         assert cmap.groups == ((0,), (1, 2))
 
     def test_equal_scores_tie_break_smaller_index(self):
         # Symmetric triangle: vertex 2 is visited first (degree 2) and both
         # neighbours score 1 (1/2 + 1/11); the tie goes to vertex 0.
-        g = WeightedGraph(3, ((0, 1, 10.0), (1, 2, 1.0), (0, 2, 1.0)))
+        g = graph_of(3, ((0, 1, 10.0), (1, 2, 1.0), (0, 2, 1.0)))
         cmap = coarsen_matching(g)
         assert cmap.groups == ((0, 2), (1,))
 
@@ -254,7 +253,7 @@ class TestPerturbation:
         assert out.n_vertices == 3
 
     def test_complete_graph_add_edges_unchanged(self):
-        triangle = WeightedGraph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+        triangle = graph_of(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
         out = perturb_graph_detailed(triangle, PerturbationSpec("add_edges", 1.0, seed=3)).graph
         assert edge_arrays(out) == edge_arrays(triangle)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spectral_transfer.errors import SpectralTransferError
-from spectral_transfer.graphs import WeightedGraph, grid_graph, path_graph
+from spectral_transfer.graphs import grid_graph, path_graph
 from spectral_transfer.spaces import BandlimitedKernel, CircleSpace, GraphSpace
+
+from edge_arrays import graph_of
 
 CIRCLE = CircleSpace()
 
@@ -142,8 +144,8 @@ class TestGraphSpace:
             assert space.dim_pw(0.0) == 1
             assert space.pw_basis(0.0).shape == (graph.n_vertices, 1)
         # three components: a triangle, a path on three vertices, an edge
-        three = WeightedGraph(8, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 2.0),
-                                  (4, 5, 0.5), (6, 7, 1.0)))
+        three = graph_of(8, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 2.0),
+                             (4, 5, 0.5), (6, 7, 1.0)))
         assert GraphSpace.from_graph(three, kind).dim_pw(0.0) == 3
 
     def test_laplacian_action_matches_matrix(self):

@@ -22,13 +22,14 @@ from spectral_transfer.filters import (
 from spectral_transfer.graphs import (
     InnerProduct,
     OperatorWithInnerProduct,
-    WeightedGraph,
     build_laplacian,
     eigendecompose,
     grid_graph,
     path_graph,
     random_geometric_graph,
 )
+
+from edge_arrays import graph_of
 
 TOL = 1e-12
 
@@ -52,7 +53,7 @@ def group_values(eig):
 
 def random_walk_laplacian():
     """``D^{-1} L`` of a weighted graph, self-adjoint under ``B = D``."""
-    graph = WeightedGraph(
+    graph = graph_of(
         4, ((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (2, 3, 1.0), (3, 1, 0.5))
     )
     lap = build_laplacian(graph, "unnormalized").matrix
