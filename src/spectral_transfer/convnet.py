@@ -456,24 +456,12 @@ def network_lipschitz(spec: ConvNetSpec, settings) -> float:
     )
 
 
-@dataclass(frozen=True)
-class HypothesisErrors:
-    """The four measured hypothesis terms of the network transfer bound."""
-
-    laplacian: tuple
-    consistency: float
-    activation: tuple
-    pooling: tuple
-
-    @property
-    def delta(self) -> float:
-        terms = list(self.laplacian) + [self.consistency] + list(self.activation) + list(self.pooling)
-        return max(terms) if terms else 0.0
-
-
 def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
-                      n_probes: int = 16, seed: int = 0) -> HypothesisErrors:
-    """Measure the four per-layer hypothesis terms for one graph.
+                      n_probes: int = 16, seed: int = 0) -> list:
+    """Measure the four per-layer hypothesis terms for one graph, as the
+    ``(term, layer, value)`` rows of ``hypothesis.csv``: ``laplacian`` at
+    layers 0 to L-1, ``consistency`` at L, then ``activation`` and
+    ``pooling`` each at 1 to L (a layer without pooling reads 0.0).
 
     Laplacian mismatch and round-trip consistency are exact operator norms
     over the per-layer bands; the activation-commutation and pooling terms
@@ -484,7 +472,7 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
     space = setting.space
     n_layers = spec.n_layers
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
-    lap_terms = []
+    rows = []
     for l in range(n_layers):
         band = spec.bands[l]
         basis = space.pw_basis(band)
@@ -492,16 +480,16 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         mismatch = s_l @ (space.operator.matrix @ basis) - (
             setting.operators[l].matrix @ (s_l @ basis)
         )
-        lap_terms.append(operator_norm(mismatch))
+        rows.append(("laplacian", l, operator_norm(mismatch)))
 
     band_top = spec.bands[n_layers]
     basis_top = space.pw_basis(band_top)
     s_top = setting.sample_maps[n_layers]
     round_trip = basis_top - s_top.T @ (s_top @ basis_top)
-    consistency = operator_norm(round_trip)
+    rows.append(("consistency", n_layers, operator_norm(round_trip)))
 
-    activation_terms = []
-    pooling_terms = []
+    activation_rows = []
+    pooling_rows = []
     for l in range(1, n_layers + 1):
         band_lo, band_hi = spec.bands[l - 1], spec.bands[l]
         basis_lo = space.pw_basis(band_lo)
@@ -510,25 +498,16 @@ def hypothesis_errors(setting: ConvNetGraphSetting, spec: ConvNetSpec,
         lhs = spec.activation.apply(s_prev @ f_vals)
         rho = spec.activation.apply(f_vals)
         rhs = s_prev @ space.synthesize(space.project_pw(band_hi, rho), band_hi)
-        activation_terms.append(float(column_norms(lhs - rhs).max(initial=0.0)))
+        activation_rows.append(("activation", l, float(column_norms(lhs - rhs).max(initial=0.0))))
 
-        layer = spec.layers[l - 1]
-        if layer.pooling == "none":
-            pooling_terms.append(0.0)
-        else:
-            cmap = setting.pooling_maps[l - 1]
+        layer, gap = spec.layers[l - 1], 0.0
+        if layer.pooling != "none":
             basis_hi = space.pw_basis(band_hi)
             f_vals = basis_hi @ _basis_and_unit_probes(rng, basis_hi.shape[1], n_probes)
-            pooled = pool(s_prev @ f_vals, cmap, layer.pooling)
-            direct = setting.sample_maps[l] @ f_vals
-            pooling_terms.append(float(column_norms(pooled - direct).max(initial=0.0)))
-
-    return HypothesisErrors(
-        laplacian=tuple(lap_terms),
-        consistency=consistency,
-        activation=tuple(activation_terms),
-        pooling=tuple(pooling_terms),
-    )
+            pooled = pool(s_prev @ f_vals, setting.pooling_maps[l - 1], layer.pooling)
+            gap = float(column_norms(pooled - setting.sample_maps[l] @ f_vals).max(initial=0.0))
+        pooling_rows.append(("pooling", l, gap))
+    return rows + activation_rows + pooling_rows
 
 
 def _basis_and_unit_probes(rng, dim: int, count: int) -> np.ndarray:

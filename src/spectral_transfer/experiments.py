@@ -355,23 +355,23 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
 
 
 def _collect_transfer_rows(setting, config: ExperimentConfig):
-    """Shared per-setting certification: rows, summaries, each filter's D, verdict."""
-    mode_rows, bound_rows, scatter_points, lipschitz = [], [], [], []
+    """Shared per-setting certification: rows, scatter points, each
+    filter's summary entry (its D among them) and the verdict."""
+    if setting.dim_pw == 0:
+        raise SpectralTransferError(f"band {setting.band:g} keeps no mode of the source "
+                                    "spectrum, so no bound would be checked")
+    mode_rows, bound_rows, scatter_points = [], [], []
     all_ok = True
     summaries = {}
     for filt in config.parsed_filters:
-        report = evaluate_transfer(setting, filt, signal_seed=config.seed)
-        for row in report.per_mode:
+        per_mode, bounds, summaries[filt.name] = evaluate_transfer(setting, filt,
+                                                                   signal_seed=config.seed)
+        for row in per_mode:
             mode_rows.append((filt.name, setting.name, *row))
             scatter_points.append((row.laplacian_mode_error, row.lhs, filt.name))
-        bound_rows.extend((filt.name, setting.name, *row) for row in report.bounds)
-        all_ok &= report.all_satisfied
-        lipschitz.append(report.lipschitz_constant)
-        summaries[filt.name] = {key: getattr(report, key) for key in (
-            "filter_error", "laplacian_error", "consistency_error",
-            "interpolation_norm", "lipschitz_constant", "grouped_spectrum",
-        )}
-    return mode_rows, bound_rows, scatter_points, summaries, lipschitz, all_ok
+        bound_rows.extend((filt.name, setting.name, *row) for row in bounds)
+        all_ok &= all(row.satisfied for row in (*per_mode, *bounds))
+    return mode_rows, bound_rows, scatter_points, summaries, all_ok
 
 
 def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
@@ -379,8 +379,8 @@ def _run_coarsen_transfer(config: ExperimentConfig) -> ReportBundle:
     space = GraphSpace.from_graph(graph, config.laplacian)
     cmap = coarsen_matching(graph)
     setting = coarsening_setting(space, cmap, band=config.band, name="coarsening")
-    modes, bounds, points, summaries, lipschitz, ok = _collect_transfer_rows(setting, config)
-    d_max = max(lipschitz)
+    modes, bounds, points, summaries, ok = _collect_transfer_rows(setting, config)
+    d_max = max(entry["lipschitz_constant"] for entry in summaries.values())
     return ReportBundle(
         experiment="coarsen-transfer",
         summary={
@@ -451,7 +451,7 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     setting = perturbation_setting(
         space, delta_op, kept=result.kept_vertices, band=config.band, name=desc
     )
-    modes, bounds, _, summary, lipschitz, ok = _collect_transfer_rows(setting, config)
+    modes, bounds, _, summary, ok = _collect_transfer_rows(setting, config)
     # Frobenius stability, the fine operator restricted first when vertices
     # were removed.  Both operators are symmetric: with
     # orthonormal eigenbases U, V and W = U^H V, g(L) - g(L') =
@@ -467,7 +467,8 @@ def _perturbation_rows(config: ExperimentConfig, graph: WeightedGraph,
     else:
         overlap = np.abs(fine_eig.basis.T @ delta_op.eig.basis)
     stability = []
-    for filt, d_lip in zip(config.parsed_filters, lipschitz):  # D of its bounds
+    for filt in config.parsed_filters:
+        d_lip = summary[filt.name]["lipschitz_constant"]  # D of its bounds
         g_fine = filt.evaluate(fine_eig.values)
         g_delta = filt.evaluate(delta_op.eig.values)
         # g scaled by a power of two, which cancels exactly from both norms
@@ -598,11 +599,10 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
                             for op in setting.operators])
     spec = spec.normalized_on(union)
 
-    hyp1 = hypothesis_errors(setting1, spec, n_probes=config.probes,
-                             seed=_substream(config.seed, "hyp", 1))
-    hyp2 = hypothesis_errors(setting2, spec, n_probes=config.probes,
-                             seed=_substream(config.seed, "hyp", 2))
-    delta = max(hyp1.delta, hyp2.delta)
+    hyp_rows = [(j, *row) for j, setting in ((1, setting1), (2, setting2))
+                for row in hypothesis_errors(setting, spec, n_probes=config.probes,
+                                             seed=_substream(config.seed, "hyp", j))]
+    delta = max(value for *_, value in hyp_rows)
     # the theorem assumes delta < 1 strictly; a hypothesis, not a bound to certify
     ok = delta < 1.0
 
@@ -633,16 +633,6 @@ def _run_convnet_transfer(config: ExperimentConfig) -> ReportBundle:
         ok &= contraction_ok
         cert_rows.append(("contraction_50_pairs", float(not contraction_ok),
                           0.0, contraction_ok))
-
-    hyp_rows = []
-    for j, hyp in ((1, hyp1), (2, hyp2)):
-        for l, v in enumerate(hyp.laplacian):
-            hyp_rows.append((j, "laplacian", l, v))
-        hyp_rows.append((j, "consistency", spec.n_layers, hyp.consistency))
-        for l, v in enumerate(hyp.activation, start=1):
-            hyp_rows.append((j, "activation", l, v))
-        for l, v in enumerate(hyp.pooling, start=1):
-            hyp_rows.append((j, "pooling", l, v))
 
     return ReportBundle(
         experiment="convnet-transfer",

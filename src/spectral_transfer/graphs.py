@@ -349,6 +349,9 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
     Laplacian ``I - D^{-1/2} W D^{-1/2}``, or the adjacency matrix ``W``
     itself, each formed in place in the one n x n matrix the edge arrays
     fill.  A degree beyond the float range is an error for both Laplacians.
+    For ``D - W`` and ``W`` so is twice an absolute degree (the sum of a
+    vertex's ``|w|``), which bounds every eigenvalue's modulus (Gershgorin);
+    the normalized spectrum lies in [0, 2].
     """
     if kind not in LAPLACIAN_KINDS:
         raise SpectralTransferError(f"unknown laplacian kind {kind!r}")
@@ -362,14 +365,26 @@ def build_laplacian(graph: WeightedGraph, kind: str) -> OperatorWithInnerProduct
         ) from None
     mat[graph.u, graph.v] = graph.w
     mat[graph.v, graph.u] = graph.w
+    if kind != "adjacency":
+        with np.errstate(over="ignore", invalid="ignore"):
+            deg = mat.sum(axis=1)
+        if not np.isfinite(deg).all():
+            bad = int(np.argmax(~np.isfinite(deg)))
+            raise SpectralTransferError(f"vertex {bad} has degree {deg[bad]:g}; its edge "
+                                        "weights sum beyond the float range")
+    if kind != "normalized":
+        # from the edge arrays, so that no second n x n array is formed
+        with np.errstate(over="ignore"):
+            abs_deg = (np.bincount(graph.u, np.abs(graph.w), n)
+                       + np.bincount(graph.v, np.abs(graph.w), n))
+            beyond = ~np.isfinite(2.0 * abs_deg)
+        if beyond.any():
+            bad = int(np.argmax(beyond))
+            raise SpectralTransferError(f"vertex {bad} has absolute degree {abs_deg[bad]:g}; "
+                                        "twice it, which bounds the spectrum, is beyond the "
+                                        "float range")
     if kind == "adjacency":
         return OperatorWithInnerProduct.symmetric(mat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        deg = mat.sum(axis=1)
-    if not np.isfinite(deg).all():
-        bad = int(np.argmax(~np.isfinite(deg)))
-        raise SpectralTransferError(f"vertex {bad} has degree {deg[bad]:g}; its edge weights "
-                                    "sum beyond the float range")
     if kind == "normalized":
         if np.any(deg <= 0):
             bad = int(np.argmin(deg))

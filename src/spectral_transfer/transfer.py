@@ -351,30 +351,16 @@ class BoundRow(NamedTuple):
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    """Measured errors, every bound row, and the per-mode rows."""
-
-    filter_error: float
-    laplacian_error: float
-    consistency_error: float
-    per_mode: tuple
-    bounds: tuple
-    interpolation_norm: float
-    lipschitz_constant: float
-    grouped_spectrum: bool
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.per_mode) and all(
-            b.satisfied for b in self.bounds
-        )
-
-
 def evaluate_transfer(setting: TransferSetting, filt: Filter,
-                      signal_seed: int = 0) -> TransferReport:
+                      signal_seed: int = 0) -> tuple:
     """Measure the three transfer errors and certify all five bounds; the
-    pointwise ones probe a unit-norm signal drawn from ``signal_seed``."""
+    pointwise ones probe a unit-norm signal drawn from ``signal_seed``.
+
+    Returns ``(per_mode, bounds, summary)``: the ``ModeRow`` of each source
+    mode, the four ``BoundRow``s, and the filter's ``summary.txt`` entry
+    (its three errors, ``||R||``, D, and whether the target spectrum has
+    repeated eigenvalues).
+    """
     m = setting.dim_pw
     rng = np.random.default_rng(np.random.SeedSequence((signal_seed, m)))
     coeffs = rng.normal(size=m)
@@ -412,16 +398,14 @@ def evaluate_transfer(setting: TransferSetting, filt: Filter,
         ("pointwise_in_M", filter_err, rhs_point_m),
         ("worstcase_in_M", lhs_worst_m, rhs_worst_m),
     ))
-    return TransferReport(
-        filter_error=filter_err,
-        laplacian_error=lap_err,
-        consistency_error=cons_err,
-        per_mode=per_mode,
-        bounds=bounds,
-        interpolation_norm=c_norm,
-        lipschitz_constant=constants.lipschitz,
-        grouped_spectrum=setting.target.eig.grouped,
-    )
+    return per_mode, bounds, {
+        "filter_error": filter_err,
+        "laplacian_error": lap_err,
+        "consistency_error": cons_err,
+        "interpolation_norm": c_norm,
+        "lipschitz_constant": constants.lipschitz,
+        "grouped_spectrum": setting.target.eig.grouped,
+    }
 
 
 def two_graph_error(setting1: TransferSetting, setting2: TransferSetting,

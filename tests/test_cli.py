@@ -392,29 +392,73 @@ def test_bad_laplacian_or_graph_format_exits_before_any_graph_work(
     assert not (tmp_path / "out").exists()
 
 
+_DEGREE_INF = "vertex 1 has degree inf; its edge weights sum beyond the float range"
+_TWICE_BEYOND = ("vertex 0 has absolute degree 1e+308; twice it, which bounds the spectrum, "
+                 "is beyond the float range")
+
+
 @pytest.mark.parametrize("warnings_env", [None, "error"])
-@pytest.mark.parametrize("kind", ["unnormalized", "normalized"])
-def test_a_degree_beyond_the_float_range_exits_two_with_one_line(kind, warnings_env, tmp_path):
-    # vertex 1's two weights of 1e308 sum to inf; a fresh interpreter, so
-    # that PYTHONWARNINGS takes effect, and stderr must hold no warning
-    edges = tmp_path / "edges.txt"
-    edges.write_text("0 1 1e308\n1 2 1e308\n2 3 1\n")
+@pytest.mark.parametrize("edges, kind, experiment, message", [
+    pytest.param("0 1 1e308\n1 2 1e308\n2 3 1\n", kind, "coarsen-transfer", _DEGREE_INF,
+                 id=kind)
+    for kind in ("unnormalized", "normalized")
+] + [
+    # a finite degree whose spectrum leaves the float range: the top
+    # eigenvalue of the unnormalized Laplacian of one edge of 1e308 is 2e308
+    pytest.param(edges, kind, experiment, _TWICE_BEYOND, id=f"{name}-{kind}-{experiment}")
+    for name, edges in (("one-edge", "0 1 1e308\n"), ("path", "0 1 1e308\n1 2 1\n2 3 1\n"),
+                        ("two-heavy", "0 1 1e308\n1 2 1e308\n2 3 1\n"))
+    for kind in ("unnormalized", "adjacency")
+    for experiment in ("coarsen-transfer", "perturb-stability")
+    if not (name == "two-heavy" and kind == "unnormalized")
+])
+def test_a_degree_beyond_the_float_range_exits_two_with_one_line(edges, kind, experiment,
+                                                                 message, warnings_env,
+                                                                 tmp_path):
+    # a fresh interpreter, so that PYTHONWARNINGS takes effect, and stderr
+    # must hold no warning
+    (tmp_path / "edges.txt").write_text(edges)
     path = tmp_path / "cfg.txt"
-    path.write_text(f"graph_file = {edges}\nlaplacian = {kind}\nseed = 1\n")
+    path.write_text(f"graph_file = {tmp_path / 'edges.txt'}\nlaplacian = {kind}\nseed = 1\n")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     if warnings_env is not None:
         env["PYTHONWARNINGS"] = warnings_env
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(experiments.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     done = subprocess.run(
-        [sys.executable, "-m", "spectral_transfer.cli", "coarsen-transfer", "--config",
+        [sys.executable, "-m", "spectral_transfer.cli", experiment, "--config",
          str(path), "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 2
-    assert done.stderr.splitlines() == [
-        "spectral-transfer: error: vertex 1 has degree inf; its edge weights sum beyond "
-        "the float range"
+    assert done.stderr.splitlines() == [f"spectral-transfer: error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edges, kind", [
+    ("0 1 8e307\n1 2 1\n2 3 1\n", "unnormalized"),  # twice 8e307 is in range
+    ("0 1 1e308\n", "normalized"),  # the rule leaves the normalized kind alone
+], ids=["heavy-path-unnormalized", "one-edge-normalized"])
+@pytest.mark.parametrize("experiment", ["coarsen-transfer", "perturb-stability"])
+def test_a_spectrum_inside_the_float_range_still_certifies(edges, kind, experiment, tmp_path):
+    (tmp_path / "edges.txt").write_text(edges)
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"graph_file = {tmp_path / 'edges.txt'}\nlaplacian = {kind}\nseed = 1\n")
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("experiment", ["coarsen-transfer", "perturb-stability"])
+def test_a_band_that_keeps_no_source_mode_exits_two(experiment, tmp_path, capsys):
+    # the adjacency spectrum of path(4) is +-0.618 and +-1.618, so band 0
+    # keeps nothing and every row would read 0.0 against 0.0
+    path = tmp_path / "cfg.txt"
+    path.write_text("graph = path(4)\nlaplacian = adjacency\nfilters = lowpass(1)\n"
+                    "band = 0\nseed = 1\n")
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spectral-transfer: error: band 0 keeps no mode of the source spectrum, so no bound "
+        "would be checked"
     ]
     assert not (tmp_path / "out").exists()
 

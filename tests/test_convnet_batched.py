@@ -258,10 +258,10 @@ class TestBatchedMeasurements:
         space = GraphSpace.from_graph(graph, "normalized")
         spec = two_layer_spec(graph_bands(space, 3), pooling, act)
         setting = graph_setting(graph, spec, perturb_seed=seed % 97)
-        errs = hypothesis_errors(setting, spec, n_probes=n_probes, seed=seed)
+        rows = hypothesis_errors(setting, spec, n_probes=n_probes, seed=seed)
         activation, pooling_terms = hypothesis_terms_per_probe(setting, spec, n_probes, seed)
-        assert_close(errs.activation, activation)
-        assert_close(errs.pooling, pooling_terms)
+        assert_close([value for term, _, value in rows if term == "activation"], activation)
+        assert_close([value for term, _, value in rows if term == "pooling"], pooling_terms)
 
     @settings(max_examples=25, deadline=None)
     @given(graphs, poolings, activations, st.integers(1, 6), st.integers(0, 2**31))

@@ -1,4 +1,4 @@
-"""The transfer report through ``Q = V^H B S`` against the direct formulas.
+"""The transfer rows through ``Q = V^H B S`` against the direct formulas.
 
 The reference below applies each filter to the sampling matrix with
 ``apply_exact`` (or builds ``filter_matrix``) and interpolates with
@@ -56,7 +56,7 @@ def interpolation(setting):
 
 
 def reference_report(setting, filt, coeffs):
-    """Every number of a transfer report, from ``apply_exact`` and ``R``."""
+    """Every number of the transfer rows, from ``apply_exact`` and ``R``."""
     eig, inner = setting.target.eig, setting.target.inner
     s, r = setting.s_pw, interpolation(setting)
     lams = setting.source_eigenvalues
@@ -85,25 +85,24 @@ def assert_close(got, ref, what):
 
 
 def check_against_reference(setting, filt):
-    report = evaluate_transfer(setting, filt, signal_seed=5)
+    per_mode, bounds, summary = evaluate_transfer(setting, filt, signal_seed=5)
     rng = np.random.default_rng(np.random.SeedSequence((5, setting.dim_pw)))
     coeffs = rng.normal(size=setting.dim_pw)
     coeffs /= np.linalg.norm(coeffs)
     ref = reference_report(setting, filt, coeffs)
 
-    assert_close([row.lhs for row in report.per_mode], ref["mode_lhs"], "mode lhs")
-    assert_close([row.laplacian_mode_error for row in report.per_mode],
+    assert_close([row.lhs for row in per_mode], ref["mode_lhs"], "mode lhs")
+    assert_close([row.laplacian_mode_error for row in per_mode],
                  ref["mode_lap"], "mode laplacian errors")
-    lhs = {bound.bound: bound.lhs for bound in report.bounds}
+    lhs = {bound.bound: bound.lhs for bound in bounds}
     for name in ("pointwise_in_G", "worstcase_in_G", "pointwise_in_M", "worstcase_in_M"):
         assert_close(lhs[name], ref[name], name)
-    assert_close(report.filter_error, ref["pointwise_in_M"], "filter error")
-    assert_close(report.laplacian_error, ref["laplacian_error"], "laplacian error")
-    assert_close(report.consistency_error, ref["consistency_error"], "consistency")
+    assert_close(summary["filter_error"], ref["pointwise_in_M"], "filter error")
+    assert_close(summary["laplacian_error"], ref["laplacian_error"], "laplacian error")
+    assert_close(summary["consistency_error"], ref["consistency_error"], "consistency")
     errors = transfer_errors(setting, filt, coeffs)
     assert_close(errors, [ref[k] for k in ("pointwise_in_M", "laplacian_error",
                                            "consistency_error")], "transfer_errors")
-    return report
 
 
 FILTER_MAKERS = {
@@ -255,15 +254,15 @@ def test_coordinate_lhs_match_the_dense_mismatch(graph, laplacian, perturbation,
                                    band=band_frac * space.full_band())
     filt = FILTER_MAKERS[family](arg)
     try:
-        report = evaluate_transfer(setting, filt, signal_seed=5)
+        per_mode, bounds, _ = evaluate_transfer(setting, filt, signal_seed=5)
     except SpectralTransferError:
         reject()  # a declared Lipschitz constant that a signed spectrum breaks
     rng = np.random.default_rng(np.random.SeedSequence((5, setting.dim_pw)))
     coeffs = rng.normal(size=setting.dim_pw)
     coeffs /= np.linalg.norm(coeffs)
     ref, scale = dense_graph_side_lhs(setting, filt, coeffs)
-    got = {"mode_lhs": np.array([row.lhs for row in report.per_mode])}
-    got.update((bound.bound, bound.lhs) for bound in report.bounds)
+    got = {"mode_lhs": np.array([row.lhs for row in per_mode])}
+    got.update((bound.bound, bound.lhs) for bound in bounds)
     for name, want in ref.items():
         assert np.all(np.abs(got[name] - want) <= 1e-12 * np.abs(want) + 1e-14 * scale), (
             name, got[name], want, scale)
@@ -278,7 +277,7 @@ def test_two_graph_error_matches_reference():
     for filt in (Filter.heat(1.0), Filter.polynomial((0.0, 1.0, -0.2))):
         mats = [interpolation(s) @ filter_matrix(filt, s.target.eig) @ s.s_pw
                 for s in (s1, s2)]
-        bound = sum(evaluate_transfer(s, filt).bounds[3].rhs for s in (s1, s2))
+        bound = sum(evaluate_transfer(s, filt)[1][3].rhs for s in (s1, s2))
         err, got_bound = two_graph_error(s1, s2, filt)
         assert_close(err, operator_norm(mats[0] - mats[1]), "two-graph error")
         assert_close(got_bound, bound, "two-graph bound")
@@ -321,12 +320,14 @@ def test_large_and_small_filters_scale_every_lhs(factor):
     # overflow to inf lhs and exit 1
     graph = path_graph(8)
     setting = coarsening_setting(GraphSpace.from_graph(graph), coarsen_matching(graph))
-    unit = evaluate_transfer(setting, Filter.polynomial((0.0, 1.0)), signal_seed=1)
-    scaled = evaluate_transfer(setting, Filter.polynomial((0.0, factor)), signal_seed=1)
-    assert scaled.all_satisfied
-    pairs = [(a.lhs, b.lhs) for a, b in zip(unit.per_mode, scaled.per_mode)]
-    pairs += [(a.lhs, b.lhs) for a, b in zip(unit.bounds, scaled.bounds)]
-    pairs.append((unit.filter_error, scaled.filter_error))
+    unit_modes, unit_bounds, unit = evaluate_transfer(
+        setting, Filter.polynomial((0.0, 1.0)), signal_seed=1)
+    scaled_modes, scaled_bounds, scaled = evaluate_transfer(
+        setting, Filter.polynomial((0.0, factor)), signal_seed=1)
+    assert all(row.satisfied for row in (*scaled_modes, *scaled_bounds))
+    pairs = [(a.lhs, b.lhs) for a, b in zip(unit_modes, scaled_modes)]
+    pairs += [(a.lhs, b.lhs) for a, b in zip(unit_bounds, scaled_bounds)]
+    pairs.append((unit["filter_error"], scaled["filter_error"]))
     for a, b in pairs:
         assert abs(b - factor * a) <= TOL * factor * (1.0 + a), (a, b)
 
@@ -402,14 +403,14 @@ def test_complete_setting_lhs_and_overlap_match_the_dense_route(
     assert setting.complete
     filt = FILTER_MAKERS[family](arg)
     try:
-        report = evaluate_transfer(setting, filt)
+        _, bounds, _ = evaluate_transfer(setting, filt)
     except SpectralTransferError:
         reject()  # a declared Lipschitz constant that a signed spectrum breaks
     n, eps = space.n_vertices, np.finfo(float).eps
     g_lam = filt.evaluate(setting.source_eigenvalues)
     sup_g = np.abs(np.concatenate([g_lam, filt.evaluate(delta.eig.values)])).max()
     want = hermitian_norm(np.diag(g_lam) - setting.filtered_transfer_matrix(filt))
-    got = {bound.bound: bound.lhs for bound in report.bounds}["worstcase_in_M"]
+    got = {bound.bound: bound.lhs for bound in bounds}["worstcase_in_M"]
     assert abs(got - want) <= 1e-12 * want + 64 * n * eps * sup_g, (got, want, sup_g)
     # entries of an orthogonal matrix, so the absolute scale is 1
     overlap = np.abs(space.eig.basis.T @ delta.eig.basis)
