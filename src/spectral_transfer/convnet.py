@@ -381,7 +381,8 @@ class ConvNetGraphSetting:
     """Per-layer graphs and maps tying one graph to the underlying space.
 
     ``sample_maps[l]`` carries vertex signals of the space to the layer-l
-    graph (layer 0 is the network input graph); ``operators[l]`` is the
+    graph (layer 0 is the network input graph, on the space's own vertices,
+    so ``sample_maps[0]`` is the identity); ``operators[l]`` is the
     layer-l graph operator used by layer l+1's filters (a layer that does
     not pool hands on the same object); ``pooling_maps[l]`` coarsens layer
     l to layer l+1 when that layer pools.
@@ -414,19 +415,6 @@ class ConvNetGraphSetting:
             maps.append(s)
             operators.append(operator)
         return cls(space, tuple(maps), tuple(operators), tuple(pooling))
-
-    def run(self, spec: ConvNetSpec, inputs_on_space):
-        """Sample space signals (vectors or column matrices) onto layer 0
-        and run the graph network."""
-        sampled = [self.sample_maps[0] @ np.asarray(ch) for ch in inputs_on_space]
-        return forward_graph(
-            spec, self.operators[: spec.n_layers], self.pooling_maps, sampled
-        )
-
-    def interpolate_output(self, channel: np.ndarray) -> np.ndarray:
-        """Carry a final-layer signal (or its columns) back to the space:
-        R = S^T."""
-        return self.sample_maps[-1].T @ np.asarray(channel)
 
 
 def _collapse_graph(graph: WeightedGraph, cmap: CoarseningMap) -> WeightedGraph:
@@ -516,13 +504,14 @@ def _basis_and_unit_probes(rng, dim: int, count: int) -> np.ndarray:
 
 
 def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
-                  setting2: ConvNetGraphSetting, probes) -> tuple:
+                  setting2: ConvNetGraphSetting, probes) -> dict:
     """Largest per-channel output gaps over nonzero probe inputs, relative
-    to the probe norm: ``(space_vs_graph1, space_vs_graph2, two_graph)``.
+    to the probe norm, as ``summary.txt``'s ``errors`` entry:
+    ``space_vs_graph1``, ``space_vs_graph2`` and ``two_graph``, in order.
 
     ``probes`` holds one band-zero coefficient column per probe.  The
     space network runs once, and each graph network runs once on the
-    synthesized probes; graph outputs are carried back by interpolation.
+    synthesized probes; graph outputs return by ``S^T``, S the last sample map.
     """
     space = setting1.space
     probes = np.asarray(probes, dtype=float)
@@ -535,7 +524,8 @@ def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
         for ch in forward_continuous(spec, space, [probes])[-1]
     ]
     back1, back2 = (
-        [setting.interpolate_output(ch) for ch in setting.run(spec, [f_space])[-1]]
+        [setting.sample_maps[-1].T @ ch for ch in forward_graph(
+            spec, setting.operators[: spec.n_layers], setting.pooling_maps, [f_space])[-1]]
         for setting in (setting1, setting2)
     )
 
@@ -545,7 +535,8 @@ def output_errors(spec: ConvNetSpec, setting1: ConvNetGraphSetting,
             for a, b in zip(outs_a, outs_b)
         )
 
-    return worst(cont, back1), worst(cont, back2), worst(back1, back2)
+    return {"space_vs_graph1": worst(cont, back1), "space_vs_graph2": worst(cont, back2),
+            "two_graph": worst(back1, back2)}
 
 
 def spectral_decay_check(activation: Activation, band: float, probes,

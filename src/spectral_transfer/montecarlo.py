@@ -96,6 +96,10 @@ class TrialConfig:
     activation_probes: int = 8
 
     def __post_init__(self):
+        for name, value in (("band", self.band), ("kernel_band", self.kernel_band)):
+            if not value >= 0.0:
+                raise SpectralTransferError(
+                    f"{name.replace('_', ' ')} must be nonnegative, got {value:g}", name)
         if not self.band < self.kernel_band:
             raise SpectralTransferError("band must be below the kernel band", "band")
         if not 0.0 < self.delta < 1.0:
@@ -151,40 +155,6 @@ class TrialConfig:
         return SampleSet(*rejection_sample(rngs, n, self.weight_fn(), w_max=1.5))
 
 
-@dataclass(frozen=True)
-class MCBoundConstants:
-    """Explicit constants of the three bounds for one configuration."""
-
-    c_lambda: float
-    c_quad1: float
-    c_quad2: float
-    c_quad3: float
-    lambda_l1: float
-    kernel_l2: float
-    w_min: float
-    c_tail_inflation: float = C_TAIL_INFLATION
-
-    def laplacian_bound(self, n: int, delta: float) -> float:
-        return float(self.c_quad1 / np.sqrt(n * delta))
-
-    def gram_bound(self, n: int, delta: float) -> float:
-        return float(self.c_quad2 / np.sqrt(n * delta))
-
-    def activation_bound(self, n: int, delta: float) -> float:
-        return float(self.c_quad3 / (self.w_min * n * delta) ** 0.25)
-
-
-def exact_c_lambda(space: CircleSpace, band: float) -> float:
-    """Optimal constant with ||f||_inf <= C ||f||_2 on the band.
-
-    By Cauchy-Schwarz the supremum over unit-norm band-limited signals at a
-    point x is the Euclidean norm of the basis column at x.  On the circle
-    its square, ``1 + 2 sum_n (cos^2 + sin^2)(2 pi n x)``, is ``dim PW(band)``
-    at every x, so C is its square root.
-    """
-    return float(np.sqrt(space.dim_pw(band)))
-
-
 def estimate_activation_tail_constant(config: TrialConfig) -> float:
     """Sphere-sampling surrogate for the worst sup-norm activation tail.
 
@@ -231,35 +201,43 @@ def _activation_tail(basis_hi: np.ndarray, probes: np.ndarray, out=None) -> tupl
     return coeffs_hi, np.subtract(rho, tail, out=tail)
 
 
-def bound_constants(config: TrialConfig) -> MCBoundConstants:
-    """Evaluate every explicit constant for the configuration.
+def bound_constants(config: TrialConfig) -> dict:
+    """The explicit constants of the three bounds, as ``summary.txt``
+    holds them under ``constants.<weight>``; :func:`mc_trial` divides
+    ``c_quad1`` and ``c_quad2`` by ``sqrt(N delta)`` and ``c_quad3`` by
+    ``(w_min N delta)^(1/4)``.
 
-    ``c_quad3`` is estimated only for a configuration with activation
-    probes; without them no activation error is measured and it is 0.
+    ``c_lambda``, the optimal C with ``||f||_inf <= C ||f||_2`` on the band,
+    is sqrt(dim PW): by Cauchy-Schwarz the supremum over unit band-limited
+    signals at x is the norm of the basis column at x, whose square
+    ``1 + 2 sum_n (cos^2 + sin^2)(2 pi n x)`` is dim PW.  ``c_quad3`` is the
+    inflated activation-tail estimate, 0 without activation probes (no
+    activation error is measured).  ``norm_chain_ok`` certifies
+    ``kernel_l2 <= lambda_l1``.
     """
     space = config.space
-    w_vals = config.weight_fn()(np.arange(_GRID) / _GRID)
-    w_min = float(np.min(w_vals))
-    c_lam = exact_c_lambda(space, config.band)
-    kernel = config.kernel
+    w_min = float(np.min(config.weight_fn()(np.arange(_GRID) / _GRID)))
     dim = space.dim_pw(config.band)
-    max_phi_inf = space.sup_norm_of_basis(config.band)
-    return MCBoundConstants(
-        c_lambda=float(c_lam),
-        c_quad1=float(kernel.l2_norm() * c_lam / w_min),
-        c_quad2=float(dim * max_phi_inf**2 / np.sqrt(w_min)),
-        c_quad3=(float(estimate_activation_tail_constant(config))
-                 if config.activation_probes > 0 else 0.0),
-        lambda_l1=kernel.lambda_l1,
-        kernel_l2=kernel.l2_norm(),
-        w_min=w_min,
-    )
+    c_lam = float(np.sqrt(dim))
+    kernel_l2, lambda_l1 = config.kernel.l2_norm(), config.kernel.lambda_l1
+    return {
+        "c_lambda": c_lam,
+        "c_quad1": float(kernel_l2 * c_lam / w_min),
+        "c_quad2": float(dim * space.sup_norm_of_basis(config.band)**2 / np.sqrt(w_min)),
+        "c_quad3": (float(estimate_activation_tail_constant(config))
+                    if config.activation_probes > 0 else 0.0),
+        "c_tail_inflation": C_TAIL_INFLATION,
+        "kernel_l2": kernel_l2,
+        "lambda_l1": lambda_l1,
+        "norm_chain_ok": certified(kernel_l2, lambda_l1),
+        "w_min": w_min,
+    }
 
 
-def mc_trial(config: TrialConfig, size_index: int, trial_indices,
-             constants: MCBoundConstants) -> dict:
+def mc_trial(config: TrialConfig, size_index: int, trial_indices, constants: dict) -> dict:
     """Draw the sample sets of a block of trials of one size and measure
-    the three errors of each, with their bounds.
+    the three errors of each, with their bounds from ``constants``
+    (:func:`bound_constants`).
 
     Returns the block as columns, one entry per trial in trial order:
     ``n``, ``trial`` and, for each q of :data:`QUANTITIES`,
@@ -298,11 +276,11 @@ def mc_trial(config: TrialConfig, size_index: int, trial_indices,
     delta = config.delta
     measured = {  # quantity: (errors, bound)
         "laplacian": (np.sqrt(np.maximum(squared[..., -1], 0.0)),
-                      constants.laplacian_bound(n, delta)),
+                      constants["c_quad1"] / np.sqrt(n * delta)),
         "gram": (np.linalg.norm(gram[..., :k, :k] - np.eye(k), "fro", axis=(-2, -1)),
-                 constants.gram_bound(n, delta)),
+                 constants["c_quad2"] / np.sqrt(n * delta)),
         "activation": (_activation_excess(config, phi, sample.w_values),
-                       constants.activation_bound(n, delta)),
+                       constants["c_quad3"] / (constants["w_min"] * n * delta) ** 0.25),
     }
     trials = np.asarray(trial_indices)
     columns = {"n": np.full(trials.shape, n), "trial": trials}
@@ -349,7 +327,7 @@ def _activation_excess(config: TrialConfig, phi_hi: np.ndarray,
     return np.max(np.sqrt(weighted[..., 0, :]) - cont_tail, axis=-1)
 
 
-def run_trials(config: TrialConfig, constants: MCBoundConstants) -> dict:
+def run_trials(config: TrialConfig, constants: dict) -> dict:
     """The columns of every (size, trial) result (see :func:`mc_trial`),
     size-major and bitwise reproducible.
 

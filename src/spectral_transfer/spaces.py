@@ -15,6 +15,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +34,12 @@ class CircleSpace:
 
     @staticmethod
     def max_frequency(band: float) -> int:
-        """Largest n with n^2 <= band."""
+        """Largest n with n^2 <= band, up to a relative 1e-12."""
         if band < 0:
             raise SpectralTransferError("band must be nonnegative")
-        n = int(np.floor(np.sqrt(band * (1.0 + 1e-12))))
-        while (n + 1) ** 2 <= band * (1.0 + 1e-12):
-            n += 1
-        return n
+        # in integers, since a float comparison rounds a large (n + 1)^2; a
+        # product of Python floats overflows to inf without a warning
+        return math.isqrt(math.floor(min(float(band) * (1.0 + 1e-12), sys.float_info.max)))
 
     def eigenvalues_up_to(self, band: float) -> np.ndarray:
         n_max = self.max_frequency(band)

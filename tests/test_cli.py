@@ -479,8 +479,14 @@ def test_a_band_that_keeps_no_source_mode_exits_two(experiment, tmp_path, capsys
      "from the working directory)"),
     ("convnet-transfer", "graph = path(8)\nseed = 4\nnet_perturbation = add_edges(2)",
      "line 3: add_edges(2): fraction 2.0 outside [0, 1]"),
+    ("mc-verify", "seed = 1\nweights = cosine\ncircle_band = -1",
+     "line 3: band must be nonnegative, got -1"),
+    ("mc-verify", "seed = 1\ncircle_band = -1", "line 2: band must be nonnegative, got -1"),
+    ("circle-sampling", "circle_band = 1\nkernel_band = -1\nseed = 1",
+     "line 2: kernel band must be nonnegative, got -1"),
 ], ids=["band", "empty-filters", "seed", "two-graph-sources", "graph-file", "net-file",
-        "net-perturbation-fraction"])
+        "net-perturbation-fraction", "circle-band", "circle-band-default-weights",
+        "kernel-band"])
 def test_a_bad_value_names_the_line_of_its_key(experiment, keys, message, tmp_path, capsys):
     path = tmp_path / "cfg.txt"
     path.write_text(keys.format(tmp=tmp_path) + "\n")
@@ -488,6 +494,31 @@ def test_a_bad_value_names_the_line_of_its_key(experiment, keys, message, tmp_pa
     assert capsys.readouterr().err.splitlines() == [
         f"spectral-transfer: error: {path}: {message.format(tmp=tmp_path)}"
     ]
+
+
+@pytest.mark.parametrize("experiment", ["circle-sampling", "mc-verify"])
+@pytest.mark.parametrize("kernel_band, shown", [
+    ("1e100", "1e+100"), ("1e308", "1e+308"),
+    ("1.7976931348623157e308", "1.79769313486e+308"),  # the largest float
+])
+def test_a_huge_kernel_band_exits_two_at_once(experiment, kernel_band, shown, tmp_path):
+    # a fresh interpreter under PYTHONWARNINGS=error; the timeout stops a
+    # frequency search that never ends
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"seed = 1\nkernel_band = {kernel_band}\n")
+    env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
+        [str(Path(experiments.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_transfer.cli", experiment, "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"spectral-transfer: error: {path}: line 2: kernel band {shown} must be below "
+        "4194304: the 4096-point activation grid resolves frequencies below 2048"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_bad_value_from_the_command_line_names_no_line(tmp_path, capsys):

@@ -406,10 +406,10 @@ class TestHypothesisAndCertification:
         rng = np.random.default_rng(17)
         dim0 = space.dim_pw(spec.bands[0])
         probes = unit_probes(rng, dim0, 10)
-        err1, err2, err12 = output_errors(spec, setting1, setting2, probes)
-        assert err1 <= bound
-        assert err2 <= bound
-        assert err12 <= bound
+        errors = output_errors(spec, setting1, setting2, probes)
+        assert list(errors) == ["space_vs_graph1", "space_vs_graph2", "two_graph"]
+        for value in errors.values():
+            assert value <= bound
 
 
 class TestSpectralDecay:

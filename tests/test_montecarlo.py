@@ -1,6 +1,7 @@
 """Monte-Carlo quadrature bounds: constants, rates, slopes, reproducibility."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from spectral_transfer.montecarlo import (
     TrialConfig,
     bound_constants,
     cosine_weight,
-    exact_c_lambda,
     failure_rate,
     mc_trial,
     nonasymptotic_filter_bound,
@@ -64,11 +64,13 @@ class TestConfigValidation:
 
 
 class TestConstants:
-    def test_exact_c_lambda_is_sqrt_dim(self):
+    def test_c_lambda_is_sqrt_dim(self):
         # For the circle basis the pointwise column norm is constant, so the
         # optimal constant equals sqrt(dim PW).
         for band, dim in ((0.0, 1), (1.0, 3), (4.0, 5), (25.0, 11), (1e4, 201)):
-            assert exact_c_lambda(CIRCLE, band) == np.sqrt(dim)
+            cfg = small_config(band=band, kernel_band=band + 1.0, sizes=(dim,),
+                               activation_probes=0)
+            assert bound_constants(cfg)["c_lambda"] == np.sqrt(dim)
 
     def test_c_lambda_certificate_1000_probes(self):
         cons = bound_constants(small_config())
@@ -78,28 +80,36 @@ class TestConstants:
         for _ in range(1000):
             c = rng.normal(size=3)
             sup = np.abs(basis @ c).max()
-            assert sup <= cons.c_lambda * np.linalg.norm(c) * (1 + 1e-9)
+            assert sup <= cons["c_lambda"] * np.linalg.norm(c) * (1 + 1e-9)
 
     def test_uniform_simplifications(self):
         cons = bound_constants(small_config(weight="uniform"))
-        assert cons.w_min == pytest.approx(1.0)
+        assert cons["w_min"] == pytest.approx(1.0)
         # dim PW(1) = 3 and max |phi|^2 = 2 for the trig basis
-        assert cons.c_quad2 == pytest.approx(2 * 3)
-        assert cons.c_quad1 == pytest.approx(cons.kernel_l2 * cons.c_lambda)
+        assert cons["c_quad2"] == pytest.approx(2 * 3)
+        assert cons["c_quad1"] == pytest.approx(cons["kernel_l2"] * cons["c_lambda"])
 
     def test_kernel_norm_chain(self):
         cons = bound_constants(small_config())
-        assert cons.kernel_l2 <= cons.lambda_l1 + 1e-8
-        assert cons.lambda_l1 == pytest.approx(10.0)  # 0 + 1 + 1 + 4 + 4
+        assert cons["kernel_l2"] <= cons["lambda_l1"] + 1e-8
+        assert cons["norm_chain_ok"] is True
+        assert cons["lambda_l1"] == pytest.approx(10.0)  # 0 + 1 + 1 + 4 + 4
 
     def test_cosine_weight_minimum(self):
         cons = bound_constants(small_config(weight="cosine"))
-        assert cons.w_min == pytest.approx(0.5, abs=1e-6)
+        assert cons["w_min"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_closed_forms_under_the_cosine_weight(self):
+        # w_min = 1/2, dim PW(1) = 3, max |phi|^2 = 2 and ||H||_L2^2 = 1 + 1 + 16 + 16
+        cons = bound_constants(small_config(weight="cosine"))
+        assert cons["kernel_l2"] == pytest.approx(np.sqrt(34.0), rel=1e-12)
+        assert cons["c_quad1"] == pytest.approx(np.sqrt(34.0) * np.sqrt(3.0) / 0.5, rel=1e-12)
+        assert cons["c_quad2"] == pytest.approx(3 * 2 / np.sqrt(0.5), rel=1e-12)
 
     def test_tail_constant_positive_and_inflated(self):
         cons = bound_constants(small_config())
-        assert cons.c_quad3 > 0
-        assert cons.c_tail_inflation == 1.5
+        assert cons["c_quad3"] > 0
+        assert cons["c_tail_inflation"] == 1.5
 
     def test_no_tail_estimate_without_activation_probes(self, monkeypatch):
         def no_estimate(*args, **kwargs):
@@ -107,7 +117,7 @@ class TestConstants:
 
         monkeypatch.setattr(montecarlo, "estimate_activation_tail_constant", no_estimate)
         cons = bound_constants(small_config(activation_probes=0))
-        assert cons.c_quad3 == 0.0
+        assert cons["c_quad3"] == 0.0
         results = run_trials(small_config(activation_probes=0), cons)
         assert np.all(results["activation_bound"] == 0.0)
         assert not results["activation_violation"].any()
@@ -122,13 +132,20 @@ class TestMcTrial:
         assert r["gram_error"][0] <= 1e-12
 
     def test_bounds_attached(self):
-        cfg = small_config()
+        # each bound column is its closed form in the returned constants;
+        # the cosine weight's w_min = 1/2 enters the activation bound
+        n, delta = 64, 0.25
+        cfg = small_config(sizes=(n,), trials=3, delta=delta, weight="cosine")
         cons = bound_constants(cfg)
-        r = mc_trial(cfg, 0, [0], cons)
-        assert r["trial"].tolist() == [0] and r["n"].tolist() == [64]
-        assert r["laplacian_bound"][0] == pytest.approx(cons.laplacian_bound(64, 0.25))
-        assert r["gram_bound"][0] == pytest.approx(cons.gram_bound(64, 0.25))
-        assert r["activation_bound"][0] == pytest.approx(cons.activation_bound(64, 0.25))
+        r = mc_trial(cfg, 0, [0, 1, 2], cons)
+        assert r["trial"].tolist() == [0, 1, 2] and r["n"].tolist() == [n] * 3
+        closed_forms = {
+            "laplacian": cons["c_quad1"] / math.sqrt(n * delta),
+            "gram": cons["c_quad2"] / math.sqrt(n * delta),
+            "activation": cons["c_quad3"] / (cons["w_min"] * n * delta) ** 0.25,
+        }
+        for q, bound in closed_forms.items():
+            assert r[f"{q}_bound"].tolist() == pytest.approx([bound] * 3, rel=1e-12)
 
     def test_an_empty_campaign_has_no_columns(self):
         cfg = small_config(trials=0)

@@ -1,5 +1,7 @@
 """Circle / graph / kernel space models and band-limited projections."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ class TestCircleEigenpairs:
         assert CIRCLE.dim_pw(4.5) == 5  # n in {0, +-1, +-2}
         assert CIRCLE.dim_pw(0.0) == 1
         assert CIRCLE.dim_pw(1.0) == 3
+
+    def test_max_frequency_matches_an_integer_search(self):
+        squares = np.arange(200.0) ** 2
+        bands = np.concatenate([np.linspace(0.0, 2000.0, 4001), squares,
+                                np.nextafter(squares[1:], 0.0), squares * (1.0 - 2e-12)])
+        for band in bands:
+            n, scaled = 0, float(band) * (1.0 + 1e-12)
+            while (n + 1) ** 2 <= scaled:  # a Python int against a Python float: exact
+                n += 1
+            assert CIRCLE.max_frequency(band) == n
+
+    @pytest.mark.parametrize("band", [1e100, np.float64(1e100), 1e308, sys.float_info.max])
+    def test_max_frequency_returns_for_a_huge_band(self, band):
+        n = CIRCLE.max_frequency(band)
+        assert n * n <= min(float(band) * (1.0 + 1e-12), sys.float_info.max) < (n + 1) ** 2
 
     def test_weyl_count_window(self):
         for lam in (1.0, 4.0, 9.0, 16.0, 25.0):

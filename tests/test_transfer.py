@@ -230,6 +230,23 @@ def certifies(setting, filt) -> bool:
     return all(row.satisfied for row in (*per_mode, *bounds))
 
 
+class TestCertifiedSlack:
+    """``certified`` passes lhs <= rhs (1 + 1e-9) + 1e-12, and no more: the
+    slack's values are written out here, so a change to either fails."""
+
+    @pytest.mark.parametrize("rhs", [0.0, 1.0, 1e6])
+    def test_the_edge_of_the_slack_certifies_and_the_next_float_does_not(self, rhs):
+        edge = rhs * (1.0 + 1e-9) + 1e-12
+        assert certified(edge, rhs)
+        assert not certified(np.nextafter(edge, np.inf), rhs)
+
+    def test_the_edge_of_the_slack_elementwise(self):
+        rhs = np.array([0.0, 1.0, 1e6])
+        edge = rhs * (1.0 + 1e-9) + 1e-12
+        assert certified(edge, rhs).tolist() == [True] * 3
+        assert certified(np.nextafter(edge, np.inf), rhs).tolist() == [False] * 3
+
+
 class TestCertification:
     """The bounds are theorems: every configuration must certify."""
 
